@@ -112,10 +112,6 @@ class SemanticIR:
         if self.kind == PROCEDURAL and not self.action.get("subject"):
             raise InvalidInput("procedural IR needs an action subject")
 
-    @property
-    def low_content(self) -> bool:
-        return self.kind == DECLARATIVE and not self.attributes
-
     def to_dict(self) -> dict:
         base = {
             "sentence_id": self.sentence_id,
@@ -214,11 +210,10 @@ def chunk(document: str, doc_id: str,
 
     def flush():
         nonlocal pending, pending_tokens, pending_has_body
-        if not pending or not pending_has_body:
-            # Trailing heading with no body still becomes a passage so text
-            # coverage stays lossless.
-            if not pending:
-                return
+        # A trailing heading with no body still becomes a passage so text
+        # coverage stays lossless.
+        if not pending:
+            return
         text = "\n\n".join(pending)
         passage_id = f"{doc_id}#p{len(passages):04d}"
         passages.append(Passage(

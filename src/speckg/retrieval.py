@@ -2,9 +2,11 @@
 expansion by marginal gain, and anchor-compatibility filtering.
 
 The expansion loop grows the accepted passage set from a ranked candidate
-list until the marginal gain of new evidence (cosine distance between
-summaries of the context with and without the increment) drops to
-the threshold, the budget is reached, or candidates run out.
+list until the marginal gain of new evidence (cosine distance between the
+summary of the accepted context and the summary of that context plus the
+increment) drops to the threshold, the budget is reached, or candidates run
+out. An accepted round's summary is the next round's base, so each round
+summarizes and embeds once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import scipy.sparse as sp
 
 from . import prompts
 from .errors import EmptyGraph, InvalidInput
-from .gateway import EmbeddingVector, Gateway
+from .gateway import Gateway
 from .ingest import SemanticAnchor
 from .kg import SpecGraph
 
@@ -51,11 +53,8 @@ class PPRParams:
 @dataclass
 class RetrievalState:
     query: str
-    query_embedding: EmbeddingVector | None = None
     ranked_candidates: list[tuple[str, float]] = field(default_factory=list)
     accepted: list[str] = field(default_factory=list)  # ordered set S_t
-    base_summary: str = ""
-    cursor: int = 0
     mig_trace: list[float] = field(default_factory=list)
     warning: str | None = None
 
@@ -178,34 +177,38 @@ def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
     """Iterative context expansion over ``state.ranked_candidates``.
 
     Starts from the top-k0 candidates; each round takes the next delta_k,
-    summarizes the context with and without them, and accepts the increment
-    only while the gain stays above tau. Hard stops: the accepted set
-    reaching k_max, or candidates running out. Summarization failures abort
-    the round and return the set accepted so far with a warning.
+    summarizes the accepted context plus them, and accepts the increment only
+    while the gain over the accepted context's summary stays above tau. The
+    first round also summarizes the k0 base; later rounds reuse the summary of
+    the round before, which is the accepted context's. Hard stops: the
+    accepted set reaching k_max, or candidates running out. Summarization
+    failures abort the round and return the set accepted so far with a
+    warning.
     """
     if k0 < 1 or delta_k < 1:
         raise InvalidInput("k0 and delta_k must be >= 1")
     ids = [pid for pid, _ in state.ranked_candidates]
-    state.accepted = ids[:min(k0, k_max, len(ids))]
-    state.cursor = len(state.accepted)
+    limit = min(k_max, len(ids))
+    state.accepted = ids[:min(k0, limit)]
     state.mig_trace = []
+    base_vec = None
 
-    while len(state.accepted) < k_max and state.cursor < len(ids):
-        take = min(delta_k, k_max - len(state.accepted), len(ids) - state.cursor)
-        increment = ids[state.cursor:state.cursor + take]
+    while len(state.accepted) < limit:
+        start = len(state.accepted)
+        increment = ids[start:min(start + delta_k, limit)]
         try:
-            base = summarize(state.query, state.accepted)
-            expanded = summarize(state.query, state.accepted + increment)
-            gain = marginal_gain(embed(base), embed(expanded))
+            if base_vec is None:
+                base_vec = embed(summarize(state.query, state.accepted))
+            expanded_vec = embed(summarize(state.query, state.accepted + increment))
+            gain = marginal_gain(base_vec, expanded_vec)
         except Exception as exc:
             state.warning = f"summarization failed: {exc}"
             logger.warning("expansion aborted for %r: %s", state.query, exc)
             return state
-        state.base_summary = base
         state.mig_trace.append(gain)
         if gain > tau:
             state.accepted.extend(increment)
-            state.cursor += take
+            base_vec = expanded_vec
         else:
             break
     return state
@@ -240,11 +243,8 @@ def csa_filter(candidates: Sequence[str], target: SemanticAnchor, kg: SpecGraph,
     kept, removed = [], []
     for pid in candidates:
         passage = kg.passages.get(pid)
-        anchor = passage.anchor if passage else None
-        if anchor is not None or passage is not None:
-            ok = anchor_compatible(anchor, target, kg, keep_unanchored)
-        else:
-            ok = False
+        ok = passage is not None and anchor_compatible(passage.anchor, target, kg,
+                                                        keep_unanchored)
         (kept if ok else removed).append(pid)
     if not kept and removed:
         return FilterResult(kept=list(candidates), removed=[], bypassed=True)
@@ -288,9 +288,7 @@ def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway
     params = PPRParams(damping=cfg.ppr.damping, tol=cfg.ppr.tol,
                        max_iters=cfg.ppr.max_iters, seed_weights=weights)
     scores, converged = ppr(kg, params)
-    state = RetrievalState(query=query,
-                           query_embedding=gateway.embed([query])[0],
-                           ranked_candidates=rank_passages(scores))
+    state = RetrievalState(query=query, ranked_candidates=rank_passages(scores))
 
     def summarize(q: str, passage_ids: list[str]) -> str:
         payload = [{"passage_id": pid, "text": kg.passages[pid].text}

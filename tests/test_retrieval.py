@@ -287,6 +287,69 @@ class TestAdaptiveExpand:
         assert len(state.accepted) == 5
         assert state.warning is not None
 
+    @staticmethod
+    def counting_doubles(fail_on_call=None):
+        """Summarize/embed doubles that count their calls; every summary
+        embeds to a fresh orthogonal vector, so every gain is 1."""
+        calls = {"summarize": 0, "embed": 0}
+
+        def summarize(q, ids):
+            calls["summarize"] += 1
+            if calls["summarize"] == fail_on_call:
+                raise RuntimeError("model down")
+            return f"summary {calls['summarize']}"
+
+        def embed(text):
+            calls["embed"] += 1
+            vec = np.zeros(64)
+            vec[calls["embed"]] = 1.0
+            return vec
+
+        return summarize, embed, calls
+
+    def test_each_round_summarizes_and_embeds_once(self):
+        state = self.make_state()
+        summarize, embed, calls = self.counting_doubles()
+        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=20,
+                        summarize=summarize, embed=embed)
+        assert len(state.mig_trace) == 3
+        assert len(state.accepted) == 20
+        # the k0 base once, then one summary per round
+        assert calls == {"summarize": 4, "embed": 4}
+
+    def test_failure_after_first_round_keeps_accepted_set(self):
+        state = self.make_state()
+        # calls 1 and 2 are round 1's base and increment; call 3 is round 2's
+        summarize, embed, _ = self.counting_doubles(fail_on_call=3)
+        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
+                        summarize=summarize, embed=embed)
+        assert state.accepted == [f"p{i:02d}" for i in range(10)]
+        assert state.mig_trace == [1.0]
+        assert state.warning is not None
+
+
+class CountingGateway:
+    """Delegates to a real gateway and records every embedded text."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.embedded = []
+
+    def embed(self, texts):
+        self.embedded.extend(texts)
+        return self.inner.embed(texts)
+
+    def chat(self, request):
+        return self.inner.chat(request)
+
+
+def test_retrieve_embeds_sub_query_once(graph, offline_gateway, run_cfg):
+    gateway = CountingGateway(offline_gateway)
+    query = "What is the reset value of the baud rate register?"
+    retrieval.retrieve(query, SemanticAnchor("declarative", "baud rate register"),
+                       graph, gateway, run_cfg)
+    assert gateway.embedded.count(query) == 1
+
 
 class TestMarginalGain:
     def test_identical_embeddings_zero_within_1e9(self):
@@ -330,10 +393,10 @@ class TestAnchorFilter:
 
     def test_type_mismatch_removed(self):
         graph = anchored_graph()
-        result = csa_filter(["decl-fsm", "proc-fsm"],
+        result = csa_filter(["decl-fsm", "proc-fsm", "not-in-graph"],
                             SemanticAnchor("procedural", "fsm"), graph)
         assert result.kept == ["proc-fsm"]
-        assert result.removed == ["decl-fsm"]
+        assert result.removed == ["decl-fsm", "not-in-graph"]
 
     def test_alias_resolution_matches_variants(self):
         graph = anchored_graph()
