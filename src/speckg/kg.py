@@ -182,15 +182,6 @@ def _triple_entities(triples: Iterable[Triple]) -> list[str]:
     return out
 
 
-def _is_fragment(short: list[str], long: list[str]) -> bool:
-    if len(short) >= len(long):
-        return False
-    for i in range(len(long) - len(short) + 1):
-        if long[i:i + len(short)] == short:
-            return True
-    return False
-
-
 def _abbreviates(token: str, full: str) -> bool:
     if token == full:
         return False
@@ -217,6 +208,10 @@ def _is_abbreviation(variant: list[str], full: list[str]) -> bool:
     return strict
 
 
+def _shape(tokens: list[str]) -> tuple:
+    return (len(tokens), *(t[:2] for t in tokens))
+
+
 def compute_alias_map(entities: Iterable[str]) -> dict[str, str]:
     """Variant → canonical mapping over canonicalized corpus entities.
 
@@ -227,14 +222,25 @@ def compute_alias_map(entities: Iterable[str]) -> dict[str, str]:
     """
     ents = sorted(set(entities))
     tokens = {e: e.split() for e in ents}
+    # Every contiguous token n-gram shorter than an entity, the empty one
+    # included, maps to the entities containing it: the fragment targets.
+    containers: dict[tuple[str, ...], set[str]] = {}
+    # An abbreviation keeps the token count and each token's first two
+    # characters (a stem of 2+, a prefix of 3+, or the token itself), so only
+    # entities sharing that key can be its expansions.
+    by_shape: dict[tuple, list[str]] = {}
+    for e in ents:
+        toks = tokens[e]
+        for n in range(len(toks)):
+            for i in range(len(toks) - n + 1):
+                containers.setdefault(tuple(toks[i:i + n]), set()).add(e)
+        by_shape.setdefault(_shape(toks), []).append(e)
     aliases: dict[str, str] = {}
     for e in ents:
-        targets = {
-            other for other in ents
-            if other != e
-            and (_is_fragment(tokens[e], tokens[other])
-                 or _is_abbreviation(tokens[e], tokens[other]))
-        }
+        toks = tokens[e]
+        targets = set(containers.get(tuple(toks), ()))
+        targets.update(other for other in by_shape[_shape(toks)]
+                       if _is_abbreviation(toks, tokens[other]))
         if len(targets) == 1:
             aliases[e] = targets.pop()
     return aliases
@@ -274,7 +280,14 @@ class EmbeddingIndex:
         if len(self.keys) == 0:
             raise EmptyGraph("embedding index is empty")
         scores = self.matrix.astype(np.float64) @ np.asarray(query, dtype=np.float64)
-        order = sorted(range(len(self.keys)), key=lambda i: (-scores[i], self.keys[i]))
+        count = len(self.keys)
+        candidates = range(count)
+        if 0 < n < count:
+            # Everything scoring at least the n-th largest score, so that
+            # ties at the cut are still ordered by key.
+            cut = np.partition(scores, count - n)[count - n]
+            candidates = np.flatnonzero(scores >= cut).tolist()
+        order = sorted(candidates, key=lambda i: (-scores[i], self.keys[i]))
         return [(self.keys[i], float(scores[i])) for i in order[:n]]
 
 

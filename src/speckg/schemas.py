@@ -2,6 +2,7 @@
 
 A reply tagged with a schema id must validate before it reaches any
 downstream module; "freeform" replies bypass validation and stay text.
+Each schema is checked against its meta-schema and compiled once, at import.
 """
 
 from __future__ import annotations
@@ -121,11 +122,32 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+def compile_schema(schema: dict) -> jsonschema.protocols.Validator:
+    """Check ``schema`` against its draft's meta-schema and build its validator.
+
+    Raises jsonschema.SchemaError when the schema itself is invalid.
+    """
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+VALIDATORS: dict[str, jsonschema.protocols.Validator] = {
+    schema_id: compile_schema(schema) for schema_id, schema in SCHEMAS.items()
+}
+
+
 def validate_reply(schema_id: str, reply: object) -> None:
-    """Raise jsonschema.ValidationError when the reply violates its schema."""
+    """Raise jsonschema.ValidationError when the reply violates its schema.
+
+    The error is the one ``jsonschema.validate`` would raise: the best match
+    among all violations.
+    """
     if schema_id == FREEFORM:
         return
-    schema = SCHEMAS.get(schema_id)
-    if schema is None:
+    validator = VALIDATORS.get(schema_id)
+    if validator is None:
         raise KeyError(f"unknown response schema id: {schema_id!r}")
-    jsonschema.validate(reply, schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(reply))
+    if error is not None:
+        raise error

@@ -1,7 +1,10 @@
 import copy
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speckg import kg as kgmod
 from speckg.errors import (CorpusInconsistent, CorruptStore, IncompatibleFormat,
@@ -69,7 +72,47 @@ class TestExtractTriples:
         assert [t.triple_id for t in a] == [t.triple_id for t in b]
 
 
+def _is_fragment(short: list[str], long: list[str]) -> bool:
+    if len(short) >= len(long):
+        return False
+    for i in range(len(long) - len(short) + 1):
+        if long[i:i + len(short)] == short:
+            return True
+    return False
+
+
+def brute_alias_map(entities) -> dict[str, str]:
+    """All-pairs oracle for kg.compute_alias_map: every entity is tested
+    against every other as a fragment or an abbreviation."""
+    ents = sorted(set(entities))
+    tokens = {e: e.split() for e in ents}
+    aliases: dict[str, str] = {}
+    for e in ents:
+        targets = {
+            other for other in ents
+            if other != e
+            and (_is_fragment(tokens[e], tokens[other])
+                 or kgmod._is_abbreviation(tokens[e], tokens[other]))
+        }
+        if len(targets) == 1:
+            aliases[e] = targets.pop()
+    return aliases
+
+
+# Colliding vocabulary: dotted abbreviations, shared prefixes, one-character
+# tokens and words that abbreviate each other.
+_VOCAB = ["st.", "status", "stat", "b.", "bit", "bits", "ctl", "ctrl", "control",
+          "controller", "reg", "register", "regs", "tx", "t", "s", "s.", "x",
+          "fifo", "fi", "en", "enable", "enabled"]
+_ENTITY = st.lists(st.sampled_from(_VOCAB), min_size=0, max_size=4).map(" ".join)
+
+
 class TestAliasRules:
+    @given(st.lists(_ENTITY, max_size=25))
+    @settings(max_examples=300, deadline=None)
+    def test_indexed_alias_map_matches_brute_force(self, entities):
+        assert kgmod.compute_alias_map(entities) == brute_alias_map(entities)
+
     def test_abbreviation_surface_forms_alias_to_long_form(self):
         # two surface forms of one entity
         aliases = kgmod.compute_alias_map(["tx fifo status register",
@@ -101,6 +144,28 @@ class TestAliasRules:
     def test_extract_triples_without_map_emits_no_normalization(self):
         triples = kgmod.extract_triples(decl_ir(entity="ctrl reg"))
         assert all(t.category != "normalization" for t in triples)
+
+
+def full_sort_top(index, query, n):
+    """Oracle for EmbeddingIndex.top_similar: sort every key by
+    (-score, key)."""
+    scores = index.matrix.astype(np.float64) @ np.asarray(query, dtype=np.float64)
+    order = sorted(range(len(index.keys)), key=lambda i: (-scores[i], index.keys[i]))
+    return [(index.keys[i], float(scores[i])) for i in order[:n]]
+
+
+class TestTopSimilar:
+    def test_matches_full_sort_with_ties_and_large_n(self):
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((12, 8)).astype(np.float32)
+        # every row appears three times, so scores tie in threes at every cut
+        matrix = np.concatenate([rows, rows, rows])
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        keys = [f"k{i:02d}" for i in rng.permutation(len(matrix))]
+        index = kgmod.EmbeddingIndex(keys, matrix, "test")
+        for query in (rng.standard_normal(8), matrix[5], np.zeros(8)):
+            for n in range(1, len(keys) + 3):  # n >= len(keys) included
+                assert index.top_similar(query, n) == full_sort_top(index, query, n)
 
 
 def small_corpus():
