@@ -102,6 +102,14 @@ class RunConfig:
             raise ConfigError(f"gateway.mode={self.gateway.mode} requires gateway.fixture_path")
         if self.retrieval.k0 < 1 or self.retrieval.delta_k < 1:
             raise ConfigError("retrieval.k0 and retrieval.delta_k must be >= 1")
+        if self.retrieval.n_seeds < 1:
+            raise ConfigError("retrieval.n_seeds must be >= 1")
+        if not 0.0 < self.ppr.damping < 1.0:
+            raise ConfigError("ppr.damping must lie in (0, 1)")
+        if self.ppr.tol <= 0:
+            raise ConfigError("ppr.tol must be positive")
+        if self.ppr.max_iters < 1:
+            raise ConfigError("ppr.max_iters must be >= 1")
         if self.reasoning.max_rounds < 0 or self.reasoning.stall_limit < 1:
             raise ConfigError("reasoning budgets out of range")
 

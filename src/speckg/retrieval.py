@@ -22,7 +22,7 @@ from . import prompts
 from .errors import EmptyGraph, InvalidInput
 from .gateway import Gateway
 from .ingest import SemanticAnchor
-from .kg import SpecGraph
+from .kg import Edge, SpecGraph
 
 logger = logging.getLogger(__name__)
 
@@ -79,24 +79,18 @@ def seed(query: str, kg: SpecGraph, n_seeds: int, gateway: Gateway) -> dict[str,
     return {key: float(w / total) for (key, _), w in zip(top, shifted)}
 
 
-def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
-                    personalization: np.ndarray, damping: float = 0.85,
-                    tol: float = 1e-8, max_iters: int = 100,
-                    ) -> tuple[np.ndarray, bool]:
-    """Random walk with restart on a weighted directed graph (sparse path).
+@dataclass(frozen=True)
+class Walk:
+    """The random walk of one graph, without restart: what every personalized
+    PageRank over that graph shares."""
 
-    Fixed point of ``x = (1-d)·p + d·(Wᵀx + (dangling mass)·p)`` where W is
-    the row-stochastic transition matrix; dangling nodes hand their mass back
-    to the personalization vector, so scores always sum to 1. Returns the
-    final iterate and a convergence flag (the best iterate comes back even
-    when max_iters runs out).
-    """
-    if n_nodes <= 0:
-        raise EmptyGraph("pagerank needs at least one node")
-    p = np.asarray(personalization, dtype=np.float64)
-    if p.shape != (n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
-        raise InvalidInput("personalization must be a nonnegative distribution")
+    transition_t: sp.spmatrix  # transpose of the transition matrix
+    dangling: np.ndarray  # indices of the nodes without out-weight
 
+
+def build_walk(n_nodes: int, edges: Sequence[tuple[int, int, float]]) -> Walk:
+    """Walk over ``n_nodes`` nodes along weighted directed ``(src, dst, weight)``
+    edges; parallel edges add their weights."""
     if edges:
         rows = np.array([e[0] for e in edges])
         cols = np.array([e[1] for e in edges])
@@ -112,35 +106,86 @@ def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
     inv = np.zeros(n_nodes)
     inv[~dangling] = 1.0 / out_weight[~dangling]
     transition = sp.diags(inv) @ adj  # row-stochastic on non-dangling rows
+    return Walk(transition_t=transition.T, dangling=np.flatnonzero(dangling))
 
+
+def walk_scores(walk: Walk, personalization: np.ndarray, damping: float,
+                tol: float, max_iters: int) -> tuple[np.ndarray, bool]:
+    """``pagerank_scores``' power iteration on a built walk, from ``x = p``;
+    converged means an L1 step below ``tol`` within ``max_iters`` steps."""
+    n_nodes = walk.transition_t.shape[0]
+    p = np.asarray(personalization, dtype=np.float64)
+    if p.shape != (n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
+        raise InvalidInput("personalization must be a nonnegative distribution")
+
+    # Each step performs the float operations of (1-d)·p + d·(Wᵀx + m·p), m
+    # the dangling mass, one at a time in place, so the scores, and the exact
+    # ties rank_passages breaks by id, are those of the formula bit for bit.
+    # Without dangling nodes m·p is all zeros, and adding it changes no bit.
+    restart = (1.0 - damping) * p
+    step = np.empty_like(p)
     x = p.copy()
     converged = False
     for _ in range(max_iters):
-        dangling_mass = float(x[dangling].sum())
-        x_next = (1.0 - damping) * p + damping * (transition.T @ x + dangling_mass * p)
-        if float(np.abs(x_next - x).sum()) < tol:
-            x = x_next
+        x_next = walk.transition_t @ x
+        if walk.dangling.size:
+            x_next += float(x[walk.dangling].sum()) * p
+        x_next *= damping
+        x_next += restart
+        np.subtract(x_next, x, out=step)
+        np.abs(step, out=step)
+        x = x_next
+        if float(step.sum()) < tol:
             converged = True
             break
-        x = x_next
     return x, converged
 
 
-def ppr(kg: SpecGraph, params: PPRParams) -> tuple[dict[str, float], bool]:
-    """Personalized PageRank over the whole graph; edges walk both ways."""
+def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
+                    personalization: np.ndarray, damping: float = 0.85,
+                    tol: float = 1e-8, max_iters: int = 100,
+                    ) -> tuple[np.ndarray, bool]:
+    """Random walk with restart on a weighted directed graph (sparse path).
+
+    Fixed point of ``x = (1-d)·p + d·(Wᵀx + (dangling mass)·p)`` where W is
+    the row-stochastic transition matrix; dangling nodes hand their mass back
+    to the personalization vector, so scores always sum to 1. Returns the
+    final iterate and a convergence flag (the best iterate comes back even
+    when max_iters runs out).
+    """
+    if n_nodes <= 0:
+        raise EmptyGraph("pagerank needs at least one node")
+    return walk_scores(build_walk(n_nodes, edges), personalization, damping,
+                       tol, max_iters)
+
+
+@dataclass(frozen=True)
+class GraphWalk:
+    """A graph's walk with its node keys in walk order, and the graph state it
+    was built from."""
+
+    keys: list[str]
+    index: dict[str, int]
+    walk: Walk
+    edges: list[Edge]
+    nodes: tuple[set[str], set[str], set[str]]  # entity, passage, statement ids
+
+
+def graph_walk(kg: SpecGraph) -> GraphWalk:
+    """The walk over ``kg`` with every edge in both directions, built on first
+    use and again after the graph's nodes or edges have changed.
+
+    Threads sharing a graph may each build it once; every walk they keep is
+    whole and never written to.
+    """
+    cached = kg._walk
+    nodes = (kg.entities, kg.passages.keys(), kg.statements.keys())
+    if cached is not None and cached.edges == kg.edges and cached.nodes == nodes:
+        return cached
     keys = kg.all_node_keys()
     if not keys:
         raise EmptyGraph("graph has no nodes")
     index = {key: i for i, key in enumerate(keys)}
-
-    p = np.zeros(len(keys))
-    for key, weight in params.seed_weights.items():
-        if key not in index:
-            raise InvalidInput(f"seed weight for unknown node {key!r}")
-        p[index[key]] = weight
-    if p.sum() <= 0:
-        p[:] = 1.0 / len(keys)
-
     edges = []
     for edge in kg.edges:
         if edge.src not in index or edge.dst not in index:
@@ -148,12 +193,32 @@ def ppr(kg: SpecGraph, params: PPRParams) -> tuple[dict[str, float], bool]:
         i, j = index[edge.src], index[edge.dst]
         edges.append((i, j, 1.0))
         edges.append((j, i, 1.0))
+    kg._walk = GraphWalk(keys, index, build_walk(len(keys), edges),
+                         edges=list(kg.edges),
+                         nodes=(set(kg.entities), set(kg.passages), set(kg.statements)))
+    return kg._walk
 
-    scores, converged = pagerank_scores(len(keys), edges, p, params.damping,
-                                        params.tol, params.max_iters)
+
+def ppr(kg: SpecGraph, params: PPRParams) -> tuple[dict[str, float], bool]:
+    """Personalized PageRank over the whole graph; edges walk both ways.
+
+    The walk is the graph's cached one (``graph_walk``); only the
+    personalization is built per call.
+    """
+    walk = graph_walk(kg)
+    p = np.zeros(len(walk.keys))
+    for key, weight in params.seed_weights.items():
+        if key not in walk.index:
+            raise InvalidInput(f"seed weight for unknown node {key!r}")
+        p[walk.index[key]] = weight
+    if p.sum() <= 0:
+        p[:] = 1.0 / len(walk.keys)
+
+    scores, converged = walk_scores(walk.walk, p, params.damping, params.tol,
+                                    params.max_iters)
     if not converged:
         logger.warning("pagerank did not converge within %d iterations", params.max_iters)
-    return {key: float(scores[index[key]]) for key in keys}, converged
+    return dict(zip(walk.keys, scores.tolist())), converged
 
 
 def rank_passages(scores: dict[str, float]) -> list[tuple[str, float]]:

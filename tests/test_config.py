@@ -87,6 +87,27 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(None, overrides={"gateway.mode": "offline"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("ppr.damping", 0.0), ("ppr.damping", 1.0), ("ppr.damping", 1.5),
+        ("ppr.tol", 0.0), ("ppr.tol", -1e-8),
+        ("ppr.max_iters", 0), ("ppr.max_iters", -3),
+        ("retrieval.n_seeds", 0), ("retrieval.n_seeds", -1),
+    ])
+    def test_retrieval_ranges_rejected_at_load(self, tmp_path, key, value):
+        # the ranges PPRParams checks, and seed's need for one similarity
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, overrides={key: value})
+        section, _, name = key.partition(".")
+        conf = tmp_path / "conf.yaml"
+        conf.write_text(yaml.safe_dump({section: {name: value}}))
+        with pytest.raises(ConfigError, match=key):
+            load_config(conf)
+
+    def test_retrieval_range_edges_accepted(self):
+        cfg = load_config(None, overrides={"ppr.damping": 0.01, "ppr.tol": 1e-300,
+                                           "ppr.max_iters": 1, "retrieval.n_seeds": 1})
+        assert (cfg.ppr.max_iters, cfg.retrieval.n_seeds) == (1, 1)
+
 
 class TestPersistence:
     def test_effective_config_written_with_checksums(self, tmp_path):

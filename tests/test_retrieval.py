@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speckg import kg as kgmod
 from speckg import retrieval
 from speckg.errors import EmptyGraph, InvalidInput
 from speckg.gateway import EmbeddingVector
 from speckg.ingest import Passage, SemanticAnchor
-from speckg.kg import EmbeddingIndex, SpecGraph
+from speckg.kg import Edge, EmbeddingIndex, SpecGraph
 from speckg.retrieval import (PPRParams, RetrievalState, adaptive_expand,
                               csa_filter, marginal_gain, pagerank_scores, ppr,
                               rank_passages, seed)
@@ -32,6 +33,28 @@ def dense_pagerank(n, edges, p, damping, iters=3000, tol=1e-13):
             return nxt
         x = nxt
     return x
+
+
+def formula_pagerank(n, edges, p, damping, tol, max_iters):
+    """The power iteration with each step written as its formula: the
+    reference that pagerank_scores' in-place steps must match bit for bit."""
+    walk = retrieval.build_walk(n, edges)
+    dangling = np.zeros(n, dtype=bool)
+    dangling[walk.dangling] = True
+    x = p.copy()
+    for _ in range(max_iters):
+        mass = float(x[dangling].sum())
+        x_next = (1.0 - damping) * p + damping * (walk.transition_t @ x + mass * p)
+        converged = float(np.abs(x_next - x).sum()) < tol
+        x = x_next
+        if converged:
+            return x, True
+    return x, False
+
+
+def assert_same_bits(ours, reference):
+    assert ours[1] == reference[1]
+    assert ours[0].tobytes() == reference[0].tobytes()
 
 
 class FakeEmbedGateway:
@@ -162,6 +185,19 @@ class TestPagerankCore:
                                  tol=1e-12, max_iter=5000)
             assert sum(abs(ours[i] - theirs[i]) for i in range(n)) < 1e-9
 
+    def test_in_place_steps_match_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            n = int(rng.integers(1, 25))
+            edges = [(i, j, float(rng.uniform(0.5, 2.0)))
+                     for i in range(n) for j in range(n)
+                     if rng.random() < (0.0 if trial % 5 == 0 else 0.2)]
+            p = rng.uniform(0.0, 1.0, n)
+            p = p / p.sum()
+            for max_iters in (1, 7, 100):
+                assert_same_bits(pagerank_scores(n, edges, p, 0.85, 1e-8, max_iters),
+                                 formula_pagerank(n, edges, p, 0.85, 1e-8, max_iters))
+
     def test_invalid_personalization_rejected(self):
         with pytest.raises(InvalidInput):
             pagerank_scores(2, [], np.array([0.5, 0.2]))
@@ -187,6 +223,138 @@ class TestPPROverGraph:
         scores = {"p:b": 0.5, "p:a": 0.5, "p:c": 0.9, "e:x": 1.0}
         ranked = rank_passages(scores)
         assert ranked == [("c", 0.9), ("a", 0.5), ("b", 0.5)]
+
+
+def uncached_ppr(kg, params):
+    """``ppr`` from scratch: a new bidirectional edge list for pagerank_scores."""
+    keys = kg.all_node_keys()
+    index = {key: i for i, key in enumerate(keys)}
+    edges = []
+    for edge in kg.edges:
+        if edge.src in index and edge.dst in index:
+            i, j = index[edge.src], index[edge.dst]
+            edges += [(i, j, 1.0), (j, i, 1.0)]
+    p = np.zeros(len(keys))
+    for key, weight in params.seed_weights.items():
+        p[index[key]] = weight
+    if p.sum() <= 0:
+        p[:] = 1.0 / len(keys)
+    scores, converged = pagerank_scores(len(keys), edges, p, params.damping,
+                                        params.tol, params.max_iters)
+    return {key: float(scores[i]) for i, key in enumerate(keys)}, converged
+
+
+def add_passage(graph, pid):
+    graph.passages[pid] = Passage(passage_id=pid, doc_id="t", section_path=[],
+                                  text=pid, sentence_spans=[], token_estimate=1)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs with isolated nodes, repeated and self edges, edges to missing
+    nodes, and sometimes no edges at all."""
+    graph = SpecGraph()
+    graph.entities = set(draw(st.lists(st.sampled_from("abcdefg"), max_size=6)))
+    for pid in draw(st.lists(st.sampled_from(["p1", "p2", "p10", "q"]), max_size=4)):
+        add_passage(graph, pid)
+    keys = graph.all_node_keys()
+    endpoints = st.sampled_from(keys + ["e:missing"]) if keys else st.just("e:missing")
+    graph.edges = draw(st.lists(st.builds(Edge, st.just("mention"), endpoints, endpoints),
+                                max_size=12))
+    return graph
+
+
+class TestCachedWalk:
+    """``ppr`` reuses the graph's walk; its scores must be the uncached ones, bit for bit."""
+
+    @pytest.mark.parametrize("tol, max_iters", [(1e-8, 100), (1e-10, 500)])
+    def test_every_sole_seed_matches_uncached(self, graph, tol, max_iters):
+        for key in graph.all_node_keys():
+            params = PPRParams(seed_weights={key: 1.0}, tol=tol, max_iters=max_iters)
+            assert ppr(graph, params) == uncached_ppr(graph, params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_drawn_graphs_match_uncached(self, graph, data):
+        keys = graph.all_node_keys()
+        if not keys:
+            with pytest.raises(EmptyGraph):
+                ppr(graph, PPRParams())
+            return
+        seeds = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+        raw = [data.draw(st.floats(0.01, 1.0)) for _ in seeds]
+        weights = {key: w / sum(raw) for key, w in zip(seeds, raw)}
+        for params in (PPRParams(seed_weights=weights),
+                       PPRParams(seed_weights=weights, damping=0.5, max_iters=3)):
+            assert ppr(graph, params) == uncached_ppr(graph, params)
+            assert ppr(graph, params) == uncached_ppr(graph, params)
+
+    def test_nodeless_graph_raises(self):
+        graph = SpecGraph()
+        graph.edges = [Edge("mention", "e:a", "p:b")]
+        with pytest.raises(EmptyGraph):
+            ppr(graph, PPRParams())
+
+    def test_retrievals_build_the_walk_once(self, graph, offline_gateway, run_cfg,
+                                            tmp_path, monkeypatch):
+        kgmod.save(graph, tmp_path)
+        fresh = kgmod.load(tmp_path)
+        builds = []
+        build_walk = retrieval.build_walk
+        monkeypatch.setattr(retrieval, "build_walk",
+                            lambda *args: builds.append(1) or build_walk(*args))
+        target = SemanticAnchor("declarative", "baud rate register")
+        for query in ("What is the reset value of the baud rate register?",
+                      "Which signal drives TX_READY?", "What does the FIFO do?"):
+            retrieval.retrieve(query, target, fresh, offline_gateway, run_cfg)
+        assert len(builds) == 1
+
+    def test_changed_graph_gets_a_new_walk(self):
+        graph = SpecGraph()
+        graph.entities = {"ctrl reg", "ctrl register", "fsm"}
+        for pid in ("p1", "p2", "p3"):
+            add_passage(graph, pid)
+        graph.edges = [Edge("alias", "e:ctrl reg", "e:ctrl register"),
+                       Edge("mention", "e:ctrl reg", "p:p1"),
+                       Edge("mention", "e:ctrl register", "p:p2"),
+                       Edge("mention", "e:fsm", "p:p3")]
+        params = PPRParams(seed_weights={"p:p1": 1.0}, tol=1e-12, max_iters=500)
+        before = ppr(graph, params)
+        assert before == uncached_ppr(graph, params)
+
+        kgmod.apply_normalization(graph)  # reassigns edges and entities
+        after_merge = ppr(graph, params)
+        assert after_merge == uncached_ppr(graph, params)
+        assert after_merge[0] != before[0]
+
+        graph.edges.append(Edge("mention", "e:fsm", "p:p2"))  # in place
+        after_append = ppr(graph, params)
+        assert after_append == uncached_ppr(graph, params)
+        assert after_append[0] != after_merge[0]
+
+        add_passage(graph, "p4")
+        assert set(ppr(graph, params)[0]) == set(graph.all_node_keys())
+        assert ppr(graph, params) == uncached_ppr(graph, params)
+
+    def test_interchangeable_passages_tie_exactly(self):
+        # A star seeded at its centre: every passage is the same distance from
+        # the seed, so their scores must be equal, not merely close, for
+        # rank_passages to order them by id.
+        graph = SpecGraph()
+        graph.entities = {"hub", "leaf"}
+        ids = ["7", "12", "3", "10", "1", "25", "4"]
+        for pid in ids:
+            add_passage(graph, pid)
+        graph.edges = [Edge("mention", "e:hub", f"p:{pid}") for pid in ids]
+        graph.edges.append(Edge("mention", "e:leaf", "p:7"))
+        graph.edges.append(Edge("mention", "e:leaf", "p:12"))
+        for damping in (0.5, 0.85):
+            scores, _ = ppr(graph, PPRParams(damping=damping, seed_weights={"e:hub": 1.0}))
+            ranked = rank_passages(scores)
+            tied = [pid for pid in ids if pid not in ("7", "12")]
+            assert len({scores[f"p:{pid}"] for pid in tied}) == 1
+            assert scores["p:7"] == scores["p:12"]
+            assert [pid for pid, _ in ranked] == ["12", "7"] + sorted(tied)
 
 
 class TestAdaptiveExpand:
