@@ -54,8 +54,6 @@ class RetrievalConfig:
 @dataclass
 class PPRConfig:
     damping: float = 0.85
-    tol: float = 1e-8
-    max_iters: int = 100
 
 
 @dataclass
@@ -106,12 +104,11 @@ class RunConfig:
             raise ConfigError("retrieval.n_seeds must be >= 1")
         if not 0.0 < self.ppr.damping < 1.0:
             raise ConfigError("ppr.damping must lie in (0, 1)")
-        if self.ppr.tol <= 0:
-            raise ConfigError("ppr.tol must be positive")
-        if self.ppr.max_iters < 1:
-            raise ConfigError("ppr.max_iters must be >= 1")
         if self.reasoning.max_rounds < 0 or self.reasoning.stall_limit < 1:
             raise ConfigError("reasoning budgets out of range")
+        for key in ("n_runs", "n_judge", "recall_k"):
+            if getattr(self.eval, key) < 1:
+                raise ConfigError(f"eval.{key} must be >= 1")
 
     def persist(self, run_dir: str | Path, extra: dict | None = None) -> None:
         """Write the exact effective config into the run directory."""

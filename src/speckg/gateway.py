@@ -16,7 +16,6 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -117,8 +116,7 @@ class FixtureStore:
 
     Record layout (one JSON object per line)::
 
-        {"digest": <sha256 hex>, "task_tag": <str>, "reply": <reply record>,
-         "timestamp": <iso8601>}
+        {"digest": <sha256 hex>, "task_tag": <str>, "reply": <reply record>}
 
     where the reply record is one of
     ``{"kind": "text", "text": str}``,
@@ -155,12 +153,7 @@ class FixtureStore:
                 return
             self.entries[digest] = reply
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            record = {
-                "digest": digest,
-                "task_tag": task_tag,
-                "reply": reply,
-                "timestamp": datetime.now(timezone.utc).isoformat(),
-            }
+            record = {"digest": digest, "task_tag": task_tag, "reply": reply}
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 

@@ -12,11 +12,11 @@ summarizes and embeds once.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import prompts
 from .errors import EmptyGraph, InvalidInput
@@ -25,29 +25,6 @@ from .ingest import SemanticAnchor
 from .kg import Edge, SpecGraph
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class PPRParams:
-    damping: float = 0.85
-    tol: float = 1e-8
-    max_iters: int = 100
-    seed_weights: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (0.0 < self.damping < 1.0):
-            raise InvalidInput("damping must lie in (0, 1)")
-        if self.tol <= 0:
-            raise InvalidInput("tol must be positive")
-        if self.max_iters <= 0:
-            raise InvalidInput("max_iters must be positive")
-        if self.seed_weights:
-            weights = np.array(list(self.seed_weights.values()), dtype=np.float64)
-            if np.any(weights < 0):
-                raise InvalidInput("seed weights must be nonnegative")
-            total = float(weights.sum())
-            if not np.isclose(total, 1.0, atol=1e-9):
-                raise InvalidInput(f"seed weights must sum to 1, got {total}")
 
 
 @dataclass
@@ -79,43 +56,61 @@ def seed(query: str, kg: SpecGraph, n_seeds: int, gateway: Gateway) -> dict[str,
     return {key: float(w / total) for (key, _), w in zip(top, shifted)}
 
 
+# The walk runs the fewest steps k with dᵏ <= WALK_ERROR: see walk_scores.
+WALK_ERROR = 1e-7
+
+
 @dataclass(frozen=True)
 class Walk:
     """The random walk of one graph, without restart: what every personalized
-    PageRank over that graph shares."""
+    PageRank over that graph shares. Its merged edges are ordered by
+    ``(src, dst)``."""
 
-    transition_t: sp.spmatrix  # transpose of the transition matrix
+    n_nodes: int
+    src: np.ndarray
+    dst: np.ndarray
+    prob: np.ndarray  # transition probability of each edge
     dangling: np.ndarray  # indices of the nodes without out-weight
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """``Wᵀx``: each node's in-edges added in source order, the order of a
+        sparse CSC product, so the sums are bit for bit that product's. (An
+        edgeless walk's ``bincount`` comes back as integer zeros.)"""
+        return np.bincount(self.dst, weights=self.prob * x[self.src],
+                           minlength=self.n_nodes).astype(np.float64, copy=False)
 
 
 def build_walk(n_nodes: int, edges: Sequence[tuple[int, int, float]]) -> Walk:
     """Walk over ``n_nodes`` nodes along weighted directed ``(src, dst, weight)``
-    edges; parallel edges add their weights."""
-    if edges:
-        rows = np.array([e[0] for e in edges])
-        cols = np.array([e[1] for e in edges])
-        weights = np.array([e[2] for e in edges], dtype=np.float64)
-        if np.any(weights < 0):
-            raise InvalidInput("edge weights must be nonnegative")
-        adj = sp.csr_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes))
-    else:
-        adj = sp.csr_matrix((n_nodes, n_nodes))
+    edges; parallel edges add their weights, in the order given."""
+    src = np.array([e[0] for e in edges], dtype=np.intp)
+    dst = np.array([e[1] for e in edges], dtype=np.intp)
+    weights = np.array([e[2] for e in edges], dtype=np.float64)
+    if np.any(weights < 0):
+        raise InvalidInput("edge weights must be nonnegative")
+    _, first, merged = np.unique(src * n_nodes + dst, return_index=True,
+                                 return_inverse=True)
+    weight = np.bincount(merged, weights=weights)
+    src, dst = src[first], dst[first]
 
-    out_weight = np.asarray(adj.sum(axis=1)).ravel()
+    out_weight = np.bincount(src, weights=weight, minlength=n_nodes)
     dangling = out_weight == 0.0
     inv = np.zeros(n_nodes)
     inv[~dangling] = 1.0 / out_weight[~dangling]
-    transition = sp.diags(inv) @ adj  # row-stochastic on non-dangling rows
-    return Walk(transition_t=transition.T, dangling=np.flatnonzero(dangling))
+    return Walk(n_nodes, src, dst, inv[src] * weight, np.flatnonzero(dangling))
 
 
-def walk_scores(walk: Walk, personalization: np.ndarray, damping: float,
-                tol: float, max_iters: int) -> tuple[np.ndarray, bool]:
-    """``pagerank_scores``' power iteration on a built walk, from ``x = p``;
-    converged means an L1 step below ``tol`` within ``max_iters`` steps."""
-    n_nodes = walk.transition_t.shape[0]
+def walk_scores(walk: Walk, personalization: np.ndarray, damping: float) -> np.ndarray:
+    """``pagerank_scores``' power iteration on a built walk, from ``x = p``.
+
+    Each step contracts the L1 distance to the fixed point by ``damping``, and
+    ``x = p`` starts within 2 of it, so ``k = ceil(log(WALK_ERROR) / log d)``
+    steps (100 at d = 0.85) leave an L1 error of at most ``2·dᵏ ≤ 2·WALK_ERROR``.
+    """
+    if not 0.0 < damping < 1.0:
+        raise InvalidInput("damping must lie in (0, 1)")
     p = np.asarray(personalization, dtype=np.float64)
-    if p.shape != (n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
+    if p.shape != (walk.n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
         raise InvalidInput("personalization must be a nonnegative distribution")
 
     # Each step performs the float operations of (1-d)·p + d·(Wᵀx + m·p), m
@@ -123,40 +118,29 @@ def walk_scores(walk: Walk, personalization: np.ndarray, damping: float,
     # ties rank_passages breaks by id, are those of the formula bit for bit.
     # Without dangling nodes m·p is all zeros, and adding it changes no bit.
     restart = (1.0 - damping) * p
-    step = np.empty_like(p)
-    x = p.copy()
-    converged = False
-    for _ in range(max_iters):
-        x_next = walk.transition_t @ x
+    x = p
+    for _ in range(math.ceil(math.log(WALK_ERROR) / math.log(damping))):
+        x_next = walk.step(x)
         if walk.dangling.size:
             x_next += float(x[walk.dangling].sum()) * p
         x_next *= damping
         x_next += restart
-        np.subtract(x_next, x, out=step)
-        np.abs(step, out=step)
         x = x_next
-        if float(step.sum()) < tol:
-            converged = True
-            break
-    return x, converged
+    return x
 
 
 def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
-                    personalization: np.ndarray, damping: float = 0.85,
-                    tol: float = 1e-8, max_iters: int = 100,
-                    ) -> tuple[np.ndarray, bool]:
-    """Random walk with restart on a weighted directed graph (sparse path).
+                    personalization: np.ndarray, damping: float = 0.85) -> np.ndarray:
+    """Random walk with restart on a weighted directed graph.
 
     Fixed point of ``x = (1-d)·p + d·(Wᵀx + (dangling mass)·p)`` where W is
     the row-stochastic transition matrix; dangling nodes hand their mass back
-    to the personalization vector, so scores always sum to 1. Returns the
-    final iterate and a convergence flag (the best iterate comes back even
-    when max_iters runs out).
+    to the personalization vector, so scores always sum to 1. The iteration
+    runs a fixed number of steps set by ``damping`` (see ``walk_scores``).
     """
     if n_nodes <= 0:
         raise EmptyGraph("pagerank needs at least one node")
-    return walk_scores(build_walk(n_nodes, edges), personalization, damping,
-                       tol, max_iters)
+    return walk_scores(build_walk(n_nodes, edges), personalization, damping)
 
 
 @dataclass(frozen=True)
@@ -199,26 +183,25 @@ def graph_walk(kg: SpecGraph) -> GraphWalk:
     return kg._walk
 
 
-def ppr(kg: SpecGraph, params: PPRParams) -> tuple[dict[str, float], bool]:
+def ppr(kg: SpecGraph, seed_weights: dict[str, float],
+        damping: float) -> tuple[dict[str, float], bool]:
     """Personalized PageRank over the whole graph; edges walk both ways.
 
     The walk is the graph's cached one (``graph_walk``); only the
-    personalization is built per call.
+    personalization is built per call, uniform when no seed carries weight.
+    The second item is always True, as the walk's fixed step count always
+    meets its error bound; it stays because ``perfbench/spans.py`` reads it.
     """
     walk = graph_walk(kg)
     p = np.zeros(len(walk.keys))
-    for key, weight in params.seed_weights.items():
+    for key, weight in seed_weights.items():
         if key not in walk.index:
             raise InvalidInput(f"seed weight for unknown node {key!r}")
         p[walk.index[key]] = weight
     if p.sum() <= 0:
         p[:] = 1.0 / len(walk.keys)
-
-    scores, converged = walk_scores(walk.walk, p, params.damping, params.tol,
-                                    params.max_iters)
-    if not converged:
-        logger.warning("pagerank did not converge within %d iterations", params.max_iters)
-    return dict(zip(walk.keys, scores.tolist())), converged
+    scores = walk_scores(walk.walk, p, damping)
+    return dict(zip(walk.keys, scores.tolist())), True
 
 
 def rank_passages(scores: dict[str, float]) -> list[tuple[str, float]]:
@@ -328,7 +311,6 @@ class RetrievalRound:
     removed: list[str]
     mig_trace: list[float]
     bypassed: bool
-    ppr_converged: bool = True
     warning: str | None = None
 
     def to_dict(self) -> dict:
@@ -341,7 +323,6 @@ class RetrievalRound:
             "removed": self.removed,
             "mig_trace": self.mig_trace,
             "bypassed": self.bypassed,
-            "ppr_converged": self.ppr_converged,
             "warning": self.warning,
         }
 
@@ -350,9 +331,7 @@ def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway
              cfg) -> RetrievalRound:
     """Full pipeline for one sub-query: seed → pagerank → expand → filter."""
     weights = seed(query, kg, cfg.retrieval.n_seeds, gateway)
-    params = PPRParams(damping=cfg.ppr.damping, tol=cfg.ppr.tol,
-                       max_iters=cfg.ppr.max_iters, seed_weights=weights)
-    scores, converged = ppr(kg, params)
+    scores, _ = ppr(kg, weights, cfg.ppr.damping)
     state = RetrievalState(query=query, ranked_candidates=rank_passages(scores))
 
     def summarize(q: str, passage_ids: list[str]) -> str:
@@ -376,6 +355,5 @@ def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway
         removed=result.removed,
         mig_trace=list(state.mig_trace),
         bypassed=result.bypassed,
-        ppr_converged=converged,
         warning=state.warning,
     )

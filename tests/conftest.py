@@ -26,7 +26,6 @@ def make_offline_gateway(**kwargs) -> Gateway:
 
 def make_config(**gateway_overrides) -> RunConfig:
     cfg = RunConfig()
-    cfg.ppr.max_iters = 200  # spec defaults stop one decade short of tol
     for key, value in gateway_overrides.items():
         setattr(cfg.gateway, key, value)
     return cfg

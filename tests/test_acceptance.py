@@ -104,8 +104,7 @@ def test_criterion_2_ppr_oracle_equivalence():
                      if i != j and rng.random() < density]
             p = rng.uniform(0.0, 1.0, n) + 1e-9
             p = p / p.sum()
-            sparse, _ = pagerank_scores(n, edges, p, damping=0.85,
-                                        tol=1e-12, max_iters=3000)
+            sparse = pagerank_scores(n, edges, p, damping=0.85)
             assert abs(sparse.sum() - 1.0) <= 1e-8, "mass not conserved"
             dense = _dense_oracle(n, edges, p, 0.85)
             assert np.abs(sparse - dense).sum() < 1e-6

@@ -17,8 +17,6 @@ class TestDefaults:
         assert cfg.retrieval.k_max == 50
         assert cfg.retrieval.tau == 0.05
         assert cfg.ppr.damping == 0.85
-        assert cfg.ppr.tol == 1e-8
-        assert cfg.ppr.max_iters == 100
         assert cfg.filter.fallback_keep_unanchored is True
         assert cfg.reasoning.max_rounds == 12
         assert cfg.reasoning.stall_limit == 2
@@ -89,12 +87,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("ppr.damping", 0.0), ("ppr.damping", 1.0), ("ppr.damping", 1.5),
-        ("ppr.tol", 0.0), ("ppr.tol", -1e-8),
-        ("ppr.max_iters", 0), ("ppr.max_iters", -3),
         ("retrieval.n_seeds", 0), ("retrieval.n_seeds", -1),
+        ("eval.n_runs", 0), ("eval.n_judge", 0), ("eval.recall_k", 0),
+        ("eval.n_judge", -2),
     ])
     def test_retrieval_ranges_rejected_at_load(self, tmp_path, key, value):
-        # the ranges PPRParams checks, and seed's need for one similarity
+        # the damping range walk_scores checks, seed's need for one
+        # similarity, and evaluation's need for one run, judge and passage
         with pytest.raises(ConfigError, match=key):
             load_config(None, overrides={key: value})
         section, _, name = key.partition(".")
@@ -104,9 +103,23 @@ class TestValidation:
             load_config(conf)
 
     def test_retrieval_range_edges_accepted(self):
-        cfg = load_config(None, overrides={"ppr.damping": 0.01, "ppr.tol": 1e-300,
-                                           "ppr.max_iters": 1, "retrieval.n_seeds": 1})
-        assert (cfg.ppr.max_iters, cfg.retrieval.n_seeds) == (1, 1)
+        cfg = load_config(None, overrides={"ppr.damping": 0.01, "retrieval.n_seeds": 1,
+                                           "eval.n_runs": 1, "eval.n_judge": 1,
+                                           "eval.recall_k": 1})
+        assert (cfg.ppr.damping, cfg.retrieval.n_seeds) == (0.01, 1)
+        assert (cfg.eval.n_runs, cfg.eval.n_judge, cfg.eval.recall_k) == (1, 1, 1)
+
+    @pytest.mark.parametrize("key, value", [("ppr.tol", 1e-8), ("ppr.max_iters", 100)])
+    def test_removed_ppr_keys_rejected(self, tmp_path, key, value):
+        # PageRank's step count follows from the damping; configs that still
+        # carry the old stopping knobs fail like any other unknown key
+        with pytest.raises(ConfigError, match=f"unknown config override '{key}'"):
+            load_config(None, overrides={key: value})
+        section, _, name = key.partition(".")
+        conf = tmp_path / "conf.yaml"
+        conf.write_text(yaml.safe_dump({section: {name: value}}))
+        with pytest.raises(ConfigError, match=f"unknown config key {key}"):
+            load_config(conf)
 
 
 class TestPersistence:

@@ -83,7 +83,21 @@ class TestRecordReplay:
         rec.embed(["one text"])
         records = [json.loads(line) for line in store_path.read_text().splitlines()]
         assert len(records) == 2
-        assert all({"digest", "task_tag", "reply", "timestamp"} <= set(r) for r in records)
+        assert all({"digest", "task_tag", "reply"} <= set(r) for r in records)
+
+    def test_recording_twice_writes_identical_files(self, tmp_path):
+        # records carry no wall-clock field, so a re-recorded fixture file is
+        # byte-identical to the first
+        for name in ("first.jsonl", "second.jsonl"):
+            rec = Gateway(provider=OfflineModel(), mode="record",
+                          fixtures=FixtureStore(tmp_path / name),
+                          chat_model="offline-chat", embedding_model="offline-embed")
+            rec.chat(prompts.summarize("q", [{"passage_id": "p", "text": "body text."}]))
+            rec.chat(prompts.atom_match("x is 1", ["x is 1"]))
+            rec.embed(["one text", "two text"])
+        first = (tmp_path / "first.jsonl").read_bytes()
+        assert first.count(b"\n") == 4
+        assert first == (tmp_path / "second.jsonl").read_bytes()
 
     def test_replay_mode_requires_fixtures(self):
         with pytest.raises(InvalidInput):

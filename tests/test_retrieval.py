@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +15,11 @@ from speckg.errors import EmptyGraph, InvalidInput
 from speckg.gateway import EmbeddingVector
 from speckg.ingest import Passage, SemanticAnchor
 from speckg.kg import Edge, EmbeddingIndex, SpecGraph
-from speckg.retrieval import (PPRParams, RetrievalState, adaptive_expand,
-                              csa_filter, marginal_gain, pagerank_scores, ppr,
-                              rank_passages, seed)
+from speckg.retrieval import (RetrievalState, adaptive_expand, csa_filter,
+                              marginal_gain, pagerank_scores, ppr, rank_passages,
+                              seed)
+
+from conftest import SPEC_DOC
 
 
 def dense_pagerank(n, edges, p, damping, iters=3000, tol=1e-13):
@@ -35,26 +43,31 @@ def dense_pagerank(n, edges, p, damping, iters=3000, tol=1e-13):
     return x
 
 
-def formula_pagerank(n, edges, p, damping, tol, max_iters):
+def walk_steps(damping):
+    """The step count walk_scores runs: the least k with dᵏ <= 1e-7."""
+    return math.ceil(math.log(1e-7) / math.log(damping))
+
+
+def formula_pagerank(n, edges, p, damping):
     """The power iteration with each step written as its formula: the
     reference that pagerank_scores' in-place steps must match bit for bit."""
     walk = retrieval.build_walk(n, edges)
     dangling = np.zeros(n, dtype=bool)
     dangling[walk.dangling] = True
     x = p.copy()
-    for _ in range(max_iters):
+    for _ in range(walk_steps(damping)):
         mass = float(x[dangling].sum())
-        x_next = (1.0 - damping) * p + damping * (walk.transition_t @ x + mass * p)
-        converged = float(np.abs(x_next - x).sum()) < tol
-        x = x_next
-        if converged:
-            return x, True
-    return x, False
+        x = (1.0 - damping) * p + damping * (walk.step(x) + mass * p)
+    return x
 
 
-def assert_same_bits(ours, reference):
-    assert ours[1] == reference[1]
-    assert ours[0].tobytes() == reference[0].tobytes()
+def random_multigraph(rng, n, unit):
+    """Weighted (or unit-weight) directed edges in shuffled order, with self
+    edges, up to three parallel copies of an edge, and dangling nodes."""
+    edges = [(i, j, 1.0 if unit else float(rng.uniform(0.0, 2.0)))
+             for i in range(n) for j in range(n) if rng.random() < 0.2
+             for _ in range(int(rng.integers(1, 4)))]
+    return [edges[k] for k in rng.permutation(len(edges))]
 
 
 class FakeEmbedGateway:
@@ -133,20 +146,19 @@ class TestSeed:
 
 class TestPagerankCore:
     def test_singleton_scores_one(self):
-        scores, converged = pagerank_scores(1, [], np.array([1.0]))
-        assert converged
+        scores = pagerank_scores(1, [], np.array([1.0]))
         assert scores[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_two_node_half_half(self):
         edges = [(0, 1, 1.0), (1, 0, 1.0)]
-        scores, _ = pagerank_scores(2, edges, np.array([0.5, 0.5]))
+        scores = pagerank_scores(2, edges, np.array([0.5, 0.5]))
         assert scores[0] == pytest.approx(0.5, abs=1e-9)
         assert scores[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_mass_conserved_with_dangling_nodes(self):
         edges = [(0, 1, 1.0)]  # node 1 dangles
         p = np.array([0.7, 0.3])
-        scores, _ = pagerank_scores(2, edges, p, tol=1e-12, max_iters=500)
+        scores = pagerank_scores(2, edges, p)
         assert scores.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_oracle_on_random_graphs(self):
@@ -159,10 +171,34 @@ class TestPagerankCore:
                      if i != j and rng.random() < density]
             p = rng.uniform(0.0, 1.0, n)
             p = p / p.sum()
-            sparse, _ = pagerank_scores(n, edges, p, damping=0.85,
-                                        tol=1e-12, max_iters=2000)
+            sparse = pagerank_scores(n, edges, p, damping=0.85)
             dense = dense_pagerank(n, edges, p, 0.85)
             assert np.abs(sparse - dense).sum() < 1e-6
+
+    @pytest.mark.parametrize("damping", [0.5, 0.85, 0.95])
+    def test_truncation_within_bound_of_converged_oracle(self, damping):
+        # x = p starts within L1 distance 2 of the fixed point and each step
+        # contracts by d, so k steps leave at most 2·dᵏ.
+        steps = walk_steps(damping)
+        assert damping ** steps <= 1e-7 < damping ** (steps - 1)
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 21))
+            edges = random_multigraph(rng, n, unit=False)
+            p = np.zeros(n)
+            p[int(rng.integers(n))] = 1.0  # a sole seed: a start far from the fixed point
+            ours = pagerank_scores(n, edges, p, damping)
+            converged = dense_pagerank(n, edges, p, damping)
+            assert np.abs(ours - converged).sum() <= 2 * damping ** steps
+
+    @pytest.mark.parametrize("damping, steps", [(0.85, 100), (0.5, 24), (0.95, 315)])
+    def test_step_count_set_by_damping(self, monkeypatch, damping, steps):
+        calls = []
+        step = retrieval.Walk.step
+        monkeypatch.setattr(retrieval.Walk, "step",
+                            lambda walk, x: calls.append(1) or step(walk, x))
+        pagerank_scores(3, [(0, 1, 1.0), (1, 2, 1.0)], np.full(3, 1 / 3), damping)
+        assert len(calls) == steps == walk_steps(damping)
 
     def test_matches_networkx_when_available(self):
         nx = pytest.importorskip("networkx")
@@ -174,49 +210,91 @@ class TestPagerankCore:
                      if i != j and rng.random() < 0.3]
             p = rng.uniform(0.1, 1.0, n)
             p = p / p.sum()
-            ours, _ = pagerank_scores(n, edges, p, damping=0.85,
-                                      tol=1e-12, max_iters=5000)
+            ours = pagerank_scores(n, edges, p, damping=0.85)
             g = nx.DiGraph()
             g.add_nodes_from(range(n))
             for i, j, w in edges:
                 g.add_edge(i, j, weight=w)
-            theirs = nx.pagerank(g, alpha=0.85, weight="weight",
-                                 personalization={i: p[i] for i in range(n)},
-                                 tol=1e-12, max_iter=5000)
-            assert sum(abs(ours[i] - theirs[i]) for i in range(n)) < 1e-9
+            # networkx's Google matrix, iterated densely for as many steps
+            google = nx.google_matrix(g, alpha=0.85, weight="weight",
+                                      personalization={i: p[i] for i in range(n)})
+            theirs = p.copy()
+            for _ in range(walk_steps(0.85)):
+                theirs = theirs @ google
+            assert np.abs(ours - theirs).sum() < 1e-9
 
     def test_in_place_steps_match_the_formula_bit_for_bit(self):
         rng = np.random.default_rng(11)
         for trial in range(30):
             n = int(rng.integers(1, 25))
-            edges = [(i, j, float(rng.uniform(0.5, 2.0)))
-                     for i in range(n) for j in range(n)
-                     if rng.random() < (0.0 if trial % 5 == 0 else 0.2)]
+            edges = [] if trial % 5 == 0 else random_multigraph(rng, n, unit=False)
             p = rng.uniform(0.0, 1.0, n)
             p = p / p.sum()
-            for max_iters in (1, 7, 100):
-                assert_same_bits(pagerank_scores(n, edges, p, 0.85, 1e-8, max_iters),
-                                 formula_pagerank(n, edges, p, 0.85, 1e-8, max_iters))
+            for damping in (1e-9, 0.3, 0.85):  # 1, 14 and 100 steps
+                ours = pagerank_scores(n, edges, p, damping)
+                assert ours.tobytes() == formula_pagerank(n, edges, p, damping).tobytes()
+
+    def test_step_matches_scipy_matvec_bit_for_bit(self):
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(13)
+        for trial in range(60):
+            n = int(rng.integers(1, 30))
+            edges = random_multigraph(rng, n, unit=trial % 2 == 0)
+            walk = retrieval.build_walk(n, edges)
+            transition = sp.csr_matrix((walk.prob, (walk.src, walk.dst)), shape=(n, n))
+            for _ in range(5):
+                x = rng.uniform(0.0, 1.0, n)
+                assert walk.step(x).tobytes() == (transition.T @ x).tobytes()
+
+    def test_walk_matches_the_scipy_construction(self):
+        # The transition matrix as scipy builds it: parallel edges merged by a
+        # CSR conversion, rows scaled by their inverse out-weight. Unit weights,
+        # as every graph walk has, add exactly in any order; other weights may
+        # differ in the last bits, as the merge and the row sums add in
+        # different orders.
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            n = int(rng.integers(1, 30))
+            unit = trial % 2 == 0
+            edges = random_multigraph(rng, n, unit)
+            walk = retrieval.build_walk(n, edges)
+            adj = sp.csr_matrix(([e[2] for e in edges],
+                                 ([e[0] for e in edges], [e[1] for e in edges])),
+                                shape=(n, n))
+            out_weight = np.asarray(adj.sum(axis=1)).ravel()
+            inv = np.zeros(n)
+            inv[out_weight > 0] = 1.0 / out_weight[out_weight > 0]
+            theirs = (sp.diags(inv) @ adj).toarray()
+            ours = sp.csr_matrix((walk.prob, (walk.src, walk.dst)), shape=(n, n)).toarray()
+            if unit:
+                assert ours.tobytes() == theirs.tobytes()
+            else:
+                np.testing.assert_allclose(ours, theirs, rtol=1e-14, atol=0)
+            assert walk.dangling.tolist() == np.flatnonzero(out_weight == 0).tolist()
 
     def test_invalid_personalization_rejected(self):
         with pytest.raises(InvalidInput):
             pagerank_scores(2, [], np.array([0.5, 0.2]))
 
     def test_params_validation(self):
-        with pytest.raises(InvalidInput):
-            PPRParams(damping=1.5)
-        with pytest.raises(InvalidInput):
-            PPRParams(tol=0)
-        with pytest.raises(InvalidInput):
-            PPRParams(seed_weights={"a": 0.4, "b": 0.4})
+        # damping outside (0, 1) and seed weights that are no distribution
+        for damping in (0.0, 1.0, 1.5):
+            with pytest.raises(InvalidInput):
+                pagerank_scores(2, [], np.array([0.5, 0.5]), damping)
+        graph = SpecGraph()
+        add_passage(graph, "a")
+        add_passage(graph, "b")
+        for weights in ({"p:a": 0.4, "p:b": 0.4}, {"p:a": -0.5, "p:b": 1.5}):
+            with pytest.raises(InvalidInput):
+                ppr(graph, weights, 0.85)
 
 
 class TestPPROverGraph:
     def test_scores_sum_to_one(self, graph):
         keys = graph.all_node_keys()
-        params = PPRParams(seed_weights={keys[0]: 1.0}, tol=1e-10, max_iters=500)
-        scores, converged = ppr(graph, params)
-        assert converged
+        scores, converged = ppr(graph, {keys[0]: 1.0}, 0.85)
+        assert converged is True  # always: perfbench's spans read it
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-8)
 
     def test_rank_passages_orders_by_score_then_id(self):
@@ -225,7 +303,7 @@ class TestPPROverGraph:
         assert ranked == [("c", 0.9), ("a", 0.5), ("b", 0.5)]
 
 
-def uncached_ppr(kg, params):
+def uncached_ppr(kg, seed_weights, damping):
     """``ppr`` from scratch: a new bidirectional edge list for pagerank_scores."""
     keys = kg.all_node_keys()
     index = {key: i for i, key in enumerate(keys)}
@@ -235,13 +313,12 @@ def uncached_ppr(kg, params):
             i, j = index[edge.src], index[edge.dst]
             edges += [(i, j, 1.0), (j, i, 1.0)]
     p = np.zeros(len(keys))
-    for key, weight in params.seed_weights.items():
+    for key, weight in seed_weights.items():
         p[index[key]] = weight
     if p.sum() <= 0:
         p[:] = 1.0 / len(keys)
-    scores, converged = pagerank_scores(len(keys), edges, p, params.damping,
-                                        params.tol, params.max_iters)
-    return {key: float(scores[i]) for i, key in enumerate(keys)}, converged
+    scores = pagerank_scores(len(keys), edges, p, damping)
+    return {key: float(scores[i]) for i, key in enumerate(keys)}, True
 
 
 def add_passage(graph, pid):
@@ -267,11 +344,10 @@ def small_graphs(draw):
 class TestCachedWalk:
     """``ppr`` reuses the graph's walk; its scores must be the uncached ones, bit for bit."""
 
-    @pytest.mark.parametrize("tol, max_iters", [(1e-8, 100), (1e-10, 500)])
-    def test_every_sole_seed_matches_uncached(self, graph, tol, max_iters):
+    @pytest.mark.parametrize("damping", [0.5, 0.85])
+    def test_every_sole_seed_matches_uncached(self, graph, damping):
         for key in graph.all_node_keys():
-            params = PPRParams(seed_weights={key: 1.0}, tol=tol, max_iters=max_iters)
-            assert ppr(graph, params) == uncached_ppr(graph, params)
+            assert ppr(graph, {key: 1.0}, damping) == uncached_ppr(graph, {key: 1.0}, damping)
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(), st.data())
@@ -279,21 +355,20 @@ class TestCachedWalk:
         keys = graph.all_node_keys()
         if not keys:
             with pytest.raises(EmptyGraph):
-                ppr(graph, PPRParams())
+                ppr(graph, {}, 0.85)
             return
         seeds = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
         raw = [data.draw(st.floats(0.01, 1.0)) for _ in seeds]
         weights = {key: w / sum(raw) for key, w in zip(seeds, raw)}
-        for params in (PPRParams(seed_weights=weights),
-                       PPRParams(seed_weights=weights, damping=0.5, max_iters=3)):
-            assert ppr(graph, params) == uncached_ppr(graph, params)
-            assert ppr(graph, params) == uncached_ppr(graph, params)
+        for damping in (0.85, 0.1):
+            assert ppr(graph, weights, damping) == uncached_ppr(graph, weights, damping)
+            assert ppr(graph, weights, damping) == uncached_ppr(graph, weights, damping)
 
     def test_nodeless_graph_raises(self):
         graph = SpecGraph()
         graph.edges = [Edge("mention", "e:a", "p:b")]
         with pytest.raises(EmptyGraph):
-            ppr(graph, PPRParams())
+            ppr(graph, {}, 0.85)
 
     def test_retrievals_build_the_walk_once(self, graph, offline_gateway, run_cfg,
                                             tmp_path, monkeypatch):
@@ -318,23 +393,23 @@ class TestCachedWalk:
                        Edge("mention", "e:ctrl reg", "p:p1"),
                        Edge("mention", "e:ctrl register", "p:p2"),
                        Edge("mention", "e:fsm", "p:p3")]
-        params = PPRParams(seed_weights={"p:p1": 1.0}, tol=1e-12, max_iters=500)
-        before = ppr(graph, params)
-        assert before == uncached_ppr(graph, params)
+        params = ({"p:p1": 1.0}, 0.85)
+        before = ppr(graph, *params)
+        assert before == uncached_ppr(graph, *params)
 
         kgmod.apply_normalization(graph)  # reassigns edges and entities
-        after_merge = ppr(graph, params)
-        assert after_merge == uncached_ppr(graph, params)
+        after_merge = ppr(graph, *params)
+        assert after_merge == uncached_ppr(graph, *params)
         assert after_merge[0] != before[0]
 
         graph.edges.append(Edge("mention", "e:fsm", "p:p2"))  # in place
-        after_append = ppr(graph, params)
-        assert after_append == uncached_ppr(graph, params)
+        after_append = ppr(graph, *params)
+        assert after_append == uncached_ppr(graph, *params)
         assert after_append[0] != after_merge[0]
 
         add_passage(graph, "p4")
-        assert set(ppr(graph, params)[0]) == set(graph.all_node_keys())
-        assert ppr(graph, params) == uncached_ppr(graph, params)
+        assert set(ppr(graph, *params)[0]) == set(graph.all_node_keys())
+        assert ppr(graph, *params) == uncached_ppr(graph, *params)
 
     def test_interchangeable_passages_tie_exactly(self):
         # A star seeded at its centre: every passage is the same distance from
@@ -349,12 +424,39 @@ class TestCachedWalk:
         graph.edges.append(Edge("mention", "e:leaf", "p:7"))
         graph.edges.append(Edge("mention", "e:leaf", "p:12"))
         for damping in (0.5, 0.85):
-            scores, _ = ppr(graph, PPRParams(damping=damping, seed_weights={"e:hub": 1.0}))
+            scores, _ = ppr(graph, {"e:hub": 1.0}, damping)
             ranked = rank_passages(scores)
             tied = [pid for pid in ids if pid not in ("7", "12")]
             assert len({scores[f"p:{pid}"] for pid in tied}) == 1
             assert scores["p:7"] == scores["p:12"]
             assert [pid for pid, _ in ranked] == ["12", "7"] + sorted(tied)
+
+
+def test_pipeline_runs_without_scipy():
+    # A fresh interpreter imports the CLI and runs one PageRank over the
+    # fixture graph; no scipy module may load on the way.
+    code = f"""
+import sys
+import speckg.cli
+from speckg import kg, retrieval
+from speckg.gateway import Gateway
+from speckg.ingest import ingest_document
+from speckg.offline import OfflineModel
+gw = Gateway(provider=OfflineModel(), mode="live",
+             chat_model="offline-chat", embedding_model="offline-embed")
+doc = open({str(SPEC_DOC)!r}, encoding="utf-8").read()
+graph = kg.build_from_corpus(ingest_document(gw, doc, "serial_link_spec"), gw)
+scores, _ = retrieval.ppr(graph, {{graph.all_node_keys()[0]: 1.0}}, 0.85)
+assert len(scores) == len(graph.all_node_keys())
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = Path(retrieval.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestAdaptiveExpand:
