@@ -10,7 +10,7 @@ filtering), and score answers with an atomic-fact fidelity metric.
 __version__ = "0.1.0"
 
 from .config import RunConfig, build_gateway, load_config
-from .gateway import ChatRequest, EmbeddingVector, FixtureStore, Gateway
+from .gateway import ChatRequest, FixtureStore, Gateway
 from .ingest import Corpus, Passage, SemanticAnchor, SemanticIR, ingest_document
 from .kg import SpecGraph, Triple, build_from_corpus, load, save
 from .reasoning import AnswerRecord, run
@@ -19,7 +19,6 @@ __all__ = [
     "AnswerRecord",
     "ChatRequest",
     "Corpus",
-    "EmbeddingVector",
     "FixtureStore",
     "Gateway",
     "Passage",

@@ -18,6 +18,7 @@ import yaml
 from .errors import ConfigError
 from .gateway import FixtureStore, Gateway
 from .providers import make_provider
+from .retrieval import MAX_DAMPING
 
 
 @dataclass
@@ -102,13 +103,15 @@ class RunConfig:
             raise ConfigError("retrieval.k0 and retrieval.delta_k must be >= 1")
         if self.retrieval.n_seeds < 1:
             raise ConfigError("retrieval.n_seeds must be >= 1")
-        if not 0.0 < self.ppr.damping < 1.0:
-            raise ConfigError("ppr.damping must lie in (0, 1)")
+        if not 0.0 < self.ppr.damping <= MAX_DAMPING:
+            raise ConfigError(f"ppr.damping must lie in (0, {MAX_DAMPING}]")
         if self.reasoning.max_rounds < 0 or self.reasoning.stall_limit < 1:
             raise ConfigError("reasoning budgets out of range")
         for key in ("n_runs", "n_judge", "recall_k"):
             if getattr(self.eval, key) < 1:
                 raise ConfigError(f"eval.{key} must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
 
     def persist(self, run_dir: str | Path, extra: dict | None = None) -> None:
         """Write the exact effective config into the run directory."""
@@ -137,8 +140,8 @@ _SECTIONS = {
 }
 
 
-def _coerce(section: str, key: str, value, default):
-    """Coerce a loaded value to the field's default type.
+def _coerce(name: str, value, default):
+    """Coerce a loaded value for the dotted key ``name`` to the field's default type.
 
     YAML quirk guard: PyYAML reads dotless scientific notation ("1e-08") as a
     string, so numeric fields accept numeric strings.
@@ -168,7 +171,7 @@ def _coerce(section: str, key: str, value, default):
                 raise ValueError(f"expected mapping, got {value!r}")
             return value
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
+        raise ConfigError(f"bad value for {name}: {exc}") from exc
     return value
 
 
@@ -185,7 +188,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     cfg = RunConfig()
     for section, value in data.items():
         if section == "jobs":
-            cfg.jobs = int(value)
+            cfg.jobs = _coerce("jobs", value, RunConfig.jobs)
             continue
         cls = _SECTIONS.get(section)
         if cls is None:
@@ -197,13 +200,13 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             if not hasattr(current, key):
                 raise ConfigError(f"unknown config key {section}.{key}")
             defaults = _SECTIONS[section]()
-            setattr(current, key, _coerce(section, key, item, getattr(defaults, key)))
+            setattr(current, key, _coerce(f"{section}.{key}", item, getattr(defaults, key)))
 
     for dotted, value in (overrides or {}).items():
         if value is None:
             continue
         if dotted == "jobs":
-            cfg.jobs = int(value)
+            cfg.jobs = _coerce("jobs", value, RunConfig.jobs)
             continue
         section, _, key = dotted.partition(".")
         if section not in _SECTIONS or not key:
@@ -212,7 +215,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         if not hasattr(current, key):
             raise ConfigError(f"unknown config override {dotted!r}")
         defaults = _SECTIONS[section]()
-        setattr(current, key, _coerce(section, key, value, getattr(defaults, key)))
+        setattr(current, key, _coerce(dotted, value, getattr(defaults, key)))
 
     cfg.validate()
     return cfg

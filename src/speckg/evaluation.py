@@ -342,14 +342,13 @@ def run_benchmark(dataset: list[QAItem], kg: SpecGraph, gateway: Gateway, cfg) -
             if pid not in kg.passages:
                 raise InvalidInput(f"{item.qid}: gold passage {pid!r} not in corpus")
 
-    jobs = max(1, getattr(cfg, "jobs", 1))
-    if jobs == 1 or len(dataset) <= 1:
+    if cfg.jobs == 1 or len(dataset) <= 1:
         items = [evaluate_item(gateway, kg, item, cfg) for item in dataset]
     else:
         # items are independent; results collected in dataset order so reports
         # stay deterministic regardless of scheduling
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             items = list(pool.map(lambda it: evaluate_item(gateway, kg, it, cfg),
                                   dataset))
 

@@ -4,8 +4,8 @@ Every model interaction in the pipeline goes through :class:`Gateway`. In
 ``record`` mode each (digest, reply) pair is persisted to a line-delimited
 JSON fixture file; in ``replay`` mode a missing digest is a hard error so a
 replayed run can never fall back to a live call. Embedding vectors are
-L2-normalized here, once, so cosine similarity reduces to a dot product
-everywhere downstream.
+L2-normalized here, once, into the rows of one matrix, so cosine similarity
+reduces to a dot product everywhere downstream.
 """
 
 from __future__ import annotations
@@ -47,33 +47,6 @@ class ChatRequest:
             raise InvalidInput(f"temperature {self.temperature} outside [0, 2]")
         if self.response_schema_id != schemas.FREEFORM and self.response_schema_id not in schemas.SCHEMAS:
             raise InvalidInput(f"unknown response schema id {self.response_schema_id!r}")
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """Fixed-length embedding; vectors from different models never compare."""
-
-    values: tuple[float, ...]
-    dim: int
-    model_id: str
-
-    def __post_init__(self):
-        if len(self.values) != self.dim:
-            raise InvalidInput(f"vector length {len(self.values)} != dim {self.dim}")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("embedding contains non-finite values")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    def cosine(self, other: "EmbeddingVector") -> float:
-        if self.model_id != other.model_id:
-            raise InvalidInput(
-                f"cannot compare embeddings from {self.model_id!r} and {other.model_id!r}"
-            )
-        # Both sides are unit-normalized at the gateway boundary.
-        return float(np.dot(self.as_array(), other.as_array()))
 
 
 class Provider(Protocol):
@@ -282,22 +255,23 @@ class Gateway:
 
     # -- embeddings -----------------------------------------------------------
 
-    def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        """Embed each text (order preserved); vectors come back unit-normalized."""
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """Embed each text (order preserved) as one row of a float64 matrix of
+        shape ``(len(texts), dim)``; the rows come back unit-normalized."""
         if not texts:
             raise InvalidInput("embed() requires a non-empty list of texts")
         for t in texts:
             if not t.strip():
                 raise InvalidInput("embed() input texts must be non-empty after trim")
 
-        raw: list[list[float] | None] = [None] * len(texts)
+        digests = [embed_digest(text, self.embedding_model) for text in texts]
+        rows: list = [None] * len(texts)
         pending: list[int] = []
-        for i, text in enumerate(texts):
-            digest = embed_digest(text, self.embedding_model)
-            if self.mode in ("record", "replay") and self.fixtures is not None:
+        for i, digest in enumerate(digests):
+            if self.mode in ("record", "replay"):
                 record = self.fixtures.get(digest)
                 if record is not None:
-                    raw[i] = record["values"]
+                    rows[i] = record["values"]
                     continue
             if self.mode == "replay":
                 raise FixtureMiss(f"no embedding fixture for digest {digest[:12]}...")
@@ -313,27 +287,21 @@ class Gateway:
                     f"provider returned {len(vectors)} vectors for {len(batch)} texts"
                 )
             for i, vec in zip(pending, vectors):
-                raw[i] = [float(v) for v in vec]
-                if self.mode == "record":
-                    self.fixtures.put(
-                        embed_digest(texts[i], self.embedding_model),
-                        "embed",
-                        {"kind": "vector", "values": raw[i]},
-                    )
+                rows[i] = vec
 
-        return [self._normalize(values) for values in raw]
-
-    def _normalize(self, values: list[float]) -> EmbeddingVector:
-        arr = np.asarray(values, dtype=np.float64)
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
+        raw = _checked_matrix(rows)
+        # One norm per row: a norm along the matrix's axis sums in another
+        # order and would change the last bits.
+        norms = np.array([np.linalg.norm(row) for row in raw])
+        if not norms.all():
             raise MalformedReply("provider returned a zero embedding vector")
-        arr = arr / norm
-        return EmbeddingVector(
-            values=tuple(float(v) for v in arr),
-            dim=arr.shape[0],
-            model_id=self.embedding_model,
-        )
+        if self.mode == "record":
+            # The provider's own values as floats: the same bytes on file, and
+            # in the store the same objects, not copies.
+            for i in pending:
+                self.fixtures.put(digests[i], "embed",
+                                  {"kind": "vector", "values": list(map(float, rows[i]))})
+        return raw / norms[:, None]
 
     # -- retry plumbing -------------------------------------------------------
 
@@ -350,3 +318,18 @@ class Gateway:
                                    label, attempt + 1, exc, delay)
                     self.sleep(delay)
         raise RetryExhausted(f"{label} failed after {self.max_attempts} attempts: {last}")
+
+
+def _checked_matrix(rows: list) -> np.ndarray:
+    """Stack embedding vectors, from a provider or a fixture file, into a
+    float64 matrix; vectors of unequal length or with non-finite values are a
+    malformed reply."""
+    try:
+        raw = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MalformedReply(f"embedding vectors do not form a matrix: {exc}") from exc
+    if raw.ndim != 2:
+        raise MalformedReply("embedding vectors must be rows of equal length")
+    if not np.isfinite(raw).all():
+        raise MalformedReply("embedding contains non-finite values")
+    return raw

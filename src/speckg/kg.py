@@ -448,8 +448,7 @@ def compute_embeddings(kg: SpecGraph, gateway: Gateway) -> None:
         kg.embeddings = EmbeddingIndex([], np.zeros((0, 0), dtype=np.float32),
                                        gateway.embedding_model)
         return
-    vectors = gateway.embed(texts)
-    matrix = np.stack([v.as_array() for v in vectors]).astype(np.float32)
+    matrix = gateway.embed(texts).astype(np.float32)
     kg.embeddings = EmbeddingIndex(keys, matrix, gateway.embedding_model)
 
 

@@ -41,12 +41,20 @@ def seed(query: str, kg: SpecGraph, n_seeds: int, gateway: Gateway) -> dict[str,
 
     Similarities are shifted to nonnegative (w = sim - min(0, min sim)) and
     normalized to sum 1; an all-zero shift falls back to uniform weights.
-    Ties rank by lexicographic node key.
+    Ties rank by lexicographic node key. A graph embedded by another model
+    than the gateway's, or at another dimension, raises InvalidInput.
     """
-    if kg.embeddings is None or not kg.embeddings.keys:
+    index = kg.embeddings
+    if index is None or not index.keys:
         raise EmptyGraph("graph has no embedding index")
-    query_vec = gateway.embed([query])[0].as_array()
-    top = kg.embeddings.top_similar(query_vec, n_seeds)
+    if gateway.embedding_model != index.model_id:
+        raise InvalidInput(f"graph embedded by {index.model_id!r}, query by "
+                           f"{gateway.embedding_model!r}")
+    query_vec = gateway.embed([query])[0]
+    if query_vec.shape[0] != index.matrix.shape[1]:
+        raise InvalidInput(f"query embedding has {query_vec.shape[0]} dimensions, "
+                           f"the graph's have {index.matrix.shape[1]}")
+    top = index.top_similar(query_vec, n_seeds)
     sims = np.array([score for _, score in top], dtype=np.float64)
     shifted = sims - min(0.0, float(sims.min()))
     total = float(shifted.sum())
@@ -58,6 +66,8 @@ def seed(query: str, kg: SpecGraph, n_seeds: int, gateway: Gateway) -> dict[str,
 
 # The walk runs the fewest steps k with dᵏ <= WALK_ERROR: see walk_scores.
 WALK_ERROR = 1e-7
+# The largest damping accepted, at 1,604 steps: the count grows like 16 / (1 - d).
+MAX_DAMPING = 0.99
 
 
 @dataclass(frozen=True)
@@ -107,8 +117,8 @@ def walk_scores(walk: Walk, personalization: np.ndarray, damping: float) -> np.n
     ``x = p`` starts within 2 of it, so ``k = ceil(log(WALK_ERROR) / log d)``
     steps (100 at d = 0.85) leave an L1 error of at most ``2·dᵏ ≤ 2·WALK_ERROR``.
     """
-    if not 0.0 < damping < 1.0:
-        raise InvalidInput("damping must lie in (0, 1)")
+    if not 0.0 < damping <= MAX_DAMPING:
+        raise InvalidInput(f"damping must lie in (0, {MAX_DAMPING}]")
     p = np.asarray(personalization, dtype=np.float64)
     if p.shape != (walk.n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
         raise InvalidInput("personalization must be a nonnegative distribution")
@@ -340,7 +350,7 @@ def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway
         return gateway.chat(prompts.summarize(q, payload))
 
     def embed(text: str) -> np.ndarray:
-        return gateway.embed([text])[0].as_array()
+        return gateway.embed([text])[0]
 
     adaptive_expand(state, cfg.retrieval.tau, cfg.retrieval.k0,
                     cfg.retrieval.delta_k, cfg.retrieval.k_max, summarize, embed)

@@ -87,27 +87,32 @@ class TestValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("ppr.damping", 0.0), ("ppr.damping", 1.0), ("ppr.damping", 1.5),
+        ("ppr.damping", 0.995), ("ppr.damping", 1 - 1e-12),
         ("retrieval.n_seeds", 0), ("retrieval.n_seeds", -1),
         ("eval.n_runs", 0), ("eval.n_judge", 0), ("eval.recall_k", 0),
         ("eval.n_judge", -2),
+        ("jobs", "abc"), ("jobs", 0), ("jobs", -2), ("jobs", 2.7),
     ])
     def test_retrieval_ranges_rejected_at_load(self, tmp_path, key, value):
         # the damping range walk_scores checks, seed's need for one
-        # similarity, and evaluation's need for one run, judge and passage
+        # similarity, evaluation's need for one run, judge and passage, and
+        # one worker at least, counted in whole workers
         with pytest.raises(ConfigError, match=key):
             load_config(None, overrides={key: value})
         section, _, name = key.partition(".")
         conf = tmp_path / "conf.yaml"
-        conf.write_text(yaml.safe_dump({section: {name: value}}))
+        conf.write_text(yaml.safe_dump({section: {name: value}} if name else {key: value}))
         with pytest.raises(ConfigError, match=key):
             load_config(conf)
 
     def test_retrieval_range_edges_accepted(self):
-        cfg = load_config(None, overrides={"ppr.damping": 0.01, "retrieval.n_seeds": 1,
-                                           "eval.n_runs": 1, "eval.n_judge": 1,
-                                           "eval.recall_k": 1})
-        assert (cfg.ppr.damping, cfg.retrieval.n_seeds) == (0.01, 1)
-        assert (cfg.eval.n_runs, cfg.eval.n_judge, cfg.eval.recall_k) == (1, 1, 1)
+        for damping in (0.01, 0.99):
+            cfg = load_config(None, overrides={"ppr.damping": damping, "retrieval.n_seeds": 1,
+                                               "eval.n_runs": 1, "eval.n_judge": 1,
+                                               "eval.recall_k": 1, "jobs": 1})
+            assert (cfg.ppr.damping, cfg.retrieval.n_seeds) == (damping, 1)
+            assert (cfg.eval.n_runs, cfg.eval.n_judge, cfg.eval.recall_k) == (1, 1, 1)
+            assert cfg.jobs == 1
 
     @pytest.mark.parametrize("key, value", [("ppr.tol", 1e-8), ("ppr.max_iters", 100)])
     def test_removed_ppr_keys_rejected(self, tmp_path, key, value):

@@ -5,8 +5,8 @@ import pytest
 
 from speckg import prompts
 from speckg.errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
-from speckg.gateway import ChatRequest, EmbeddingVector, FixtureStore, Gateway, chat_digest
-from speckg.offline import OfflineModel
+from speckg.gateway import ChatRequest, FixtureStore, Gateway, chat_digest, embed_digest
+from speckg.offline import EMBED_DIM, OfflineModel
 
 from conftest import make_offline_gateway
 
@@ -144,15 +144,6 @@ def test_record_mode_serializes_concurrent_writes(tmp_path):
     assert len({r["digest"] for r in lines}) == 16
 
 
-def test_embedding_vector_rejects_nonfinite():
-    with pytest.raises(InvalidInput):
-        EmbeddingVector(values=(1.0, float("nan")), dim=2, model_id="m")
-    with pytest.raises(InvalidInput):
-        EmbeddingVector(values=(float("inf"), 0.0), dim=2, model_id="m")
-    with pytest.raises(InvalidInput):
-        EmbeddingVector(values=(1.0,), dim=2, model_id="m")
-
-
 def test_task_models_route_by_tag():
     class EchoModel:
         def chat(self, request, model):
@@ -167,28 +158,64 @@ def test_task_models_route_by_tag():
     assert gw.chat(req(task_tag="reason")) == "deep-reasoner"
 
 
+class VectorProvider:
+    """Provider double serving preset embedding vectors, one per text."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, texts, model):
+        return self.vectors
+
+
+MALFORMED_VECTORS = {
+    "nan": [[1.0, float("nan")], [1.0, 0.0]],
+    "inf": [[float("inf"), 0.0], [1.0, 0.0]],
+    "zero": [[0.0, 0.0], [1.0, 0.0]],
+    "ragged": [[1.0, 0.0], [1.0]],
+}
+
+
 class TestEmbed:
     def test_same_text_same_vector(self, tmp_path):
         gw = make_offline_gateway()
-        v1, = gw.embed(["x"])
-        v2, = gw.embed(["x"])
-        assert v1.values == v2.values
+        assert gw.embed(["x"]).tobytes() == gw.embed(["x"]).tobytes()
 
     def test_batch_shape_and_order(self):
         gw = make_offline_gateway()
-        vecs = gw.embed(["a", "b"])
-        assert len(vecs) == 2
-        assert vecs[0].dim == vecs[1].dim
+        matrix = gw.embed(["a", "b", "a"])
+        assert matrix.dtype == np.float64
+        assert matrix.shape == (3, EMBED_DIM)
+        assert matrix[0].tobytes() == matrix[2].tobytes() == gw.embed(["a"])[0].tobytes()
+        assert matrix[1].tobytes() == gw.embed(["b"])[0].tobytes()
 
     def test_unit_norm_within_1e6(self):
         gw = make_offline_gateway()
-        for vec in gw.embed(["alpha beta", "gamma delta epsilon", "0x10"]):
-            assert abs(np.linalg.norm(vec.as_array()) - 1.0) < 1e-6
+        matrix = gw.embed(["alpha beta", "gamma delta epsilon", "0x10"])
+        assert np.all(np.abs(np.linalg.norm(matrix, axis=1) - 1.0) < 1e-6)
+        assert np.all(np.abs(np.einsum("ij,ij->i", matrix, matrix) - 1.0) < 1e-6)
 
-    def test_self_cosine_is_one(self):
-        gw = make_offline_gateway()
-        v, = gw.embed(["the TX_READY flag"])
-        assert abs(v.cosine(v) - 1.0) < 1e-6
+    def test_rows_normalized_one_vector_at_a_time(self):
+        # each row is v / ||v|| with the norm of that vector alone, bit for
+        # bit: a norm over the matrix's axis sums in another order
+        vectors = np.random.default_rng(0).normal(size=(64, 48)).tolist()
+        gw = Gateway(provider=VectorProvider(vectors), mode="live")
+        expected = np.array([np.asarray(v) / np.linalg.norm(v) for v in vectors])
+        assert gw.embed([f"text {i}" for i in range(64)]).tobytes() == expected.tobytes()
+
+    def test_replay_returns_recorded_matrix(self, tmp_path):
+        store_path = tmp_path / "replies.jsonl"
+        vectors = np.random.default_rng(1).normal(size=(3, 8)).tolist()
+        texts = ["one", "two", "three"]
+        rec = Gateway(provider=VectorProvider(vectors), mode="record",
+                      fixtures=FixtureStore(store_path))
+        recorded = rec.embed(texts)
+        # the file holds the provider's vectors as plain floats, unnormalized
+        records = [json.loads(line) for line in store_path.read_text().splitlines()]
+        assert [r["reply"] for r in records] == [{"kind": "vector", "values": v}
+                                                 for v in vectors]
+        replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
+        assert replay.embed(texts).tobytes() == recorded.tobytes()
 
     def test_empty_inputs_rejected(self):
         gw = make_offline_gateway()
@@ -197,11 +224,35 @@ class TestEmbed:
         with pytest.raises(InvalidInput):
             gw.embed(["   "])
 
-    def test_cross_model_comparison_rejected(self):
-        a = EmbeddingVector(values=(1.0, 0.0), dim=2, model_id="m1")
-        b = EmbeddingVector(values=(1.0, 0.0), dim=2, model_id="m2")
-        with pytest.raises(InvalidInput):
-            a.cosine(b)
+    def test_vector_count_must_match(self):
+        gw = Gateway(provider=VectorProvider([[1.0, 0.0]]), mode="live")
+        with pytest.raises(MalformedReply, match="1 vectors for 2 texts"):
+            gw.embed(["a", "b"])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VECTORS))
+    def test_malformed_provider_vectors_rejected(self, tmp_path, case):
+        vectors = MALFORMED_VECTORS[case]
+        with pytest.raises(MalformedReply):
+            Gateway(provider=VectorProvider(vectors), mode="live").embed(["a", "b"])
+        # nothing malformed is recorded
+        store_path = tmp_path / "replies.jsonl"
+        rec = Gateway(provider=VectorProvider(vectors), mode="record",
+                      fixtures=FixtureStore(store_path))
+        with pytest.raises(MalformedReply):
+            rec.embed(["a", "b"])
+        assert not store_path.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VECTORS))
+    def test_malformed_fixture_vectors_rejected(self, tmp_path, case):
+        # the same checks hold for vectors from a hand-edited fixture file
+        store_path = tmp_path / "replies.jsonl"
+        store_path.write_text("".join(
+            json.dumps({"digest": embed_digest(text, "default-embed"), "task_tag": "embed",
+                        "reply": {"kind": "vector", "values": values}}) + "\n"
+            for text, values in zip(["a", "b"], MALFORMED_VECTORS[case])))
+        gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
+        with pytest.raises(MalformedReply):
+            gw.embed(["a", "b"])
 
 
 class FailingProvider:

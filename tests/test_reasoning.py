@@ -184,3 +184,17 @@ def test_synthesize_failure_carries_context(graph, run_cfg):
     with pytest.raises(reasoning.SynthesisFailed) as err:
         synthesize(gw, ctx, incomplete=False)
     assert err.value.context is ctx
+
+
+def test_query_embedded_at_another_dimension_flags_the_run(graph, run_cfg):
+    # the graph holds 256-d vectors; a 300-d query vector of the same model
+    # name is refused at seeding, and the run ends flagged, not raised
+    class WideEmbedder(OfflineModel):
+        def embed(self, texts, model):
+            return [[1.0] * 300 for _ in texts]
+
+    gw = Gateway(provider=WideEmbedder(), mode="live",
+                 chat_model="offline-chat", embedding_model="offline-embed")
+    record = run(CHAIN_QUESTION, graph, gw, run_cfg)
+    assert "error:InvalidInput" in record.flags
+    assert record.answer == ""

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from speckg import kg as kgmod
 from speckg import retrieval
 from speckg.errors import EmptyGraph, InvalidInput
-from speckg.gateway import EmbeddingVector
 from speckg.ingest import Passage, SemanticAnchor
 from speckg.kg import Edge, EmbeddingIndex, SpecGraph
 from speckg.retrieval import (RetrievalState, adaptive_expand, csa_filter,
@@ -73,18 +72,13 @@ def random_multigraph(rng, n, unit):
 class FakeEmbedGateway:
     """Gateway double returning preset vectors for preset texts."""
 
-    def __init__(self, table, dim):
+    def __init__(self, table, model="fake"):
         self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
-        self.dim = dim
-        self.embedding_model = "fake"
+        self.embedding_model = model
 
     def embed(self, texts):
-        out = []
-        for t in texts:
-            raw = self.table[t]
-            unit = raw / np.linalg.norm(raw)
-            out.append(EmbeddingVector(values=tuple(unit), dim=self.dim, model_id="fake"))
-        return out
+        rows = [self.table[t] for t in texts]
+        return np.array([row / np.linalg.norm(row) for row in rows])
 
 
 def toy_graph_with_embeddings(table):
@@ -106,13 +100,13 @@ class TestSeed:
     def test_identical_query_gets_max_weight(self):
         table = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.6, 0.8, 0.0]}
         graph = toy_graph_with_embeddings(table)
-        gw = FakeEmbedGateway({"q": [1.0, 0.0, 0.0]}, dim=3)
+        gw = FakeEmbedGateway({"q": [1.0, 0.0, 0.0]})
         weights = seed("q", graph, n_seeds=3, gateway=gw)
         assert max(weights, key=weights.get) == "p:a"
 
     def test_n_seeds_clamped_to_node_count(self):
         graph = toy_graph_with_embeddings({"a": [1, 0], "b": [0, 1]})
-        gw = FakeEmbedGateway({"q": [1, 0]}, dim=2)
+        gw = FakeEmbedGateway({"q": [1, 0]})
         weights = seed("q", graph, n_seeds=99, gateway=gw)
         assert len(weights) == 2
 
@@ -120,7 +114,7 @@ class TestSeed:
         # sims: a=1.0, b=0.0, c=0.6 -> min(0, 0.0)=0 shift -> weights s/sum
         table = {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [0.6, 0.8]}
         graph = toy_graph_with_embeddings(table)
-        gw = FakeEmbedGateway({"q": [1.0, 0.0]}, dim=2)
+        gw = FakeEmbedGateway({"q": [1.0, 0.0]})
         weights = seed("q", graph, n_seeds=3, gateway=gw)
         total = 1.0 + 0.0 + 0.6
         assert weights["p:a"] == pytest.approx(1.0 / total, abs=1e-6)
@@ -131,7 +125,7 @@ class TestSeed:
     def test_negative_similarities_shifted_nonnegative(self):
         table = {"a": [1.0, 0.0], "b": [-1.0, 0.0]}
         graph = toy_graph_with_embeddings(table)
-        gw = FakeEmbedGateway({"q": [1.0, 0.0]}, dim=2)
+        gw = FakeEmbedGateway({"q": [1.0, 0.0]})
         weights = seed("q", graph, n_seeds=2, gateway=gw)
         assert all(w >= 0 for w in weights.values())
         assert sum(weights.values()) == pytest.approx(1.0)
@@ -139,9 +133,22 @@ class TestSeed:
     def test_empty_index_rejected(self):
         graph = SpecGraph()
         graph.embeddings = EmbeddingIndex([], np.zeros((0, 0), dtype=np.float32), "fake")
-        gw = FakeEmbedGateway({"q": [1.0]}, dim=1)
+        gw = FakeEmbedGateway({"q": [1.0]})
         with pytest.raises(EmptyGraph):
             seed("q", graph, 3, gw)
+
+    def test_other_embedding_model_rejected(self):
+        # vectors of two models never compare, even at equal dimension
+        graph = toy_graph_with_embeddings({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        gw = FakeEmbedGateway({"q": [1.0, 0.0]}, model="renamed")
+        with pytest.raises(InvalidInput, match="'fake'.*'renamed'"):
+            seed("q", graph, 2, gw)
+
+    def test_other_dimension_rejected(self):
+        graph = toy_graph_with_embeddings({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        gw = FakeEmbedGateway({"q": [1.0, 0.0, 0.0]})
+        with pytest.raises(InvalidInput, match="3 dimensions, the graph's have 2"):
+            seed("q", graph, 2, gw)
 
 
 class TestPagerankCore:
@@ -277,8 +284,28 @@ class TestPagerankCore:
         with pytest.raises(InvalidInput):
             pagerank_scores(2, [], np.array([0.5, 0.2]))
 
+    def test_damping_bounded_above(self, monkeypatch):
+        # 0.99 (1,604 steps) is the largest damping taken; the step count grows
+        # as 1 / (1 - d), so larger ones are refused before the walk starts
+        assert walk_steps(retrieval.MAX_DAMPING) == 1604
+
+        class Started(Exception):
+            pass
+
+        def step(walk, x):
+            raise Started
+
+        monkeypatch.setattr(retrieval.Walk, "step", step)
+        walk = retrieval.build_walk(2, [])
+        p = np.array([0.5, 0.5])
+        with pytest.raises(Started):
+            retrieval.walk_scores(walk, p, 0.99)
+        for damping in (0.995, 1 - 1e-12):
+            with pytest.raises(InvalidInput, match="damping"):
+                retrieval.walk_scores(walk, p, damping)
+
     def test_params_validation(self):
-        # damping outside (0, 1) and seed weights that are no distribution
+        # damping outside (0, 0.99] and seed weights that are no distribution
         for damping in (0.0, 1.0, 1.5):
             with pytest.raises(InvalidInput):
                 pagerank_scores(2, [], np.array([0.5, 0.5]), damping)
@@ -603,6 +630,7 @@ class CountingGateway:
 
     def __init__(self, inner):
         self.inner = inner
+        self.embedding_model = inner.embedding_model
         self.embedded = []
 
     def embed(self, texts):

@@ -1,0 +1,33 @@
+"""The benchmark's trace harness (``perfbench/spans.py``) wraps speckg
+functions by name, so renaming one breaks ``perfbench/run.py --trace 1``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_trace_harness_instruments_speckg():
+    # A fresh interpreter, so the harness's monkeypatching stays out of the
+    # other tests. Embedding two texts inside an operation must count two,
+    # which holds while Gateway.embed takes the texts as its one argument.
+    code = """
+import spans
+from speckg.gateway import Gateway
+from speckg.offline import OfflineModel
+tracer = spans.Tracer(spans=True)
+spans.instrument(tracer)
+gw = Gateway(provider=OfflineModel(), mode="live")
+tracer.begin_op(0)
+gw.embed(["alpha", "beta"])
+tracer.end_op()
+assert tracer.counts["embed_texts"] == 2, tracer.counts
+"""
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        paths + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
