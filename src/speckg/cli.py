@@ -29,6 +29,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verbose", action="store_true")
 
 
+def _add_repetitions(p: argparse.ArgumentParser) -> None:
+    only = (", repeated only with a live provider that samples (replay, record "
+            "and the offline provider answer and judge once)")
+    p.add_argument("--runs", type=int, help="answer generations per item" + only)
+    p.add_argument("--judge-reps", type=int, help="judge assessments per answer" + only)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="speckg")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -48,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--kg", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--runs", type=int, help="answer generations per item")
-    p.add_argument("--judge-reps", type=int, help="judge assessments per answer")
+    _add_repetitions(p)
     p.add_argument("--jobs", type=int, help="parallel per-question workers")
     p.add_argument("--out", required=True, help="report path (JSON; .txt written beside)")
 
@@ -58,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kg", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--judge-reps", type=int)
+    _add_repetitions(p)
     p.add_argument("--jobs", type=int, help="parallel per-question workers")
 
     p = sub.add_parser("replay-verify",
@@ -68,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kg", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="directory receiving both run dirs")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--judge-reps", type=int)
+    _add_repetitions(p)
     p.add_argument("--jobs", type=int, help="parallel per-question workers")
 
     return parser

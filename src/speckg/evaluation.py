@@ -237,7 +237,7 @@ class ItemResult:
     recall: float
     f1: float
     system_recall: float | None
-    samples: int
+    samples: int  # judged answers behind the means (see repetitions)
     dropped: int
     error: str | None = None
 
@@ -296,14 +296,30 @@ class EvalReport:
         return "\n".join([line, rule, row]) + "\n"
 
 
+def repetitions(gateway: Gateway, cfg) -> tuple[int, int]:
+    """Answer generations per item and judge passes per answer.
+
+    When the gateway's replies are fixed by the request, every repetition
+    would send the first one's requests and get its replies back, so one
+    answer judged once measures all there is to measure.
+    """
+    if gateway.replies_fixed:
+        return 1, 1
+    return cfg.eval.n_runs, cfg.eval.n_judge
+
+
 def evaluate_item(gateway: Gateway, kg: SpecGraph, item: QAItem, cfg) -> ItemResult:
-    """Answer one question n_runs times, judge each answer n_judge times."""
+    """Answer one question n_runs times, judge each answer n_judge times;
+    once each when replies are fixed (see :func:`repetitions`)."""
+    n_runs, n_judge = repetitions(gateway, cfg)
     record: reasoning.AnswerRecord | None = None
-    samples_p, samples_r, samples_f1 = [], [], []
+    samples_p, samples_r, samples_f1, recalls = [], [], [], []
     try:
-        for _ in range(cfg.eval.n_runs):
+        for _ in range(n_runs):
             record = reasoning.run(item.question, kg, gateway, cfg)
-            for _ in range(cfg.eval.n_judge):
+            recalls.append(system_recall_at_k(record.retrieval_log, item.gold_passages,
+                                              cfg.eval.recall_k))
+            for _ in range(n_judge):
                 result = atomic_score(gateway, record.answer, item.gold_atoms)
                 samples_p.append(result.precision)
                 samples_r.append(result.recall)
@@ -329,8 +345,8 @@ def evaluate_item(gateway: Gateway, kg: SpecGraph, item: QAItem, cfg) -> ItemRes
         precision=aggregate_two_sigma(samples_p).mean,
         recall=aggregate_two_sigma(samples_r).mean,
         f1=agg_f1.mean,
-        system_recall=system_recall_at_k(record.retrieval_log, item.gold_passages,
-                                         cfg.eval.recall_k),
+        # every run retrieves on its own, so its recall is a sample like F1
+        system_recall=aggregate_two_sigma(recalls).mean if item.gold_passages else None,
         samples=len(samples_f1),
         dropped=agg_f1.dropped,
     )
@@ -342,6 +358,10 @@ def run_benchmark(dataset: list[QAItem], kg: SpecGraph, gateway: Gateway, cfg) -
             if pid not in kg.passages:
                 raise InvalidInput(f"{item.qid}: gold passage {pid!r} not in corpus")
 
+    n_runs, n_judge = repetitions(gateway, cfg)
+    logger.info("replies %s: %d run x %d judge per item (config: %d x %d)",
+                "fixed by request" if gateway.replies_fixed else "sampled",
+                n_runs, n_judge, cfg.eval.n_runs, cfg.eval.n_judge)
     if cfg.jobs == 1 or len(dataset) <= 1:
         items = [evaluate_item(gateway, kg, item, cfg) for item in dataset]
     else:

@@ -15,6 +15,7 @@ import json
 import logging
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
@@ -50,7 +51,11 @@ class ChatRequest:
 
 
 class Provider(Protocol):
-    """Backend able to serve chat completions and embeddings."""
+    """Backend able to serve chat completions and embeddings.
+
+    A provider whose reply is fixed by the request sets a class attribute
+    ``deterministic = True``; one that declares nothing counts as sampling.
+    """
 
     def chat(self, request: ChatRequest, model: str) -> str: ...
 
@@ -101,6 +106,7 @@ class FixtureStore:
         self.path = Path(path)
         self.entries: dict[str, dict] = {}
         self._lock = threading.Lock()
+        self._out = None  # append handle, opened on the first put
         if self.path.exists():
             self._load()
 
@@ -120,15 +126,22 @@ class FixtureStore:
         return self.entries.get(digest)
 
     def put(self, digest: str, task_tag: str, reply: dict) -> None:
-        """Persist one reply; record mode serializes writes, replays stay stable."""
+        """Persist one reply; record mode serializes writes, replays stay stable.
+
+        One append handle serves every write and is flushed after each
+        record, so a reader or a crash sees each record once it is put.
+        """
         with self._lock:
             if digest in self.entries:
                 return
             self.entries[digest] = reply
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._out is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._out = open(self.path, "a", encoding="utf-8")
+                weakref.finalize(self, self._out.close)
             record = {"digest": digest, "task_tag": task_tag, "reply": reply}
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            self._out.write(json.dumps(record, ensure_ascii=False) + "\n")
+            self._out.flush()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -161,6 +174,13 @@ class Gateway:
             raise InvalidInput(f"{self.mode} mode requires a fixture store")
         if self.mode in ("live", "record") and self.provider is None:
             raise InvalidInput(f"{self.mode} mode requires a provider")
+
+    @property
+    def replies_fixed(self) -> bool:
+        """True when a repeated request gets the same reply: record and replay
+        serve a seen digest from the fixture store, and a live provider may
+        declare itself ``deterministic``."""
+        return self.mode != "live" or getattr(self.provider, "deterministic", False)
 
     # -- chat ---------------------------------------------------------------
 

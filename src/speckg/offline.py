@@ -671,7 +671,10 @@ class _Resolver:
 
 
 class OfflineModel:
-    """Provider implementation backed by the rule engine above."""
+    """Provider implementation backed by the rule engine above; its reply is
+    a function of the request."""
+
+    deterministic = True
 
     def chat(self, request: ChatRequest, model: str) -> str:
         payload = extract_payload(request.user_prompt)

@@ -18,7 +18,10 @@ class HttpProvider:
 
     Endpoint, model names, and the API-key environment variable come from
     config; nothing here is vendor-specific beyond the de-facto wire shape.
+    A hosted model samples, so the same request may get another reply.
     """
+
+    deterministic = False
 
     def __init__(self, endpoint: str, api_key_env: str = "SPECKG_API_KEY",
                  timeout: float = 120.0):

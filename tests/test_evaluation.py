@@ -1,16 +1,22 @@
+import dataclasses
+import logging
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speckg import evaluation
+from speckg import evaluation, reasoning
 from speckg.errors import InvalidInput
 from speckg.evaluation import (QAItem, aggregate_two_sigma, atomic_score,
                                decompose, load_dataset, match, run_benchmark,
                                score, system_recall_at_k)
 
-from conftest import make_config
+from speckg.gateway import FixtureStore, Gateway
+from speckg.offline import OfflineModel
+
+from conftest import make_config, make_offline_gateway
 
 
 class TestDecompose:
@@ -278,3 +284,93 @@ class TestBenchmark:
         parallel = run_benchmark(dataset, graph, offline_gateway, parallel_cfg)
         assert json.dumps(serial.to_dict(), sort_keys=True) == \
                json.dumps(parallel.to_dict(), sort_keys=True)
+
+
+class SamplingOffline(OfflineModel):
+    """The offline rules behind a provider that declares it samples."""
+
+    deterministic = False
+
+
+class CountingGateway(Gateway):
+    """Counts chat calls by task tag."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = Counter()
+
+    def chat(self, req):
+        self.calls[req.task_tag] += 1
+        return super().chat(req)
+
+
+def paper_cfg():
+    cfg = make_config()
+    assert (cfg.eval.n_runs, cfg.eval.n_judge) == (5, 20)
+    return cfg
+
+
+class TestRepetitions:
+    def gateway(self, mode, store, cls=CountingGateway, provider=None):
+        return cls(provider=provider if mode != "replay" else None, mode=mode,
+                   fixtures=FixtureStore(store) if mode != "live" else None,
+                   chat_model="offline-chat", embedding_model="offline-embed")
+
+    @pytest.mark.parametrize("mode", ["replay", "record", "live"])
+    def test_fixed_replies_answer_once_and_judge_once(self, mode, tmp_path, dataset, graph):
+        cfg = paper_cfg()
+        store = tmp_path / "replies.jsonl"
+        if mode == "replay":
+            recorder = self.gateway("record", store, Gateway, OfflineModel())
+            for item in dataset:
+                evaluation.evaluate_item(recorder, graph, item, cfg)
+        for item in dataset:
+            once = self.gateway(mode, store, provider=OfflineModel())
+            record = reasoning.run(item.question, graph, once, cfg)
+            atomic_score(once, record.answer, item.gold_atoms)
+            gw = self.gateway(mode, store, provider=OfflineModel())
+            result = evaluation.evaluate_item(gw, graph, item, cfg)
+            assert gw.calls == once.calls
+            assert result.samples == 1
+            assert result.error is None
+            assert gw.replies_fixed
+
+    def test_sampling_provider_keeps_every_repetition(self, dataset, graph):
+        # the offline rules answer alike either way, so the n_runs x n_judge
+        # samples of a sampling provider must agree with the single sample
+        cfg = paper_cfg()
+        sampling = self.gateway("live", None, provider=SamplingOffline())
+        assert not sampling.replies_fixed
+        fixed = make_offline_gateway()
+        for item in dataset:
+            sampled = evaluation.evaluate_item(sampling, graph, item, cfg)
+            once = evaluation.evaluate_item(fixed, graph, item, cfg)
+            assert sampled.samples == 100
+            assert once.samples == 1
+            assert dataclasses.replace(sampled, samples=1) == once
+        assert sampling.calls["atom-match"] >= 100 * len(dataset)
+
+    def test_system_recall_averaged_over_runs(self, dataset, graph, monkeypatch):
+        item = dataset[0]
+        gold = item.gold_passages
+        records = iter([
+            reasoning.AnswerRecord(question=item.question, answer=item.gold_answer,
+                                   provenance=[], retrieval_log=[{"accepted": list(gold)}],
+                                   rounds_used=1, flags=[], thoughts=[]),
+            reasoning.AnswerRecord(question=item.question, answer=item.gold_answer,
+                                   provenance=[], retrieval_log=[{"accepted": []}],
+                                   rounds_used=1, flags=[], thoughts=[]),
+        ])
+        monkeypatch.setattr(evaluation.reasoning, "run", lambda *args: next(records))
+        cfg = make_config()
+        cfg.eval.n_runs, cfg.eval.n_judge = 2, 1
+        gw = self.gateway("live", None, provider=SamplingOffline())
+        result = evaluation.evaluate_item(gw, graph, item, cfg)
+        assert result.samples == 2
+        assert result.system_recall == 0.5
+
+    def test_benchmark_logs_effective_repetitions(self, dataset, graph, caplog):
+        with caplog.at_level(logging.INFO, logger="speckg.evaluation"):
+            run_benchmark(dataset[:1], graph, make_offline_gateway(), paper_cfg())
+        assert ("replies fixed by request: 1 run x 1 judge per item (config: 5 x 20)"
+                in caplog.messages)

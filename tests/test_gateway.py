@@ -113,6 +113,69 @@ class TestRecordReplay:
         assert verdict == {"match_index": 0}
 
 
+class TestFixtureWrites:
+    def test_puts_open_the_file_once(self, tmp_path, monkeypatch):
+        import builtins
+
+        from speckg import gateway as gateway_module
+
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(gateway_module, "open", counting_open, raising=False)
+        store = FixtureStore(tmp_path / "replies.jsonl")
+        for i in range(500):
+            store.put(f"d{i}", "embed", {"kind": "vector", "values": [float(i)]})
+        assert opened == [tmp_path / "replies.jsonl"]
+        assert len((tmp_path / "replies.jsonl").read_text().splitlines()) == 500
+
+    def test_open_store_is_readable_record_by_record(self, tmp_path):
+        # every put is flushed: a second store on the same path, opened while
+        # the first still holds its handle, loads every record
+        path = tmp_path / "nested" / "replies.jsonl"
+        first = FixtureStore(path)
+        for i in range(3):
+            first.put(f"d{i}", "summarize", {"kind": "text", "text": f"reply {i}"})
+            second = FixtureStore(path)
+            assert second.entries == first.entries
+        assert len(second) == 3
+
+    def test_repeated_digest_written_once(self, tmp_path):
+        store = FixtureStore(tmp_path / "replies.jsonl")
+        store.put("d", "summarize", {"kind": "text", "text": "first"})
+        store.put("d", "summarize", {"kind": "text", "text": "second"})
+        assert FixtureStore(tmp_path / "replies.jsonl").get("d") == {"kind": "text", "text": "first"}
+
+
+class TestRepliesFixed:
+    class Sampler:
+        """A provider that declares nothing about its replies."""
+
+        def chat(self, request, model):
+            return "reply"
+
+        def embed(self, texts, model):
+            return [[1.0] for _ in texts]
+
+    def test_replay_without_provider(self, tmp_path):
+        gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(tmp_path / "r.jsonl"))
+        assert gw.replies_fixed
+
+    def test_record_serves_repeats_from_the_store(self, tmp_path):
+        gw = Gateway(provider=self.Sampler(), mode="record",
+                     fixtures=FixtureStore(tmp_path / "r.jsonl"))
+        assert gw.replies_fixed
+
+    def test_live_offline_provider_is_deterministic(self):
+        assert make_offline_gateway().replies_fixed
+
+    def test_live_provider_that_declares_nothing_samples(self):
+        assert not Gateway(provider=self.Sampler(), mode="live").replies_fixed
+
+
 def test_digest_format_frozen():
     # a fixed digest pins the hashing layout: accidental format drift would
     # silently invalidate every recorded fixture store in the wild

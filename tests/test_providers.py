@@ -35,6 +35,13 @@ class TestMakeProvider:
             make_provider("ftp://nope")
 
 
+def test_declared_determinism():
+    # the offline rules answer a request the same way every time; a hosted
+    # model samples
+    assert OfflineModel.deterministic is True
+    assert HttpProvider.deterministic is False
+
+
 class TestHttpProvider:
     @pytest.fixture()
     def provider(self, monkeypatch):
