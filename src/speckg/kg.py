@@ -275,11 +275,16 @@ class EmbeddingIndex:
     keys: list[str]
     matrix: np.ndarray  # float32, unit rows
     model_id: str
+    # the matrix and its values widened to float64 for scoring, made on the
+    # first query and again if the matrix is replaced; never saved
+    _wide: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def top_similar(self, query: np.ndarray, n: int) -> list[tuple[str, float]]:
         if len(self.keys) == 0:
             raise EmptyGraph("embedding index is empty")
-        scores = self.matrix.astype(np.float64) @ np.asarray(query, dtype=np.float64)
+        if self._wide is None or self._wide[0] is not self.matrix:
+            self._wide = (self.matrix, self.matrix.astype(np.float64))
+        scores = self._wide[1] @ np.asarray(query, dtype=np.float64)
         count = len(self.keys)
         candidates = range(count)
         if 0 < n < count:

@@ -81,6 +81,7 @@ class Walk:
     dst: np.ndarray
     prob: np.ndarray  # transition probability of each edge
     dangling: np.ndarray  # indices of the nodes without out-weight
+    component: np.ndarray  # each node's weakly connected component: its least node
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """``Wᵀx``: each node's in-edges added in source order, the order of a
@@ -88,6 +89,33 @@ class Walk:
         edgeless walk's ``bincount`` comes back as integer zeros.)"""
         return np.bincount(self.dst, weights=self.prob * x[self.src],
                            minlength=self.n_nodes).astype(np.float64, copy=False)
+
+    def restrict(self, active: np.ndarray) -> Walk:
+        """The walk over the nodes where ``active`` holds, a union of whole
+        components, renumbered in their order. No edge crosses the border of a
+        component, and each node keeps its in-edges in their order, so ``step``
+        adds the same terms in the same order as on the whole walk."""
+        index = np.cumsum(active) - 1
+        keep = active[self.src]
+        return Walk(int(index[-1]) + 1, index[self.src[keep]], index[self.dst[keep]],
+                    self.prob[keep], index[self.dangling[active[self.dangling]]],
+                    index[self.component[active]])
+
+
+def weak_components(n_nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each node's weakly connected component, labelled by its least node."""
+    parent = list(range(n_nodes))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, j in zip(src.tolist(), dst.tolist()):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return np.array([root(i) for i in range(n_nodes)], dtype=np.intp)
 
 
 def build_walk(n_nodes: int, edges: Sequence[tuple[int, int, float]]) -> Walk:
@@ -107,7 +135,8 @@ def build_walk(n_nodes: int, edges: Sequence[tuple[int, int, float]]) -> Walk:
     dangling = out_weight == 0.0
     inv = np.zeros(n_nodes)
     inv[~dangling] = 1.0 / out_weight[~dangling]
-    return Walk(n_nodes, src, dst, inv[src] * weight, np.flatnonzero(dangling))
+    return Walk(n_nodes, src, dst, inv[src] * weight, np.flatnonzero(dangling),
+                weak_components(n_nodes, src, dst))
 
 
 def walk_scores(walk: Walk, personalization: np.ndarray, damping: float) -> np.ndarray:
@@ -123,20 +152,41 @@ def walk_scores(walk: Walk, personalization: np.ndarray, damping: float) -> np.n
     if p.shape != (walk.n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
         raise InvalidInput("personalization must be a nonnegative distribution")
 
+    # Mass never leaves the components that hold personalization mass: no edge
+    # leads out of them and the restart only returns into them. Every other
+    # node scores exactly 0.0, as in the iteration over the whole walk, so the
+    # iteration runs over those components alone.
+    seeded = np.zeros(walk.n_nodes, dtype=bool)
+    seeded[walk.component[p > 0]] = True
+    active = seeded[walk.component]
+    sub = walk if active.all() else walk.restrict(active)
+    q = p if sub is walk else p[active]
+    # The dangling mass is summed over all of the walk's dangling nodes in
+    # their order, the inactive ones as the zeros they hold: a sum over the
+    # active ones alone would group numpy's pairwise additions differently.
+    dangling_x = np.zeros(walk.dangling.size)
+    slots = np.flatnonzero(active[walk.dangling])
+
     # Each step performs the float operations of (1-d)·p + d·(Wᵀx + m·p), m
     # the dangling mass, one at a time in place, so the scores, and the exact
     # ties rank_passages breaks by id, are those of the formula bit for bit.
-    # Without dangling nodes m·p is all zeros, and adding it changes no bit.
-    restart = (1.0 - damping) * p
-    x = p
+    # Without active dangling nodes m·p is all zeros, and adding it changes
+    # no bit.
+    restart = (1.0 - damping) * q
+    x = q
     for _ in range(math.ceil(math.log(WALK_ERROR) / math.log(damping))):
-        x_next = walk.step(x)
-        if walk.dangling.size:
-            x_next += float(x[walk.dangling].sum()) * p
+        x_next = sub.step(x)
+        if slots.size:
+            dangling_x[slots] = x[sub.dangling]
+            x_next += float(dangling_x.sum()) * q
         x_next *= damping
         x_next += restart
         x = x_next
-    return x
+    if sub is walk:
+        return x
+    scores = np.zeros(walk.n_nodes)
+    scores[active] = x
+    return scores
 
 
 def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
@@ -156,11 +206,13 @@ def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
 @dataclass(frozen=True)
 class GraphWalk:
     """A graph's walk with its node keys in walk order, and the graph state it
-    was built from."""
+    was built from. The passages lie contiguous in that order, sorted by id."""
 
     keys: list[str]
     index: dict[str, int]
     walk: Walk
+    passages: slice  # the passages' positions in walk order
+    passage_ids: list[str]
     edges: list[Edge]
     nodes: tuple[set[str], set[str], set[str]]  # entity, passage, statement ids
 
@@ -187,20 +239,23 @@ def graph_walk(kg: SpecGraph) -> GraphWalk:
         i, j = index[edge.src], index[edge.dst]
         edges.append((i, j, 1.0))
         edges.append((j, i, 1.0))
+    passages = slice(len(kg.entities), len(kg.entities) + len(kg.passages))
     kg._walk = GraphWalk(keys, index, build_walk(len(keys), edges),
+                         passages=passages, passage_ids=sorted(kg.passages),
                          edges=list(kg.edges),
                          nodes=(set(kg.entities), set(kg.passages), set(kg.statements)))
     return kg._walk
 
 
 def ppr(kg: SpecGraph, seed_weights: dict[str, float],
-        damping: float) -> tuple[dict[str, float], bool]:
-    """Personalized PageRank over the whole graph; edges walk both ways.
+        damping: float) -> tuple[np.ndarray, bool]:
+    """Personalized PageRank over the seeds' components; edges walk both ways.
 
-    The walk is the graph's cached one (``graph_walk``); only the
-    personalization is built per call, uniform when no seed carries weight.
-    The second item is always True, as the walk's fixed step count always
-    meets its error bound; it stays because ``perfbench/spans.py`` reads it.
+    The scores come in ``graph_walk(kg).keys`` order. The walk is the graph's
+    cached one; only the personalization is built per call, uniform when no
+    seed carries weight. The second item is always True, as the walk's fixed
+    step count always meets its error bound; it stays because
+    ``perfbench/spans.py`` reads it.
     """
     walk = graph_walk(kg)
     p = np.zeros(len(walk.keys))
@@ -210,14 +265,18 @@ def ppr(kg: SpecGraph, seed_weights: dict[str, float],
         p[walk.index[key]] = weight
     if p.sum() <= 0:
         p[:] = 1.0 / len(walk.keys)
-    scores = walk_scores(walk.walk, p, damping)
-    return dict(zip(walk.keys, scores.tolist())), True
+    return walk_scores(walk.walk, p, damping), True
 
 
-def rank_passages(scores: dict[str, float]) -> list[tuple[str, float]]:
-    """Passage nodes ordered by score descending, lexicographic id tiebreak."""
-    items = [(key[2:], score) for key, score in scores.items() if key.startswith("p:")]
-    return sorted(items, key=lambda kv: (-kv[1], kv[0]))
+def rank_passages(kg: SpecGraph, scores: np.ndarray) -> list[tuple[str, float]]:
+    """Passage ids ordered by score descending, lexicographic id tiebreak, from
+    ``ppr``'s scores. The passages' slice of the scores is in id order, so a
+    stable sort of their negated scores breaks ties by id."""
+    walk = graph_walk(kg)
+    passage_scores = scores[walk.passages]
+    values = passage_scores.tolist()
+    return [(walk.passage_ids[i], values[i])
+            for i in np.argsort(-passage_scores, kind="stable").tolist()]
 
 
 Summarizer = Callable[[str, list[str]], str]
@@ -342,7 +401,7 @@ def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway
     """Full pipeline for one sub-query: seed → pagerank → expand → filter."""
     weights = seed(query, kg, cfg.retrieval.n_seeds, gateway)
     scores, _ = ppr(kg, weights, cfg.ppr.damping)
-    state = RetrievalState(query=query, ranked_candidates=rank_passages(scores))
+    state = RetrievalState(query=query, ranked_candidates=rank_passages(kg, scores))
 
     def summarize(q: str, passage_ids: list[str]) -> str:
         payload = [{"passage_id": pid, "text": kg.passages[pid].text}

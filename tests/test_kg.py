@@ -167,6 +167,29 @@ class TestTopSimilar:
             for n in range(1, len(keys) + 3):  # n >= len(keys) included
                 assert index.top_similar(query, n) == full_sort_top(index, query, n)
 
+    def test_matrix_widened_once_per_index(self):
+        rng = np.random.default_rng(1)
+        matrix = rng.standard_normal((50, 16)).astype(np.float32)
+        keys = [f"k{i:02d}" for i in range(50)]
+        index = kgmod.EmbeddingIndex(keys, matrix, "test")
+        plain = kgmod.EmbeddingIndex(keys, matrix, "test")
+        widened = []
+        astype = np.ndarray.astype
+
+        class Counted(np.ndarray):
+            def astype(self, *args, **kwargs):
+                widened.append(args)
+                return astype(np.asarray(self), *args, **kwargs)
+
+        index.matrix = matrix.view(Counted)
+        for _ in range(3):
+            query = rng.standard_normal(16)
+            assert index.top_similar(query, 50) == full_sort_top(plain, query, 50)
+        assert len(widened) == 1
+        index.matrix = plain.matrix = matrix[::-1].copy()  # widened again
+        assert index.top_similar(query, 50) == full_sort_top(plain, query, 50)
+        assert index.matrix.dtype == np.float32
+
 
 def small_corpus():
     ir = proc_ir()

@@ -317,21 +317,140 @@ class TestPagerankCore:
                 ppr(graph, weights, 0.85)
 
 
+def components_oracle(n, edges):
+    """Each node's weakly connected component, by breadth-first search over the
+    edges taken both ways, labelled by its least node."""
+    neighbours = [set() for _ in range(n)]
+    for i, j, _ in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    label = [-1] * n
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start], frontier = start, [start]
+        while frontier:
+            reached = {j for i in frontier for j in neighbours[i] if label[j] < 0}
+            for j in reached:
+                label[j] = start
+            frontier = list(reached)
+    return label
+
+
+def isolated_seed_graph(rng):
+    """Weighted directed edges among some nodes, which fall into several
+    components with directed dangling nodes, and 3 to 11 isolated nodes, three
+    or more of them seeded: every isolated seed adds to the dangling mass."""
+    n_isolated, n_linked = int(rng.integers(3, 12)), int(rng.integers(2, 30))
+    n = n_isolated + n_linked
+    nodes = rng.permutation(n)
+    isolated, linked = nodes[:n_isolated], nodes[n_isolated:]
+    edges = [(int(i), int(j), float(rng.uniform(0.1, 2.0)))
+             for i, j in (rng.choice(linked, 2) for _ in range(int(rng.integers(0, 2 * n_linked))))]
+    seeds = np.concatenate([
+        rng.choice(isolated, int(rng.integers(3, n_isolated + 1)), replace=False),
+        rng.choice(linked, int(rng.integers(0, 3)), replace=False)])
+    p = np.zeros(n)
+    p[seeds] = rng.uniform(0.01, 1.0, seeds.size)
+    return n, edges, p / p.sum()
+
+
+class TestComponentWalk:
+    """The walk runs over the seeds' components alone; its scores must be the
+    whole walk's, bit for bit."""
+
+    def test_components_match_breadth_first_search(self):
+        rng = np.random.default_rng(19)
+        for trial in range(100):
+            n, edges, _ = isolated_seed_graph(rng)
+            walk = retrieval.build_walk(n, edges)
+            assert walk.component.tolist() == components_oracle(n, edges)
+
+    @pytest.mark.parametrize("damping", [0.5, 0.85])
+    def test_matches_the_whole_walk_bit_for_bit(self, damping):
+        # Summing the dangling mass over the active nodes alone, instead of
+        # over every dangling node in order, fails this on several graphs.
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            n, edges, p = isolated_seed_graph(rng)
+            ours = pagerank_scores(n, edges, p, damping)
+            assert ours.tobytes() == formula_pagerank(n, edges, p, damping).tobytes()
+
+    def test_nodes_outside_the_seeds_components_score_zero(self):
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(100):
+            n, edges, p = isolated_seed_graph(rng)
+            label = components_oracle(n, edges)
+            seeded = {label[i] for i in np.flatnonzero(p)}
+            outside = [i for i in range(n) if label[i] not in seeded]
+            scores = pagerank_scores(n, edges, p, 0.85)
+            assert all(scores[i] == 0.0 for i in outside)
+            assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+            checked += len(outside)
+        assert checked > 500
+
+    @pytest.fixture
+    def step_sizes(self, monkeypatch):
+        """The length of every vector ``Walk.step`` is given."""
+        sizes = []
+        step = retrieval.Walk.step
+        monkeypatch.setattr(retrieval.Walk, "step",
+                            lambda walk, x: sizes.append(x.size) or step(walk, x))
+        return sizes
+
+    def test_steps_touch_only_the_seeds_components(self, graph, step_sizes):
+        gw = retrieval.graph_walk(graph)
+        component = gw.walk.component
+        for key in gw.keys:
+            step_sizes.clear()
+            ppr(graph, {key: 1.0}, 0.85)
+            active = int(np.sum(component == component[gw.index[key]]))
+            assert step_sizes == [active] * walk_steps(0.85)
+            assert active < len(gw.keys)  # the fixture graph is not connected
+
+    def test_uniform_personalization_walks_the_whole_graph(self, graph, step_sizes):
+        scores, _ = ppr(graph, {}, 0.85)
+        assert step_sizes == [len(graph.all_node_keys())] * walk_steps(0.85)
+        assert np.all(scores > 0)
+
+
+def dict_rank_passages(keys, scores):
+    """The ranking as a dict over every node filtered to passages and sorted:
+    the oracle for rank_passages."""
+    by_key = dict(zip(keys, scores.tolist()))
+    items = [(key[2:], score) for key, score in by_key.items() if key.startswith("p:")]
+    return sorted(items, key=lambda kv: (-kv[1], kv[0]))
+
+
 class TestPPROverGraph:
     def test_scores_sum_to_one(self, graph):
         keys = graph.all_node_keys()
         scores, converged = ppr(graph, {keys[0]: 1.0}, 0.85)
         assert converged is True  # always: perfbench's spans read it
-        assert sum(scores.values()) == pytest.approx(1.0, abs=1e-8)
+        assert scores.shape == (len(keys),) and scores.dtype == np.float64
+        assert scores.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_rank_passages_orders_by_score_then_id(self):
-        scores = {"p:b": 0.5, "p:a": 0.5, "p:c": 0.9, "e:x": 1.0}
-        ranked = rank_passages(scores)
+        graph = SpecGraph()
+        graph.entities = {"x"}
+        for pid in ("b", "a", "c"):
+            add_passage(graph, pid)
+        assert retrieval.graph_walk(graph).keys == ["e:x", "p:a", "p:b", "p:c"]
+        ranked = rank_passages(graph, np.array([1.0, 0.5, 0.5, 0.9]))
         assert ranked == [("c", 0.9), ("a", 0.5), ("b", 0.5)]
+
+    @pytest.mark.parametrize("damping", [0.5, 0.85])
+    def test_ranking_matches_the_dict_sort_for_every_sole_seed(self, graph, damping):
+        keys = retrieval.graph_walk(graph).keys
+        for key in keys:
+            scores, _ = ppr(graph, {key: 1.0}, damping)
+            assert rank_passages(graph, scores) == dict_rank_passages(keys, scores)
 
 
 def uncached_ppr(kg, seed_weights, damping):
-    """``ppr`` from scratch: a new bidirectional edge list for pagerank_scores."""
+    """``ppr`` from scratch: a new bidirectional edge list, walked whole by
+    ``formula_pagerank``, components and all."""
     keys = kg.all_node_keys()
     index = {key: i for i, key in enumerate(keys)}
     edges = []
@@ -344,8 +463,13 @@ def uncached_ppr(kg, seed_weights, damping):
         p[index[key]] = weight
     if p.sum() <= 0:
         p[:] = 1.0 / len(keys)
-    scores = pagerank_scores(len(keys), edges, p, damping)
-    return {key: float(scores[i]) for i, key in enumerate(keys)}, True
+    return formula_pagerank(len(keys), edges, p, damping), True
+
+
+def as_bytes(result):
+    """A ``ppr`` result with its scores as bytes, for exact comparison."""
+    scores, converged = result
+    return scores.tobytes(), converged
 
 
 def add_passage(graph, pid):
@@ -374,7 +498,8 @@ class TestCachedWalk:
     @pytest.mark.parametrize("damping", [0.5, 0.85])
     def test_every_sole_seed_matches_uncached(self, graph, damping):
         for key in graph.all_node_keys():
-            assert ppr(graph, {key: 1.0}, damping) == uncached_ppr(graph, {key: 1.0}, damping)
+            assert (as_bytes(ppr(graph, {key: 1.0}, damping))
+                    == as_bytes(uncached_ppr(graph, {key: 1.0}, damping)))
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(), st.data())
@@ -388,8 +513,9 @@ class TestCachedWalk:
         raw = [data.draw(st.floats(0.01, 1.0)) for _ in seeds]
         weights = {key: w / sum(raw) for key, w in zip(seeds, raw)}
         for damping in (0.85, 0.1):
-            assert ppr(graph, weights, damping) == uncached_ppr(graph, weights, damping)
-            assert ppr(graph, weights, damping) == uncached_ppr(graph, weights, damping)
+            expected = as_bytes(uncached_ppr(graph, weights, damping))
+            assert as_bytes(ppr(graph, weights, damping)) == expected
+            assert as_bytes(ppr(graph, weights, damping)) == expected
 
     def test_nodeless_graph_raises(self):
         graph = SpecGraph()
@@ -421,22 +547,22 @@ class TestCachedWalk:
                        Edge("mention", "e:ctrl register", "p:p2"),
                        Edge("mention", "e:fsm", "p:p3")]
         params = ({"p:p1": 1.0}, 0.85)
-        before = ppr(graph, *params)
-        assert before == uncached_ppr(graph, *params)
+        before = as_bytes(ppr(graph, *params))
+        assert before == as_bytes(uncached_ppr(graph, *params))
 
         kgmod.apply_normalization(graph)  # reassigns edges and entities
-        after_merge = ppr(graph, *params)
-        assert after_merge == uncached_ppr(graph, *params)
+        after_merge = as_bytes(ppr(graph, *params))
+        assert after_merge == as_bytes(uncached_ppr(graph, *params))
         assert after_merge[0] != before[0]
 
         graph.edges.append(Edge("mention", "e:fsm", "p:p2"))  # in place
-        after_append = ppr(graph, *params)
-        assert after_append == uncached_ppr(graph, *params)
+        after_append = as_bytes(ppr(graph, *params))
+        assert after_append == as_bytes(uncached_ppr(graph, *params))
         assert after_append[0] != after_merge[0]
 
         add_passage(graph, "p4")
-        assert set(ppr(graph, *params)[0]) == set(graph.all_node_keys())
-        assert ppr(graph, *params) == uncached_ppr(graph, *params)
+        assert len(ppr(graph, *params)[0]) == len(graph.all_node_keys())
+        assert as_bytes(ppr(graph, *params)) == as_bytes(uncached_ppr(graph, *params))
 
     def test_interchangeable_passages_tie_exactly(self):
         # A star seeded at its centre: every passage is the same distance from
@@ -452,10 +578,12 @@ class TestCachedWalk:
         graph.edges.append(Edge("mention", "e:leaf", "p:12"))
         for damping in (0.5, 0.85):
             scores, _ = ppr(graph, {"e:hub": 1.0}, damping)
-            ranked = rank_passages(scores)
+            ranked = rank_passages(graph, scores)
+            score = {pid: scores[retrieval.graph_walk(graph).index[f"p:{pid}"]]
+                     for pid in ids}
             tied = [pid for pid in ids if pid not in ("7", "12")]
-            assert len({scores[f"p:{pid}"] for pid in tied}) == 1
-            assert scores["p:7"] == scores["p:12"]
+            assert len({score[pid] for pid in tied}) == 1
+            assert score["7"] == score["12"]
             assert [pid for pid, _ in ranked] == ["12", "7"] + sorted(tied)
 
 
