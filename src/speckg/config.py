@@ -17,6 +17,7 @@ import yaml
 
 from .errors import ConfigError
 from .gateway import FixtureStore, Gateway
+from .prompts import TASK_TAGS
 from .providers import make_provider
 from .retrieval import MAX_DAMPING
 
@@ -99,6 +100,10 @@ class RunConfig:
             raise ConfigError(f"gateway.mode must be live/record/replay, got {self.gateway.mode!r}")
         if self.gateway.mode in ("record", "replay") and not self.gateway.fixture_path:
             raise ConfigError(f"gateway.mode={self.gateway.mode} requires gateway.fixture_path")
+        for tag in self.provider.task_models:
+            if tag not in TASK_TAGS:
+                raise ConfigError(f"provider.task_models routes {tag!r}, which names no task; "
+                                  f"tasks are {', '.join(TASK_TAGS)}")
         if self.retrieval.k0 < 1 or self.retrieval.delta_k < 1:
             raise ConfigError("retrieval.k0 and retrieval.delta_k must be >= 1")
         if self.retrieval.n_seeds < 1:

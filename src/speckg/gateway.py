@@ -187,24 +187,20 @@ class Gateway:
     def chat(self, req: ChatRequest):
         """Return the reply for ``req``: text for freeform, parsed JSON otherwise."""
         model = self.task_models.get(req.task_tag, self.chat_model)
+        if self.mode == "live":
+            return self._chat_live(req, model)
+
+        # Only the fixture store reads the digest.
         digest = chat_digest(req, model)
-
-        if self.mode == "replay":
-            record = self.fixtures.get(digest)
-            if record is None:
-                raise FixtureMiss(
-                    f"no fixture for task_tag={req.task_tag!r} digest={digest[:12]}..."
-                )
+        record = self.fixtures.get(digest)
+        if record is not None:
             return self._decode_chat(req, record)
-
-        if self.mode == "record":
-            record = self.fixtures.get(digest)
-            if record is not None:
-                return self._decode_chat(req, record)
-
+        if self.mode == "replay":
+            raise FixtureMiss(
+                f"no fixture for task_tag={req.task_tag!r} digest={digest[:12]}..."
+            )
         reply = self._chat_live(req, model)
-        if self.mode == "record":
-            self.fixtures.put(digest, req.task_tag, self._encode_chat(reply))
+        self.fixtures.put(digest, req.task_tag, self._encode_chat(reply))
         return reply
 
     def _chat_live(self, req: ChatRequest, model: str):
@@ -284,18 +280,21 @@ class Gateway:
             if not t.strip():
                 raise InvalidInput("embed() input texts must be non-empty after trim")
 
-        digests = [embed_digest(text, self.embedding_model) for text in texts]
         rows: list = [None] * len(texts)
-        pending: list[int] = []
-        for i, digest in enumerate(digests):
-            if self.mode in ("record", "replay"):
+        if self.mode == "live":
+            pending = list(range(len(texts)))
+        else:
+            # Only the fixture store reads the digests.
+            digests = [embed_digest(text, self.embedding_model) for text in texts]
+            pending = []
+            for i, digest in enumerate(digests):
                 record = self.fixtures.get(digest)
                 if record is not None:
                     rows[i] = record["values"]
-                    continue
-            if self.mode == "replay":
-                raise FixtureMiss(f"no embedding fixture for digest {digest[:12]}...")
-            pending.append(i)
+                elif self.mode == "replay":
+                    raise FixtureMiss(f"no embedding fixture for digest {digest[:12]}...")
+                else:
+                    pending.append(i)
 
         if pending:
             batch = [texts[i] for i in pending]

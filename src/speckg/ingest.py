@@ -294,16 +294,20 @@ def _passage_spans(text: str) -> list[tuple[int, int]]:
 
 # --- per-sentence extraction ---------------------------------------------------
 
-def classify_sentence(gateway: Gateway, sentence: str, passage: Passage) -> str:
-    reply = gateway.chat(prompts.classify_sentence(sentence, passage.section_path))
-    return reply["kind"]
+def classify_sentence(gateway: Gateway, sentence: str, passage: Passage) -> dict:
+    """Classify and parse one sentence in a single model call.
 
-
-def extract_ir(gateway: Gateway, sentence: str, kind: str, passage: Passage,
-               sentence_id: str, span: tuple[int, int]) -> SemanticIR:
+    Returns the schema-checked ``semantic-ir`` reply: its ``kind`` and that
+    kind's fields, or a skip. A blank sentence is skipped without a call.
+    """
     if not sentence.strip():
         raise SkippedSentence("empty sentence")
-    reply = gateway.chat(prompts.extract_ir(sentence, kind, passage.section_path))
+    return gateway.chat(prompts.extract_ir(sentence, passage.section_path))
+
+
+def extract_ir(reply: dict, passage: Passage, sentence_id: str,
+               span: tuple[int, int]) -> SemanticIR:
+    """Turn a ``classify_sentence`` reply into the sentence's IR."""
     if reply.get("skip"):
         raise SkippedSentence(reply.get("reason", "model skipped sentence"))
     return SemanticIR(
@@ -348,7 +352,8 @@ def distill_anchor(irs: list[SemanticIR]) -> SemanticAnchor | None:
 
 def ingest_document(gateway: Gateway, document: str, doc_id: str,
                     max_passage_tokens: int = DEFAULT_MAX_PASSAGE_TOKENS) -> Corpus:
-    """Full ingest: chunk, classify + parse every sentence, distill anchors.
+    """Full ingest: chunk, classify and parse every sentence in one model
+    call, distill anchors.
 
     Extraction results are committed in document order so corpus files are
     deterministic regardless of call scheduling.
@@ -362,8 +367,8 @@ def ingest_document(gateway: Gateway, document: str, doc_id: str,
             sentence = passage.text[start:end]
             sentence_id = f"{passage.passage_id}:s{index:03d}"
             try:
-                kind = classify_sentence(gateway, sentence, passage)
-                ir = extract_ir(gateway, sentence, kind, passage, sentence_id, (start, end))
+                reply = classify_sentence(gateway, sentence, passage)
+                ir = extract_ir(reply, passage, sentence_id, (start, end))
             except SkippedSentence as exc:
                 skipped.append({"sentence_id": sentence_id, "reason": str(exc)})
                 continue

@@ -679,7 +679,6 @@ class OfflineModel:
     def chat(self, request: ChatRequest, model: str) -> str:
         payload = extract_payload(request.user_prompt)
         handler = {
-            "classify-sentence": self._classify,
             "ir-extract": self._extract_ir,
             "summarize": self._summarize,
             "reason": self._reason,
@@ -713,17 +712,15 @@ class OfflineModel:
     # -- task handlers --------------------------------------------------------
 
     @staticmethod
-    def _classify(payload: dict) -> dict:
-        return {"kind": classify(payload["sentence"])}
-
-    @staticmethod
     def _extract_ir(payload: dict) -> dict:
         parse = parse_sentence(payload["sentence"])
         if parse is None:
             return {"skip": True, "reason": "no technical content"}
-        if payload.get("kind") == "declarative" or parse.kind == "declarative":
+        # The kind comes from the sentence as given; the parse sees it with
+        # whitespace collapsed and list markers stripped.
+        if classify(payload["sentence"]) == "declarative" or parse.kind == "declarative":
             if parse.kind != "declarative":
-                # Caller's template wins; re-parse declaratively.
+                # The sentence's kind wins; re-parse declaratively.
                 entity, attrs = _parse_declarative(payload["sentence"])
                 return {
                     "kind": "declarative",

@@ -18,15 +18,12 @@ GENERATIVE_TEMPERATURE = 0.7
 EVALUATION_TEMPERATURE = 0.2
 
 _SYSTEM = {
-    "classify-sentence": (
-        "You categorize one sentence from a hardware specification as either a "
-        "declarative functional description (static properties, register fields, "
-        "signal functions) or a procedural behavioral description (state "
-        "transitions, conditional triggers, signal assignments). Reply with JSON: "
-        '{"kind": "declarative"} or {"kind": "procedural"}.'
-    ),
     "ir-extract": (
-        "You deconstruct one specification sentence into a compact JSON structure. "
+        "You deconstruct one sentence from a hardware specification into a compact "
+        "JSON structure. First decide its kind: a declarative functional description "
+        "(static properties, register fields, signal functions) or a procedural "
+        "behavioral description (state transitions, conditional triggers, signal "
+        "assignments). Then parse it with that kind's template, \"kind\" first. "
         "Declarative sentences become {\"kind\": \"declarative\", \"central_entity\": ..., "
         "\"attributes\": [{\"name\": ..., \"value\": ...}]}. Procedural sentences become "
         "{\"kind\": \"procedural\", \"trigger\": ..., \"condition\": ..., \"action\": "
@@ -65,6 +62,9 @@ _SYSTEM = {
     ),
 }
 
+# Every task the pipeline asks a chat model for; routing keys must name one.
+TASK_TAGS = tuple(_SYSTEM)
+
 
 def extract_payload(user_prompt: str) -> dict:
     """Recover the fenced JSON input block from a rendered user prompt."""
@@ -78,25 +78,13 @@ def _render(instruction: str, payload: dict) -> str:
     return f"{instruction}\n\nInput:\n```json\n{json.dumps(payload, ensure_ascii=False, sort_keys=True)}\n```"
 
 
-def classify_sentence(sentence: str, section_path: list[str]) -> ChatRequest:
-    return ChatRequest(
-        task_tag="classify-sentence",
-        system_prompt=_SYSTEM["classify-sentence"],
-        user_prompt=_render("Categorize this sentence.",
-                            {"sentence": sentence, "section": section_path}),
-        temperature=GENERATIVE_TEMPERATURE,
-        response_schema_id="sentence-kind",
-    )
-
-
-def extract_ir(sentence: str, kind: str, section_path: list[str]) -> ChatRequest:
+def extract_ir(sentence: str, section_path: list[str]) -> ChatRequest:
     return ChatRequest(
         task_tag="ir-extract",
         system_prompt=_SYSTEM["ir-extract"],
-        user_prompt=_render(
-            f"Deconstruct this sentence using the {kind} template.",
-            {"sentence": sentence, "kind": kind, "section": section_path},
-        ),
+        user_prompt=_render("Classify this sentence, then deconstruct it using "
+                            "that kind's template.",
+                            {"sentence": sentence, "section": section_path}),
         temperature=GENERATIVE_TEMPERATURE,
         response_schema_id="semantic-ir",
     )

@@ -21,64 +21,70 @@ _ANCHOR = {
     "additionalProperties": False,
 }
 
-SCHEMAS: dict[str, dict] = {
-    "sentence-kind": {
-        "type": "object",
-        "required": ["kind"],
-        "properties": {"kind": {"enum": ["declarative", "procedural"]}},
-        "additionalProperties": False,
+# The three semantic-ir reply shapes exclude each other (a skip has no kind,
+# and each parse names its own kind), so the schema checks one of them: a
+# reply is a skip if it carries "skip", a procedural parse if its kind says
+# so, and a declarative parse otherwise.
+_SKIP = {
+    "required": ["skip"],
+    "properties": {
+        "skip": {"const": True},
+        "reason": {"type": "string"},
     },
+    "additionalProperties": False,
+}
+
+_DECLARATIVE = {
+    "required": ["kind", "central_entity", "attributes"],
+    "properties": {
+        "kind": {"const": "declarative"},
+        "central_entity": {"type": "string", "minLength": 1},
+        "attributes": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name", "value"],
+                "properties": {
+                    "name": {"type": "string", "minLength": 1},
+                    "value": {"type": "string"},
+                },
+                "additionalProperties": False,
+            },
+        },
+    },
+    "additionalProperties": False,
+}
+
+_PROCEDURAL = {
+    "required": ["kind", "trigger", "condition", "action"],
+    "properties": {
+        "kind": {"const": "procedural"},
+        "trigger": {"type": "string", "minLength": 1},
+        "condition": {"type": "string"},
+        "action": {
+            "type": "object",
+            "required": ["subject", "verb", "object"],
+            "properties": {
+                "subject": {"type": "string", "minLength": 1},
+                "verb": {"type": "string", "minLength": 1},
+                "object": {"type": "string"},
+            },
+            "additionalProperties": False,
+        },
+    },
+    "additionalProperties": False,
+}
+
+SCHEMAS: dict[str, dict] = {
     "semantic-ir": {
         "type": "object",
-        "oneOf": [
-            {
-                "required": ["skip"],
-                "properties": {
-                    "skip": {"const": True},
-                    "reason": {"type": "string"},
-                },
-                "additionalProperties": False,
-            },
-            {
-                "required": ["kind", "central_entity", "attributes"],
-                "properties": {
-                    "kind": {"const": "declarative"},
-                    "central_entity": {"type": "string", "minLength": 1},
-                    "attributes": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["name", "value"],
-                            "properties": {
-                                "name": {"type": "string", "minLength": 1},
-                                "value": {"type": "string"},
-                            },
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-                "additionalProperties": False,
-            },
-            {
-                "required": ["kind", "trigger", "condition", "action"],
-                "properties": {
-                    "kind": {"const": "procedural"},
-                    "trigger": {"type": "string", "minLength": 1},
-                    "condition": {"type": "string"},
-                    "action": {
-                        "type": "object",
-                        "required": ["subject", "verb", "object"],
-                        "properties": {
-                            "subject": {"type": "string", "minLength": 1},
-                            "verb": {"type": "string", "minLength": 1},
-                            "object": {"type": "string"},
-                        },
-                        "additionalProperties": False,
-                    },
-                },
-                "additionalProperties": False,
-            },
-        ],
+        "if": {"required": ["skip"]},
+        "then": _SKIP,
+        "else": {
+            "if": {"required": ["kind"], "properties": {"kind": {"const": "procedural"}}},
+            "then": _PROCEDURAL,
+            "else": _DECLARATIVE,
+        },
     },
     "gap-assess": {
         "type": "object",

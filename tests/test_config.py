@@ -3,8 +3,10 @@ import json
 import pytest
 import yaml
 
+from speckg import prompts
 from speckg.config import RunConfig, build_gateway, load_config
 from speckg.errors import ConfigError
+from speckg.offline import OfflineModel
 
 
 class TestDefaults:
@@ -125,6 +127,40 @@ class TestValidation:
         conf.write_text(yaml.safe_dump({section: {name: value}}))
         with pytest.raises(ConfigError, match=f"unknown config key {key}"):
             load_config(conf)
+
+
+class TestTaskRouting:
+    @pytest.mark.parametrize("tag", ["classify-sentence", "ir_extract", "embed"])
+    def test_unknown_task_tags_rejected(self, tmp_path, tag):
+        # a route for a task the pipeline never requests would route nothing;
+        # configs that still route the removed classify-sentence task fail
+        # at load
+        routes = {"reason": "deep-reasoner", tag: "m"}
+        with pytest.raises(ConfigError, match=f"provider.task_models routes {tag!r}"):
+            load_config(None, overrides={"provider.task_models": routes})
+        conf = tmp_path / "conf.yaml"
+        conf.write_text(yaml.safe_dump({"provider": {"task_models": routes}}))
+        with pytest.raises(ConfigError, match=f"provider.task_models routes {tag!r}"):
+            load_config(conf)
+
+    def test_every_task_tag_routable(self):
+        routes = {tag: f"model-{tag}" for tag in prompts.TASK_TAGS}
+        cfg = load_config(None, overrides={"provider.task_models": routes})
+        assert build_gateway(cfg).task_models == routes
+
+    def test_task_tags_are_the_prompts_tags(self):
+        requests = [
+            prompts.extract_ir("The CTRL register holds the mode.", ["Regs"]),
+            prompts.summarize("q", []),
+            prompts.reason("q", [], []),
+            prompts.synthesize("q", [], [], False),
+            prompts.atom_decompose("a"),
+            prompts.atom_match("a", ["b"]),
+        ]
+        assert sorted(r.task_tag for r in requests) == sorted(prompts.TASK_TAGS)
+        model = OfflineModel()
+        for request in requests:
+            assert isinstance(model.chat(request, "offline-chat"), str)
 
 
 class TestPersistence:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from speckg import gateway as gateway_module
 from speckg import prompts
 from speckg.errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
 from speckg.gateway import ChatRequest, FixtureStore, Gateway, chat_digest, embed_digest
@@ -219,6 +220,20 @@ def test_task_models_route_by_tag():
                  task_models={"reason": "deep-reasoner"})
     assert gw.chat(req(task_tag="summarize")) == "general"
     assert gw.chat(req(task_tag="reason")) == "deep-reasoner"
+
+
+def test_live_mode_hashes_no_request(monkeypatch):
+    # only the fixture store reads digests, and live mode has none
+    def refuse(*_args):
+        raise AssertionError("digest computed in live mode")
+
+    monkeypatch.setattr(gateway_module, "chat_digest", refuse)
+    monkeypatch.setattr(gateway_module, "embed_digest", refuse)
+    gw = make_offline_gateway()
+    assert isinstance(gw.chat(prompts.summarize("q", [{"passage_id": "p", "text": "q x."}])),
+                      str)
+    assert gw.chat(prompts.atom_match("x is 1", ["x is 1"])) == {"match_index": 0}
+    assert gw.embed(["alpha", "beta"]).shape == (2, EMBED_DIM)
 
 
 class VectorProvider:

@@ -4,6 +4,8 @@ from speckg.errors import InvalidInput, SkippedSentence
 from speckg.ingest import (Passage, SemanticIR, chunk, classify_sentence,
                            distill_anchor, extract_ir, ingest_document)
 
+from speckg.offline import OfflineModel
+
 from conftest import make_offline_gateway
 
 HANDBUILT_DOC = """# Device Guide
@@ -91,20 +93,37 @@ def make_passage(text: str) -> Passage:
     return chunk(text, "t")[0]
 
 
+def parse(gw, sentence: str) -> SemanticIR:
+    """The ingest path for a one-sentence passage: one call, then the IR."""
+    passage = make_passage(sentence)
+    reply = classify_sentence(gw, sentence, passage)
+    return extract_ir(reply, passage, "s0", passage.sentence_spans[0])
+
+
+class CountingModel(OfflineModel):
+    """The offline model, logging the task tag of every chat request."""
+
+    def __init__(self):
+        self.tags = []
+
+    def chat(self, request, model):
+        self.tags.append(request.task_tag)
+        return super().chat(request, model)
+
+
 class TestClassify:
     def test_declarative_example(self):
         gw = make_offline_gateway()
         sentence = "The CTRL register contains an 8-bit prescaler field."
-        assert classify_sentence(gw, sentence, make_passage(sentence)) == "declarative"
+        assert classify_sentence(gw, sentence, make_passage(sentence))["kind"] == "declarative"
 
     def test_procedural_example(self):
         gw = make_offline_gateway()
         sentence = "When reset is asserted, the FSM returns to IDLE."
-        assert classify_sentence(gw, sentence, make_passage(sentence)) == "procedural"
+        assert classify_sentence(gw, sentence, make_passage(sentence))["kind"] == "procedural"
 
     def test_deterministic_under_replay(self, tmp_path):
         from speckg.gateway import FixtureStore, Gateway
-        from speckg.offline import OfflineModel
         store = FixtureStore(tmp_path / "f.jsonl")
         rec = Gateway(provider=OfflineModel(), mode="record", fixtures=store,
                       chat_model="offline-chat", embedding_model="offline-embed")
@@ -116,49 +135,72 @@ class TestClassify:
         assert classify_sentence(replay, sentence, passage) == first
         assert classify_sentence(replay, sentence, passage) == first
 
+    def test_reply_carries_the_kind_and_its_fields(self):
+        gw = make_offline_gateway()
+        sentence = "When reset is asserted, the FSM returns to IDLE."
+        assert classify_sentence(gw, sentence, make_passage(sentence)) == {
+            "kind": "procedural", "trigger": "reset asserted", "condition": "",
+            "action": {"subject": "FSM", "verb": "returns to", "object": "IDLE"}}
+
 
 class TestExtractIR:
     def test_procedural_example(self):
-        gw = make_offline_gateway()
-        sentence = "When reset is asserted, the FSM returns to IDLE."
-        passage = make_passage(sentence)
-        ir = extract_ir(gw, sentence, "procedural", passage, "s0", passage.sentence_spans[0])
+        ir = parse(make_offline_gateway(), "When reset is asserted, the FSM returns to IDLE.")
         assert ir.kind == "procedural"
         assert ir.trigger == "reset asserted"
         assert ir.condition == ""
         assert ir.action == {"subject": "FSM", "verb": "returns to", "object": "IDLE"}
 
     def test_declarative_example(self):
-        gw = make_offline_gateway()
-        sentence = "The CTRL register contains a prescaler field."
-        passage = make_passage(sentence)
-        ir = extract_ir(gw, sentence, "declarative", passage, "s0", passage.sentence_spans[0])
+        ir = parse(make_offline_gateway(), "The CTRL register contains a prescaler field.")
         assert ir.kind == "declarative"
         assert ir.central_entity == "CTRL register"
         assert ir.attributes == [{"name": "contains", "value": "prescaler field"}]
 
     def test_two_clause_sentence_fills_condition(self):
-        gw = make_offline_gateway()
         sentence = ("When the start bit is detected, if parity checking is enabled, "
                     "the receiver validates the parity bit.")
-        passage = make_passage(sentence)
-        ir = extract_ir(gw, sentence, "procedural", passage, "s0", passage.sentence_spans[0])
+        ir = parse(make_offline_gateway(), sentence)
         assert ir.trigger == "start bit detected"
         assert ir.condition == "parity checking enabled"
         assert ir.action["subject"] == "receiver"
 
     def test_empty_sentence_skipped(self):
-        gw = make_offline_gateway()
+        model = CountingModel()
+        gw = make_offline_gateway(provider=model)
         passage = make_passage("Some text here.")
         with pytest.raises(SkippedSentence):
-            extract_ir(gw, "   ", "declarative", passage, "s0", (0, 3))
+            classify_sentence(gw, "   ", passage)
+        assert model.tags == []
 
     def test_caption_skipped(self):
-        gw = make_offline_gateway()
-        sentence = "See Figure 3 for the layout."
-        passage = make_passage(sentence)
         with pytest.raises(SkippedSentence):
-            extract_ir(gw, sentence, "declarative", passage, "s0", passage.sentence_spans[0])
+            parse(make_offline_gateway(), "See Figure 3 for the layout.")
+
+    def test_skip_reason_kept(self):
+        passage = make_passage("Some text here.")
+        with pytest.raises(SkippedSentence, match="caption"):
+            extract_ir({"skip": True, "reason": "caption"}, passage, "s0", (0, 3))
+
+    def test_makes_no_model_call(self):
+        passage = make_passage("Some text here.")
+        reply = {"kind": "declarative", "central_entity": "CTRL",
+                 "attributes": [{"name": "width", "value": "8"}]}
+        ir = extract_ir(reply, passage, "s0", (0, 3))
+        assert (ir.kind, ir.central_entity, ir.attributes) == (
+            "declarative", "CTRL", [{"name": "width", "value": "8"}])
+        assert (ir.passage_id, ir.span) == (passage.passage_id, (0, 3))
+
+
+class TestOneCallPerSentence:
+    def test_one_ir_extract_call_per_sentence(self, fixture_document, corpus):
+        model = CountingModel()
+        again = ingest_document(make_offline_gateway(provider=model), fixture_document,
+                                "serial_link_spec")
+        sentences = sum(len(p.sentence_spans) for p in again.passages)
+        assert sentences == len(again.irs) + len(again.skipped)
+        assert model.tags == ["ir-extract"] * sentences
+        assert [ir.to_dict() for ir in again.irs] == [ir.to_dict() for ir in corpus.irs]
 
 
 def decl(entity, sentence_id="p#s0"):

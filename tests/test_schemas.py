@@ -1,24 +1,16 @@
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speckg import schemas
 
 _ANCHOR = {"anchor_type": "declarative", "entity": "ctrl register"}
 
 # Valid and invalid replies per schema id. Several invalid replies break more
-# than one rule at once, including under semantic-ir's oneOf and gap-assess's
+# than one rule at once, including under semantic-ir's and gap-assess's
 # if/then/else, so best_match has to choose among the errors.
 REPLIES = {
-    "sentence-kind": [
-        {"kind": "declarative"},
-        {"kind": "procedural"},
-        {"kind": "other"},
-        {},
-        {"kind": "declarative", "extra": 1},
-        {"kind": 3, "extra": 1},
-        "declarative",
-        None,
-    ],
     "semantic-ir": [
         {"skip": True},
         {"skip": True, "reason": "heading"},
@@ -37,6 +29,14 @@ REPLIES = {
         {"kind": "procedural", "trigger": "t", "condition": "c",
          "action": {"subject": "", "verb": 2}, "skip": True},
         {"kind": "other", "central_entity": "x", "attributes": []},
+        {"kind": "procedural", "central_entity": "x", "attributes": []},
+        {"kind": "declarative", "trigger": "t", "condition": "",
+         "action": {"subject": "s", "verb": "v", "object": ""}},
+        {"central_entity": "x", "attributes": []},
+        {"reason": "no skip"},
+        {"skip": True, "reason": 3},
+        "skip",
+        None,
     ],
     "gap-assess": [
         {"thought": "enough", "status": "sufficient"},
@@ -124,10 +124,120 @@ class TestCompiledAtImport:
                 return _original(schema, *args, **kwargs)
 
             monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
-        replies = [("sentence-kind", {"kind": "declarative"}),
+        replies = [("semantic-ir", {"skip": True}),
                    ("atom-list", {"atoms": ["x"]}),
                    ("match-verdict", {"match_index": None}),
                    ("gap-assess", {"thought": "t", "status": "sufficient"})]
         for i in range(100):
             schemas.validate_reply(*replies[i % len(replies)])
         assert calls == []
+
+
+# The semantic-ir schema as its three reply shapes under oneOf, which checks
+# every shape against each reply. The schema in use checks one shape, chosen
+# by "skip" and "kind"; the shapes exclude each other, so both must accept
+# exactly the same replies.
+ONE_OF_SEMANTIC_IR = {
+    "type": "object",
+    "oneOf": [
+        {
+            "required": ["skip"],
+            "properties": {
+                "skip": {"const": True},
+                "reason": {"type": "string"},
+            },
+            "additionalProperties": False,
+        },
+        {
+            "required": ["kind", "central_entity", "attributes"],
+            "properties": {
+                "kind": {"const": "declarative"},
+                "central_entity": {"type": "string", "minLength": 1},
+                "attributes": {
+                    "type": "array",
+                    "items": {
+                        "type": "object",
+                        "required": ["name", "value"],
+                        "properties": {
+                            "name": {"type": "string", "minLength": 1},
+                            "value": {"type": "string"},
+                        },
+                        "additionalProperties": False,
+                    },
+                },
+            },
+            "additionalProperties": False,
+        },
+        {
+            "required": ["kind", "trigger", "condition", "action"],
+            "properties": {
+                "kind": {"const": "procedural"},
+                "trigger": {"type": "string", "minLength": 1},
+                "condition": {"type": "string"},
+                "action": {
+                    "type": "object",
+                    "required": ["subject", "verb", "object"],
+                    "properties": {
+                        "subject": {"type": "string", "minLength": 1},
+                        "verb": {"type": "string", "minLength": 1},
+                        "object": {"type": "string"},
+                    },
+                    "additionalProperties": False,
+                },
+            },
+            "additionalProperties": False,
+        },
+    ],
+}
+
+ONE_OF_VALIDATOR = schemas.compile_schema(ONE_OF_SEMANTIC_IR)
+
+_scalar = st.sampled_from(["", "x", 0, 1.5, True, False, None])
+_text = st.sampled_from(["", "x"])
+_attribute = st.fixed_dictionaries({"name": _text, "value": _text})
+_action = st.fixed_dictionaries({"subject": _text, "verb": _text, "object": _text})
+_shapes = st.one_of(
+    st.fixed_dictionaries({"skip": st.just(True)}, optional={"reason": _text}),
+    st.fixed_dictionaries({"kind": st.just("declarative"), "central_entity": _text,
+                           "attributes": st.lists(_attribute, max_size=2)}),
+    st.fixed_dictionaries({"kind": st.just("procedural"), "trigger": _text,
+                           "condition": _text, "action": _action}),
+)
+_KEYS = ("skip", "reason", "kind", "central_entity", "attributes", "trigger",
+         "condition", "action", "extra")
+_values = st.one_of(_scalar, st.sampled_from(["declarative", "procedural", "other"]),
+                    st.lists(st.one_of(_attribute, _scalar), max_size=2),
+                    st.dictionaries(st.sampled_from(["subject", "verb", "object", "x"]),
+                                    st.one_of(_text, _scalar), max_size=4))
+
+
+@st.composite
+def semantic_ir_replies(draw):
+    """A well-formed reply of one shape, with up to three keys dropped, added
+    or replaced by a value of any type; or a reply that is not an object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(_scalar, st.lists(_scalar, max_size=2)))
+    reply = draw(_shapes)
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(_KEYS))
+        if key in reply and draw(st.booleans()):
+            del reply[key]
+        else:
+            reply[key] = draw(_values)
+    return reply
+
+
+@pytest.mark.parametrize("reply", REPLIES["semantic-ir"])
+def test_semantic_ir_accepts_what_one_of_accepts(reply):
+    assert (schemas.VALIDATORS["semantic-ir"].is_valid(reply)
+            == ONE_OF_VALIDATOR.is_valid(reply))
+
+
+@settings(max_examples=600, deadline=None)
+@given(semantic_ir_replies())
+def test_semantic_ir_accepts_what_one_of_accepts_on_drawn_replies(reply):
+    accepted = schemas.VALIDATORS["semantic-ir"].is_valid(reply)
+    assert accepted == ONE_OF_VALIDATOR.is_valid(reply)
+    if not accepted:
+        with pytest.raises(jsonschema.ValidationError):
+            schemas.validate_reply("semantic-ir", reply)
