@@ -1,0 +1,203 @@
+"""The offline model's question resolution, pinned branch by branch.
+
+Each case gives a question and the evidence passages, and pins the exact
+``reason`` reply and ``synthesize`` text the offline model produces for them.
+Several branches (dependency loops, a missing reset parse, a partial event
+chain) are reached by neither the fixture QA nor the benchmark manual.
+"""
+
+import json
+
+import pytest
+
+from speckg import prompts
+from speckg.offline import OfflineModel
+
+RESET = "When the reset input is asserted, the TX FSM returns to the IDLE state."
+START = "When a start bit is detected in the IDLE state, the TX FSM enters the SYNC state."
+READY = "The TX_READY flag is asserted when the FIFO_EMPTY signal goes high."
+EMPTY = "The FIFO_EMPTY signal goes high when the DRAIN_DONE pulse is asserted."
+DRAIN = ("When the final byte of a frame is shifted out, the DRAIN_DONE pulse is "
+         "generated directly by the drain logic.")
+WRITE = ("When the host writes the TX_DATA register, the TX_DATA register forwards "
+         "the byte to the transmit FIFO.")
+ARRIVE = ("When a byte arrives in the transmit FIFO, the transmit FIFO signals the "
+          "shift engine to begin serializing the byte.")
+CONTROL = "The loopback function is controlled by the LOOP_EN bit."
+PLACE = "The LOOP_EN bit occupies bit position 3 of the CTRL register."
+DIVISOR = "The BAUD register holds the 16-bit clock divisor for the bit engine."
+
+CHAIN_Q = "Which source signal ultimately drives the TX_READY flag?"
+ATTR_Q = "What is the default value of the BAUD register?"
+LOCATE_Q = "Where is the bit that controls the loopback function located?"
+PROCESS_Q = ("Describe the chain of events from a host write to the TX_DATA register "
+             "until the shift engine begins serializing.")
+TRANSITION_Q = ("Which state does the TX FSM reach when a start bit is detected "
+                "immediately after a reset?")
+INSUFFICIENT = "The retrieved evidence is insufficient to answer the question fully."
+
+
+def sufficient(thought):
+    return {"status": "sufficient", "thought": thought}
+
+
+def gap(thought, description, sub_query, anchor_type, entity):
+    return {"status": "gap", "thought": thought, "gap_description": description,
+            "sub_query": sub_query,
+            "target_anchor": {"anchor_type": anchor_type, "entity": entity}}
+
+
+# name: (question, passages, reason reply, synthesize text)
+CASES = {
+    "quote": (
+        'According to the line "The BAUD register defaults to 0x0010", what is the reset value?',
+        [],
+        sufficient("The quoted statement already contains the answer."),
+        "The BAUD register defaults to 0x0010.",
+    ),
+    "chain-closed": (
+        CHAIN_Q, [READY, EMPTY, DRAIN],
+        sufficient("Chain closed: 'DRAIN_DONE pulse' originates from 'drain logic'."),
+        "The TX_READY flag is driven by the FIFO_EMPTY signal. The FIFO_EMPTY signal is "
+        "driven by the DRAIN_DONE pulse. The DRAIN_DONE pulse is generated directly by "
+        "the drain logic.",
+    ),
+    "chain-link-missing": (
+        CHAIN_Q, [READY, DRAIN],
+        gap("No evidence yet for what drives 'FIFO_EMPTY signal'.",
+            "The driver of 'FIFO_EMPTY signal' is unknown.",
+            "What drives the FIFO_EMPTY signal?", "procedural", "FIFO_EMPTY signal"),
+        "The TX_READY flag is driven by the FIFO_EMPTY signal.",
+    ),
+    "chain-loop": (
+        "Which signal ultimately drives the A_SIG signal?",
+        ["The A_SIG signal goes high when the B_SIG signal goes high.",
+         "The B_SIG signal goes high when the A_SIG signal goes high."],
+        sufficient("Dependency loop at 'A_SIG signal'; stopping."),
+        "The A_SIG signal is driven by the B_SIG signal. The B_SIG signal is driven by "
+        "the A_SIG signal.",
+    ),
+    "attribute-found": (
+        ATTR_Q, [DIVISOR + " The BAUD register defaults to 0x0010."],
+        sufficient("Found the default value of 'BAUD register'."),
+        "The BAUD register defaults to 0x0010.",
+    ),
+    "attribute-missing": (
+        ATTR_Q, [DIVISOR],
+        gap("The default value of 'BAUD register' is not in the evidence.",
+            "Missing the default value of 'BAUD register'.",
+            "What is the default value of the BAUD register?", "declarative", "BAUD register"),
+        INSUFFICIENT,
+    ),
+    "locate-no-control-bit": (
+        LOCATE_Q, [PLACE],
+        gap("The controlling bit of 'loopback function' is unknown.",
+            "Missing: which bit controls 'loopback function'.",
+            "Which bit controls the loopback function?", "declarative", "loopback function"),
+        INSUFFICIENT,
+    ),
+    "locate-control-bit-no-location": (
+        LOCATE_Q, [CONTROL],
+        gap("The location of 'LOOP_EN bit' is unknown.",
+            "Missing the location of 'LOOP_EN bit'.",
+            "Where is the LOOP_EN bit located?", "declarative", "LOOP_EN bit"),
+        "The loopback function is controlled by the LOOP_EN bit.",
+    ),
+    "locate-located": (
+        LOCATE_Q, [CONTROL, PLACE],
+        sufficient("Located 'LOOP_EN bit'."),
+        "The loopback function is controlled by the LOOP_EN bit. The LOOP_EN bit "
+        "occupies bit position 3 of CTRL register.",
+    ),
+    "locate-named-located": (
+        "Where is the LOOP_EN bit located?", [PLACE],
+        sufficient("Located 'LOOP_EN bit'."),
+        "The LOOP_EN bit occupies bit position 3 of CTRL register.",
+    ),
+    "locate-named-no-location": (
+        "Where is the LOOP_EN bit located?", [CONTROL],
+        gap("The location of 'LOOP_EN bit' is unknown.",
+            "Missing the location of 'LOOP_EN bit'.",
+            "Where is the LOOP_EN bit located?", "declarative", "LOOP_EN bit"),
+        INSUFFICIENT,
+    ),
+    "process-complete": (
+        PROCESS_Q, [WRITE, ARRIVE],
+        sufficient("Event chain traced through 2 steps."),
+        "When the host writes TX_DATA register, the TX_DATA register forwards byte to "
+        "transmit FIFO. When the byte arrives in transmit FIFO, the transmit FIFO signals "
+        "shift engine to begin serializing byte.",
+    ),
+    "process-partial": (
+        PROCESS_Q, [WRITE],
+        gap("The consequence of 'TX_DATA register forwards byte to transmit FIFO' is unknown.",
+            "Missing: what happens when TX_DATA register forwards byte to transmit FIFO.",
+            "What happens when TX_DATA register forwards byte to transmit FIFO?",
+            "procedural", "transmit FIFO"),
+        "When the host writes TX_DATA register, the TX_DATA register forwards byte to "
+        "transmit FIFO.",
+    ),
+    "transition-two-stage-no-reset-parse": (
+        TRANSITION_Q, [START],
+        gap("The reset state of the TX FSM is unknown.",
+            "Missing the reset state of the TX FSM.",
+            "Which state does the TX FSM return to when the reset input is asserted?",
+            "procedural", "TX FSM"),
+        "The TX FSM enters the SYNC state when the start bit detected in IDLE state.",
+    ),
+    "transition-no-match": (
+        TRANSITION_Q, [RESET],
+        gap("The transition of the TX FSM under 'a start bit is detected immediately "
+            "after a reset' is unknown.",
+            "Missing the TX FSM transition for 'a start bit is detected immediately "
+            "after a reset'.",
+            "Which state does the TX FSM enter when a start bit is detected immediately "
+            "after a reset?", "procedural", "TX FSM"),
+        "The TX FSM returns to the IDLE state when the reset input asserted.",
+    ),
+    "transition-resolved": (
+        TRANSITION_Q, [RESET, START],
+        sufficient("Transition resolved: the TX FSM ends in SYNC state."),
+        "The TX FSM returns to the IDLE state when the reset input asserted. The TX FSM "
+        "enters the SYNC state when the start bit detected in IDLE state.",
+    ),
+    "transition-single-stage": (
+        "Which state does the TX FSM return to when the reset input is asserted?", [RESET],
+        sufficient("Transition resolved: the TX FSM ends in IDLE state."),
+        "The TX FSM returns to the IDLE state when the reset input asserted.",
+    ),
+    "fallback": (
+        "How many stop bits does the UART send?", [READY],
+        gap("The question does not match any resolvable evidence.",
+            "Unable to locate supporting evidence.",
+            "How many stop bits does the UART send?", "declarative", "UART send"),
+        INSUFFICIENT,
+    ),
+}
+
+
+def context(passages):
+    return [{"passage_id": f"doc#p{i:04d}", "section": "S", "text": text}
+            for i, text in enumerate(passages)]
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_reason_reply(name):
+    question, passages, reply, _ = CASES[name]
+    raw = OfflineModel().chat(prompts.reason(question, [], context(passages)), "offline-chat")
+    assert json.loads(raw) == reply
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_synthesize_text(name):
+    question, passages, _, text = CASES[name]
+    request = prompts.synthesize(question, [], context(passages), False)
+    assert OfflineModel().chat(request, "offline-chat") == text
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_incomplete_synthesis_keeps_what_is_known(name):
+    question, passages, _, text = CASES[name]
+    request = prompts.synthesize(question, [], context(passages), True)
+    expected = INSUFFICIENT if text == INSUFFICIENT else f"{INSUFFICIENT} Known so far: {text}"
+    assert OfflineModel().chat(request, "offline-chat") == expected
