@@ -106,6 +106,11 @@ class RunConfig:
                                   f"tasks are {', '.join(TASK_TAGS)}")
         if self.retrieval.k0 < 1 or self.retrieval.delta_k < 1:
             raise ConfigError("retrieval.k0 and retrieval.delta_k must be >= 1")
+        if self.retrieval.k_max < self.retrieval.k0:
+            raise ConfigError("retrieval.k_max must be >= retrieval.k0")
+        if not 0.0 <= self.retrieval.tau <= 2.0:
+            # the gain it bounds is a cosine distance
+            raise ConfigError("retrieval.tau must lie in [0, 2]")
         if self.retrieval.n_seeds < 1:
             raise ConfigError("retrieval.n_seeds must be >= 1")
         if not 0.0 < self.ppr.damping <= MAX_DAMPING:

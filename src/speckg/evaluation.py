@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import prompts, reasoning
@@ -99,7 +99,6 @@ def decompose(gateway: Gateway, answer: str) -> list[str]:
 @dataclass
 class MatchOutcome:
     matched: list[str]
-    judge_log: list[dict] = field(default_factory=list)
     judge_errors: int = 0
 
 
@@ -108,7 +107,7 @@ def match(gateway: Gateway, a_gen: list[str], a_ref: list[str]) -> MatchOutcome:
 
     Each judge call sees only the references not yet consumed, so a single
     reference can never certify two paraphrases; a judge failure scores that
-    atom unmatched and is flagged in the log.
+    atom unmatched and is counted.
     """
     if not a_ref:
         raise InvalidInput("reference atom set must be non-empty")
@@ -117,21 +116,16 @@ def match(gateway: Gateway, a_gen: list[str], a_ref: list[str]) -> MatchOutcome:
     for atom in a_gen:
         refs = [a_ref[i] for i in available]
         if not refs:
-            outcome.judge_log.append({"atom": atom, "verdict": None, "note": "references exhausted"})
             continue
         try:
             reply = gateway.chat(prompts.atom_match(atom, refs))
-        except SpecKGError as exc:
+        except SpecKGError:
             outcome.judge_errors += 1
-            outcome.judge_log.append({"atom": atom, "verdict": None, "note": f"judge-error: {exc}"})
             continue
         idx = reply["match_index"]
         if idx is not None and 0 <= idx < len(refs):
-            consumed = available.pop(idx)
+            available.pop(idx)
             outcome.matched.append(atom)
-            outcome.judge_log.append({"atom": atom, "verdict": a_ref[consumed]})
-        else:
-            outcome.judge_log.append({"atom": atom, "verdict": None})
     return outcome
 
 
@@ -147,21 +141,17 @@ def score(matched: list[str], a_gen: list[str], a_ref: list[str]) -> tuple[float
 
 @dataclass
 class AtomicScore:
-    a_gen: list[str]
-    matched: list[str]
     precision: float
     recall: float
     f1: float
-    judge_log: list[dict]
 
 
 def atomic_score(gateway: Gateway, answer: str, gold_atoms: list[str]) -> AtomicScore:
     a_gen = decompose(gateway, answer)
     if not a_gen:
-        return AtomicScore([], [], 0.0, 0.0, 0.0, [])
+        return AtomicScore(0.0, 0.0, 0.0)
     outcome = match(gateway, a_gen, gold_atoms)
-    precision, recall, f1 = score(outcome.matched, a_gen, gold_atoms)
-    return AtomicScore(a_gen, outcome.matched, precision, recall, f1, outcome.judge_log)
+    return AtomicScore(*score(outcome.matched, a_gen, gold_atoms))
 
 
 # --- run-level metrics ----------------------------------------------------------

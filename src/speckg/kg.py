@@ -120,14 +120,12 @@ def _aux_triple(clause: str, source: str, suffix: str) -> Triple:
                        object_is_entity=False)
 
 
-def extract_triples(ir: SemanticIR, alias_map: dict[str, str] | None = None) -> list[Triple]:
+def extract_triples(ir: SemanticIR) -> list[Triple]:
     """Triples for one sentence parse.
 
     Declarative parses yield one backbone per attribute; procedural parses
     yield one backbone for the action, one auxiliary per trigger/condition
-    clause, and one linking triple per (backbone, auxiliary) pair. When an
-    ``alias_map`` is supplied, entities of this parse that it covers also
-    yield normalization triples.
+    clause, and one linking triple per (backbone, auxiliary) pair.
     """
     triples: list[Triple] = []
     if ir.kind == "declarative":
@@ -159,27 +157,7 @@ def extract_triples(ir: SemanticIR, alias_map: dict[str, str] | None = None) -> 
             triples.append(make_triple(LINKING, backbone.triple_id, "qualified_by",
                                        a.triple_id, ir.sentence_id,
                                        object_is_entity=False))
-
-    if alias_map:
-        seen = set()
-        for entity in _triple_entities(triples):
-            target = alias_map.get(entity)
-            if target and entity not in seen:
-                seen.add(entity)
-                triples.append(make_triple(NORMALIZATION, entity, "canonical_form",
-                                           target, ir.sentence_id,
-                                           object_is_entity=True))
     return triples
-
-
-def _triple_entities(triples: Iterable[Triple]) -> list[str]:
-    out = []
-    for t in triples:
-        if t.category in (BACKBONE, AUXILIARY):
-            out.append(t.subject)
-            if t.object_is_entity:
-                out.append(t.object)
-    return out
 
 
 def _abbreviates(token: str, full: str) -> bool:
@@ -247,24 +225,27 @@ def compute_alias_map(entities: Iterable[str]) -> dict[str, str]:
 
 
 def extract_corpus_triples(corpus: Corpus) -> list[Triple]:
-    """Two-pass extraction: per-sentence triples, then corpus-wide aliases.
+    """Per-sentence triples, then one normalization triple per aliased entity.
 
     Alias candidates are restricted to backbone subjects, the entities the
     document is about. One-off object phrases would otherwise swallow real
-    entities through the fragment rule.
+    entities through the fragment rule. An aliased entity's normalization
+    triple cites the first sentence that names it.
     """
-    base: list[Triple] = []
-    for ir in corpus.irs:
-        base.extend(extract_triples(ir))
-    subjects = [t.subject for t in base if t.category == BACKBONE]
-    alias_map = compute_alias_map(subjects)
+    base = [t for ir in corpus.irs for t in extract_triples(ir)]
+    alias_map = compute_alias_map(t.subject for t in base if t.category == BACKBONE)
     triples: dict[str, Triple] = {t.triple_id: t for t in base}
     emitted: set[str] = set()
-    for ir in corpus.irs:
-        for t in extract_triples(ir, alias_map):
-            if t.category == NORMALIZATION and t.subject not in emitted:
-                emitted.add(t.subject)
-                triples[t.triple_id] = t
+    for t in base:
+        if t.category not in (BACKBONE, AUXILIARY):
+            continue
+        for entity in (t.subject, t.object) if t.object_is_entity else (t.subject,):
+            target = alias_map.get(entity)
+            if target and entity not in emitted:
+                emitted.add(entity)
+                norm = make_triple(NORMALIZATION, entity, "canonical_form", target,
+                                   t.source, object_is_entity=True)
+                triples[norm.triple_id] = norm
     return list(triples.values())
 
 
@@ -471,32 +452,6 @@ def check_integrity(kg: SpecGraph) -> None:
                 raise CorpusInconsistent(f"linking triple {t.triple_id} endpoints invalid")
             if tb.source != ta.source:
                 raise CorpusInconsistent(f"linking triple {t.triple_id} spans sentences")
-
-
-def mention_components(kg: SpecGraph) -> int:
-    """Connected components of the entity–passage mention subgraph."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for e in kg.entities:
-        find(entity_key(e))
-    for p in kg.passages:
-        find(passage_key(p))
-    for edge in kg.edges:
-        if edge.kind == "mention":
-            union(edge.src, edge.dst)
-    return len({find(x) for x in parent})
 
 
 def build_from_corpus(corpus: Corpus, gateway: Gateway) -> SpecGraph:

@@ -140,23 +140,37 @@ def _split_clauses(sentence: str) -> tuple[list[str], str]:
     return subs, main
 
 
-def _parse_action(main: str) -> tuple[tuple[str, str, str], bool] | None:
-    m = re.match(
-        r"(?i)^(?P<subj>.+?)\s+(?:is|are)\s+(?P<part>\w+)\s+(?P<direct>directly\s+)?by\s+(?P<agent>.+)$",
-        main,
-    )
-    if m and m.group("part").lower() in PARTICIPLES:
-        action = (
-            strip_articles(m.group("subj")),
-            f"{m.group('part').lower()}-by",
-            strip_articles(m.group("agent")),
-        )
-        return action, bool(m.group("direct"))
+_PASSIVE_BY_RE = re.compile(
+    r"(?i)^(?P<subj>.+?)\s+(?:is|are)\s+(?P<part>\w+)\s+(?P<direct>directly\s+)?by\s+(?P<agent>.+)$"
+)
+_PASSIVE_RE = re.compile(r"(?i)^(?P<subj>.+?)\s+(?:is|are)\s+(?P<part>\w+)(?P<rest>\s+.+)?$")
 
-    m = re.match(r"(?i)^(?P<subj>.+?)\s+(?:is|are)\s+(?P<part>\w+)(?P<rest>\s+.+)?$", main)
+
+def _passive(clause: str) -> tuple[str, str, str | None, bool, str] | None:
+    """Split "<subject> is|are <participle> [directly] by <agent>", else
+    "<subject> is|are <participle> <rest>", for a known participle.
+
+    Returns (subject, participle, agent or None, "directly" marker, rest);
+    the subject and agent lose their articles, the rest keeps them.
+    """
+    m = _PASSIVE_BY_RE.match(clause)
     if m and m.group("part").lower() in PARTICIPLES:
-        rest = strip_articles((m.group("rest") or "").strip())
-        return (strip_articles(m.group("subj")), m.group("part").lower(), rest), False
+        return (strip_articles(m.group("subj")), m.group("part").lower(),
+                strip_articles(m.group("agent")), bool(m.group("direct")), "")
+    m = _PASSIVE_RE.match(clause)
+    if m and m.group("part").lower() in PARTICIPLES:
+        return (strip_articles(m.group("subj")), m.group("part").lower(),
+                None, False, (m.group("rest") or "").strip())
+    return None
+
+
+def _parse_action(main: str) -> tuple[tuple[str, str, str], bool] | None:
+    passive = _passive(main)
+    if passive:
+        subject, part, agent, direct, rest = passive
+        if agent is not None:
+            return (subject, f"{part}-by", agent), direct
+        return (subject, part, strip_articles(rest)), False
 
     words = main.split()
     for i, word in enumerate(words):
@@ -176,18 +190,11 @@ def _parse_action(main: str) -> tuple[tuple[str, str, str], bool] | None:
 
 def _parse_declarative(sentence: str) -> tuple[str, list[tuple[str, str]]]:
     s = sentence.strip().rstrip(".!?")
-    m = re.match(
-        r"(?i)^(?P<subj>.+?)\s+(?:is|are)\s+(?P<part>\w+)\s+(?:directly\s+)?by\s+(?P<agent>.+)$", s
-    )
-    if m and m.group("part").lower() in PARTICIPLES:
-        entity = strip_articles(m.group("subj"))
-        return entity, [(f"{m.group('part').lower()} by", strip_articles(m.group("agent")))]
-
-    m = re.match(r"(?i)^(?P<subj>.+?)\s+(?:is|are)\s+(?P<part>\w+)(?P<rest>\s+.+)?$", s)
-    if m and m.group("part").lower() in PARTICIPLES:
-        entity = strip_articles(m.group("subj"))
-        rest = (m.group("rest") or "").strip()
-        name = m.group("part").lower()
+    passive = _passive(s)
+    if passive:
+        entity, name, agent, _, rest = passive
+        if agent is not None:
+            return entity, [(f"{name} by", agent)]
         rest_words = rest.split()
         if rest_words and rest_words[0].lower() in PARTICLES:
             name = f"{name} {rest_words[0].lower()}"
@@ -393,36 +400,40 @@ class _Resolver:
         return None
 
     # question modes -----------------------------------------------------------
+    # Each mode walks its trace once and returns the reasoning verdict (a
+    # sufficiency verdict or the next gap) with the answer statements found.
 
-    def assess(self) -> dict:
-        """One reasoning step: either a sufficiency verdict or the next gap."""
+    def resolve(self) -> tuple[dict, list[str]]:
         q = self.question
-        if _QUOTE_Q.search(q):
-            return _sufficient("The quoted statement already contains the answer.")
+        m = _QUOTE_Q.search(q)
+        if m:
+            return (_sufficient("The quoted statement already contains the answer."),
+                    [m.group("quote").strip().rstrip(".") + "."])
         m = _CHAIN_Q.search(q)
         if m:
-            return self._assess_chain(m.group("target").strip())
+            return self._chain(m.group("target").strip())
         m = _ATTR_Q.search(q)
         if m:
-            return self._assess_attr(m.group("ent").strip(), m.group("attr").lower())
+            return self._attr(m.group("ent").strip(), m.group("attr").lower())
         m = _LOCATE_Q.search(q)
         if m:
-            return self._assess_locate(m.group("desc").strip())
+            return self._locate(m.group("desc").strip())
         m = _PROCESS_Q.search(q)
         if m:
-            return self._assess_process(m.group("start").strip(), m.group("terminal").strip())
+            return self._process(m.group("start").strip(), m.group("terminal").strip())
         m = _TRANSITION_Q.search(q)
         if m:
-            return self._assess_transition(m.group("fsm").strip(), m.group("cond").strip())
-        return self._assess_fallback()
+            return self._transition(m.group("fsm").strip(), m.group("cond").strip())
+        return self._fallback(), []
 
-    def _assess_chain(self, target: str) -> dict:
+    def _chain(self, target: str) -> tuple[dict, list[str]]:
+        out = []
         goal = target
         seen = set()
         while True:
             key = canonical_entity(goal)
             if key in seen:
-                return _sufficient(f"Dependency loop at '{goal}'; stopping.")
+                return _sufficient(f"Dependency loop at '{goal}'; stopping."), out
             seen.add(key)
             parse = self._proc_by_subject(goal)
             if parse is None:
@@ -431,149 +442,81 @@ class _Resolver:
                     f"The driver of '{goal}' is unknown.",
                     f"What drives the {goal}?",
                     "procedural", goal,
-                )
-            subject, verb, obj = parse.action
-            if verb.endswith("-by") and parse.direct:
-                return _sufficient(f"Chain closed: '{subject}' originates from '{obj}'.")
-            goal = clause_entity(parse.trigger)
-
-    def chain_statements(self, target: str) -> list[str]:
-        out = []
-        goal = target
-        seen = set()
-        while True:
-            key = canonical_entity(goal)
-            if key in seen:
-                break
-            seen.add(key)
-            parse = self._proc_by_subject(goal)
-            if parse is None:
-                break
+                ), out
             subject, verb, obj = parse.action
             if verb.endswith("-by") and parse.direct:
                 out.append(f"The {subject} is {verb.split('-')[0]} directly by the {obj}.")
-                break
-            nxt = clause_entity(parse.trigger)
-            out.append(f"The {subject} is driven by the {nxt}.")
-            goal = nxt
-        return out
+                return _sufficient(f"Chain closed: '{subject}' originates from '{obj}'."), out
+            goal = clause_entity(parse.trigger)
+            out.append(f"The {subject} is driven by the {goal}.")
 
-    def _assess_attr(self, entity: str, attr: str) -> dict:
-        hit = self._decl_attr(entity, ATTR_SYNONYMS.get(attr, _content(attr)))
-        if hit is not None:
-            return _sufficient(f"Found the {attr} of '{entity}'.")
-        return _gap(
-            f"The {attr} of '{entity}' is not in the evidence.",
-            f"Missing the {attr} of '{entity}'.",
-            f"What is the {attr} of the {entity}?",
-            "declarative", entity,
-        )
-
-    def attr_statement(self, entity: str, attr: str) -> str | None:
+    def _attr(self, entity: str, attr: str) -> tuple[dict, list[str]]:
         hit = self._decl_attr(entity, ATTR_SYNONYMS.get(attr, _content(attr)))
         if hit is None:
-            return None
+            return _gap(
+                f"The {attr} of '{entity}' is not in the evidence.",
+                f"Missing the {attr} of '{entity}'.",
+                f"What is the {attr} of the {entity}?",
+                "declarative", entity,
+            ), []
         ent, name, value = hit
-        return f"The {ent} {name} {value}."
+        return _sufficient(f"Found the {attr} of '{entity}'."), [f"The {ent} {name} {value}."]
 
-    def _locate_goals(self, desc: str):
+    def _locate(self, desc: str) -> tuple[dict, list[str]]:
+        out = []
+        entity = desc
         m = _DESC_FN.match(desc)
         if m:
             fn = m.group("fn").strip()
-            hit = self._decl_attr(fn, {"controlled", "enabled", "selected"})
-            if hit is None:
-                return ("fn", fn), None
-            subject = hit[2]
-            loc = self._decl_attr(subject, {"occupies", "located", "resides", "sits"})
-            return ("loc", subject), (hit, loc)
-        loc = self._decl_attr(desc, {"occupies", "located", "resides", "sits"})
-        return ("loc", desc), (None, loc)
-
-    def _assess_locate(self, desc: str) -> dict:
-        (stage, entity), hits = self._locate_goals(desc)
-        if stage == "fn":
-            return _gap(
-                f"The controlling bit of '{entity}' is unknown.",
-                f"Missing: which bit controls '{entity}'.",
-                f"Which bit controls the {entity}?",
-                "declarative", entity,
-            )
-        if hits is None or hits[1] is None:
+            control = self._decl_attr(fn, {"controlled", "enabled", "selected"})
+            if control is None:
+                return _gap(
+                    f"The controlling bit of '{fn}' is unknown.",
+                    f"Missing: which bit controls '{fn}'.",
+                    f"Which bit controls the {fn}?",
+                    "declarative", fn,
+                ), out
+            ent, name, entity = control
+            out.append(f"The {ent} is {name} the {entity}.")
+        loc = self._decl_attr(entity, {"occupies", "located", "resides", "sits"})
+        if loc is None:
             return _gap(
                 f"The location of '{entity}' is unknown.",
                 f"Missing the location of '{entity}'.",
                 f"Where is the {entity} located?",
                 "declarative", entity,
-            )
-        return _sufficient(f"Located '{entity}'.")
+            ), out
+        ent, name, value = loc
+        out.append(f"The {ent} {name} {value}.")
+        return _sufficient(f"Located '{entity}'."), out
 
-    def locate_statements(self, desc: str) -> list[str]:
-        (stage, entity), hits = self._locate_goals(desc)
-        if stage == "fn" or hits is None:
-            return []
+    def _process(self, start: str, terminal: str) -> tuple[dict, list[str]]:
         out = []
-        control, loc = hits
-        if control is not None:
-            ent, name, value = control
-            out.append(f"The {ent} is {name} the {value}.")
-        if loc is not None:
-            ent, name, value = loc
-            out.append(f"The {ent} {name} {value}.")
-        return out
-
-    def _trace_process(self, start: str, terminal: str):
-        steps = []
         event = start
         terminal_tokens = _content(terminal)
         seen = set()
         for _ in range(12):
-            matched = None
-            for p in self.parses:
-                if p.kind != "procedural" or p.sentence in seen:
-                    continue
-                if len(_content(p.trigger) & _content(event)) >= 2:
-                    matched = p
-                    break
+            matched = next((p for p in self.parses
+                            if p.kind == "procedural" and p.sentence not in seen
+                            and len(_content(p.trigger) & _content(event)) >= 2), None)
             if matched is None:
-                return steps, event, False
+                break
             seen.add(matched.sentence)
-            steps.append(matched)
             subject, verb, obj = matched.action
+            out.append(f"When the {matched.trigger}, the {subject} {verb.replace('-', ' ')} {obj}.")
             event = f"{subject} {verb} {obj}"
             if len(_content(event) & terminal_tokens) >= 2:
-                return steps, event, True
-        return steps, event, False
-
-    @staticmethod
-    def _event_locus(event: str) -> str:
+                return _sufficient(f"Event chain traced through {len(out)} steps."), out
         m = re.search(r"(?i)\b(?:in|into|to)\s+(?:the\s+)?([A-Za-z0-9_ ]+)$", event)
-        if m:
-            return m.group(1).strip()
-        words = strip_articles(event).split()
-        return " ".join(words[:3])
-
-    def _assess_process(self, start: str, terminal: str) -> dict:
-        steps, event, done = self._trace_process(start, terminal)
-        if done:
-            return _sufficient(f"Event chain traced through {len(steps)} steps.")
-        locus = self._event_locus(event)
+        locus = m.group(1).strip() if m else " ".join(strip_articles(event).split()[:3])
         return _gap(
             f"The consequence of '{event}' is unknown.",
             f"Missing: what happens when {event}.",
             f"What happens when {strip_articles(event)}?",
             "procedural", locus,
-        )
+        ), out
 
-    def process_statements(self, start: str, terminal: str) -> list[str]:
-        steps, _, _ = self._trace_process(start, terminal)
-        out = []
-        for p in steps:
-            subject, verb, obj = p.action
-            verb_text = verb.replace("-", " ")
-            out.append(f"When the {p.trigger}, the {subject} {verb_text} {obj}.")
-        return out
-
-    def _transition_stages(self, fsm: str, cond: str):
+    def _transition(self, fsm: str, cond: str) -> tuple[dict, list[str]]:
         two_stage = re.match(r"(?i)^(?P<first>.+?)\s+immediately after\s+(?:a\s+|the\s+)?reset$",
                              cond.strip())
         fsm_key = canonical_entity(fsm)
@@ -585,11 +528,8 @@ class _Resolver:
                         and "reset" in tokenize(p.trigger)):
                     reset_parse = p
                     break
-            cond = two_stage.group("first")
-        state0 = None
-        if reset_parse is not None:
-            state0 = reset_parse.action[2]
-        cond_tokens = _content(cond)
+        state0 = reset_parse.action[2] if reset_parse is not None else None
+        cond_tokens = _content(two_stage.group("first") if two_stage else cond)
         final_parse = None
         for p in self.parses:
             if p.kind != "procedural" or not p.action:
@@ -605,37 +545,25 @@ class _Resolver:
                     continue
             final_parse = p
             break
-        return bool(two_stage), reset_parse, final_parse
-
-    def _assess_transition(self, fsm: str, cond: str) -> dict:
-        two_stage, reset_parse, final_parse = self._transition_stages(fsm, cond)
+        out = [f"The {p.action[0]} {p.action[1]} the {p.action[2]} when the {p.trigger}."
+               for p in (reset_parse, final_parse) if p is not None]
         if two_stage and reset_parse is None:
             return _gap(
                 f"The reset state of the {fsm} is unknown.",
                 f"Missing the reset state of the {fsm}.",
                 f"Which state does the {fsm} return to when the reset input is asserted?",
                 "procedural", fsm,
-            )
+            ), out
         if final_parse is None:
             return _gap(
                 f"The transition of the {fsm} under '{cond}' is unknown.",
                 f"Missing the {fsm} transition for '{cond}'.",
                 f"Which state does the {fsm} enter when {cond}?",
                 "procedural", fsm,
-            )
-        return _sufficient(f"Transition resolved: the {fsm} ends in {final_parse.action[2]}.")
+            ), out
+        return _sufficient(f"Transition resolved: the {fsm} ends in {final_parse.action[2]}."), out
 
-    def transition_statements(self, fsm: str, cond: str) -> list[str]:
-        _, reset_parse, final_parse = self._transition_stages(fsm, cond)
-        out = []
-        for p in (reset_parse, final_parse):
-            if p is None:
-                continue
-            subject, verb, obj = p.action
-            out.append(f"The {subject} {verb} the {obj} when the {p.trigger}.")
-        return out
-
-    def _assess_fallback(self) -> dict:
+    def _fallback(self) -> dict:
         q = self.question.strip()
         m = re.search(r"(?i)(?:the|a|an)\s+([A-Za-z0-9_ ]+?)\s*\?\s*$", q)
         entity = m.group(1).strip() if m else " ".join(strip_articles(q).split()[-2:])
@@ -645,29 +573,6 @@ class _Resolver:
             "Unable to locate supporting evidence.",
             q, anchor_type, entity or "unknown",
         )
-
-    def answer_statements(self) -> list[str]:
-        q = self.question
-        m = _QUOTE_Q.search(q)
-        if m:
-            return [m.group("quote").strip().rstrip(".") + "."]
-        m = _CHAIN_Q.search(q)
-        if m:
-            return self.chain_statements(m.group("target").strip())
-        m = _ATTR_Q.search(q)
-        if m:
-            stmt = self.attr_statement(m.group("ent").strip(), m.group("attr").lower())
-            return [stmt] if stmt else []
-        m = _LOCATE_Q.search(q)
-        if m:
-            return self.locate_statements(m.group("desc").strip())
-        m = _PROCESS_Q.search(q)
-        if m:
-            return self.process_statements(m.group("start").strip(), m.group("terminal").strip())
-        m = _TRANSITION_Q.search(q)
-        if m:
-            return self.transition_statements(m.group("fsm").strip(), m.group("cond").strip())
-        return []
 
 
 class OfflineModel:
@@ -716,17 +621,7 @@ class OfflineModel:
         parse = parse_sentence(payload["sentence"])
         if parse is None:
             return {"skip": True, "reason": "no technical content"}
-        # The kind comes from the sentence as given; the parse sees it with
-        # whitespace collapsed and list markers stripped.
-        if classify(payload["sentence"]) == "declarative" or parse.kind == "declarative":
-            if parse.kind != "declarative":
-                # The sentence's kind wins; re-parse declaratively.
-                entity, attrs = _parse_declarative(payload["sentence"])
-                return {
-                    "kind": "declarative",
-                    "central_entity": entity or "unknown",
-                    "attributes": [{"name": n, "value": v} for n, v in attrs],
-                }
+        if parse.kind == "declarative":
             return {
                 "kind": "declarative",
                 "central_entity": parse.central_entity,
@@ -756,13 +651,12 @@ class OfflineModel:
 
     @staticmethod
     def _reason(payload: dict) -> dict:
-        resolver = _Resolver(payload["question"], payload["context"])
-        return resolver.assess()
+        verdict, _ = _Resolver(payload["question"], payload["context"]).resolve()
+        return verdict
 
     @staticmethod
     def _synthesize(payload: dict) -> str:
-        resolver = _Resolver(payload["question"], payload["context"])
-        statements = resolver.answer_statements()
+        _, statements = _Resolver(payload["question"], payload["context"]).resolve()
         if payload.get("incomplete_evidence") or not statements:
             prefix = "The retrieved evidence is insufficient to answer the question fully."
             if statements:

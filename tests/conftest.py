@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from speckg import evaluation, kg as kgmod
@@ -11,6 +12,7 @@ from speckg.config import RunConfig
 from speckg.gateway import Gateway
 from speckg.ingest import ingest_document
 from speckg.offline import OfflineModel
+from speckg.retrieval import weak_components
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SPEC_DOC = FIXTURES / "serial_link_spec.md"
@@ -29,6 +31,18 @@ def make_config(**gateway_overrides) -> RunConfig:
     for key, value in gateway_overrides.items():
         setattr(cfg.gateway, key, value)
     return cfg
+
+
+def mention_components(graph) -> int:
+    """Connected components of the entity–passage mention subgraph: every
+    entity and passage is a node, every mention edge joins two."""
+    keys = ([kgmod.entity_key(e) for e in sorted(graph.entities)]
+            + [kgmod.passage_key(p) for p in sorted(graph.passages)])
+    index = {key: i for i, key in enumerate(keys)}
+    mentions = [(index[e.src], index[e.dst]) for e in graph.edges if e.kind == "mention"]
+    src = np.array([i for i, _ in mentions], dtype=np.intp)
+    dst = np.array([j for _, j in mentions], dtype=np.intp)
+    return len(np.unique(weak_components(len(keys), src, dst)))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from speckg.ingest import Passage, SemanticAnchor, ingest_document
 from speckg.kg import SpecGraph
 from speckg.retrieval import RetrievalState, adaptive_expand, csa_filter, pagerank_scores
 
-from conftest import QA_DATASET, SPEC_DOC, make_config
+from conftest import QA_DATASET, SPEC_DOC, make_config, mention_components
 
 
 class _Verdict:
@@ -229,7 +229,7 @@ def test_criterion_6_graph_integrity(replay_artifacts):
         triples = kgmod.extract_corpus_triples(corpus)
         graph = kgmod.build_graph(corpus, triples)
 
-        before_components = kgmod.mention_components(graph)
+        before_components = mention_components(graph)
         before_mentions = {(e.src, e.dst) for e in graph.edges if e.kind == "mention"}
         kgmod.apply_normalization(graph)
         kgmod.compute_embeddings(graph, gateway)
@@ -249,7 +249,7 @@ def test_criterion_6_graph_integrity(replay_artifacts):
             assert tb.source == ta.source
 
         # normalization monotonicity: components never increase, mentions only rehome
-        assert kgmod.mention_components(graph) <= before_components
+        assert mention_components(graph) <= before_components
         after_mentions = {(e.src, e.dst) for e in graph.edges if e.kind == "mention"}
         rehomed = {(f"e:{graph.resolve_entity(src[2:])}", dst)
                    for src, dst in before_mentions}

@@ -116,6 +116,29 @@ class TestValidation:
             assert (cfg.eval.n_runs, cfg.eval.n_judge, cfg.eval.recall_k) == (1, 1, 1)
             assert cfg.jobs == 1
 
+    @pytest.mark.parametrize("tau", [-0.01, 2.01, float("nan")])
+    def test_tau_outside_cosine_distance_range_rejected(self, tmp_path, tau):
+        # the expansion gain tau bounds is a cosine distance, so it lies in [0, 2]
+        with pytest.raises(ConfigError, match="retrieval.tau"):
+            load_config(None, overrides={"retrieval.tau": tau})
+        conf = tmp_path / "conf.yaml"
+        conf.write_text(yaml.safe_dump({"retrieval": {"tau": tau}}))
+        with pytest.raises(ConfigError, match="retrieval.tau"):
+            load_config(conf)
+        for edge in (0.0, 2.0):
+            assert load_config(None, overrides={"retrieval.tau": edge}).retrieval.tau == edge
+
+    def test_k_max_below_k0_rejected(self, tmp_path):
+        # expansion starts from k0 passages and never exceeds k_max
+        with pytest.raises(ConfigError, match="retrieval.k_max"):
+            load_config(None, overrides={"retrieval.k0": 10, "retrieval.k_max": 9})
+        conf = tmp_path / "conf.yaml"
+        conf.write_text(yaml.safe_dump({"retrieval": {"k_max": 4}}))
+        with pytest.raises(ConfigError, match="retrieval.k_max"):
+            load_config(conf)
+        cfg = load_config(None, overrides={"retrieval.k0": 10, "retrieval.k_max": 10})
+        assert (cfg.retrieval.k0, cfg.retrieval.k_max) == (10, 10)
+
     @pytest.mark.parametrize("key, value", [("ppr.tol", 1e-8), ("ppr.max_iters", 100)])
     def test_removed_ppr_keys_rejected(self, tmp_path, key, value):
         # PageRank's step count follows from the damping; configs that still

@@ -11,6 +11,8 @@ from speckg.errors import (CorpusInconsistent, CorruptStore, IncompatibleFormat,
                            NormalizationCycle)
 from speckg.ingest import Corpus, Passage, SemanticIR
 
+from conftest import mention_components
+
 def passage(pid="p0", text="Stub passage text."):
     return Passage(passage_id=pid, doc_id="t", section_path=["S"], text=text,
                    sentence_spans=[(0, len(text))], token_estimate=4)
@@ -132,14 +134,25 @@ class TestAliasRules:
         assert kgmod.compute_alias_map(["baud register", "ctrl register"]) == {}
 
     def test_extract_triples_emits_normalization_for_mapped_subject(self):
-        alias_map = {"ctrl reg": "ctrl register"}
-        ir = decl_ir(entity="ctrl reg")
-        triples = kgmod.extract_triples(ir, alias_map)
-        norms = [t for t in triples if t.category == "normalization"]
-        assert len(norms) == 1
-        assert (norms[0].subject, norms[0].predicate, norms[0].object) == (
-            "ctrl reg", "canonical_form", "ctrl register")
-        assert norms[0].source == ir.sentence_id
+        # one normalization triple per aliased backbone subject, citing the
+        # sentence that first names it, after every per-sentence triple
+        triples = kgmod.extract_corpus_triples(corpus_with_aliases())
+        norms = [(t.subject, t.predicate, t.object, t.source)
+                 for t in triples if t.category == "normalization"]
+        assert norms == [
+            ("ctrl register", "canonical_form", "ctrl register block", "p0:s0"),
+            ("ctrl reg", "canonical_form", "ctrl register", "p1:s0"),
+        ]
+        assert all(t.category == "normalization" for t in triples[-2:])
+
+    def test_normalization_cites_first_naming_sentence_even_as_object(self):
+        irs = [decl_ir("p0:s0", entity="host block", attrs=[{"name": "drives", "value": "ctrl reg"}]),
+               decl_ir("p1:s0", entity="ctrl reg", attrs=[{"name": "has", "value": "feature 1"}]),
+               decl_ir("p2:s0", entity="ctrl register", attrs=[{"name": "has", "value": "feature 2"}])]
+        corpus = Corpus(doc_id="t", passages=[passage(f"p{i}") for i in range(3)], irs=irs)
+        norms = [t for t in kgmod.extract_corpus_triples(corpus) if t.category == "normalization"]
+        assert [(t.subject, t.object, t.source) for t in norms] == [
+            ("ctrl reg", "ctrl register", "p0:s0")]
 
     def test_extract_triples_without_map_emits_no_normalization(self):
         triples = kgmod.extract_triples(decl_ir(entity="ctrl reg"))
@@ -264,9 +277,9 @@ class TestNormalization:
         corpus = corpus_with_aliases()
         graph = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus))
         # brute-force component count before/after over the mention subgraph
-        assert kgmod.mention_components(graph) == 3
+        assert mention_components(graph) == 3
         kgmod.apply_normalization(graph)
-        assert kgmod.mention_components(graph) == 1
+        assert mention_components(graph) == 1
 
     def test_no_alias_triples_graph_unchanged(self):
         corpus = small_corpus()
@@ -278,9 +291,9 @@ class TestNormalization:
     def test_component_count_never_increases(self, corpus, offline_gateway):
         triples = kgmod.extract_corpus_triples(corpus)
         graph = kgmod.build_graph(corpus, triples)
-        before = kgmod.mention_components(graph)
+        before = mention_components(graph)
         kgmod.apply_normalization(graph)
-        assert kgmod.mention_components(graph) <= before
+        assert mention_components(graph) <= before
 
     def test_alias_cycle_detected(self):
         corpus = small_corpus()
