@@ -1,9 +1,9 @@
 """Document ingestion: chunking, sentence IR extraction, anchor distillation.
 
-A document becomes passages (the retrieval granularity), each sentence gets
-a structured parse through the gateway, and every passage is distilled to a
-semantic anchor, a (type, entity) tag of its functional intent, or an
-explicit no-anchor marker when nothing parseable survives.
+A document becomes passages (the retrieval granularity), each passage's
+sentences get structured parses from one gateway call, and every passage is
+distilled to a semantic anchor, a (type, entity) tag of its functional
+intent, or an explicit no-anchor marker when nothing parseable survives.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import prompts
-from .errors import InvalidInput, SkippedSentence
+from .errors import FixtureMiss, InvalidInput, MalformedReply, SkippedSentence
 from .gateway import Gateway
 from .text import canonical_entity, estimate_tokens, split_sentences
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_PASSAGE_TOKENS = 512
+BLANK_SENTENCE = "empty sentence"  # skip reason of a sentence sent to no model
 
 DECLARATIVE = "declarative"
 PROCEDURAL = "procedural"
@@ -292,22 +293,55 @@ def _passage_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-# --- per-sentence extraction ---------------------------------------------------
+# --- sentence extraction -----------------------------------------------------
+
+def passage_replies(gateway: Gateway, passage: Passage) -> dict[int, dict]:
+    """Classify and parse a passage's non-blank sentences in one model call.
+
+    Returns each sentence's schema-checked ``semantic-ir`` entry by the
+    sentence's index in the passage; a passage with no non-blank sentence
+    makes no call. The reply is dropped with a warning when it is still
+    malformed after the gateway's repair, holds the wrong number of entries,
+    or, in replay, was never recorded (record mode stores no malformed
+    reply). Then each sentence is asked alone through
+    :func:`classify_sentence`, so one bad reply loses no sentence.
+    """
+    sentences = {i: s for i, s in enumerate(passage.sentences()) if s.strip()}
+    if not sentences:
+        return {}
+    try:
+        entries = gateway.chat(prompts.extract_ir(list(sentences.values()),
+                                                  passage.section_path))["sentences"]
+        if len(entries) == len(sentences):
+            return dict(zip(sentences, entries))
+        problem = f"{len(entries)} entries for {len(sentences)} sentences"
+    except (MalformedReply, FixtureMiss) as exc:
+        problem = str(exc)
+    logger.warning("passage %s: unusable ir-extract reply (%s); asking its %d "
+                   "sentences one at a time", passage.passage_id, problem, len(sentences))
+    return {i: classify_sentence(gateway, s, passage) for i, s in sentences.items()}
+
 
 def classify_sentence(gateway: Gateway, sentence: str, passage: Passage) -> dict:
-    """Classify and parse one sentence in a single model call.
+    """Classify and parse one sentence alone: the fallback when a passage's
+    reply is unusable.
 
-    Returns the schema-checked ``semantic-ir`` reply: its ``kind`` and that
-    kind's fields, or a skip. A blank sentence is skipped without a call.
+    Sends a one-sentence ``ir-extract`` request and returns its one entry,
+    the sentence's ``kind`` and that kind's fields, or a skip. A blank
+    sentence is skipped without a call.
     """
     if not sentence.strip():
-        raise SkippedSentence("empty sentence")
-    return gateway.chat(prompts.extract_ir(sentence, passage.section_path))
+        raise SkippedSentence(BLANK_SENTENCE)
+    entries = gateway.chat(prompts.extract_ir([sentence], passage.section_path))["sentences"]
+    if len(entries) != 1:
+        raise MalformedReply(f"ir-extract reply holds {len(entries)} entries for one "
+                             f"sentence of {passage.passage_id}")
+    return entries[0]
 
 
 def extract_ir(reply: dict, passage: Passage, sentence_id: str,
                span: tuple[int, int]) -> SemanticIR:
-    """Turn a ``classify_sentence`` reply into the sentence's IR."""
+    """Turn a sentence's ``semantic-ir`` entry into its IR."""
     if reply.get("skip"):
         raise SkippedSentence(reply.get("reason", "model skipped sentence"))
     return SemanticIR(
@@ -352,23 +386,24 @@ def distill_anchor(irs: list[SemanticIR]) -> SemanticAnchor | None:
 
 def ingest_document(gateway: Gateway, document: str, doc_id: str,
                     max_passage_tokens: int = DEFAULT_MAX_PASSAGE_TOKENS) -> Corpus:
-    """Full ingest: chunk, classify and parse every sentence in one model
-    call, distill anchors.
+    """Full ingest: chunk, classify and parse each passage's sentences in one
+    model call, distill anchors.
 
     Extraction results are committed in document order so corpus files are
-    deterministic regardless of call scheduling.
+    deterministic regardless of call scheduling; skips are logged in sentence
+    order, blank sentences among them.
     """
     passages = chunk(document, doc_id, max_passage_tokens)
     irs: list[SemanticIR] = []
     skipped: list[dict] = []
     for passage in passages:
+        replies = passage_replies(gateway, passage)
         passage_irs: list[SemanticIR] = []
-        for index, (start, end) in enumerate(passage.sentence_spans):
-            sentence = passage.text[start:end]
+        for index, span in enumerate(passage.sentence_spans):
             sentence_id = f"{passage.passage_id}:s{index:03d}"
+            reply = replies.get(index, {"skip": True, "reason": BLANK_SENTENCE})
             try:
-                reply = classify_sentence(gateway, sentence, passage)
-                ir = extract_ir(reply, passage, sentence_id, (start, end))
+                ir = extract_ir(reply, passage, sentence_id, span)
             except SkippedSentence as exc:
                 skipped.append({"sentence_id": sentence_id, "reason": str(exc)})
                 continue

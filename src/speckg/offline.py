@@ -618,7 +618,12 @@ class OfflineModel:
 
     @staticmethod
     def _extract_ir(payload: dict) -> dict:
-        parse = parse_sentence(payload["sentence"])
+        return {"sentences": [OfflineModel._sentence_ir(item["text"])
+                              for item in payload["sentences"]]}
+
+    @staticmethod
+    def _sentence_ir(sentence: str) -> dict:
+        parse = parse_sentence(sentence)
         if parse is None:
             return {"skip": True, "reason": "no technical content"}
         if parse.kind == "declarative":

@@ -19,17 +19,19 @@ EVALUATION_TEMPERATURE = 0.2
 
 _SYSTEM = {
     "ir-extract": (
-        "You deconstruct one sentence from a hardware specification into a compact "
-        "JSON structure. First decide its kind: a declarative functional description "
-        "(static properties, register fields, signal functions) or a procedural "
-        "behavioral description (state transitions, conditional triggers, signal "
-        "assignments). Then parse it with that kind's template, \"kind\" first. "
-        "Declarative sentences become {\"kind\": \"declarative\", \"central_entity\": ..., "
+        "You deconstruct each numbered sentence of a hardware specification "
+        "passage into a compact JSON structure. First decide its kind: a "
+        "declarative functional description (static properties, register fields, "
+        "signal functions) or a procedural behavioral description (state "
+        "transitions, conditional triggers, signal assignments). Then parse it "
+        "with that kind's template, \"kind\" first. Declarative sentences become "
+        "{\"kind\": \"declarative\", \"central_entity\": ..., "
         "\"attributes\": [{\"name\": ..., \"value\": ...}]}. Procedural sentences become "
         "{\"kind\": \"procedural\", \"trigger\": ..., \"condition\": ..., \"action\": "
-        "{\"subject\": ..., \"verb\": ..., \"object\": ...}}. If the sentence carries no "
-        "technical content (a caption or cross-reference), reply {\"skip\": true, "
-        "\"reason\": ...}. Reply with JSON only."
+        "{\"subject\": ..., \"verb\": ..., \"object\": ...}}. A sentence that carries no "
+        "technical content (a caption or cross-reference) becomes {\"skip\": true, "
+        "\"reason\": ...}. Reply with JSON only: {\"sentences\": [...]}, one entry "
+        "per sentence, in order."
     ),
     "summarize": (
         "Summarize what the given passages contribute toward answering the query. "
@@ -78,15 +80,19 @@ def _render(instruction: str, payload: dict) -> str:
     return f"{instruction}\n\nInput:\n```json\n{json.dumps(payload, ensure_ascii=False, sort_keys=True)}\n```"
 
 
-def extract_ir(sentence: str, section_path: list[str]) -> ChatRequest:
+def extract_ir(sentences: list[str], section_path: list[str]) -> ChatRequest:
+    """One request for a passage's sentences, numbered from 1; the reply holds
+    one ``semantic-ir`` entry per sentence, in order."""
     return ChatRequest(
         task_tag="ir-extract",
         system_prompt=_SYSTEM["ir-extract"],
-        user_prompt=_render("Classify this sentence, then deconstruct it using "
-                            "that kind's template.",
-                            {"sentence": sentence, "section": section_path}),
+        user_prompt=_render("Classify each numbered sentence, then deconstruct it "
+                            "using that kind's template.",
+                            {"sentences": [{"number": n, "text": sentence}
+                                           for n, sentence in enumerate(sentences, 1)],
+                             "section": section_path}),
         temperature=GENERATIVE_TEMPERATURE,
-        response_schema_id="semantic-ir",
+        response_schema_id="semantic-ir-list",
     )
 
 

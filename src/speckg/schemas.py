@@ -75,16 +75,29 @@ _PROCEDURAL = {
     "additionalProperties": False,
 }
 
+_SEMANTIC_IR = {
+    "type": "object",
+    "if": {"required": ["skip"]},
+    "then": _SKIP,
+    "else": {
+        "if": {"required": ["kind"], "properties": {"kind": {"const": "procedural"}}},
+        "then": _PROCEDURAL,
+        "else": _DECLARATIVE,
+    },
+}
+
 SCHEMAS: dict[str, dict] = {
-    "semantic-ir": {
+    "semantic-ir": _SEMANTIC_IR,
+    # One ir-extract reply: a semantic-ir entry per sentence of the request.
+    # The entry schema is inlined, not a $ref, so no reference is resolved
+    # per entry; the entry count is checked against the request by ingest.
+    "semantic-ir-list": {
         "type": "object",
-        "if": {"required": ["skip"]},
-        "then": _SKIP,
-        "else": {
-            "if": {"required": ["kind"], "properties": {"kind": {"const": "procedural"}}},
-            "then": _PROCEDURAL,
-            "else": _DECLARATIVE,
+        "required": ["sentences"],
+        "properties": {
+            "sentences": {"type": "array", "items": _SEMANTIC_IR},
         },
+        "additionalProperties": False,
     },
     "gap-assess": {
         "type": "object",

@@ -173,7 +173,7 @@ class TestTaskRouting:
 
     def test_task_tags_are_the_prompts_tags(self):
         requests = [
-            prompts.extract_ir("The CTRL register holds the mode.", ["Regs"]),
+            prompts.extract_ir(["The CTRL register holds the mode."], ["Regs"]),
             prompts.summarize("q", []),
             prompts.reason("q", [], []),
             prompts.synthesize("q", [], [], False),

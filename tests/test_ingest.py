@@ -1,10 +1,18 @@
+import importlib.util
+import json
+import logging
+import sys
+from pathlib import Path
+
 import pytest
 
-from speckg.errors import InvalidInput, SkippedSentence
+from speckg import ingest
+from speckg.errors import InvalidInput, MalformedReply, SkippedSentence
+from speckg.gateway import FixtureStore
 from speckg.ingest import (Passage, SemanticIR, chunk, classify_sentence,
                            distill_anchor, extract_ir, ingest_document)
-
 from speckg.offline import OfflineModel
+from speckg.prompts import extract_payload
 
 from conftest import make_offline_gateway
 
@@ -100,15 +108,55 @@ def parse(gw, sentence: str) -> SemanticIR:
     return extract_ir(reply, passage, "s0", passage.sentence_spans[0])
 
 
-class CountingModel(OfflineModel):
-    """The offline model, logging the task tag of every chat request."""
+def asked_sentences(request) -> list[str]:
+    return [item["text"] for item in extract_payload(request.user_prompt)["sentences"]]
 
-    def __init__(self):
-        self.tags = []
+
+class RecordingModel(OfflineModel):
+    """The offline model, logging the sentences of every ir-extract request;
+    ``fault`` rewrites the reply entries for the ``faulty`` sentence list."""
+
+    def __init__(self, fault=None, faulty=None):
+        self.asked = []
+        self.fault, self.faulty = fault, faulty
 
     def chat(self, request, model):
-        self.tags.append(request.task_tag)
+        reply = super().chat(request, model)
+        assert request.task_tag == "ir-extract"
+        sentences = asked_sentences(request)
+        self.asked.append(sentences)
+        if sentences != self.faulty:
+            return reply
+        return json.dumps({"sentences": self.fault(json.loads(reply)["sentences"])})
+
+
+class OneSentenceModel(OfflineModel):
+    """The offline model, refusing every ir-extract request for more than one
+    sentence with a reply that is not JSON."""
+
+    def __init__(self):
+        self.refused = 0
+
+    def chat(self, request, model):
+        if request.task_tag == "ir-extract" and len(asked_sentences(request)) > 1:
+            self.refused += 1
+            return "I can only parse one sentence at a time."
         return super().chat(request, model)
+
+
+def ingest_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "speckg.ingest" and r.levelno == logging.WARNING]
+
+
+def load_manual_module():
+    """The benchmark's seeded register-manual generator, ``perfbench/manual.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "manual.py"
+    spec = importlib.util.spec_from_file_location("perfbench_manual", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestClassify:
@@ -134,6 +182,13 @@ class TestClassify:
                          chat_model="offline-chat", embedding_model="offline-embed")
         assert classify_sentence(replay, sentence, passage) == first
         assert classify_sentence(replay, sentence, passage) == first
+
+    def test_one_sentence_reply_of_the_wrong_length_is_malformed(self):
+        sentence = "The CTRL register holds the mode."
+        model = RecordingModel(fault=lambda entries: entries * 2, faulty=[sentence])
+        with pytest.raises(MalformedReply, match="2 entries for one sentence"):
+            classify_sentence(make_offline_gateway(provider=model), sentence,
+                              make_passage(sentence))
 
     def test_reply_carries_the_kind_and_its_fields(self):
         gw = make_offline_gateway()
@@ -166,12 +221,12 @@ class TestExtractIR:
         assert ir.action["subject"] == "receiver"
 
     def test_empty_sentence_skipped(self):
-        model = CountingModel()
+        model = RecordingModel()
         gw = make_offline_gateway(provider=model)
         passage = make_passage("Some text here.")
         with pytest.raises(SkippedSentence):
             classify_sentence(gw, "   ", passage)
-        assert model.tags == []
+        assert model.asked == []
 
     def test_caption_skipped(self):
         with pytest.raises(SkippedSentence):
@@ -192,15 +247,126 @@ class TestExtractIR:
         assert (ir.passage_id, ir.span) == (passage.passage_id, (0, 3))
 
 
-class TestOneCallPerSentence:
-    def test_one_ir_extract_call_per_sentence(self, fixture_document, corpus):
-        model = CountingModel()
+class TestOneCallPerPassage:
+    def test_one_ir_extract_call_per_passage_with_a_sentence(self, fixture_document,
+                                                              corpus):
+        model = RecordingModel()
         again = ingest_document(make_offline_gateway(provider=model), fixture_document,
                                 "serial_link_spec")
         sentences = sum(len(p.sentence_spans) for p in again.passages)
         assert sentences == len(again.irs) + len(again.skipped)
-        assert model.tags == ["ir-extract"] * sentences
+        asked = [p.sentences() for p in again.passages
+                 if any(s.strip() for s in p.sentences())]
+        assert len(asked) == 21 < sentences == 40
+        assert model.asked == asked
         assert [ir.to_dict() for ir in again.irs] == [ir.to_dict() for ir in corpus.irs]
+        assert again.skipped == corpus.skipped
+
+
+def corpus_files(corpus, out) -> dict[str, bytes]:
+    corpus.save(out)
+    return {name: (out / name).read_bytes() for name in ("ir.jsonl", "passages.jsonl")}
+
+
+class TestPerSentenceOracle:
+    """Asking every sentence alone, through the fallback, is the oracle: the
+    passage requests must give byte-identical corpus files."""
+
+    @pytest.mark.parametrize("source", ["fixture-spec", "manual-30"])
+    def test_fallback_for_every_passage_gives_the_same_files(self, source, fixture_document,
+                                                             tmp_path, caplog):
+        if source == "fixture-spec":
+            document, doc_id = fixture_document, "serial_link_spec"
+        else:
+            document, doc_id = load_manual_module().generate(0, 30).text, "regmanual"
+        batched = ingest_document(make_offline_gateway(), document, doc_id)
+        model = OneSentenceModel()
+        with caplog.at_level(logging.WARNING, logger="speckg.ingest"):
+            alone = ingest_document(make_offline_gateway(provider=model), document, doc_id)
+        multi = [p for p in batched.passages if len(p.sentence_spans) > 1]
+        assert multi and len(ingest_warnings(caplog)) == len(multi)
+        assert model.refused == len(multi) * 2  # each refusal, then its repair
+        assert (corpus_files(alone, tmp_path / "alone")
+                == corpus_files(batched, tmp_path / "batched"))
+        assert alone.skipped == batched.skipped
+
+    def test_replay_reproduces_a_recorded_fallback(self, fixture_document, corpus, tmp_path):
+        # Record keeps no malformed reply, so replay misses on the passage
+        # request and must take the recorded one-sentence requests instead.
+        path = tmp_path / "f.jsonl"
+        rec = make_offline_gateway(provider=OneSentenceModel(), mode="record",
+                                   fixtures=FixtureStore(path))
+        recorded = ingest_document(rec, fixture_document, "serial_link_spec")
+        replay = make_offline_gateway(provider=None, mode="replay",
+                                      fixtures=FixtureStore(path))
+        replayed = ingest_document(replay, fixture_document, "serial_link_spec")
+        for again in (recorded, replayed):
+            assert [ir.to_dict() for ir in again.irs] == [ir.to_dict() for ir in corpus.irs]
+            assert again.skipped == corpus.skipped
+
+
+class TestPassageFallback:
+    """One bad passage reply re-asks that passage's sentences alone."""
+
+    @staticmethod
+    def target(document):
+        return next(p for p in chunk(document, "serial_link_spec")
+                    if len(p.sentence_spans) > 2)
+
+    @pytest.mark.parametrize("fault, repaired", [
+        (lambda entries: entries[:-1], False),
+        (lambda entries: [{"kind": "declarative"}] + entries[1:], True),
+    ], ids=["wrong-length", "schema-invalid"])
+    def test_only_the_bad_passage_is_re_asked(self, fault, repaired, fixture_document,
+                                              corpus, caplog):
+        target = self.target(fixture_document)
+        model = RecordingModel(fault=fault, faulty=target.sentences())
+        with caplog.at_level(logging.WARNING, logger="speckg.ingest"):
+            again = ingest_document(make_offline_gateway(provider=model), fixture_document,
+                                    "serial_link_spec")
+        expected = []
+        for p in again.passages:
+            sentences = p.sentences()
+            if sentences:
+                expected.append(sentences)
+            if p.passage_id == target.passage_id:
+                expected += [sentences] * repaired + [[s] for s in sentences]
+        assert model.asked == expected
+        assert [ir.to_dict() for ir in again.irs] == [ir.to_dict() for ir in corpus.irs]
+        assert again.skipped == corpus.skipped
+        warnings = ingest_warnings(caplog)
+        assert len(warnings) == 1 and target.passage_id in warnings[0]
+
+
+class TestBlankSentences:
+    @staticmethod
+    def ingest_passage(monkeypatch, text, spans):
+        passage = Passage(passage_id="d#p0000", doc_id="d", section_path=["S"], text=text,
+                          sentence_spans=spans, token_estimate=1)
+        monkeypatch.setattr(ingest, "chunk", lambda *args, **kwargs: [passage])
+        model = RecordingModel()
+        corpus = ingest_document(make_offline_gateway(provider=model), text, "d")
+        return corpus, model.asked
+
+    def test_blank_span_skipped_in_sentence_order(self, monkeypatch):
+        first, second = "See Figure 3 for the layout.", "See Table 2 for the fields."
+        text = f"{first}   {second}"
+        blank_end = len(first) + 3
+        corpus, asked = self.ingest_passage(
+            monkeypatch, text, [(0, len(first)), (len(first), blank_end),
+                                (blank_end, len(text))])
+        assert asked == [[first, second]]
+        assert corpus.skipped == [
+            {"sentence_id": "d#p0000:s000", "reason": "no technical content"},
+            {"sentence_id": "d#p0000:s001", "reason": "empty sentence"},
+            {"sentence_id": "d#p0000:s002", "reason": "no technical content"},
+        ]
+
+    def test_passage_of_blanks_makes_no_call(self, monkeypatch):
+        corpus, asked = self.ingest_passage(monkeypatch, "  \n ", [(0, 2), (2, 5)])
+        assert asked == []
+        assert [s["reason"] for s in corpus.skipped] == ["empty sentence"] * 2
+        assert corpus.passages[0].anchor is None
 
 
 def decl(entity, sentence_id="p#s0"):

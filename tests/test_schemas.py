@@ -1,3 +1,5 @@
+import json
+
 import jsonschema
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,19 @@ REPLIES = {
         {"skip": True, "reason": 3},
         "skip",
         None,
+    ],
+    "semantic-ir-list": [
+        {"sentences": []},
+        {"sentences": [{"skip": True},
+                       {"kind": "declarative", "central_entity": "ctrl register",
+                        "attributes": [{"name": "width", "value": "32"}]}]},
+        {"sentences": [{"skip": True}, {"kind": "procedural", "trigger": ""}]},
+        {"sentences": {"skip": True}},
+        {"sentences": [{"skip": True}], "extra": 1},
+        {"sentences": [None, {"kind": "declarative", "central_entity": ""}], "n": 2},
+        {"skip": True},
+        {},
+        [],
     ],
     "gap-assess": [
         {"thought": "enough", "status": "sufficient"},
@@ -131,6 +146,12 @@ class TestCompiledAtImport:
         for i in range(100):
             schemas.validate_reply(*replies[i % len(replies)])
         assert calls == []
+
+
+def test_semantic_ir_list_items_are_the_semantic_ir_schema_inlined():
+    items = schemas.SCHEMAS["semantic-ir-list"]["properties"]["sentences"]["items"]
+    assert items is schemas.SCHEMAS["semantic-ir"]
+    assert "$ref" not in json.dumps(schemas.SCHEMAS)
 
 
 # The semantic-ir schema as its three reply shapes under oneOf, which checks
@@ -241,3 +262,10 @@ def test_semantic_ir_accepts_what_one_of_accepts_on_drawn_replies(reply):
     if not accepted:
         with pytest.raises(jsonschema.ValidationError):
             schemas.validate_reply("semantic-ir", reply)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(semantic_ir_replies(), max_size=4))
+def test_semantic_ir_list_accepts_lists_of_what_one_of_accepts(entries):
+    accepted = schemas.VALIDATORS["semantic-ir-list"].is_valid({"sentences": entries})
+    assert accepted == all(ONE_OF_VALIDATOR.is_valid(entry) for entry in entries)

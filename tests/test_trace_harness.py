@@ -13,9 +13,10 @@ def test_trace_harness_instruments_speckg():
     # A fresh interpreter, so the harness's monkeypatching stays out of the
     # other tests. Embedding two texts inside an operation must count two,
     # which holds while Gateway.embed takes the texts as its one argument.
-    # Ingesting a document must count each sentence once, and one ir-extract
-    # request per sentence, which holds while ingest makes its one model call
-    # per sentence through classify_sentence.
+    # Ingesting a document must count one ir-extract request per passage with
+    # a sentence. ingest.sentences counts the sentences asked alone through
+    # classify_sentence, the fallback for an unusable passage reply: none
+    # here.
     code = """
 import spans
 from speckg import ingest
@@ -30,13 +31,13 @@ tracer.end_op()
 assert tracer.counts["embed_texts"] == 2, tracer.counts
 doc = ("## Reset\\n\\nWhen reset is asserted, the FSM returns to IDLE. "
        "The CTRL register holds the mode. See Figure 3 for the layout.\\n")
-sentences = sum(len(p.sentence_spans) for p in ingest.chunk(doc, "d"))
-assert sentences == 3, sentences
+passages = ingest.chunk(doc, "d")
+assert [len(p.sentence_spans) for p in passages] == [3], passages
 tracer.begin_op(1)
 corpus = ingest.ingest_document(gw, doc, "d")
 tracer.end_op()
-assert tracer.counts["ingest.sentences"] == sentences, tracer.counts
-assert tracer.counts["chat.ir-extract"] == sentences, tracer.counts
+assert tracer.counts["ingest.sentences"] == 0, tracer.counts
+assert tracer.counts["chat.ir-extract"] == 1, tracer.counts
 assert tracer.counts["chat.classify-sentence"] == 0, tracer.counts
 assert tracer.counts["ingest.skipped"] == len(corpus.skipped) == 1, tracer.counts
 """
