@@ -1,11 +1,13 @@
 """Deterministic offline provider: a rule-based stand-in model.
 
-Serves every task the pipeline needs (sentence classification, clause
-parsing, summarization, gap-driven reasoning, answer synthesis, atomic-fact
-decomposition, equivalence judging) plus hashing-trick bag-of-words
-embeddings, with no network, keys, or RNG. It exists so record/replay
-fixtures can be produced hermetically; hosted models replace it in real
-deployments via the gateway without touching any downstream module.
+Serves every task the pipeline needs (per-passage extraction, which
+classifies and parses each sentence in one reply; summarization; gap-driven
+reasoning, whose sufficient verdict carries the answer; answer synthesis for
+the loop's other exits; atomic-fact decomposition; equivalence judging) plus
+hashing-trick bag-of-words embeddings, with no network, keys, or RNG. It
+exists so record/replay fixtures can be produced hermetically; hosted models
+replace it in real deployments via the gateway without touching any
+downstream module.
 
 The grammar is a shallow clause parser tuned to specification prose
 (subordinate trigger clauses, passives, attribute statements). It is a model
@@ -75,6 +77,8 @@ PARTICLES = {"to", "into", "in", "of", "at", "on", "from", "back"}
 MULTI_VALUE_PREDICATES = {"reports", "contains", "includes", "provides", "holds"}
 
 _SKIP_RE = re.compile(r"^(see |refer to |figure |table |cf\.)", re.IGNORECASE)
+
+INSUFFICIENT = "The retrieved evidence is insufficient to answer the question fully."
 
 # --- judge normalization -----------------------------------------------------
 
@@ -336,6 +340,12 @@ _TRANSITION_Q = re.compile(
     r"(?:reach|enter|return to|settle in|end up in)\s+when\s+(?P<cond>[^?]+?)\s*\?"
 )
 _QUOTE_Q = re.compile(r'(?i)according to the (?:line|statement)\s+"(?P<quote>[^"]+)"')
+_LAST_ARTICLE_Q = re.compile(
+    r"(?i)^(?P<head>.*)\b(?:the|a|an)\s+(?P<phrase>[A-Za-z0-9_ ]+?)\s*\?\s*$"
+)
+
+DO_SUPPORT = {"do", "does", "did", "can", "could", "will", "would", "should", "must"}
+PREPOSITIONS = PARTICLES | {"for", "with", "by", "after", "before", "during"}
 
 ATTR_SYNONYMS = {
     "default value": {"default", "defaults", "reset"},
@@ -366,6 +376,17 @@ def _gap(thought: str, description: str, sub_query: str, anchor_type: str,
 
 def _sufficient(thought: str) -> dict:
     return {"thought": thought, "status": "sufficient"}
+
+
+def _answer_text(statements: list[str], incomplete: bool) -> str:
+    """The answer written from the statements a question's trace found: the
+    ``reason`` reply's answer on a sufficient verdict (``incomplete`` False),
+    and the ``synthesize`` reply on the loop's other exits."""
+    if incomplete or not statements:
+        if statements:
+            return INSUFFICIENT + " Known so far: " + " ".join(statements)
+        return INSUFFICIENT
+    return " ".join(statements)
 
 
 class _Resolver:
@@ -565,8 +586,20 @@ class _Resolver:
 
     def _fallback(self) -> dict:
         q = self.question.strip()
-        m = re.search(r"(?i)(?:the|a|an)\s+([A-Za-z0-9_ ]+?)\s*\?\s*$", q)
-        entity = m.group(1).strip() if m else " ".join(strip_articles(q).split()[-2:])
+        m = _LAST_ARTICLE_Q.match(q)
+        if m:
+            # The noun phrase after the last article ends at a preposition.
+            # Under do-support ("does the UART send") its last word is the
+            # main verb, not part of the subject.
+            words = m.group("phrase").split()
+            words = words[:next((i for i, w in enumerate(words)
+                                 if i and w.lower() in PREPOSITIONS), len(words))]
+            head = m.group("head").split()
+            if head and head[-1].lower() in DO_SUPPORT and len(words) > 1:
+                words = words[:-1]
+            entity = " ".join(words)
+        else:
+            entity = " ".join(strip_articles(q.rstrip("? ")).split()[-2:])
         anchor_type = "procedural" if _CUE_RE.search(q) else "declarative"
         return _gap(
             "The question does not match any resolvable evidence.",
@@ -656,18 +689,15 @@ class OfflineModel:
 
     @staticmethod
     def _reason(payload: dict) -> dict:
-        verdict, _ = _Resolver(payload["question"], payload["context"]).resolve()
+        verdict, statements = _Resolver(payload["question"], payload["context"]).resolve()
+        if verdict["status"] == "sufficient":
+            verdict["answer"] = _answer_text(statements, incomplete=False)
         return verdict
 
     @staticmethod
     def _synthesize(payload: dict) -> str:
         _, statements = _Resolver(payload["question"], payload["context"]).resolve()
-        if payload.get("incomplete_evidence") or not statements:
-            prefix = "The retrieved evidence is insufficient to answer the question fully."
-            if statements:
-                return prefix + " Known so far: " + " ".join(statements)
-            return prefix
-        return " ".join(statements)
+        return _answer_text(statements, bool(payload.get("incomplete_evidence")))
 
     @staticmethod
     def _decompose(payload: dict) -> dict:

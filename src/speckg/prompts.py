@@ -41,10 +41,11 @@ _SYSTEM = {
         "You answer questions about a hardware specification step by step. Given "
         "the question, your prior notes, and the evidence passages, produce one "
         "reasoning step and assess whether the evidence suffices. Reply with JSON: "
-        '{"thought": ..., "status": "sufficient"} or {"thought": ..., "status": "gap", '
-        '"gap_description": ..., "sub_query": ..., "target_anchor": {"anchor_type": '
-        '"declarative"|"procedural", "entity": ...}}. The sub_query must name the '
-        "single missing fact; the target_anchor captures its functional intent."
+        '{"thought": ..., "status": "sufficient", "answer": ...} or {"thought": ..., '
+        '"status": "gap", "gap_description": ..., "sub_query": ..., "target_anchor": '
+        '{"anchor_type": "declarative"|"procedural", "entity": ...}}. The answer states '
+        "each fact from the evidence as its own short sentence. The sub_query must name "
+        "the single missing fact; the target_anchor captures its functional intent."
     ),
     "synthesize": (
         "Write the final answer to the question using only the evidence passages. "

@@ -5,7 +5,10 @@ evidence for self-detected knowledge gaps: each round produces a thought plus
 a structured gap assessment in one model call; a gap yields a sub-query and a
 target anchor, retrieval runs the full seed → pagerank → expand → filter
 pipeline, and surviving passages join the context. Termination is the first
-of: sufficiency, the gap-round budget, or a run of barren rounds.
+of: sufficiency, the gap-round budget, or a run of barren rounds. A sufficient
+verdict carries the final answer, so that exit makes no further call; every
+other exit (budget, stall, or a malformed assessment) asks for one
+``synthesize`` call over the final context.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class GapAssessment:
     gap_description: str = ""
     sub_query: str = ""
     target_anchor: SemanticAnchor | None = None
+    answer: str = ""  # set on a sufficient verdict that is not degraded
     degraded: bool = False
 
 
@@ -85,8 +89,9 @@ class AnswerRecord:
 
 
 def reason_step(gateway: Gateway, ctx: ReasoningContext) -> GapAssessment:
-    """One thought + gap assessment; malformed replies degrade to sufficiency
-    so the loop synthesizes instead of looping blind."""
+    """One thought + gap assessment, with the answer when sufficient; malformed
+    replies degrade to sufficiency without an answer, so the loop synthesizes
+    instead of looping blind."""
     request = prompts.reason(ctx.question, ctx.thoughts, ctx.payload())
     try:
         reply = gateway.chat(request)
@@ -96,7 +101,7 @@ def reason_step(gateway: Gateway, ctx: ReasoningContext) -> GapAssessment:
         return GapAssessment(status="sufficient", degraded=True)
     ctx.thoughts.append(reply["thought"])
     if reply["status"] == "sufficient":
-        return GapAssessment(status="sufficient")
+        return GapAssessment(status="sufficient", answer=reply["answer"])
     anchor = SemanticAnchor.from_dict(reply["target_anchor"])
     return GapAssessment(
         status="gap",
@@ -145,6 +150,7 @@ def run(question: str, kg: SpecGraph, gateway: Gateway, cfg) -> AnswerRecord:
     barren_streak = 0
     max_rounds = cfg.reasoning.max_rounds
     stall_limit = cfg.reasoning.stall_limit
+    answer = ""
 
     try:
         while True:
@@ -157,6 +163,7 @@ def run(question: str, kg: SpecGraph, gateway: Gateway, cfg) -> AnswerRecord:
             if assessment.degraded:
                 flags.append(FLAG_DEGRADED)
             if assessment.status == "sufficient":
+                answer = assessment.answer
                 break
             ctx.round += 1
             added = acquire(gateway, kg, ctx, assessment.sub_query,
@@ -168,7 +175,8 @@ def run(question: str, kg: SpecGraph, gateway: Gateway, cfg) -> AnswerRecord:
                 if barren_streak >= stall_limit:
                     flags.extend([FLAG_STALL, FLAG_INCOMPLETE])
                     break
-        answer = synthesize(gateway, ctx, incomplete=FLAG_INCOMPLETE in flags)
+        if not answer:
+            answer = synthesize(gateway, ctx, incomplete=FLAG_INCOMPLETE in flags)
     except SpecKGError as exc:
         logger.error("reasoning run failed: %s", exc)
         flags.append(f"error:{type(exc).__name__}")

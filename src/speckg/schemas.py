@@ -108,18 +108,24 @@ SCHEMAS: dict[str, dict] = {
             "gap_description": {"type": "string", "minLength": 1},
             "sub_query": {"type": "string", "minLength": 1},
             "target_anchor": _ANCHOR,
+            "answer": {"type": "string", "minLength": 1},
         },
         "additionalProperties": False,
+        # A gap names what is missing; a sufficient verdict carries the answer.
         "if": {"properties": {"status": {"const": "gap"}}},
-        "then": {"required": ["gap_description", "sub_query", "target_anchor"]},
+        "then": {
+            "required": ["gap_description", "sub_query", "target_anchor"],
+            "not": {"required": ["answer"]},
+        },
         "else": {
+            "required": ["answer"],
             "not": {
                 "anyOf": [
                     {"required": ["gap_description"]},
                     {"required": ["sub_query"]},
                     {"required": ["target_anchor"]},
                 ]
-            }
+            },
         },
     },
     "atom-list": {

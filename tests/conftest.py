@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speckg import evaluation, kg as kgmod
+from speckg import evaluation, kg as kgmod, reasoning
 from speckg.config import RunConfig
 from speckg.gateway import Gateway
 from speckg.ingest import ingest_document
@@ -31,6 +31,20 @@ def make_config(**gateway_overrides) -> RunConfig:
     for key, value in gateway_overrides.items():
         setattr(cfg.gateway, key, value)
     return cfg
+
+
+def synthesized_answer(record, graph, gateway) -> str:
+    """The answer a separate ``synthesize`` call writes over the context a
+    finished run ended with, as the loop asked for it before a sufficient
+    verdict carried the answer: the oracle for that answer."""
+    ctx = reasoning.ReasoningContext(question=record.question,
+                                     thoughts=list(record.thoughts))
+    for pid in record.provenance:
+        passage = graph.passages[pid]
+        ctx.context_items.append(reasoning.ContextItem(
+            passage_id=pid, text=passage.text,
+            section="/".join(passage.section_path), round_added=0))
+    return reasoning.synthesize(gateway, ctx, incomplete=False)
 
 
 def mention_components(graph) -> int:

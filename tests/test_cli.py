@@ -100,6 +100,26 @@ class TestEvalAndBench:
         assert (run_dir / "report.json").exists()
 
 
+    def test_bench_record_then_replay_same_report_and_no_synthesize_record(
+            self, built_store, tmp_path):
+        # every fixture item ends on a sufficient verdict, whose reason reply
+        # carries the answer: the recorded file needs no synthesize reply
+        fixtures = tmp_path / "replies.jsonl"
+        fixtures.write_bytes(built_store["fixtures"].read_bytes())
+        reports = []
+        for mode in ("record", "replay"):
+            run_dir = tmp_path / mode
+            assert main(["bench", "--kg", str(built_store["store"]),
+                         "--dataset", str(QA_DATASET),
+                         "--mode", mode, "--fixtures", str(fixtures),
+                         "--run-dir", str(run_dir)]) == 0
+            reports.append((run_dir / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        tags = {json.loads(line)["task_tag"]
+                for line in fixtures.read_text().splitlines()}
+        assert "reason" in tags and "synthesize" not in tags
+
+
 class TestReplayVerify:
     def test_two_replay_runs_byte_identical(self, built_store, tmp_path):
         # warm the fixture store with a full bench first

@@ -2,6 +2,8 @@
 
 Each case gives a question and the evidence passages, and pins the exact
 ``reason`` reply and ``synthesize`` text the offline model produces for them.
+A sufficient ``reason`` reply carries the answer, which must be the case's
+``synthesize`` text: the answer the separate call would have written.
 Several branches (dependency loops, a missing reset parse, a partial event
 chain) are reached by neither the fixture QA nor the benchmark manual.
 """
@@ -11,7 +13,7 @@ import json
 import pytest
 
 from speckg import prompts
-from speckg.offline import OfflineModel
+from speckg.offline import OfflineModel, _Resolver
 
 RESET = "When the reset input is asserted, the TX FSM returns to the IDLE state."
 START = "When a start bit is detected in the IDLE state, the TX FSM enters the SYNC state."
@@ -47,7 +49,7 @@ def gap(thought, description, sub_query, anchor_type, entity):
             "target_anchor": {"anchor_type": anchor_type, "entity": entity}}
 
 
-# name: (question, passages, reason reply, synthesize text)
+# name: (question, passages, reason reply without its answer, synthesize text)
 CASES = {
     "quote": (
         'According to the line "The BAUD register defaults to 0x0010", what is the reset value?',
@@ -170,7 +172,7 @@ CASES = {
         "How many stop bits does the UART send?", [READY],
         gap("The question does not match any resolvable evidence.",
             "Unable to locate supporting evidence.",
-            "How many stop bits does the UART send?", "declarative", "UART send"),
+            "How many stop bits does the UART send?", "declarative", "UART"),
         INSUFFICIENT,
     ),
 }
@@ -183,7 +185,9 @@ def context(passages):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_reason_reply(name):
-    question, passages, reply, _ = CASES[name]
+    question, passages, reply, text = CASES[name]
+    if reply["status"] == "sufficient":
+        reply = {**reply, "answer": text}
     raw = OfflineModel().chat(prompts.reason(question, [], context(passages)), "offline-chat")
     assert json.loads(raw) == reply
 
@@ -201,3 +205,17 @@ def test_incomplete_synthesis_keeps_what_is_known(name):
     request = prompts.synthesize(question, [], context(passages), True)
     expected = INSUFFICIENT if text == INSUFFICIENT else f"{INSUFFICIENT} Known so far: {text}"
     assert OfflineModel().chat(request, "offline-chat") == expected
+
+
+@pytest.mark.parametrize("question, entity", [
+    ("How many stop bits does the UART send?", "UART"),
+    ("Which bit does the CTRL register use for parity?", "CTRL register"),
+    ("What does the loopback function control?", "loopback function"),
+    ("What happens to the TX FSM after reset?", "TX FSM"),
+    ("How wide is the BAUD register?", "BAUD register"),
+    ("Why is data bus idle?", "bus idle"),
+])
+def test_fallback_anchor_is_the_noun_phrase(question, entity):
+    # the words after the last article, cut at a preposition, less the main
+    # verb under do-support; with no article, the last two words
+    assert _Resolver(question, [])._fallback()["target_anchor"]["entity"] == entity

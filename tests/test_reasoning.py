@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -6,11 +7,12 @@ from speckg import reasoning
 from speckg.gateway import FixtureStore, Gateway
 from speckg.ingest import SemanticAnchor
 from speckg.offline import OfflineModel
-from speckg.reasoning import (FLAG_BUDGET, FLAG_INCOMPLETE, FLAG_STALL,
-                              ContextItem, ReasoningContext, acquire,
-                              reason_step, run, synthesize)
+from speckg.prompts import extract_payload
+from speckg.reasoning import (FLAG_BUDGET, FLAG_DEGRADED, FLAG_INCOMPLETE,
+                              FLAG_STALL, ContextItem, ReasoningContext,
+                              acquire, reason_step, run, synthesize)
 
-
+from conftest import synthesized_answer
 
 CHAIN_QUESTION = "Which source signal ultimately drives the TX_READY flag?"
 CHAIN_GOLD = ["serial_link_spec#p0011", "serial_link_spec#p0010", "serial_link_spec#p0009"]
@@ -30,6 +32,7 @@ class TestReasonStep:
                        [("p", "The BAUD register defaults to 0x0010.")])
         assessment = reason_step(offline_gateway, ctx)
         assert assessment.status == "sufficient"
+        assert assessment.answer == "The BAUD register defaults to 0x0010."
         assert len(ctx.thoughts) == 1
 
     def test_gap_names_next_signal_with_procedural_anchor(self, offline_gateway):
@@ -55,6 +58,7 @@ class TestReasonStep:
         assessment = reason_step(gw, ctx)
         assert assessment.status == "sufficient"
         assert assessment.degraded
+        assert assessment.answer == ""
 
 
 class TestAcquire:
@@ -149,6 +153,108 @@ class TestRun:
     def test_retrieval_log_length_equals_gap_rounds(self, graph, offline_gateway, run_cfg):
         record = run(CHAIN_QUESTION, graph, offline_gateway, run_cfg)
         assert len(record.retrieval_log) == record.rounds_used
+
+
+class CountingModel(OfflineModel):
+    """The offline model, keeping every chat request it serves; ``reply``
+    may rewrite a reply before it leaves."""
+
+    def __init__(self, reply=None):
+        self.requests = []
+        self.reply = reply
+
+    def chat(self, request, model):
+        self.requests.append(request)
+        raw = super().chat(request, model)
+        return self.reply(request, raw) if self.reply else raw
+
+    @property
+    def calls(self) -> Counter:
+        return Counter(r.task_tag for r in self.requests)
+
+    def synthesize_flags(self) -> list[bool]:
+        """``incomplete_evidence`` of each synthesize request, in order."""
+        return [extract_payload(r.user_prompt)["incomplete_evidence"]
+                for r in self.requests if r.task_tag == "synthesize"]
+
+
+def counting_gateway(reply=None):
+    model = CountingModel(reply)
+    return model, Gateway(provider=model, mode="live", sleep=lambda s: None,
+                          chat_model="offline-chat", embedding_model="offline-embed")
+
+
+def without_answer(request, raw):
+    """A reason reply with its answer dropped, on the first ask and on repair."""
+    if request.task_tag != "reason":
+        return raw
+    reply = json.loads(raw)
+    reply.pop("answer", None)
+    return json.dumps(reply)
+
+
+def unparsable_reason(request, raw):
+    return "definitely { not json" if request.task_tag == "reason" else raw
+
+
+class TestSynthesizeCalls:
+    """A sufficient verdict answers the question itself; every other exit
+    makes exactly one synthesize call."""
+
+    @pytest.mark.parametrize("question, rounds", [
+        (CHAIN_QUESTION, 3),
+        ('According to the statement "The BAUD register defaults to 0x0010", '
+         "what is the default value of the BAUD register?", 0),
+    ])
+    def test_sufficient_exit_makes_no_synthesize_call(self, graph, run_cfg,
+                                                      question, rounds):
+        model, gw = counting_gateway()
+        record = run(question, graph, gw, run_cfg)
+        assert record.flags == []
+        assert record.rounds_used == rounds
+        assert model.calls["reason"] == rounds + 1
+        assert model.calls["synthesize"] == 0
+        assert record.answer
+
+    @pytest.mark.parametrize("question, max_rounds, reasons, flag", [
+        ("Which clock domain feeds the GHOST counter?", 12, 3, FLAG_STALL),
+        (CHAIN_QUESTION, 1, 1, FLAG_BUDGET),
+        (CHAIN_QUESTION, 0, 0, FLAG_BUDGET),
+    ])
+    def test_incomplete_exit_synthesizes_once(self, graph, run_cfg, question,
+                                              max_rounds, reasons, flag):
+        run_cfg.reasoning.max_rounds = max_rounds
+        model, gw = counting_gateway()
+        record = run(question, graph, gw, run_cfg)
+        assert flag in record.flags and FLAG_INCOMPLETE in record.flags
+        assert model.calls["reason"] == reasons
+        assert model.synthesize_flags() == [True]
+        assert "insufficient" in record.answer.lower()
+
+    @pytest.mark.parametrize("reply, rounds", [(unparsable_reason, 0),
+                                               (without_answer, 3)])
+    def test_degraded_assessment_synthesizes_once(self, graph, run_cfg, reply, rounds):
+        # The gateway repairs once; a reply still invalid degrades the verdict.
+        # Without an answer only the final, sufficient reply is invalid: the
+        # three gap verdicts before it need none.
+        model, gw = counting_gateway(reply)
+        record = run(CHAIN_QUESTION, graph, gw, run_cfg)
+        assert record.flags == [FLAG_DEGRADED]
+        assert record.rounds_used == rounds
+        assert model.calls["reason"] == rounds + 2
+        assert model.synthesize_flags() == [False]
+        assert record.answer
+
+
+class TestAnswerOracle:
+    """The answer a sufficient verdict carries is the one the separate
+    synthesize call wrote over the same final context."""
+
+    def test_every_fixture_item(self, graph, offline_gateway, run_cfg, dataset):
+        for item in dataset:
+            record = run(item.question, graph, offline_gateway, run_cfg)
+            assert record.flags == [], item.qid
+            assert record.answer == synthesized_answer(record, graph, offline_gateway)
 
 
 class TestReplayDeterminism:

@@ -1,9 +1,11 @@
 """Smoke test at a corpus size well past the fixture document."""
 
+import pytest
+
 from speckg import kg as kgmod, reasoning
 from speckg.ingest import ingest_document
 
-from conftest import make_config, make_offline_gateway
+from conftest import make_config, make_offline_gateway, synthesized_answer
 
 
 def synthetic_manual(sections: int) -> str:
@@ -19,11 +21,16 @@ def synthetic_manual(sections: int) -> str:
     return "\n".join(parts)
 
 
-def test_sixty_section_manual_builds_and_answers():
+@pytest.fixture(scope="module")
+def sixty():
     gw = make_offline_gateway()
     corpus = ingest_document(gw, synthetic_manual(60), "big_manual")
     assert len(corpus.passages) == 61  # title passage + one per section
-    graph = kgmod.build_from_corpus(corpus, gw)
+    return gw, kgmod.build_from_corpus(corpus, gw)
+
+
+def test_sixty_section_manual_builds_and_answers(sixty):
+    gw, graph = sixty
     assert len(graph.all_node_keys()) > 400
 
     cfg = make_config()
@@ -32,3 +39,14 @@ def test_sixty_section_manual_builds_and_answers():
     assert "0x0025" in record.answer  # 37 == 0x25
     assert record.rounds_used == 1
     assert record.flags == []
+
+
+def test_every_answer_from_the_verdict_is_the_synthesized_one(sixty):
+    gw, graph = sixty
+    cfg = make_config()
+    for i in range(60):
+        record = reasoning.run(f"What is the default value of the REG_{i:03d} register?",
+                               graph, gw, cfg)
+        assert record.flags == [], i  # a sufficient exit
+        assert f"0x{i:04X}" in record.answer
+        assert record.answer == synthesized_answer(record, graph, gw)

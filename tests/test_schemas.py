@@ -54,9 +54,15 @@ REPLIES = {
         [],
     ],
     "gap-assess": [
-        {"thought": "enough", "status": "sufficient"},
+        {"thought": "enough", "status": "sufficient", "answer": "It is 0x0."},
         {"thought": "missing", "status": "gap", "gap_description": "default",
          "sub_query": "default of ctrl?", "target_anchor": _ANCHOR},
+        {"thought": "enough", "status": "sufficient"},
+        {"thought": "enough", "status": "sufficient", "answer": ""},
+        {"thought": "enough", "status": "sufficient", "answer": ["It is 0x0."]},
+        {"thought": "missing", "status": "gap", "gap_description": "default",
+         "sub_query": "default of ctrl?", "target_anchor": _ANCHOR, "answer": "a"},
+        {"thought": "missing", "status": "gap", "answer": ""},
         {"thought": "missing", "status": "gap"},
         {"thought": "missing", "status": "gap", "sub_query": ""},
         {"thought": 1, "status": "gap", "sub_query": "", "target_anchor": {}},
@@ -113,6 +119,37 @@ def test_validate_reply_matches_jsonschema_validate(schema_id):
     assert True in outcomes and False in outcomes
 
 
+class TestGapAssessAnswer:
+    """A sufficient verdict carries a non-empty answer; a gap carries none."""
+
+    GAP = {"thought": "t", "status": "gap", "gap_description": "d",
+           "sub_query": "q", "target_anchor": _ANCHOR}
+
+    @staticmethod
+    def valid(reply) -> bool:
+        return schemas.VALIDATORS["gap-assess"].is_valid(reply)
+
+    def test_sufficient_with_answer_is_valid(self):
+        assert self.valid({"thought": "t", "status": "sufficient", "answer": "a"})
+
+    @pytest.mark.parametrize("extra", [{}, {"answer": ""}, {"answer": None}])
+    def test_sufficient_without_a_non_empty_answer_is_invalid(self, extra):
+        reply = {"thought": "t", "status": "sufficient", **extra}
+        assert not self.valid(reply)
+        with pytest.raises(jsonschema.ValidationError):
+            schemas.validate_reply("gap-assess", reply)
+
+    def test_gap_without_answer_is_valid(self):
+        assert self.valid(self.GAP)
+
+    @pytest.mark.parametrize("answer", ["a", ""])
+    def test_gap_with_answer_is_invalid(self, answer):
+        reply = {**self.GAP, "answer": answer}
+        assert not self.valid(reply)
+        with pytest.raises(jsonschema.ValidationError):
+            schemas.validate_reply("gap-assess", reply)
+
+
 def test_unknown_id_raises_and_freeform_bypasses():
     with pytest.raises(KeyError):
         schemas.validate_reply("no-such-schema", {})
@@ -142,7 +179,7 @@ class TestCompiledAtImport:
         replies = [("semantic-ir", {"skip": True}),
                    ("atom-list", {"atoms": ["x"]}),
                    ("match-verdict", {"match_index": None}),
-                   ("gap-assess", {"thought": "t", "status": "sufficient"})]
+                   ("gap-assess", {"thought": "t", "status": "sufficient", "answer": "a"})]
         for i in range(100):
             schemas.validate_reply(*replies[i % len(replies)])
         assert calls == []
