@@ -345,7 +345,8 @@ _LAST_ARTICLE_Q = re.compile(
 )
 
 DO_SUPPORT = {"do", "does", "did", "can", "could", "will", "would", "should", "must"}
-PREPOSITIONS = PARTICLES | {"for", "with", "by", "after", "before", "during"}
+TEMPORAL_PREPOSITIONS = {"after", "before", "during", "until", "upon"}
+PREPOSITIONS = PARTICLES | TEMPORAL_PREPOSITIONS | {"for", "with", "by"}
 
 ATTR_SYNONYMS = {
     "default value": {"default", "defaults", "reset"},
@@ -587,6 +588,15 @@ class _Resolver:
     def _fallback(self) -> dict:
         q = self.question.strip()
         m = _LAST_ARTICLE_Q.match(q)
+        # A trailing temporal adjunct ("after a reset") has its own article
+        # but does not name the subject: take the phrase before it.
+        while m:
+            head = m.group("head").split()
+            inner = (_LAST_ARTICLE_Q.match(" ".join(head[:-1]) + "?")
+                     if head and head[-1].lower() in TEMPORAL_PREPOSITIONS else None)
+            if inner is None:
+                break
+            m = inner
         if m:
             # The noun phrase after the last article ends at a preposition.
             # Under do-support ("does the UART send") its last word is the
@@ -674,18 +684,26 @@ class OfflineModel:
         }
 
     @staticmethod
-    def _summarize(payload: dict) -> str:
-        query_tokens = _content(payload["query"])
-        lines = []
+    def _summarize(payload: dict) -> dict:
+        """Each passage's query-relevant sentences, found once; a cut's summary
+        joins those of the passages before it."""
+        query = payload["query"]
+        query_tokens = _content(query)
+        ends = [0]  # ends[n]: the number of lines from the first n passages
+        lines: list[str] = []
         for passage in payload["passages"]:
             text = passage["text"]
             for start, end in split_sentences(text):
                 sentence = text[start:end]
                 if _content(sentence) & query_tokens:
                     lines.append(sentence.strip())
-        if not lines:
-            return f"No evidence relevant to: {payload['query']}"
-        return f"Evidence for: {payload['query']}\n" + " ".join(lines)
+            ends.append(len(lines))
+        summaries = []
+        for cut in payload["cuts"]:
+            n = ends[cut]
+            summaries.append(f"Evidence for: {query}\n" + " ".join(lines[:n]) if n
+                             else f"No evidence relevant to: {query}")
+        return {"summaries": summaries}
 
     @staticmethod
     def _reason(payload: dict) -> dict:

@@ -35,7 +35,9 @@ _SYSTEM = {
     ),
     "summarize": (
         "Summarize what the given passages contribute toward answering the query. "
-        "Be terse and factual; mention only content relevant to the query."
+        "Be terse and factual; mention only content relevant to the query. For each "
+        "number n in cuts, summarize the first n passages alone. Reply with JSON: "
+        '{"summaries": [...]}, one summary per cut, in order.'
     ),
     "reason": (
         "You answer questions about a hardware specification step by step. Given "
@@ -97,14 +99,17 @@ def extract_ir(sentences: list[str], section_path: list[str]) -> ChatRequest:
     )
 
 
-def summarize(query: str, passages: list[dict]) -> ChatRequest:
+def summarize(query: str, passages: list[dict], cuts: list[int]) -> ChatRequest:
+    """One request for the summaries of several prefixes of ``passages``; the
+    reply holds one ``summary-list`` entry per cut n, the summary of the first
+    n passages, in order."""
     return ChatRequest(
         task_tag="summarize",
         system_prompt=_SYSTEM["summarize"],
-        user_prompt=_render("Summarize the evidence with respect to the query.",
-                            {"query": query, "passages": passages}),
+        user_prompt=_render("Summarize the evidence with respect to the query, once per cut.",
+                            {"query": query, "passages": passages, "cuts": cuts}),
         temperature=GENERATIVE_TEMPERATURE,
-        response_schema_id="freeform",
+        response_schema_id="summary-list",
     )
 
 

@@ -5,8 +5,11 @@ The expansion loop grows the accepted passage set from a ranked candidate
 list until the marginal gain of new evidence (cosine distance between the
 summary of the accepted context and the summary of that context plus the
 increment) drops to the threshold, the budget is reached, or candidates run
-out. An accepted round's summary is the next round's base, so each round
-summarizes and embeds once.
+out. Each round makes one summarize request, over the accepted context plus
+the increment, for the summary of each prefix it names by a cut, and embeds
+the summaries in one call. The first round cuts twice, after the base and
+after the increment; an accepted round's summary is the next round's base, so
+later rounds cut once, after the increment.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prompts
-from .errors import EmptyGraph, InvalidInput
+from .errors import EmptyGraph, InvalidInput, MalformedReply
 from .gateway import Gateway
 from .ingest import SemanticAnchor
 from .kg import Edge, SpecGraph
@@ -279,8 +282,10 @@ def rank_passages(kg: SpecGraph, scores: np.ndarray) -> list[tuple[str, float]]:
             for i in np.argsort(-passage_scores, kind="stable").tolist()]
 
 
-Summarizer = Callable[[str, list[str]], str]
-Embedder = Callable[[str], np.ndarray]
+# (query, passage ids, cuts) -> one summary per cut n, of the first n passages
+Summarizer = Callable[[str, list[str], list[int]], list[str]]
+# texts -> one unit embedding per text, as the rows of a matrix
+Embedder = Callable[[list[str]], np.ndarray]
 
 
 def marginal_gain(base_vec: np.ndarray, new_vec: np.ndarray) -> float:
@@ -293,14 +298,17 @@ def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
                     k_max: int, summarize: Summarizer, embed: Embedder) -> RetrievalState:
     """Iterative context expansion over ``state.ranked_candidates``.
 
-    Starts from the top-k0 candidates; each round takes the next delta_k,
-    summarizes the accepted context plus them, and accepts the increment only
-    while the gain over the accepted context's summary stays above tau. The
-    first round also summarizes the k0 base; later rounds reuse the summary of
-    the round before, which is the accepted context's. Hard stops: the
-    accepted set reaching k_max, or candidates running out. Summarization
-    failures abort the round and return the set accepted so far with a
-    warning.
+    Starts from the top-k0 candidates; each round takes the next delta_k and
+    accepts them only while the gain of the summary of the accepted context
+    plus them over the accepted context's summary stays above tau. A round
+    makes one ``summarize`` call over the accepted context plus the increment
+    and one ``embed`` call for its summaries. The first round's cuts are
+    ``[k, k + Δ]``, giving the k0 base's summary and the expanded one; later
+    rounds cut once, at ``k + Δ``, and reuse the summary of the round before,
+    which is the accepted context's. Hard stops: the accepted set reaching
+    k_max, or candidates running out. A failed summarize or embed call, or a
+    reply with another number of summaries than cuts, aborts the round and
+    returns the set accepted so far with a warning.
     """
     if k0 < 1 or delta_k < 1:
         raise InvalidInput("k0 and delta_k must be >= 1")
@@ -312,11 +320,16 @@ def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
 
     while len(state.accepted) < limit:
         start = len(state.accepted)
-        increment = ids[start:min(start + delta_k, limit)]
+        end = min(start + delta_k, limit)
+        cuts = [end] if base_vec is not None else [start, end]
         try:
+            summaries = summarize(state.query, ids[:end], cuts)
+            if len(summaries) != len(cuts):
+                raise MalformedReply(f"{len(summaries)} summaries for {len(cuts)} cuts")
+            vecs = embed(summaries)
             if base_vec is None:
-                base_vec = embed(summarize(state.query, state.accepted))
-            expanded_vec = embed(summarize(state.query, state.accepted + increment))
+                base_vec = vecs[0]
+            expanded_vec = vecs[-1]
             gain = marginal_gain(base_vec, expanded_vec)
         except Exception as exc:
             state.warning = f"summarization failed: {exc}"
@@ -324,7 +337,7 @@ def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
             return state
         state.mig_trace.append(gain)
         if gain > tau:
-            state.accepted.extend(increment)
+            state.accepted = ids[:end]
             base_vec = expanded_vec
         else:
             break
@@ -403,16 +416,13 @@ def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway
     scores, _ = ppr(kg, weights, cfg.ppr.damping)
     state = RetrievalState(query=query, ranked_candidates=rank_passages(kg, scores))
 
-    def summarize(q: str, passage_ids: list[str]) -> str:
+    def summarize(q: str, passage_ids: list[str], cuts: list[int]) -> list[str]:
         payload = [{"passage_id": pid, "text": kg.passages[pid].text}
                    for pid in passage_ids]
-        return gateway.chat(prompts.summarize(q, payload))
-
-    def embed(text: str) -> np.ndarray:
-        return gateway.embed([text])[0]
+        return gateway.chat(prompts.summarize(q, payload, cuts))["summaries"]
 
     adaptive_expand(state, cfg.retrieval.tau, cfg.retrieval.k0,
-                    cfg.retrieval.delta_k, cfg.retrieval.k_max, summarize, embed)
+                    cfg.retrieval.delta_k, cfg.retrieval.k_max, summarize, gateway.embed)
     result = csa_filter(state.accepted, target, kg,
                         keep_unanchored=cfg.filter.fallback_keep_unanchored)
     return RetrievalRound(

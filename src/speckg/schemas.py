@@ -128,6 +128,16 @@ SCHEMAS: dict[str, dict] = {
             },
         },
     },
+    # One summarize reply: a summary per cut of the request, in order; the
+    # count is checked against the request by retrieval.
+    "summary-list": {
+        "type": "object",
+        "required": ["summaries"],
+        "properties": {
+            "summaries": {"type": "array", "items": {"type": "string", "minLength": 1}},
+        },
+        "additionalProperties": False,
+    },
     "atom-list": {
         "type": "object",
         "required": ["atoms"],

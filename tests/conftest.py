@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,16 @@ def make_config(**gateway_overrides) -> RunConfig:
     for key, value in gateway_overrides.items():
         setattr(cfg.gateway, key, value)
     return cfg
+
+
+def load_manual_module():
+    """The benchmark's seeded register-manual generator, ``perfbench/manual.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "manual.py"
+    spec = importlib.util.spec_from_file_location("perfbench_manual", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def synthesized_answer(record, graph, gateway) -> str:

@@ -122,8 +122,8 @@ def test_criterion_3_adaptive_expansion_behavior():
         unit = np.zeros(4)
         unit[0] = 1.0
         adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
-                        summarize=lambda q, ids: "constant summary",
-                        embed=lambda text: unit)
+                        summarize=lambda q, ids, cuts: ["constant summary"] * len(cuts),
+                        embed=lambda texts: np.array([unit] * len(texts)))
         assert len(state.accepted) == 5
         assert state.mig_trace == [0.0]
 
@@ -132,11 +132,11 @@ def test_criterion_3_adaptive_expansion_behavior():
         basis = np.eye(8)
         table = {5: basis[0], 10: basis[1], 15: basis[2], 20: basis[2]}
 
-        def summarize(query, ids):
-            return f"summary of {len(ids)}"
+        def summarize(query, ids, cuts):
+            return [f"summary of {n}" for n in cuts]
 
-        def embed(text):
-            return table[int(text.rsplit(" ", 1)[1])]
+        def embed(texts):
+            return np.array([table[int(text.rsplit(" ", 1)[1])] for text in texts])
 
         state = RetrievalState(query="q", ranked_candidates=_candidates(40))
         adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
@@ -148,23 +148,25 @@ def test_criterion_3_adaptive_expansion_behavior():
         # (c) K_max = k0: no expansion round at all
         state = RetrievalState(query="q", ranked_candidates=_candidates(40))
         adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=5,
-                        summarize=lambda q, ids: pytest.fail("no round expected"),
-                        embed=lambda t: unit)
+                        summarize=lambda q, ids, cuts: pytest.fail("no round expected"),
+                        embed=lambda texts: np.array([unit] * len(texts)))
         assert len(state.accepted) == 5
         assert state.mig_trace == []
 
         # K_max hard stop under permanently high gain
         counter = {"n": 0}
 
-        def always_new(text):
-            counter["n"] += 1
-            vec = np.zeros(64)
-            vec[counter["n"]] = 1.0
-            return vec
+        def always_new(texts):
+            vecs = np.zeros((len(texts), 64))
+            for row in vecs:
+                counter["n"] += 1
+                row[counter["n"]] = 1.0
+            return vecs
 
         state = RetrievalState(query="q", ranked_candidates=_candidates(40))
         adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=12,
-                        summarize=lambda q, ids: f"s{len(ids)}", embed=always_new)
+                        summarize=lambda q, ids, cuts: [f"s{n}" for n in cuts],
+                        embed=always_new)
         assert len(state.accepted) == 12
 
 

@@ -174,7 +174,7 @@ class TestTaskRouting:
     def test_task_tags_are_the_prompts_tags(self):
         requests = [
             prompts.extract_ir(["The CTRL register holds the mode."], ["Regs"]),
-            prompts.summarize("q", []),
+            prompts.summarize("q", [], []),
             prompts.reason("q", [], []),
             prompts.synthesize("q", [], [], False),
             prompts.atom_decompose("a"),

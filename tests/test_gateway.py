@@ -59,7 +59,7 @@ class TestRecordReplay:
         rec = Gateway(provider=OfflineModel(), mode="record",
                       fixtures=FixtureStore(store_path),
                       chat_model="offline-chat", embedding_model="offline-embed")
-        request = prompts.summarize("what is x", [{"passage_id": "p", "text": "x is 4."}])
+        request = prompts.summarize("what is x", [{"passage_id": "p", "text": "x is 4."}], [1])
         live_reply = rec.chat(request)
 
         replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path),
@@ -80,7 +80,7 @@ class TestRecordReplay:
         rec = Gateway(provider=OfflineModel(), mode="record",
                       fixtures=FixtureStore(store_path),
                       chat_model="offline-chat", embedding_model="offline-embed")
-        rec.chat(prompts.summarize("q", [{"passage_id": "p", "text": "body text."}]))
+        rec.chat(prompts.summarize("q", [{"passage_id": "p", "text": "body text."}], [1]))
         rec.embed(["one text"])
         records = [json.loads(line) for line in store_path.read_text().splitlines()]
         assert len(records) == 2
@@ -93,7 +93,7 @@ class TestRecordReplay:
             rec = Gateway(provider=OfflineModel(), mode="record",
                           fixtures=FixtureStore(tmp_path / name),
                           chat_model="offline-chat", embedding_model="offline-embed")
-            rec.chat(prompts.summarize("q", [{"passage_id": "p", "text": "body text."}]))
+            rec.chat(prompts.summarize("q", [{"passage_id": "p", "text": "body text."}], [1]))
             rec.chat(prompts.atom_match("x is 1", ["x is 1"]))
             rec.embed(["one text", "two text"])
         first = (tmp_path / "first.jsonl").read_bytes()
@@ -106,10 +106,11 @@ class TestRecordReplay:
 
     def test_temperatures_by_task(self):
         # generative tasks run warm, evaluation tasks cold
-        assert prompts.summarize("q", []).temperature == 0.7
+        assert prompts.summarize("q", [], []).temperature == 0.7
         assert prompts.atom_match("a", ["b"]).temperature == 0.2
-        assert isinstance(make_offline_gateway().chat(
-            prompts.summarize("q", [{"passage_id": "p", "text": "q body."}])), str)
+        summary = make_offline_gateway().chat(
+            prompts.summarize("q", [{"passage_id": "p", "text": "q body."}], [1]))
+        assert [type(text) for text in summary["summaries"]] == [str]
         verdict = make_offline_gateway().chat(prompts.atom_match("x is 1", ["x is 1"]))
         assert verdict == {"match_index": 0}
 
@@ -230,8 +231,8 @@ def test_live_mode_hashes_no_request(monkeypatch):
     monkeypatch.setattr(gateway_module, "chat_digest", refuse)
     monkeypatch.setattr(gateway_module, "embed_digest", refuse)
     gw = make_offline_gateway()
-    assert isinstance(gw.chat(prompts.summarize("q", [{"passage_id": "p", "text": "q x."}])),
-                      str)
+    summary = gw.chat(prompts.summarize("q", [{"passage_id": "p", "text": "q x."}], [1]))
+    assert [type(text) for text in summary["summaries"]] == [str]
     assert gw.chat(prompts.atom_match("x is 1", ["x is 1"])) == {"match_index": 0}
     assert gw.embed(["alpha", "beta"]).shape == (2, EMBED_DIM)
 

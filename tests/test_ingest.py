@@ -1,8 +1,5 @@
-import importlib.util
 import json
 import logging
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +11,7 @@ from speckg.ingest import (Passage, SemanticIR, chunk, classify_sentence,
 from speckg.offline import OfflineModel
 from speckg.prompts import extract_payload
 
-from conftest import make_offline_gateway
+from conftest import load_manual_module, make_offline_gateway
 
 HANDBUILT_DOC = """# Device Guide
 
@@ -147,16 +144,6 @@ class OneSentenceModel(OfflineModel):
 def ingest_warnings(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records
             if r.name == "speckg.ingest" and r.levelno == logging.WARNING]
-
-
-def load_manual_module():
-    """The benchmark's seeded register-manual generator, ``perfbench/manual.py``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "manual.py"
-    spec = importlib.util.spec_from_file_location("perfbench_manual", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestClassify:

@@ -207,15 +207,42 @@ def test_incomplete_synthesis_keeps_what_is_known(name):
     assert OfflineModel().chat(request, "offline-chat") == expected
 
 
+SUMMARY_PASSAGES = [CONTROL, DIVISOR, f"{READY} {EMPTY}", PLACE, WRITE]
+
+
+def summaries(query, cuts, passages=SUMMARY_PASSAGES):
+    request = prompts.summarize(query, context(passages), cuts)
+    return json.loads(OfflineModel().chat(request, "offline-chat"))["summaries"]
+
+
+def test_summary_reply_is_pinned():
+    # the query-relevant sentences of the passages before the cut, in order
+    assert summaries(ATTR_Q, [1, 4]) == [f"No evidence relevant to: {ATTR_Q}",
+                                         f"Evidence for: {ATTR_Q}\n{DIVISOR} {PLACE}"]
+    assert summaries(CHAIN_Q, [3]) == [f"Evidence for: {CHAIN_Q}\n{READY} {EMPTY}"]
+
+
+@pytest.mark.parametrize("query", [CHAIN_Q, ATTR_Q, LOCATE_Q, PROCESS_Q, TRANSITION_Q])
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 5), (2, 4), (3, 3), (4, 5)])
+def test_paired_cuts_are_the_cuts_asked_alone(query, a, b):
+    paired = summaries(query, [a, b])
+    assert paired == summaries(query, [a]) + summaries(query, [b])
+    # and each is the summary a request over that prefix alone gets
+    assert paired == (summaries(query, [a], SUMMARY_PASSAGES[:a])
+                      + summaries(query, [b], SUMMARY_PASSAGES[:b]))
+
+
 @pytest.mark.parametrize("question, entity", [
     ("How many stop bits does the UART send?", "UART"),
     ("Which bit does the CTRL register use for parity?", "CTRL register"),
     ("What does the loopback function control?", "loopback function"),
     ("What happens to the TX FSM after reset?", "TX FSM"),
+    ("What happens to the TX FSM after a reset?", "TX FSM"),
     ("How wide is the BAUD register?", "BAUD register"),
     ("Why is data bus idle?", "bus idle"),
 ])
 def test_fallback_anchor_is_the_noun_phrase(question, entity):
-    # the words after the last article, cut at a preposition, less the main
-    # verb under do-support; with no article, the last two words
+    # the words after the last article outside a trailing temporal adjunct,
+    # cut at a preposition, less the main verb under do-support; with no
+    # article, the last two words
     assert _Resolver(question, [])._fallback()["target_anchor"]["entity"] == entity

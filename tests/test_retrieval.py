@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speckg import kg as kgmod
-from speckg import retrieval
+from speckg import prompts, reasoning, retrieval
 from speckg.errors import EmptyGraph, InvalidInput
-from speckg.ingest import Passage, SemanticAnchor
+from speckg.ingest import Passage, SemanticAnchor, ingest_document
 from speckg.kg import Edge, EmbeddingIndex, SpecGraph
+from speckg.offline import OfflineModel
 from speckg.retrieval import (RetrievalState, adaptive_expand, csa_filter,
                               marginal_gain, pagerank_scores, ppr, rank_passages,
                               seed)
 
-from conftest import SPEC_DOC
+from conftest import SPEC_DOC, load_manual_module, make_offline_gateway
 
 
 def dense_pagerank(n, edges, p, damping, iters=3000, tol=1e-13):
@@ -627,11 +629,11 @@ class TestAdaptiveExpand:
         summaries_gains[t] is the gain for expansion attempt t."""
         state = {"t": 0}
 
-        def summarize(query, ids):
-            return "|".join(ids)
+        def summarize(query, ids, cuts):
+            return ["|".join(ids[:n]) for n in cuts]
 
-        def embed(text):
-            return text
+        def embed(texts):
+            return texts
 
         def gain(base, new):
             g = summaries_gains[state["t"]] if state["t"] < len(summaries_gains) else 0.0
@@ -653,8 +655,8 @@ class TestAdaptiveExpand:
 
     def test_identical_summaries_terminate_with_k0(self):
         state = self.make_state()
-        summarize = lambda q, ids: "same summary every time"
-        embed = lambda text: np.array([1.0, 0.0])
+        summarize = lambda q, ids, cuts: ["same summary every time"] * len(cuts)
+        embed = lambda texts: np.array([[1.0, 0.0]] * len(texts))
         adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=embed)
         assert len(state.accepted) == 5
@@ -670,12 +672,12 @@ class TestAdaptiveExpand:
         state = self.make_state()
         called = {"n": 0}
 
-        def summarize(q, ids):
+        def summarize(q, ids, cuts):
             called["n"] += 1
-            return "s"
+            return ["s"] * len(cuts)
 
         adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=5,
-                        summarize=summarize, embed=lambda t: np.array([1.0]))
+                        summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
         assert len(state.accepted) == 5
         assert state.mig_trace == []
         assert called["n"] == 0
@@ -704,31 +706,35 @@ class TestAdaptiveExpand:
     def test_summarizer_failure_aborts_with_warning(self):
         state = self.make_state()
 
-        def summarize(q, ids):
+        def summarize(q, ids, cuts):
             raise RuntimeError("model down")
 
         adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
-                        summarize=summarize, embed=lambda t: np.array([1.0]))
+                        summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
         assert len(state.accepted) == 5
         assert state.warning is not None
 
     @staticmethod
     def counting_doubles(fail_on_call=None):
-        """Summarize/embed doubles that count their calls; every summary
-        embeds to a fresh orthogonal vector, so every gain is 1."""
-        calls = {"summarize": 0, "embed": 0}
+        """Summarize/embed doubles that count their calls and embedded texts
+        and keep each summarize request's size and cuts; every summary embeds
+        to a fresh orthogonal vector, so every gain is 1."""
+        calls = {"summarize": 0, "embed": 0, "embedded": 0, "requests": []}
 
-        def summarize(q, ids):
+        def summarize(q, ids, cuts):
             calls["summarize"] += 1
+            calls["requests"].append((len(ids), cuts))
             if calls["summarize"] == fail_on_call:
                 raise RuntimeError("model down")
-            return f"summary {calls['summarize']}"
+            return [f"summary of {n}" for n in cuts]
 
-        def embed(text):
+        def embed(texts):
             calls["embed"] += 1
-            vec = np.zeros(64)
-            vec[calls["embed"]] = 1.0
-            return vec
+            vecs = np.zeros((len(texts), 64))
+            for row in vecs:
+                calls["embedded"] += 1
+                row[calls["embedded"]] = 1.0
+            return vecs
 
         return summarize, embed, calls
 
@@ -739,13 +745,14 @@ class TestAdaptiveExpand:
                         summarize=summarize, embed=embed)
         assert len(state.mig_trace) == 3
         assert len(state.accepted) == 20
-        # the k0 base once, then one summary per round
-        assert calls == {"summarize": 4, "embed": 4}
+        # one request per round; the first also cuts after the k0 base
+        assert calls == {"summarize": 3, "embed": 3, "embedded": 4,
+                         "requests": [(10, [5, 10]), (15, [15]), (20, [20])]}
 
     def test_failure_after_first_round_keeps_accepted_set(self):
         state = self.make_state()
-        # calls 1 and 2 are round 1's base and increment; call 3 is round 2's
-        summarize, embed, _ = self.counting_doubles(fail_on_call=3)
+        # call 1 is round 1's, for the base and the increment; call 2 is round 2's
+        summarize, embed, _ = self.counting_doubles(fail_on_call=2)
         adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=embed)
         assert state.accepted == [f"p{i:02d}" for i in range(10)]
@@ -775,6 +782,99 @@ def test_retrieve_embeds_sub_query_once(graph, offline_gateway, run_cfg):
     retrieval.retrieve(query, SemanticAnchor("declarative", "baud rate register"),
                        graph, gateway, run_cfg)
     assert gateway.embedded.count(query) == 1
+
+
+# Two expansion rounds on the fixture spec: the first accepts the increment
+# (10 passages), the second stops on the threshold.
+TWO_ROUND_QUERY = "What happens when the host writes to the TX_DATA register?"
+
+
+class FaultySummaries(OfflineModel):
+    """The offline model, with every summarize reply from the ``from_request``-th
+    on corrupted by ``fault``; it counts the summarize requests it gets."""
+
+    FAULTS = {
+        "fewer": lambda reply: json.dumps({"summaries": json.loads(reply)["summaries"][:-1]}),
+        "more": lambda reply: json.dumps({"summaries": json.loads(reply)["summaries"] * 2}),
+        "invalid": lambda reply: json.dumps({"summaries": "one summary"}),
+    }
+
+    def __init__(self, fault, from_request):
+        self.fault, self.from_request = self.FAULTS[fault], from_request
+        self.requests = 0
+
+    def chat(self, request, model):
+        reply = super().chat(request, model)
+        if request.task_tag != "summarize":
+            return reply
+        self.requests += 1
+        return self.fault(reply) if self.requests >= self.from_request else reply
+
+
+class TestMalformedSummaries:
+    """A summarize reply with the wrong number of summaries, or still invalid
+    after the gateway's repair, aborts the round with a warning and keeps the
+    set accepted so far."""
+
+    @pytest.mark.parametrize("fault", sorted(FaultySummaries.FAULTS))
+    @pytest.mark.parametrize("from_request, accepted, rounds", [(1, 5, 0), (2, 10, 1)])
+    def test_round_aborts_and_keeps_the_accepted_set(self, graph, offline_gateway, run_cfg,
+                                                     fault, from_request, accepted, rounds):
+        target = SemanticAnchor("procedural", "TX_DATA")
+        good = retrieval.retrieve(TWO_ROUND_QUERY, target, graph, offline_gateway, run_cfg)
+        assert len(good.accepted) == 10 and len(good.mig_trace) == 2
+        model = FaultySummaries(fault, from_request)
+        result = retrieval.retrieve(TWO_ROUND_QUERY, target, graph,
+                                    make_offline_gateway(provider=model), run_cfg)
+        assert result.accepted == good.accepted[:accepted]
+        assert result.mig_trace == good.mig_trace[:rounds]
+        assert result.warning.startswith("summarization failed: ")
+        # an invalid reply is asked again once, with the error: the repair
+        assert model.requests == from_request + (fault == "invalid")
+
+
+class TestPerCutOracle:
+    """One single-cut summarize request per cut, each summary embedded alone,
+    is the oracle: a round's one request must accept the same passages with
+    the same gains."""
+
+    @staticmethod
+    def per_cut(gateway, graph):
+        def summarize(query, ids, cuts):
+            summaries = []
+            for n in cuts:
+                payload = [{"passage_id": pid, "text": graph.passages[pid].text}
+                           for pid in ids[:n]]
+                [summary] = gateway.chat(prompts.summarize(query, payload, [n]))["summaries"]
+                summaries.append(summary)
+            return summaries
+
+        def embed(texts):
+            return np.vstack([gateway.embed([text]) for text in texts])
+
+        return summarize, embed
+
+    @pytest.mark.parametrize("source", ["fixture-spec", "manual-30"])
+    def test_every_retrieval_matches_one_request_per_cut(self, source, graph, dataset,
+                                                         offline_gateway, run_cfg):
+        if source == "fixture-spec":
+            questions = [item.question for item in dataset]
+        else:
+            manual = load_manual_module().generate(0, 30)
+            graph = kgmod.build_from_corpus(
+                ingest_document(offline_gateway, manual.text, "regmanual"), offline_gateway)
+            questions = [q.question for q in manual.questions]
+        summarize, embed = self.per_cut(offline_gateway, graph)
+        cfg = run_cfg.retrieval
+        rounds = [r for question in questions
+                  for r in reasoning.run(question, graph, offline_gateway, run_cfg).retrieval_log]
+        for r in rounds:
+            state = RetrievalState(query=r["sub_query"],
+                                   ranked_candidates=[tuple(pair) for pair in r["ranked"]])
+            adaptive_expand(state, cfg.tau, cfg.k0, cfg.delta_k, cfg.k_max, summarize, embed)
+            assert (state.accepted, state.mig_trace) == (r["accepted"], r["mig_trace"])
+        # later rounds, after an accepted first one, are among those checked
+        assert any(len(r["mig_trace"]) > 1 for r in rounds)
 
 
 class TestMarginalGain:

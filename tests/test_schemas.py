@@ -74,6 +74,17 @@ REPLIES = {
          "target_anchor": {"anchor_type": "procedural", "entity": "", "x": 1}},
         "gap",
     ],
+    "summary-list": [
+        {"summaries": []},
+        {"summaries": ["Evidence for: q\nThe CTRL register holds the mode.",
+                       "No evidence relevant to: q"]},
+        {"summaries": [""]},
+        {"summaries": "one"},
+        {"summaries": ["a", 1, None], "extra": 0},
+        {"summary": ["a"]},
+        {},
+        ["a"],
+    ],
     "atom-list": [
         {"atoms": []},
         {"atoms": ["the fifo is 16 deep"]},
@@ -179,6 +190,7 @@ class TestCompiledAtImport:
         replies = [("semantic-ir", {"skip": True}),
                    ("atom-list", {"atoms": ["x"]}),
                    ("match-verdict", {"match_index": None}),
+                   ("summary-list", {"summaries": ["s"]}),
                    ("gap-assess", {"thought": "t", "status": "sufficient", "answer": "a"})]
         for i in range(100):
             schemas.validate_reply(*replies[i % len(replies)])

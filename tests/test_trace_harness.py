@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import SPEC_DOC
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -16,10 +18,12 @@ def test_trace_harness_instruments_speckg():
     # Ingesting a document must count one ir-extract request per passage with
     # a sentence. ingest.sentences counts the sentences asked alone through
     # classify_sentence, the fallback for an unusable passage reply: none
-    # here.
-    code = """
+    # here. A retrieval makes one summarize request per expansion round, so
+    # summarize_per_round reads 1.
+    code = f"""
 import spans
-from speckg import ingest
+from speckg import ingest, kg, retrieval
+from speckg.config import RunConfig
 from speckg.gateway import Gateway
 from speckg.offline import OfflineModel
 tracer = spans.Tracer(spans=True)
@@ -40,6 +44,15 @@ assert tracer.counts["ingest.sentences"] == 0, tracer.counts
 assert tracer.counts["chat.ir-extract"] == 1, tracer.counts
 assert tracer.counts["chat.classify-sentence"] == 0, tracer.counts
 assert tracer.counts["ingest.skipped"] == len(corpus.skipped) == 1, tracer.counts
+spec = open({str(SPEC_DOC)!r}, encoding="utf-8").read()
+graph = kg.build_from_corpus(ingest.ingest_document(gw, spec, "serial_link_spec"), gw)
+tracer.begin_op(2)
+retrieval.retrieve("What happens when the host writes to the TX_DATA register?",
+                   ingest.SemanticAnchor("procedural", "TX_DATA"), graph, gw, RunConfig())
+tracer.end_op()
+assert tracer.counts["retrieval.expand_rounds"] == 2, tracer.counts
+assert tracer.counts["chat.summarize"] == 2, tracer.counts
+assert tracer.layer_metrics(1)["retrieval.summarize_per_round"][0] == 1.0
 """
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
