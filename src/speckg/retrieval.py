@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prompts
-from .errors import EmptyGraph, InvalidInput, MalformedReply
+from .errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply
 from .gateway import Gateway
 from .ingest import SemanticAnchor
 from .kg import Edge, SpecGraph
@@ -308,7 +308,8 @@ def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
     which is the accepted context's. Hard stops: the accepted set reaching
     k_max, or candidates running out. A failed summarize or embed call, or a
     reply with another number of summaries than cuts, aborts the round and
-    returns the set accepted so far with a warning.
+    returns the set accepted so far with a warning. A ``FixtureMiss`` is not
+    a failed call but a stale replay file, and propagates.
     """
     if k0 < 1 or delta_k < 1:
         raise InvalidInput("k0 and delta_k must be >= 1")
@@ -331,6 +332,8 @@ def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
                 base_vec = vecs[0]
             expanded_vec = vecs[-1]
             gain = marginal_gain(base_vec, expanded_vec)
+        except FixtureMiss:
+            raise
         except Exception as exc:
             state.warning = f"summarization failed: {exc}"
             logger.warning("expansion aborted for %r: %s", state.query, exc)

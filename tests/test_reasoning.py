@@ -277,6 +277,29 @@ class TestReplayDeterminism:
         assert blobs[0] == json.dumps(recorded.to_dict(), sort_keys=True)
 
 
+def test_stale_fixture_fails_the_replay(graph, tmp_path, run_cfg, caplog):
+    # a fixture file without the summarize replies: expansion must not fall
+    # back to the top k0 passages, the run ends flagged
+    recorded = tmp_path / "replies.jsonl"
+    run(CHAIN_QUESTION, graph, Gateway(provider=OfflineModel(), mode="record",
+                                       fixtures=FixtureStore(recorded),
+                                       chat_model="offline-chat",
+                                       embedding_model="offline-embed"), run_cfg)
+    lines = recorded.read_text(encoding="utf-8").splitlines()
+    stale = [line for line in lines if json.loads(line)["task_tag"] != "summarize"]
+    assert len(stale) < len(lines)
+    store_path = tmp_path / "stale.jsonl"
+    store_path.write_text("\n".join(stale) + "\n", encoding="utf-8")
+
+    replay_gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path),
+                        chat_model="offline-chat", embedding_model="offline-embed")
+    with caplog.at_level("WARNING"):
+        record = run(CHAIN_QUESTION, graph, replay_gw, run_cfg)
+    assert "error:FixtureMiss" in record.flags
+    assert record.answer == ""
+    assert not any("expansion aborted" in message for message in caplog.messages)
+
+
 def test_synthesize_failure_carries_context(graph, run_cfg):
     class Dead:
         def chat(self, request, model):

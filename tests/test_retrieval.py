@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from speckg import kg as kgmod
 from speckg import prompts, reasoning, retrieval
-from speckg.errors import EmptyGraph, InvalidInput
+from speckg.errors import EmptyGraph, FixtureMiss, InvalidInput
 from speckg.ingest import Passage, SemanticAnchor, ingest_document
 from speckg.kg import Edge, EmbeddingIndex, SpecGraph
 from speckg.offline import OfflineModel
@@ -713,6 +713,16 @@ class TestAdaptiveExpand:
                         summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
         assert len(state.accepted) == 5
         assert state.warning is not None
+
+    def test_fixture_miss_propagates(self):
+        state = self.make_state()
+
+        def summarize(q, ids, cuts):
+            raise FixtureMiss("no fixture for task_tag='summarize'")
+
+        with pytest.raises(FixtureMiss):
+            adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
+                            summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
 
     @staticmethod
     def counting_doubles(fail_on_call=None):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import jsonschema
@@ -5,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speckg import kg as kgmod
 from speckg import schemas
+from speckg.gateway import FixtureStore, Gateway
+from speckg.ingest import ingest_document
+from speckg.offline import OfflineModel
 
 _ANCHOR = {"anchor_type": "declarative", "entity": "ctrl register"}
 
@@ -318,3 +323,177 @@ def test_semantic_ir_accepts_what_one_of_accepts_on_drawn_replies(reply):
 def test_semantic_ir_list_accepts_lists_of_what_one_of_accepts(entries):
     accepted = schemas.VALIDATORS["semantic-ir-list"].is_valid({"sentences": entries})
     assert accepted == all(ONE_OF_VALIDATOR.is_valid(entry) for entry in entries)
+
+
+# The compiled predicates against jsonschema's own decision.
+
+def _schema_words(schema, names: set, constants: set) -> None:
+    """Collect every property name and every string enum/const value of
+    ``schema``, at any depth."""
+    if isinstance(schema, dict):
+        names.update(schema.get("properties", {}))
+        names.update(schema.get("required", []))
+        constants.update(v for v in schema.get("enum", []) if isinstance(v, str))
+        if isinstance(schema.get("const"), str):
+            constants.add(schema["const"])
+        for value in schema.values():
+            _schema_words(value, names, constants)
+    elif isinstance(schema, list):
+        for value in schema:
+            _schema_words(value, names, constants)
+
+
+def drawn_replies(schema_id):
+    """Objects keyed by the schema's property names plus a stray key, with
+    values drawn from edge scalars, lists and nested objects; and the valid
+    ``REPLIES`` of the schema with up to three keys or items, at any depth,
+    dropped, added or replaced by such a value."""
+    names, constants = set(), set()
+    _schema_words(schemas.SCHEMAS[schema_id], names, constants)
+    keys = st.sampled_from(sorted(names) + ["stray"])
+    leaves = st.sampled_from(["", "x", *sorted(constants), 0, -1, 1.0, 1.5,
+                              True, False, None, float("nan")])
+    values = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=4),
+        max_leaves=12,
+    )
+    valid = [r for r in REPLIES[schema_id] if schemas.VALIDATORS[schema_id].is_valid(r)]
+
+    @st.composite
+    def replies(draw):
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.dictionaries(keys, values, max_size=6) | values)
+        reply = copy.deepcopy(draw(st.sampled_from(valid)))
+        for _ in range(draw(st.integers(0, 3))):
+            node = reply
+            while True:
+                inner = [v for v in (node.values() if isinstance(node, dict) else node)
+                         if isinstance(v, (dict, list))]
+                if not inner or draw(st.booleans()):
+                    break
+                node = draw(st.sampled_from(inner))
+            if isinstance(node, dict):
+                key = draw(st.sampled_from(sorted(node)) if node and draw(st.booleans())
+                           else keys)
+                if key in node and draw(st.booleans()):
+                    del node[key]
+                else:
+                    node[key] = draw(leaves | values)
+            elif node and draw(st.booleans()):
+                node[draw(st.integers(0, len(node) - 1))] = draw(leaves | values)
+            else:
+                node.append(draw(leaves | values))
+        return reply
+
+    return replies()
+
+
+def assert_predicate_agrees(schema_id, reply):
+    accepted = schemas.PREDICATES[schema_id](reply)
+    assert accepted == schemas.VALIDATORS[schema_id].is_valid(reply), reply
+    assert (_outcome(schemas.validate_reply, schema_id, reply) is None) == accepted
+
+
+def test_every_schema_id_has_a_predicate():
+    assert set(schemas.PREDICATES) == set(schemas.SCHEMAS)
+
+
+@pytest.mark.parametrize("schema_id, reply",
+                         [(sid, reply) for sid in sorted(REPLIES) for reply in REPLIES[sid]])
+def test_predicate_agrees_with_jsonschema_on_fixed_replies(schema_id, reply):
+    assert_predicate_agrees(schema_id, reply)
+
+
+@pytest.mark.parametrize("schema_id", sorted(schemas.SCHEMAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_predicate_agrees_with_jsonschema_on_drawn_replies(schema_id, data):
+    assert_predicate_agrees(schema_id, data.draw(drawn_replies(schema_id)))
+
+
+EDGE_VALUES = [0, 1, 2, 3, -1, 1.0, 2.5, True, False, None, float("nan"), "", "a", "ab",
+               [], [1], [True], ["a"], [1, {"a": False}], {}, {"a": 1}, {"a": "x"},
+               {"b": 1}]
+
+
+@pytest.mark.parametrize("schema", [
+    {"minimum": 2},
+    {"minLength": 1},
+    {"const": True},
+    {"const": 1},
+    {"const": [1, {"a": False}]},
+    {"enum": [0, "a", None]},
+    {"type": "integer"},
+    {"type": ["integer", "null"]},
+    {"type": "number"},
+    {"type": ["boolean", "array"]},
+    {"required": ["a"]},
+    {"properties": {"a": {"type": "string"}}},
+    {"properties": {"a": {}}, "additionalProperties": False},
+    {"items": {"type": "string"}},
+    {"not": {"type": "string"}},
+    {"anyOf": [{"type": "string"}, {"minimum": 3}]},
+    {"if": {"type": "string"}, "then": {"minLength": 2}},
+    {"if": {"type": "array"}, "else": {"const": 1}},
+    {"then": {"type": "string"}, "else": {"type": "null"}},
+])
+def test_each_keyword_follows_jsonschema(schema):
+    # each keyword alone, on values of every type: a keyword for one type
+    # passes the others, bool is no number, 1.0 is an integer, and enum and
+    # const tell True from 1
+    predicate = schemas.compile_predicate(schema)
+    validator = schemas.compile_schema(schema)
+    for value in EDGE_VALUES:
+        assert predicate(value) == validator.is_valid(value), value
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^x"},
+    {"$ref": "#/$defs/x"},
+    {"oneOf": [{"type": "string"}, {"type": "null"}]},
+    {"type": "object", "additionalProperties": {"type": "string"}},
+    {"type": "object", "additionalProperties": True},
+    {"properties": {"a": {"items": {"pattern": "^x"}}}},
+    {"type": "tuple"},
+])
+def test_compiler_refuses_keywords_it_does_not_implement(schema):
+    with pytest.raises(jsonschema.SchemaError):
+        schemas.compile_predicate(schema)
+
+
+class TestJsonschemaOnlyExplainsRejections:
+    @staticmethod
+    def count_iter_errors(monkeypatch) -> list:
+        """Patch every registry validator class to record the validator each
+        ``iter_errors`` call is made on, nested calls included."""
+        calls = []
+        for cls in {type(v) for v in schemas.VALIDATORS.values()}:
+            def counting(self, *args, _original=cls.iter_errors, **kwargs):
+                calls.append(self)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "iter_errors", counting)
+        return calls
+
+    def test_valid_replies_of_a_record_build_make_no_iter_errors_call(
+            self, monkeypatch, tmp_path, fixture_document):
+        validated = []
+        original = schemas.validate_reply
+        monkeypatch.setattr(schemas, "validate_reply",
+                            lambda sid, reply: (validated.append(sid), original(sid, reply)))
+        calls = self.count_iter_errors(monkeypatch)
+        gateway = Gateway(provider=OfflineModel(), mode="record",
+                          fixtures=FixtureStore(tmp_path / "replies.jsonl"),
+                          chat_model="offline-chat", embedding_model="offline-embed")
+        corpus = ingest_document(gateway, fixture_document, "serial_link_spec")
+        kgmod.build_from_corpus(corpus, gateway)
+        assert validated and set(validated) == {"semantic-ir-list"}
+        assert calls == []
+
+    def test_one_invalid_reply_makes_one_iter_errors_call(self, monkeypatch):
+        calls = self.count_iter_errors(monkeypatch)
+        reply = {"sentences": [{"skip": True}, {"kind": "procedural", "trigger": ""}]}
+        with pytest.raises(jsonschema.ValidationError):
+            schemas.validate_reply("semantic-ir-list", reply)
+        top_level = [v for v in calls if v is schemas.VALIDATORS["semantic-ir-list"]]
+        assert len(top_level) == 1
