@@ -144,13 +144,21 @@ def _run_eval(cfg: RunConfig, kg_dir: str, dataset_path: str):
     return evaluation.run_benchmark(dataset, graph, gateway, cfg)
 
 
+def _exit_code(report: evaluation.EvalReport) -> int:
+    """1 when any item failed, by an error or an ``error:`` flag, as ``query``
+    exits; the whole report is written first either way."""
+    failed = any(item.error is not None or any(f.startswith("error:") for f in item.flags)
+                 for item in report.items)
+    return 1 if failed else 0
+
+
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
     report = _run_eval(cfg, args.kg, args.dataset)
     out = Path(args.out)
     evaluation.write_report(report, out, out.with_suffix(".txt"))
     print(report.render_text())
-    return 0
+    return _exit_code(report)
 
 
 def cmd_bench(args) -> int:
@@ -163,7 +171,7 @@ def cmd_bench(args) -> int:
     report = _run_eval(cfg, args.kg, args.dataset)
     evaluation.write_report(report, run_dir / "report.json", run_dir / "report.txt")
     print(report.render_text())
-    return 0
+    return _exit_code(report)
 
 
 def cmd_replay_verify(args) -> int:

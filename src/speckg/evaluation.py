@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import prompts, reasoning
-from .errors import InvalidInput, SpecKGError
+from .errors import FixtureMiss, InvalidInput, SpecKGError
 from .gateway import Gateway
 from .kg import SpecGraph
 
@@ -107,7 +107,8 @@ def match(gateway: Gateway, a_gen: list[str], a_ref: list[str]) -> MatchOutcome:
 
     Each judge call sees only the references not yet consumed, so a single
     reference can never certify two paraphrases; a judge failure scores that
-    atom unmatched and is counted.
+    atom unmatched and is counted. A ``FixtureMiss`` is no judge failure: a
+    replay without the judge's reply propagates it and fails the item.
     """
     if not a_ref:
         raise InvalidInput("reference atom set must be non-empty")
@@ -119,6 +120,8 @@ def match(gateway: Gateway, a_gen: list[str], a_ref: list[str]) -> MatchOutcome:
             continue
         try:
             reply = gateway.chat(prompts.atom_match(atom, refs))
+        except FixtureMiss:
+            raise
         except SpecKGError:
             outcome.judge_errors += 1
             continue

@@ -10,6 +10,7 @@ reduces to a dot product everywhere downstream.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import logging
@@ -59,7 +60,8 @@ class Provider(Protocol):
 
     def chat(self, request: ChatRequest, model: str) -> str: ...
 
-    def embed(self, texts: list[str], model: str) -> list[list[float]]: ...
+    def embed(self, texts: list[str], model: str) -> np.ndarray | list[list[float]]:
+        """One vector per text, in order: a float matrix, or a list of rows."""
 
 
 def chat_digest(req: ChatRequest, model: str) -> str:
@@ -99,7 +101,9 @@ class FixtureStore:
     where the reply record is one of
     ``{"kind": "text", "text": str}``,
     ``{"kind": "json", "value": object}``, or
-    ``{"kind": "vector", "values": [float, ...]}``.
+    ``{"kind": "vector", "f8": <base64 of the vector's little-endian float64 bytes>}``.
+    Vectors recorded as ``{"kind": "vector", "values": [float, ...]}`` still
+    replay; only the ``f8`` form is written.
     """
 
     def __init__(self, path: str | Path):
@@ -280,17 +284,18 @@ class Gateway:
             if not t.strip():
                 raise InvalidInput("embed() input texts must be non-empty after trim")
 
-        rows: list = [None] * len(texts)
         if self.mode == "live":
-            pending = list(range(len(texts)))
+            rows = None
+            pending = range(len(texts))
         else:
             # Only the fixture store reads the digests.
             digests = [embed_digest(text, self.embedding_model) for text in texts]
+            rows = [None] * len(texts)
             pending = []
             for i, digest in enumerate(digests):
                 record = self.fixtures.get(digest)
                 if record is not None:
-                    rows[i] = record["values"]
+                    rows[i] = _decoded_vector(record)
                 elif self.mode == "replay":
                     raise FixtureMiss(f"no embedding fixture for digest {digest[:12]}...")
                 else:
@@ -305,8 +310,11 @@ class Gateway:
                 raise MalformedReply(
                     f"provider returned {len(vectors)} vectors for {len(batch)} texts"
                 )
-            for i, vec in zip(pending, vectors):
-                rows[i] = vec
+            if len(batch) == len(texts):
+                rows = vectors  # a provider's matrix stays one matrix
+            else:
+                for i, vec in zip(pending, vectors):
+                    rows[i] = vec
 
         raw = _checked_matrix(rows)
         # One norm per row: a norm along the matrix's axis sums in another
@@ -315,11 +323,8 @@ class Gateway:
         if not norms.all():
             raise MalformedReply("provider returned a zero embedding vector")
         if self.mode == "record":
-            # The provider's own values as floats: the same bytes on file, and
-            # in the store the same objects, not copies.
             for i in pending:
-                self.fixtures.put(digests[i], "embed",
-                                  {"kind": "vector", "values": list(map(float, rows[i]))})
+                self.fixtures.put(digests[i], "embed", _vector_record(raw[i]))
         return raw / norms[:, None]
 
     # -- retry plumbing -------------------------------------------------------
@@ -339,12 +344,35 @@ class Gateway:
         raise RetryExhausted(f"{label} failed after {self.max_attempts} attempts: {last}")
 
 
-def _checked_matrix(rows: list) -> np.ndarray:
-    """Stack embedding vectors, from a provider or a fixture file, into a
-    float64 matrix; vectors of unequal length or with non-finite values are a
-    malformed reply."""
+def _vector_record(vec: np.ndarray) -> dict:
+    """The fixture record of one vector: its float64 bytes, little-endian, in
+    base64, so the file holds every bit without printing a decimal per value."""
+    blob = vec.astype("<f8", copy=False).tobytes()
+    return {"kind": "vector", "f8": binascii.b2a_base64(blob, newline=False).decode("ascii")}
+
+
+def _decoded_vector(record: dict):
+    """The vector of a fixture record: an ``f8`` record as a float64 array, an
+    older ``values`` record as its list of floats."""
+    if "f8" not in record:
+        return record["values"]
     try:
-        raw = np.array(rows, dtype=np.float64)
+        blob = binascii.a2b_base64(record["f8"], strict_mode=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise MalformedReply(f"embedding fixture is not base64: {exc}") from exc
+    if len(blob) % 8:
+        raise MalformedReply(
+            f"embedding fixture holds {len(blob)} bytes, not a whole number of float64 values"
+        )
+    return np.frombuffer(blob, "<f8")
+
+
+def _checked_matrix(rows) -> np.ndarray:
+    """Stack embedding vectors, from a provider or a fixture file, into a
+    float64 matrix; a provider's float64 matrix is taken as it is. Vectors of
+    unequal length or with non-finite values are a malformed reply."""
+    try:
+        raw = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise MalformedReply(f"embedding vectors do not form a matrix: {exc}") from exc
     if raw.ndim != 2:

@@ -641,21 +641,19 @@ class OfflineModel:
             return reply
         return json.dumps(reply, ensure_ascii=False, sort_keys=True)
 
-    def embed(self, texts: list[str], model: str) -> list[list[float]]:
-        return [self._embed_one(t) for t in texts]
-
-    @staticmethod
-    def _embed_one(text: str) -> list[float]:
-        vec = np.zeros(EMBED_DIM, dtype=np.float64)
-        tokens = [t for t in tokenize(text) if t not in STOPWORDS] or [text.strip().lower() or "empty"]
-        for token in tokens:
-            h = hashlib.sha256(token.encode("utf-8")).digest()
-            idx = int.from_bytes(h[:4], "little") % EMBED_DIM
-            sign = 1.0 if h[4] % 2 == 0 else -1.0
-            vec[idx] += sign
-        if not np.any(vec):
-            vec[0] = 1.0
-        return [float(v) for v in vec]
+    def embed(self, texts: list[str], model: str) -> np.ndarray:
+        """One row per text, filled in place: each content token adds ±1 at
+        its hashed index, and a row left all zero gets a 1 in column 0."""
+        matrix = np.zeros((len(texts), EMBED_DIM), dtype=np.float64)
+        for vec, text in zip(matrix, texts):
+            tokens = [t for t in tokenize(text) if t not in STOPWORDS] or [text.strip().lower() or "empty"]
+            for token in tokens:
+                h = hashlib.sha256(token.encode("utf-8")).digest()
+                idx = int.from_bytes(h[:4], "little") % EMBED_DIM
+                vec[idx] += 1.0 if h[4] % 2 == 0 else -1.0
+            if not vec.any():
+                vec[0] = 1.0
+        return matrix
 
     # -- task handlers --------------------------------------------------------
 

@@ -12,8 +12,6 @@ import re
 
 ARTICLES = {"a", "an", "the"}
 
-AUX_VERBS = {"is", "are", "was", "were", "be", "been", "being"}
-
 # Abbreviations that must not terminate a sentence ("reg." etc.).
 _ABBREVIATIONS = {
     "e.g", "i.e", "etc", "cf", "vs", "fig", "figs", "eq", "sec", "no",
@@ -27,14 +25,6 @@ _SENT_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s|$)")
 def tokenize(text: str) -> list[str]:
     """Lower-cased word tokens; underscores kept (signal names stay whole)."""
     return [m.group(0).lower() for m in _WORD_RE.finditer(text)]
-
-
-def content_tokens(text: str, min_len: int = 3) -> set[str]:
-    """Tokens likely to carry meaning: articles and very short words dropped."""
-    return {
-        t for t in tokenize(text)
-        if len(t) >= min_len and t not in ARTICLES and t not in AUX_VERBS
-    }
 
 
 def canonical_entity(surface: str) -> str:

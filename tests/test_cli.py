@@ -120,6 +120,57 @@ class TestEvalAndBench:
         assert "reason" in tags and "synthesize" not in tags
 
 
+def replay_without(built_store, tmp_path, task_tag):
+    """A fixture file of a whole recorded bench, less every ``task_tag`` reply."""
+    fixtures = tmp_path / "replies.jsonl"
+    fixtures.write_bytes(built_store["fixtures"].read_bytes())
+    assert main(["bench", "--kg", str(built_store["store"]), "--dataset", str(QA_DATASET),
+                 "--mode", "record", "--fixtures", str(fixtures),
+                 "--run-dir", str(tmp_path / "record")]) == 0
+    lines = fixtures.read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines if json.loads(line)["task_tag"] != task_tag]
+    assert len(kept) < len(lines)
+    stale = tmp_path / f"no-{task_tag}.jsonl"
+    stale.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    return ["--kg", str(built_store["store"]), "--dataset", str(QA_DATASET),
+            "--mode", "replay", "--fixtures", str(stale)]
+
+
+def assert_whole_report(report):
+    assert len(report["items"]) == len(QA_DATASET.read_text().splitlines())
+    assert {"per_category", "overall_f1", "mean_system_recall"} <= set(report)
+
+
+class TestItemErrors:
+    def test_judge_fixture_miss_fails_the_item(self, built_store, tmp_path):
+        # without the atom-match replies no atom can be judged: each item ends
+        # with the miss as its error, not as an F1 of 0.0 with no error
+        args = replay_without(built_store, tmp_path, "atom-match")
+        run_dir = tmp_path / "replay"
+        assert main(["bench", *args, "--run-dir", str(run_dir)]) == 1
+        report = json.loads((run_dir / "report.json").read_text())
+        assert_whole_report(report)
+        for item in report["items"]:
+            assert "no fixture for task_tag='atom-match'" in item["error"]
+            assert item["samples"] == 0 and item["answer"]
+        assert (run_dir / "report.txt").exists()
+
+    @pytest.mark.parametrize("command", ["bench", "eval"])
+    def test_item_errors_exit_1_after_the_whole_report(self, built_store, tmp_path, command):
+        args = replay_without(built_store, tmp_path, "summarize")
+        if command == "bench":
+            out = tmp_path / "replay" / "report.json"
+            code = main(["bench", *args, "--run-dir", str(out.parent)])
+        else:
+            out = tmp_path / "eval" / "report.json"
+            code = main(["eval", *args, "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert_whole_report(report)
+        assert all("error:FixtureMiss" in item["flags"] for item in report["items"])
+        assert out.with_suffix(".txt").exists()
+
+
 class TestReplayVerify:
     def test_two_replay_runs_byte_identical(self, built_store, tmp_path):
         # warm the fixture store with a full bench first

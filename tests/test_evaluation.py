@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speckg import evaluation, reasoning
-from speckg.errors import InvalidInput
+from speckg.errors import FixtureMiss, InvalidInput
 from speckg.evaluation import (QAItem, aggregate_two_sigma, atomic_score,
                                decompose, load_dataset, match, run_benchmark,
                                score, system_recall_at_k)
@@ -87,6 +87,13 @@ class TestMatch:
         outcome = match(gw, ["claim one"], ["reference one"])
         assert outcome.matched == []
         assert outcome.judge_errors == 1
+
+
+    def test_judge_fixture_miss_propagates(self, tmp_path):
+        # a replay without the judge's reply is a stale file, not a judge error
+        gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(tmp_path / "none.jsonl"))
+        with pytest.raises(FixtureMiss, match="atom-match"):
+            match(gw, ["claim one"], ["reference one"])
 
 
 def brute_force_f1(m, g, r):

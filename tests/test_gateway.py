@@ -1,7 +1,12 @@
+import base64
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speckg import gateway as gateway_module
 from speckg import prompts
@@ -255,6 +260,46 @@ MALFORMED_VECTORS = {
 }
 
 
+def f8(values) -> str:
+    """A vector's little-endian float64 bytes in base64, as record mode writes it."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+# f8 payloads for the texts "a" and "b": each malformed vector as float64
+# bytes, and bytes that are broken as such
+MALFORMED_F8 = {case: [f8(values) for values in vectors]
+                for case, vectors in MALFORMED_VECTORS.items()}
+MALFORMED_F8.update({
+    "bad-base64": ["not base64!", f8([1.0, 0.0])],
+    "partial-float": [base64.b64encode(bytes(12)).decode("ascii"), f8([1.0, 0.0])],
+    "unequal-rows": [f8([1.0, 0.0]), f8([1.0, 0.0, 2.0])],
+})
+
+
+def write_vector_records(path, replies, texts=("a", "b")):
+    path.write_text("".join(
+        json.dumps({"digest": embed_digest(text, "default-embed"), "task_tag": "embed",
+                    "reply": reply}) + "\n"
+        for text, reply in zip(texts, replies)))
+
+
+# finite floats, the edges spelled out: signed zero, subnormals, huge values;
+# a row whose norm is 0 (all zeros, or subnormals whose squares underflow) is
+# refused by the gateway, so each row has a nonzero norm. Huge values overflow
+# the norm to inf, which numpy warns of; that row normalizes to zeros.
+def nonzero_norm(row) -> bool:
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(row) > 0
+
+
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1e308, -1e308, 1.7976931348623157e308])
+FLOAT_ROWS = st.integers(1, 6).flatmap(lambda dim: st.lists(
+    st.lists(EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+             min_size=dim, max_size=dim).filter(nonzero_norm),
+    min_size=1, max_size=5))
+
+
 class TestEmbed:
     def test_same_text_same_vector(self, tmp_path):
         gw = make_offline_gateway()
@@ -289,12 +334,72 @@ class TestEmbed:
         rec = Gateway(provider=VectorProvider(vectors), mode="record",
                       fixtures=FixtureStore(store_path))
         recorded = rec.embed(texts)
-        # the file holds the provider's vectors as plain floats, unnormalized
+        # the file holds the provider's vectors as float64 bytes, unnormalized
         records = [json.loads(line) for line in store_path.read_text().splitlines()]
-        assert [r["reply"] for r in records] == [{"kind": "vector", "values": v}
+        assert [r["reply"] for r in records] == [{"kind": "vector", "f8": f8(v)}
                                                  for v in vectors]
         replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
         assert replay.embed(texts).tobytes() == recorded.tobytes()
+
+    @given(FLOAT_ROWS)
+    @example([[-0.0, 5e-324, 1.0], [1e308, -1e308, 0.0], [2.2250738585072014e-308, -0.0, -2.0]])
+    @settings(max_examples=200, deadline=None)
+    def test_recorded_floats_replay_bit_for_bit(self, vectors):
+        texts = [f"text {i}" for i in range(len(vectors))]
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+            store_path = Path(tmp) / "replies.jsonl"
+            rec = Gateway(provider=VectorProvider(vectors), mode="record",
+                          fixtures=FixtureStore(store_path))
+            recorded = rec.embed(texts)
+            # each record holds the provider's own bits, the sign of zero too
+            replies = [json.loads(line)["reply"] for line in
+                       store_path.read_text().splitlines()]
+            assert b"".join(base64.b64decode(r["f8"]) for r in replies) == \
+                np.array(vectors, dtype="<f8").tobytes()
+            replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
+            assert replay.embed(texts).tobytes() == recorded.tobytes()
+
+    def test_values_records_still_replay(self, tmp_path):
+        # a file recorded before vectors were stored as bytes holds decimal
+        # floats; "four" is recorded as bytes, with the vector of "one"
+        vectors = np.random.default_rng(2).normal(size=(3, 8)).tolist()
+        texts = ["one", "two", "three"]
+        store_path = tmp_path / "replies.jsonl"
+        write_vector_records(store_path, [{"kind": "vector", "values": v} for v in vectors]
+                             + [{"kind": "vector", "f8": f8(vectors[0])}], texts + ["four"])
+        replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
+        live = Gateway(provider=VectorProvider(vectors), mode="live")
+        assert replay.embed(texts).tobytes() == live.embed(texts).tobytes()
+        # one call may mix the two forms
+        assert (replay.embed(["four", "two"]).tobytes()
+                == replay.embed(["one", "two"]).tobytes())
+
+    def test_provider_matrix_taken_as_is(self, tmp_path):
+        # a provider may return one float64 matrix instead of a list of rows:
+        # the same unit rows and the same file either way
+        vectors = np.random.default_rng(3).normal(size=(4, 8))
+        texts = ["w", "x", "y", "z"]
+        outputs, files = [], []
+        for name, reply in (("rows", vectors.tolist()), ("matrix", vectors)):
+            store_path = tmp_path / f"{name}.jsonl"
+            rec = Gateway(provider=VectorProvider(reply), mode="record",
+                          fixtures=FixtureStore(store_path))
+            outputs.append(rec.embed(texts).tobytes())
+            files.append(store_path.read_bytes())
+        assert outputs[0] == outputs[1] and files[0] == files[1]
+
+    def test_recorded_then_new_texts_in_one_call(self, tmp_path):
+        # fixture hits keep their rows and only the new texts reach the provider
+        vectors = np.random.default_rng(4).normal(size=(3, 8))
+        store_path = tmp_path / "replies.jsonl"
+        Gateway(provider=VectorProvider(vectors[:1]), mode="record",
+                fixtures=FixtureStore(store_path)).embed(["b"])
+        rec = Gateway(provider=VectorProvider(vectors[1:]), mode="record",
+                      fixtures=FixtureStore(store_path))
+        matrix = rec.embed(["a", "b", "c"])
+        live = Gateway(provider=VectorProvider(vectors[[1, 0, 2]]), mode="live")
+        assert matrix.tobytes() == live.embed(["a", "b", "c"]).tobytes()
+        assert len(store_path.read_text().splitlines()) == 3
 
     def test_empty_inputs_rejected(self):
         gw = make_offline_gateway()
@@ -325,10 +430,18 @@ class TestEmbed:
     def test_malformed_fixture_vectors_rejected(self, tmp_path, case):
         # the same checks hold for vectors from a hand-edited fixture file
         store_path = tmp_path / "replies.jsonl"
-        store_path.write_text("".join(
-            json.dumps({"digest": embed_digest(text, "default-embed"), "task_tag": "embed",
-                        "reply": {"kind": "vector", "values": values}}) + "\n"
-            for text, values in zip(["a", "b"], MALFORMED_VECTORS[case])))
+        write_vector_records(store_path, [{"kind": "vector", "values": values}
+                                          for values in MALFORMED_VECTORS[case]])
+        gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
+        with pytest.raises(MalformedReply):
+            gw.embed(["a", "b"])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_F8))
+    def test_malformed_f8_records_rejected(self, tmp_path, case):
+        # the malformed vectors as float64 bytes, and bytes that are no vector
+        store_path = tmp_path / "replies.jsonl"
+        write_vector_records(store_path, [{"kind": "vector", "f8": payload}
+                                          for payload in MALFORMED_F8[case]])
         gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
         with pytest.raises(MalformedReply):
             gw.embed(["a", "b"])

@@ -8,12 +8,15 @@ Several branches (dependency loops, a missing reset parse, a partial event
 chain) are reached by neither the fixture QA nor the benchmark manual.
 """
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from speckg import prompts
-from speckg.offline import OfflineModel, _Resolver
+from speckg.offline import EMBED_DIM, STOPWORDS, OfflineModel, _Resolver
+from speckg.text import tokenize
 
 RESET = "When the reset input is asserted, the TX FSM returns to the IDLE state."
 START = "When a start bit is detected in the IDLE state, the TX FSM enters the SYNC state."
@@ -246,3 +249,42 @@ def test_fallback_anchor_is_the_noun_phrase(question, entity):
     # cut at a preposition, less the main verb under do-support; with no
     # article, the last two words
     assert _Resolver(question, [])._fallback()["target_anchor"]["entity"] == entity
+
+
+def list_embed_one(text):
+    """The embedder as it was written per text, one list of floats each: the
+    oracle for the matrix ``OfflineModel.embed`` fills."""
+    vec = np.zeros(EMBED_DIM, dtype=np.float64)
+    tokens = [t for t in tokenize(text) if t not in STOPWORDS] or [text.strip().lower() or "empty"]
+    for token in tokens:
+        h = hashlib.sha256(token.encode("utf-8")).digest()
+        idx = int.from_bytes(h[:4], "little") % EMBED_DIM
+        sign = 1.0 if h[4] % 2 == 0 else -1.0
+        vec[idx] += sign
+    if not np.any(vec):
+        vec[0] = 1.0
+    return [float(v) for v in vec]
+
+
+def cancelling_pair():
+    """Two tokens that hash to one index with opposite signs: their sum is 0."""
+    seen = {}
+    for i in range(10_000):
+        token = f"w{i}"
+        h = hashlib.sha256(token.encode("utf-8")).digest()
+        slot = (int.from_bytes(h[:4], "little") % EMBED_DIM, h[4] % 2)
+        other = seen.get((slot[0], 1 - slot[1]))
+        if other is not None:
+            return other, token
+        seen[slot] = token
+    raise AssertionError("no cancelling pair")
+
+
+def test_embed_matrix_matches_the_per_text_lists(graph):
+    # every passage and entity the fixture spec's store embeds, plus a text of
+    # stopwords only and one whose two tokens cancel to the all-zero row
+    texts = [graph.passages[p].text for p in sorted(graph.passages)] + sorted(graph.entities)
+    texts += ["the is of", " ".join(cancelling_pair()), "TX_READY TX_READY tx_ready"]
+    matrix = OfflineModel().embed(texts, "offline-embed")
+    assert matrix.dtype == np.float64 and matrix.shape == (len(texts), EMBED_DIM)
+    assert matrix.tobytes() == np.array([list_embed_one(t) for t in texts]).tobytes()
