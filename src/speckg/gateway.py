@@ -10,7 +10,7 @@ reduces to a dot product everywhere downstream.
 
 from __future__ import annotations
 
-import binascii
+import base64
 import hashlib
 import json
 import logging
@@ -109,6 +109,7 @@ class FixtureStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.entries: dict[str, dict] = {}
+        self._vectors: dict[str, object] = {}  # vector records decoded so far
         self._lock = threading.Lock()
         self._out = None  # append handle, opened on the first put
         if self.path.exists():
@@ -128,6 +129,18 @@ class FixtureStore:
 
     def get(self, digest: str) -> dict | None:
         return self.entries.get(digest)
+
+    def get_vector(self, digest: str):
+        """The vector recorded under ``digest``, or None: an ``f8`` record as a
+        read-only float64 array, decoded on its first read only; an older
+        ``values`` record as its list of floats."""
+        record = self.get(digest)
+        if record is None:
+            return None
+        vec = self._vectors.get(digest)
+        if vec is None:
+            vec = self._vectors[digest] = _decoded_vector(record)
+        return vec
 
     def put(self, digest: str, task_tag: str, reply: dict) -> None:
         """Persist one reply; record mode serializes writes, replays stay stable.
@@ -284,18 +297,17 @@ class Gateway:
             if not t.strip():
                 raise InvalidInput("embed() input texts must be non-empty after trim")
 
+        rows: list = [None] * len(texts)
         if self.mode == "live":
-            rows = None
-            pending = range(len(texts))
+            pending = list(range(len(texts)))
         else:
             # Only the fixture store reads the digests.
             digests = [embed_digest(text, self.embedding_model) for text in texts]
-            rows = [None] * len(texts)
             pending = []
             for i, digest in enumerate(digests):
-                record = self.fixtures.get(digest)
-                if record is not None:
-                    rows[i] = _decoded_vector(record)
+                vec = self.fixtures.get_vector(digest)
+                if vec is not None:
+                    rows[i] = vec
                 elif self.mode == "replay":
                     raise FixtureMiss(f"no embedding fixture for digest {digest[:12]}...")
                 else:
@@ -310,11 +322,8 @@ class Gateway:
                 raise MalformedReply(
                     f"provider returned {len(vectors)} vectors for {len(batch)} texts"
                 )
-            if len(batch) == len(texts):
-                rows = vectors  # a provider's matrix stays one matrix
-            else:
-                for i, vec in zip(pending, vectors):
-                    rows[i] = vec
+            for i, vec in zip(pending, vectors):
+                rows[i] = vec
 
         raw = _checked_matrix(rows)
         # One norm per row: a norm along the matrix's axis sums in another
@@ -348,7 +357,7 @@ def _vector_record(vec: np.ndarray) -> dict:
     """The fixture record of one vector: its float64 bytes, little-endian, in
     base64, so the file holds every bit without printing a decimal per value."""
     blob = vec.astype("<f8", copy=False).tobytes()
-    return {"kind": "vector", "f8": binascii.b2a_base64(blob, newline=False).decode("ascii")}
+    return {"kind": "vector", "f8": base64.b64encode(blob).decode("ascii")}
 
 
 def _decoded_vector(record: dict):
@@ -356,9 +365,12 @@ def _decoded_vector(record: dict):
     older ``values`` record as its list of floats."""
     if "f8" not in record:
         return record["values"]
+    payload = record["f8"]
+    if not isinstance(payload, str):
+        raise MalformedReply("embedding fixture is not a base64 string")
     try:
-        blob = binascii.a2b_base64(record["f8"], strict_mode=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        blob = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
         raise MalformedReply(f"embedding fixture is not base64: {exc}") from exc
     if len(blob) % 8:
         raise MalformedReply(
@@ -367,12 +379,12 @@ def _decoded_vector(record: dict):
     return np.frombuffer(blob, "<f8")
 
 
-def _checked_matrix(rows) -> np.ndarray:
+def _checked_matrix(rows: list) -> np.ndarray:
     """Stack embedding vectors, from a provider or a fixture file, into a
-    float64 matrix; a provider's float64 matrix is taken as it is. Vectors of
-    unequal length or with non-finite values are a malformed reply."""
+    float64 matrix; vectors of unequal length or with non-finite values are a
+    malformed reply."""
     try:
-        raw = np.asarray(rows, dtype=np.float64)
+        raw = np.array(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise MalformedReply(f"embedding vectors do not form a matrix: {exc}") from exc
     if raw.ndim != 2:

@@ -271,6 +271,9 @@ MALFORMED_F8 = {case: [f8(values) for values in vectors]
                 for case, vectors in MALFORMED_VECTORS.items()}
 MALFORMED_F8.update({
     "bad-base64": ["not base64!", f8([1.0, 0.0])],
+    "missing-padding": [f8([1.0, 0.0]).rstrip("="), f8([1.0, 0.0])],
+    "beyond-ascii": ["AAAAAAAA\u00e9AAA", f8([1.0, 0.0])],
+    "not-a-string": [12, f8([1.0, 0.0])],
     "partial-float": [base64.b64encode(bytes(12)).decode("ascii"), f8([1.0, 0.0])],
     "unequal-rows": [f8([1.0, 0.0]), f8([1.0, 0.0, 2.0])],
 })
@@ -373,6 +376,22 @@ class TestEmbed:
         # one call may mix the two forms
         assert (replay.embed(["four", "two"]).tobytes()
                 == replay.embed(["one", "two"]).tobytes())
+
+    def test_replay_decodes_each_record_once(self, tmp_path, monkeypatch):
+        vectors = np.random.default_rng(5).normal(size=(2, 8))
+        store_path = tmp_path / "replies.jsonl"
+        write_vector_records(store_path, [{"kind": "vector", "f8": f8(v)} for v in vectors])
+        decoded = []
+        real = gateway_module._decoded_vector
+        monkeypatch.setattr(gateway_module, "_decoded_vector",
+                            lambda record: decoded.append(record) or real(record))
+        replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
+        first = replay.embed(["a", "b"])
+        expected = first.tobytes()
+        first[:] = 0.0  # the caller's matrix is its own, not the decoded rows
+        assert replay.embed(["a", "b"]).tobytes() == expected
+        assert replay.embed(["b"]).tobytes() == expected[len(expected) // 2:]
+        assert len(decoded) == 2
 
     def test_provider_matrix_taken_as_is(self, tmp_path):
         # a provider may return one float64 matrix instead of a list of rows:
