@@ -271,6 +271,7 @@ MALFORMED_F8 = {case: [f8(values) for values in vectors]
                 for case, vectors in MALFORMED_VECTORS.items()}
 MALFORMED_F8.update({
     "bad-base64": ["not base64!", f8([1.0, 0.0])],
+    "stray-character": [f8([1.0, 0.0])[:8] + "*" + f8([1.0, 0.0])[8:], f8([1.0, 0.0])],
     "missing-padding": [f8([1.0, 0.0]).rstrip("="), f8([1.0, 0.0])],
     "beyond-ascii": ["AAAAAAAA\u00e9AAA", f8([1.0, 0.0])],
     "not-a-string": [12, f8([1.0, 0.0])],
@@ -393,7 +394,7 @@ class TestEmbed:
         assert replay.embed(["b"]).tobytes() == expected[len(expected) // 2:]
         assert len(decoded) == 2
 
-    def test_provider_matrix_taken_as_is(self, tmp_path):
+    def test_provider_matrix_and_rows_alike(self, tmp_path):
         # a provider may return one float64 matrix instead of a list of rows:
         # the same unit rows and the same file either way
         vectors = np.random.default_rng(3).normal(size=(4, 8))
