@@ -21,6 +21,7 @@ from . import prompts, reasoning
 from .errors import FixtureMiss, InvalidInput, SpecKGError
 from .gateway import Gateway
 from .kg import SpecGraph
+from .retrieval import RetrievalRound
 
 logger = logging.getLogger(__name__)
 
@@ -159,7 +160,7 @@ def atomic_score(gateway: Gateway, answer: str, gold_atoms: list[str]) -> Atomic
 
 # --- run-level metrics ----------------------------------------------------------
 
-def system_recall_at_k(retrieval_log: list[dict], gold_passages: list[str],
+def system_recall_at_k(retrieval_log: list[RetrievalRound], gold_passages: list[str],
                        k: int) -> float | None:
     """Fraction of gold passages retrieved anywhere in the run, budget k.
 
@@ -174,7 +175,7 @@ def system_recall_at_k(retrieval_log: list[dict], gold_passages: list[str],
     pool: list[str] = []
     seen: set[str] = set()
     for entry in retrieval_log:
-        for pid in entry["accepted"]:
+        for pid in entry.accepted:
             if pid not in seen:
                 seen.add(pid)
                 pool.append(pid)
@@ -303,13 +304,19 @@ def repetitions(gateway: Gateway, cfg) -> tuple[int, int]:
 
 def evaluate_item(gateway: Gateway, kg: SpecGraph, item: QAItem, cfg) -> ItemResult:
     """Answer one question n_runs times, judge each answer n_judge times;
-    once each when replies are fixed (see :func:`repetitions`)."""
+    once each when replies are fixed (see :func:`repetitions`). A run that
+    ends flagged ``error:`` fails the item with that flag as its error, as a
+    failed judge call does with its own: neither answer is scored."""
     n_runs, n_judge = repetitions(gateway, cfg)
     record: reasoning.AnswerRecord | None = None
+    error: str | None = None
     samples_p, samples_r, samples_f1, recalls = [], [], [], []
     try:
         for _ in range(n_runs):
             record = reasoning.run(item.question, kg, gateway, cfg)
+            error = next((f for f in record.flags if f.startswith("error:")), None)
+            if error is not None:
+                break
             recalls.append(system_recall_at_k(record.retrieval_log, item.gold_passages,
                                               cfg.eval.recall_k))
             for _ in range(n_judge):
@@ -318,14 +325,16 @@ def evaluate_item(gateway: Gateway, kg: SpecGraph, item: QAItem, cfg) -> ItemRes
                 samples_r.append(result.recall)
                 samples_f1.append(result.f1)
     except SpecKGError as exc:
-        logger.error("item %s failed: %s", item.qid, exc)
+        error = str(exc)
+    if error is not None:
+        logger.error("item %s failed: %s", item.qid, error)
         return ItemResult(
             qid=item.qid, question_type=item.question_type, hop_count=item.hop_count,
             answer=record.answer if record else "",
             rounds_used=record.rounds_used if record else 0,
             flags=record.flags if record else [],
             precision=0.0, recall=0.0, f1=0.0, system_recall=None,
-            samples=0, dropped=0, error=str(exc),
+            samples=0, dropped=0, error=error,
         )
     agg_f1 = aggregate_two_sigma(samples_f1)
     return ItemResult(

@@ -327,10 +327,14 @@ class Gateway:
 
         raw = _checked_matrix(rows)
         # One norm per row: a norm along the matrix's axis sums in another
-        # order and would change the last bits.
-        norms = np.array([np.linalg.norm(row) for row in raw])
+        # order and would change the last bits. A norm that overflows would
+        # turn the row into zeros; it is refused, as a zero row is.
+        with np.errstate(over="ignore"):
+            norms = np.array([np.linalg.norm(row) for row in raw])
         if not norms.all():
             raise MalformedReply("provider returned a zero embedding vector")
+        if not np.isfinite(norms).all():
+            raise MalformedReply("an embedding vector's norm overflows float64")
         if self.mode == "record":
             for i in pending:
                 self.fixtures.put(digests[i], "embed", _vector_record(raw[i]))

@@ -152,9 +152,6 @@ class Corpus:
     irs: list[SemanticIR]
     skipped: list[dict] = field(default_factory=list)
 
-    def passage_map(self) -> dict[str, Passage]:
-        return {p.passage_id: p for p in self.passages}
-
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

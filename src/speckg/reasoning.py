@@ -35,13 +35,11 @@ class ContextItem:
     passage_id: str
     text: str
     section: str
-    round_added: int
 
 
 @dataclass
 class GapAssessment:
     status: str  # sufficient | gap
-    gap_description: str = ""
     sub_query: str = ""
     target_anchor: SemanticAnchor | None = None
     answer: str = ""  # set on a sufficient verdict that is not degraded
@@ -68,10 +66,13 @@ class ReasoningContext:
 
 @dataclass
 class AnswerRecord:
+    """One question's answer and how it was reached; ``to_dict`` is where the
+    retrieval rounds become dicts, for the CLI's output."""
+
     question: str
     answer: str
     provenance: list[str]
-    retrieval_log: list[dict]
+    retrieval_log: list[retrieval.RetrievalRound]
     rounds_used: int
     flags: list[str]
     thoughts: list[str]
@@ -81,7 +82,7 @@ class AnswerRecord:
             "question": self.question,
             "answer": self.answer,
             "provenance": self.provenance,
-            "retrieval_log": self.retrieval_log,
+            "retrieval_log": [r.to_dict() for r in self.retrieval_log],
             "rounds_used": self.rounds_used,
             "flags": self.flags,
             "thoughts": self.thoughts,
@@ -105,7 +106,6 @@ def reason_step(gateway: Gateway, ctx: ReasoningContext) -> GapAssessment:
     anchor = SemanticAnchor.from_dict(reply["target_anchor"])
     return GapAssessment(
         status="gap",
-        gap_description=reply["gap_description"],
         sub_query=reply["sub_query"],
         target_anchor=anchor,
     )
@@ -129,7 +129,6 @@ def acquire(gateway: Gateway, kg: SpecGraph, ctx: ReasoningContext,
             passage_id=pid,
             text=passage.text,
             section="/".join(passage.section_path),
-            round_added=ctx.round,
         ))
         added.append(pid)
     return added
@@ -186,7 +185,7 @@ def run(question: str, kg: SpecGraph, gateway: Gateway, cfg) -> AnswerRecord:
         question=question,
         answer=answer,
         provenance=[item.passage_id for item in ctx.context_items],
-        retrieval_log=[r.to_dict() for r in ctx.retrieval_log],
+        retrieval_log=ctx.retrieval_log,
         rounds_used=ctx.round,
         flags=flags,
         thoughts=list(ctx.thoughts),

@@ -31,12 +31,33 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class RetrievalState:
-    query: str
-    ranked_candidates: list[tuple[str, float]] = field(default_factory=list)
+class RetrievalRound:
+    """One acquire round: the top ``k_max`` ranked passages with their scores,
+    the passages expansion accepted from them, and what the anchor filter kept
+    of those. ``adaptive_expand`` and ``retrieve`` fill it in."""
+
+    sub_query: str
+    target_anchor: SemanticAnchor
+    ranked: list[tuple[str, float]]
     accepted: list[str] = field(default_factory=list)  # ordered set S_t
+    filtered: list[str] = field(default_factory=list)
+    removed: list[str] = field(default_factory=list)
     mig_trace: list[float] = field(default_factory=list)
+    bypassed: bool = False
     warning: str | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "sub_query": self.sub_query,
+            "target_anchor": self.target_anchor.to_dict(),
+            "ranked": [[pid, score] for pid, score in self.ranked],
+            "accepted": self.accepted,
+            "filtered": self.filtered,
+            "removed": self.removed,
+            "mig_trace": self.mig_trace,
+            "bypassed": self.bypassed,
+            "warning": self.warning,
+        }
 
 
 def seed(query: str, kg: SpecGraph, n_seeds: int, gateway: Gateway) -> dict[str, float]:
@@ -271,15 +292,16 @@ def ppr(kg: SpecGraph, seed_weights: dict[str, float],
     return walk_scores(walk.walk, p, damping), True
 
 
-def rank_passages(kg: SpecGraph, scores: np.ndarray) -> list[tuple[str, float]]:
-    """Passage ids ordered by score descending, lexicographic id tiebreak, from
-    ``ppr``'s scores. The passages' slice of the scores is in id order, so a
-    stable sort of their negated scores breaks ties by id."""
+def rank_passages(kg: SpecGraph, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """The top ``k`` passage ids with their scores, by score descending with a
+    lexicographic id tiebreak, from ``ppr``'s scores. The passages' slice of
+    the scores is in id order, so a stable sort of their negated scores breaks
+    ties by id, and its first ``k`` entries are a prefix of the whole ranking."""
     walk = graph_walk(kg)
     passage_scores = scores[walk.passages]
-    values = passage_scores.tolist()
-    return [(walk.passage_ids[i], values[i])
-            for i in np.argsort(-passage_scores, kind="stable").tolist()]
+    top = np.argsort(-passage_scores, kind="stable")[:k]
+    return list(zip([walk.passage_ids[i] for i in top.tolist()],
+                    passage_scores[top].tolist()))
 
 
 # (query, passage ids, cuts) -> one summary per cut n, of the first n passages
@@ -294,9 +316,10 @@ def marginal_gain(base_vec: np.ndarray, new_vec: np.ndarray) -> float:
     return min(2.0, max(0.0, gain))
 
 
-def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
-                    k_max: int, summarize: Summarizer, embed: Embedder) -> RetrievalState:
-    """Iterative context expansion over ``state.ranked_candidates``.
+def adaptive_expand(round_: RetrievalRound, tau: float, k0: int, delta_k: int,
+                    k_max: int, summarize: Summarizer, embed: Embedder) -> RetrievalRound:
+    """Iterative context expansion over ``round_.ranked``; fills in the round's
+    ``accepted``, ``mig_trace`` and ``warning`` and returns it.
 
     Starts from the top-k0 candidates; each round takes the next delta_k and
     accepts them only while the gain of the summary of the accepted context
@@ -313,18 +336,18 @@ def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
     """
     if k0 < 1 or delta_k < 1:
         raise InvalidInput("k0 and delta_k must be >= 1")
-    ids = [pid for pid, _ in state.ranked_candidates]
+    ids = [pid for pid, _ in round_.ranked]
     limit = min(k_max, len(ids))
-    state.accepted = ids[:min(k0, limit)]
-    state.mig_trace = []
+    round_.accepted = ids[:min(k0, limit)]
+    round_.mig_trace = []
     base_vec = None
 
-    while len(state.accepted) < limit:
-        start = len(state.accepted)
+    while len(round_.accepted) < limit:
+        start = len(round_.accepted)
         end = min(start + delta_k, limit)
         cuts = [end] if base_vec is not None else [start, end]
         try:
-            summaries = summarize(state.query, ids[:end], cuts)
+            summaries = summarize(round_.sub_query, ids[:end], cuts)
             if len(summaries) != len(cuts):
                 raise MalformedReply(f"{len(summaries)} summaries for {len(cuts)} cuts")
             vecs = embed(summaries)
@@ -335,16 +358,16 @@ def adaptive_expand(state: RetrievalState, tau: float, k0: int, delta_k: int,
         except FixtureMiss:
             raise
         except Exception as exc:
-            state.warning = f"summarization failed: {exc}"
-            logger.warning("expansion aborted for %r: %s", state.query, exc)
-            return state
-        state.mig_trace.append(gain)
+            round_.warning = f"summarization failed: {exc}"
+            logger.warning("expansion aborted for %r: %s", round_.sub_query, exc)
+            return round_
+        round_.mig_trace.append(gain)
         if gain > tau:
-            state.accepted = ids[:end]
+            round_.accepted = ids[:end]
             base_vec = expanded_vec
         else:
             break
-    return state
+    return round_
 
 
 @dataclass
@@ -384,58 +407,23 @@ def csa_filter(candidates: Sequence[str], target: SemanticAnchor, kg: SpecGraph,
     return FilterResult(kept=kept, removed=removed)
 
 
-@dataclass
-class RetrievalRound:
-    """Audit record of one acquire round."""
-
-    sub_query: str
-    target_anchor: dict
-    ranked: list[tuple[str, float]]
-    accepted: list[str]
-    filtered: list[str]
-    removed: list[str]
-    mig_trace: list[float]
-    bypassed: bool
-    warning: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "sub_query": self.sub_query,
-            "target_anchor": self.target_anchor,
-            "ranked": [[pid, score] for pid, score in self.ranked],
-            "accepted": self.accepted,
-            "filtered": self.filtered,
-            "removed": self.removed,
-            "mig_trace": self.mig_trace,
-            "bypassed": self.bypassed,
-            "warning": self.warning,
-        }
-
-
 def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway,
              cfg) -> RetrievalRound:
     """Full pipeline for one sub-query: seed → pagerank → expand → filter."""
     weights = seed(query, kg, cfg.retrieval.n_seeds, gateway)
     scores, _ = ppr(kg, weights, cfg.ppr.damping)
-    state = RetrievalState(query=query, ranked_candidates=rank_passages(kg, scores))
+    round_ = RetrievalRound(sub_query=query, target_anchor=target,
+                            ranked=rank_passages(kg, scores, cfg.retrieval.k_max))
 
     def summarize(q: str, passage_ids: list[str], cuts: list[int]) -> list[str]:
         payload = [{"passage_id": pid, "text": kg.passages[pid].text}
                    for pid in passage_ids]
         return gateway.chat(prompts.summarize(q, payload, cuts))["summaries"]
 
-    adaptive_expand(state, cfg.retrieval.tau, cfg.retrieval.k0,
+    adaptive_expand(round_, cfg.retrieval.tau, cfg.retrieval.k0,
                     cfg.retrieval.delta_k, cfg.retrieval.k_max, summarize, gateway.embed)
-    result = csa_filter(state.accepted, target, kg,
+    result = csa_filter(round_.accepted, target, kg,
                         keep_unanchored=cfg.filter.fallback_keep_unanchored)
-    return RetrievalRound(
-        sub_query=query,
-        target_anchor=target.to_dict(),
-        ranked=list(state.ranked_candidates),
-        accepted=list(state.accepted),
-        filtered=result.kept,
-        removed=result.removed,
-        mig_trace=list(state.mig_trace),
-        bypassed=result.bypassed,
-        warning=state.warning,
-    )
+    round_.filtered, round_.removed = result.kept, result.removed
+    round_.bypassed = result.bypassed
+    return round_

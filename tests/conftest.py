@@ -55,7 +55,7 @@ def synthesized_answer(record, graph, gateway) -> str:
         passage = graph.passages[pid]
         ctx.context_items.append(reasoning.ContextItem(
             passage_id=pid, text=passage.text,
-            section="/".join(passage.section_path), round_added=0))
+            section="/".join(passage.section_path)))
     return reasoning.synthesize(gateway, ctx, incomplete=False)
 
 

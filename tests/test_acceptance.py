@@ -14,7 +14,7 @@ from speckg.config import build_gateway
 from speckg.evaluation import aggregate_two_sigma, score
 from speckg.ingest import Passage, SemanticAnchor, ingest_document
 from speckg.kg import SpecGraph
-from speckg.retrieval import RetrievalState, adaptive_expand, csa_filter, pagerank_scores
+from speckg.retrieval import RetrievalRound, adaptive_expand, csa_filter, pagerank_scores
 
 from conftest import QA_DATASET, SPEC_DOC, make_config, mention_components
 
@@ -111,21 +111,22 @@ def test_criterion_2_ppr_oracle_equivalence():
         assert v.elapsed < 30.0
 
 
-def _candidates(n):
-    return [(f"p{i:03d}", 1.0 - 0.001 * i) for i in range(n)]
+def _round(n):
+    return RetrievalRound(sub_query="q", target_anchor=SemanticAnchor("declarative", "x"),
+                          ranked=[(f"p{i:03d}", 1.0 - 0.001 * i) for i in range(n)])
 
 
 def test_criterion_3_adaptive_expansion_behavior():
     with _Verdict(3, "expansion: zero-gain stops at k0; n high-gain rounds accepted; K_max hard stop"):
         # (a) identical summaries every round: gain exactly 0, terminate with S_0
-        state = RetrievalState(query="q", ranked_candidates=_candidates(40))
+        rnd = _round(40)
         unit = np.zeros(4)
         unit[0] = 1.0
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=lambda q, ids, cuts: ["constant summary"] * len(cuts),
                         embed=lambda texts: np.array([unit] * len(texts)))
-        assert len(state.accepted) == 5
-        assert state.mig_trace == [0.0]
+        assert len(rnd.accepted) == 5
+        assert rnd.mig_trace == [0.0]
 
         # (b) orthogonal-embedding summaries for 2 rounds, then identical:
         # exactly 2 accepted expansions, |S| = k0 + 2*delta_k
@@ -138,20 +139,20 @@ def test_criterion_3_adaptive_expansion_behavior():
         def embed(texts):
             return np.array([table[int(text.rsplit(" ", 1)[1])] for text in texts])
 
-        state = RetrievalState(query="q", ranked_candidates=_candidates(40))
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
+        rnd = _round(40)
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=embed)
-        assert len(state.accepted) == 5 + 2 * 5
-        assert len(state.mig_trace) == 3
-        assert state.mig_trace[-1] == 0.0
+        assert len(rnd.accepted) == 5 + 2 * 5
+        assert len(rnd.mig_trace) == 3
+        assert rnd.mig_trace[-1] == 0.0
 
         # (c) K_max = k0: no expansion round at all
-        state = RetrievalState(query="q", ranked_candidates=_candidates(40))
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=5,
+        rnd = _round(40)
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=5,
                         summarize=lambda q, ids, cuts: pytest.fail("no round expected"),
                         embed=lambda texts: np.array([unit] * len(texts)))
-        assert len(state.accepted) == 5
-        assert state.mig_trace == []
+        assert len(rnd.accepted) == 5
+        assert rnd.mig_trace == []
 
         # K_max hard stop under permanently high gain
         counter = {"n": 0}
@@ -163,11 +164,11 @@ def test_criterion_3_adaptive_expansion_behavior():
                 row[counter["n"]] = 1.0
             return vecs
 
-        state = RetrievalState(query="q", ranked_candidates=_candidates(40))
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=12,
+        rnd = _round(40)
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=12,
                         summarize=lambda q, ids, cuts: [f"s{n}" for n in cuts],
                         embed=always_new)
-        assert len(state.accepted) == 12
+        assert len(rnd.accepted) == 12
 
 
 def test_criterion_4_filter_purity():

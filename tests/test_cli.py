@@ -167,7 +167,11 @@ class TestItemErrors:
         assert code == 1
         report = json.loads(out.read_text())
         assert_whole_report(report)
-        assert all("error:FixtureMiss" in item["flags"] for item in report["items"])
+        # a failed run is an item error, left out of every mean, not an F1 of 0
+        for item in report["items"]:
+            assert "error:FixtureMiss" in item["flags"]
+            assert item["error"] == "error:FixtureMiss" and item["samples"] == 0
+        assert report["per_category"] == {} and report["mean_system_recall"] is None
         assert out.with_suffix(".txt").exists()
 
 

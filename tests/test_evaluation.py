@@ -14,7 +14,9 @@ from speckg.evaluation import (QAItem, aggregate_two_sigma, atomic_score,
                                score, system_recall_at_k)
 
 from speckg.gateway import FixtureStore, Gateway
+from speckg.ingest import SemanticAnchor
 from speckg.offline import OfflineModel
+from speckg.retrieval import RetrievalRound
 
 from conftest import make_config, make_offline_gateway
 
@@ -139,9 +141,15 @@ class TestScore:
         assert abs(f1 - brute_force_f1(m, g, r)) <= 1e-12
 
 
+def logged_round(accepted):
+    """A retrieval round that accepted ``accepted``, as a run logs it."""
+    return RetrievalRound(sub_query="q", target_anchor=SemanticAnchor("declarative", "x"),
+                          ranked=[], accepted=list(accepted))
+
+
 class TestSystemRecall:
     def log(self, *rounds):
-        return [{"accepted": list(r)} for r in rounds]
+        return [logged_round(r) for r in rounds]
 
     def test_all_gold_retrieved(self):
         log = self.log(["p1", "p2"], ["p3", "p4", "p5"])
@@ -360,14 +368,13 @@ class TestRepetitions:
     def test_system_recall_averaged_over_runs(self, dataset, graph, monkeypatch):
         item = dataset[0]
         gold = item.gold_passages
-        records = iter([
-            reasoning.AnswerRecord(question=item.question, answer=item.gold_answer,
-                                   provenance=[], retrieval_log=[{"accepted": list(gold)}],
-                                   rounds_used=1, flags=[], thoughts=[]),
-            reasoning.AnswerRecord(question=item.question, answer=item.gold_answer,
-                                   provenance=[], retrieval_log=[{"accepted": []}],
-                                   rounds_used=1, flags=[], thoughts=[]),
-        ])
+
+        def record(accepted):
+            return reasoning.AnswerRecord(question=item.question, answer=item.gold_answer,
+                                          provenance=[], retrieval_log=[logged_round(accepted)],
+                                          rounds_used=1, flags=[], thoughts=[])
+
+        records = iter([record(gold), record([])])
         monkeypatch.setattr(evaluation.reasoning, "run", lambda *args: next(records))
         cfg = make_config()
         cfg.eval.n_runs, cfg.eval.n_judge = 2, 1

@@ -401,7 +401,7 @@ class TestCorpusInvariants:
             key = (ir.passage_id, ir.span)
             assert key not in seen, "sentence parsed twice"
             seen.add(key)
-        by_id = corpus.passage_map()
+        by_id = {p.passage_id: p for p in corpus.passages}
         for ir in corpus.irs:
             passage = by_id[ir.passage_id]
             assert ir.span in [tuple(s) for s in passage.sentence_spans]

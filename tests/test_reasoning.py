@@ -21,8 +21,7 @@ CHAIN_GOLD = ["serial_link_spec#p0011", "serial_link_spec#p0010", "serial_link_s
 def ctx_with(question, items):
     ctx = ReasoningContext(question=question)
     for i, (pid, text) in enumerate(items):
-        ctx.context_items.append(ContextItem(passage_id=pid, text=text,
-                                             section="S", round_added=0))
+        ctx.context_items.append(ContextItem(passage_id=pid, text=text, section="S"))
     return ctx
 
 

@@ -16,7 +16,7 @@ from speckg.errors import EmptyGraph, FixtureMiss, InvalidInput
 from speckg.ingest import Passage, SemanticAnchor, ingest_document
 from speckg.kg import Edge, EmbeddingIndex, SpecGraph
 from speckg.offline import OfflineModel
-from speckg.retrieval import (RetrievalState, adaptive_expand, csa_filter,
+from speckg.retrieval import (RetrievalRound, adaptive_expand, csa_filter,
                               marginal_gain, pagerank_scores, ppr, rank_passages,
                               seed)
 
@@ -439,15 +439,20 @@ class TestPPROverGraph:
         for pid in ("b", "a", "c"):
             add_passage(graph, pid)
         assert retrieval.graph_walk(graph).keys == ["e:x", "p:a", "p:b", "p:c"]
-        ranked = rank_passages(graph, np.array([1.0, 0.5, 0.5, 0.9]))
-        assert ranked == [("c", 0.9), ("a", 0.5), ("b", 0.5)]
+        scores = np.array([1.0, 0.5, 0.5, 0.9])
+        assert rank_passages(graph, scores, 3) == [("c", 0.9), ("a", 0.5), ("b", 0.5)]
+        assert rank_passages(graph, scores, 2) == [("c", 0.9), ("a", 0.5)]
 
     @pytest.mark.parametrize("damping", [0.5, 0.85])
-    def test_ranking_matches_the_dict_sort_for_every_sole_seed(self, graph, damping):
+    def test_ranking_matches_the_dict_sort_for_every_sole_seed(self, graph, damping, run_cfg):
         keys = retrieval.graph_walk(graph).keys
+        n = len(graph.passages)
+        cuts = [1, run_cfg.retrieval.k0, run_cfg.retrieval.k_max, n, n + 1]
         for key in keys:
             scores, _ = ppr(graph, {key: 1.0}, damping)
-            assert rank_passages(graph, scores) == dict_rank_passages(keys, scores)
+            oracle = dict_rank_passages(keys, scores)
+            for k in cuts:
+                assert rank_passages(graph, scores, k) == oracle[:k]
 
 
 def uncached_ppr(kg, seed_weights, damping):
@@ -580,7 +585,7 @@ class TestCachedWalk:
         graph.edges.append(Edge("mention", "e:leaf", "p:12"))
         for damping in (0.5, 0.85):
             scores, _ = ppr(graph, {"e:hub": 1.0}, damping)
-            ranked = rank_passages(graph, scores)
+            ranked = rank_passages(graph, scores, len(ids))
             score = {pid: scores[retrieval.graph_walk(graph).index[f"p:{pid}"]]
                      for pid in ids}
             tied = [pid for pid in ids if pid not in ("7", "12")]
@@ -617,17 +622,17 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 class TestAdaptiveExpand:
-    def make_state(self, n=40):
-        return RetrievalState(
-            query="q",
-            ranked_candidates=[(f"p{i:02d}", 1.0 - i * 0.01) for i in range(n)],
+    def make_round(self, n=40):
+        return RetrievalRound(
+            sub_query="q", target_anchor=SemanticAnchor("declarative", "x"),
+            ranked=[(f"p{i:02d}", 1.0 - i * 0.01) for i in range(n)],
         )
 
     @staticmethod
     def scripted(summaries_gains):
         """Return (summarize, embed) where embed distances follow the script:
         summaries_gains[t] is the gain for expansion attempt t."""
-        state = {"t": 0}
+        script = {"t": 0}
 
         def summarize(query, ids, cuts):
             return ["|".join(ids[:n]) for n in cuts]
@@ -636,92 +641,92 @@ class TestAdaptiveExpand:
             return texts
 
         def gain(base, new):
-            g = summaries_gains[state["t"]] if state["t"] < len(summaries_gains) else 0.0
-            state["t"] += 1
+            g = summaries_gains[script["t"]] if script["t"] < len(summaries_gains) else 0.0
+            script["t"] += 1
             return g
 
         return summarize, embed, gain
 
     def run_expand(self, gains, tau=0.05, k0=5, delta_k=5, k_max=50, n=40):
-        state = self.make_state(n)
+        rnd = self.make_round(n)
         summarize, embed, gain = self.scripted(gains)
         real_marginal = retrieval.marginal_gain
         retrieval.marginal_gain = lambda a, b: gain(a, b)
         try:
-            adaptive_expand(state, tau, k0, delta_k, k_max, summarize, embed)
+            adaptive_expand(rnd, tau, k0, delta_k, k_max, summarize, embed)
         finally:
             retrieval.marginal_gain = real_marginal
-        return state
+        return rnd
 
     def test_identical_summaries_terminate_with_k0(self):
-        state = self.make_state()
+        rnd = self.make_round()
         summarize = lambda q, ids, cuts: ["same summary every time"] * len(cuts)
         embed = lambda texts: np.array([[1.0, 0.0]] * len(texts))
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=embed)
-        assert len(state.accepted) == 5
-        assert state.mig_trace == [0.0]
+        assert len(rnd.accepted) == 5
+        assert rnd.mig_trace == [0.0]
 
     def test_exactly_n_highgain_rounds_accepted(self):
-        state = self.run_expand([0.5, 0.5, 0.0])
+        rnd = self.run_expand([0.5, 0.5, 0.0])
         # two accepted expansions then a zero-gain round: |S| = k0 + 2*delta_k
-        assert len(state.accepted) == 5 + 2 * 5
-        assert len(state.mig_trace) == 3
+        assert len(rnd.accepted) == 5 + 2 * 5
+        assert len(rnd.mig_trace) == 3
 
     def test_kmax_equal_k0_returns_immediately(self):
-        state = self.make_state()
+        rnd = self.make_round()
         called = {"n": 0}
 
         def summarize(q, ids, cuts):
             called["n"] += 1
             return ["s"] * len(cuts)
 
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=5,
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=5,
                         summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
-        assert len(state.accepted) == 5
-        assert state.mig_trace == []
+        assert len(rnd.accepted) == 5
+        assert rnd.mig_trace == []
         assert called["n"] == 0
 
     def test_hard_stop_never_exceeds_kmax(self):
-        state = self.run_expand([0.5] * 100, k_max=12)
-        assert len(state.accepted) == 12
+        rnd = self.run_expand([0.5] * 100, k_max=12)
+        assert len(rnd.accepted) == 12
 
     def test_candidates_exhausted_stops(self):
-        state = self.run_expand([0.5] * 100, n=8)
-        assert len(state.accepted) == 8
+        rnd = self.run_expand([0.5] * 100, n=8)
+        assert len(rnd.accepted) == 8
 
     def test_monotonicity_growth_iff_gain_above_tau(self):
         gains = [0.5, 0.01, 0.7]
-        state = self.run_expand(gains, tau=0.05)
+        rnd = self.run_expand(gains, tau=0.05)
         # second attempt fails the threshold, loop stops there
-        assert len(state.mig_trace) == 2
-        assert len(state.accepted) == 5 + 5
+        assert len(rnd.mig_trace) == 2
+        assert len(rnd.accepted) == 5 + 5
 
     def test_round_bound(self):
         k0, delta_k, k_max = 5, 5, 50
-        state = self.run_expand([0.5] * 100, k0=k0, delta_k=delta_k, k_max=k_max, n=100)
+        rnd = self.run_expand([0.5] * 100, k0=k0, delta_k=delta_k, k_max=k_max, n=100)
         import math
-        assert len(state.mig_trace) <= math.ceil((k_max - k0) / delta_k) + 1
+        assert len(rnd.mig_trace) <= math.ceil((k_max - k0) / delta_k) + 1
 
     def test_summarizer_failure_aborts_with_warning(self):
-        state = self.make_state()
+        rnd = self.make_round()
 
         def summarize(q, ids, cuts):
             raise RuntimeError("model down")
 
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
-        assert len(state.accepted) == 5
-        assert state.warning is not None
+        assert len(rnd.accepted) == 5
+        assert rnd.warning is not None
 
     def test_fixture_miss_propagates(self):
-        state = self.make_state()
+        rnd = self.make_round()
 
         def summarize(q, ids, cuts):
             raise FixtureMiss("no fixture for task_tag='summarize'")
 
         with pytest.raises(FixtureMiss):
-            adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
+            adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                             summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
 
     @staticmethod
@@ -749,25 +754,25 @@ class TestAdaptiveExpand:
         return summarize, embed, calls
 
     def test_each_round_summarizes_and_embeds_once(self):
-        state = self.make_state()
+        rnd = self.make_round()
         summarize, embed, calls = self.counting_doubles()
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=20,
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=20,
                         summarize=summarize, embed=embed)
-        assert len(state.mig_trace) == 3
-        assert len(state.accepted) == 20
+        assert len(rnd.mig_trace) == 3
+        assert len(rnd.accepted) == 20
         # one request per round; the first also cuts after the k0 base
         assert calls == {"summarize": 3, "embed": 3, "embedded": 4,
                          "requests": [(10, [5, 10]), (15, [15]), (20, [20])]}
 
     def test_failure_after_first_round_keeps_accepted_set(self):
-        state = self.make_state()
+        rnd = self.make_round()
         # call 1 is round 1's, for the base and the increment; call 2 is round 2's
         summarize, embed, _ = self.counting_doubles(fail_on_call=2)
-        adaptive_expand(state, tau=0.05, k0=5, delta_k=5, k_max=50,
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=embed)
-        assert state.accepted == [f"p{i:02d}" for i in range(10)]
-        assert state.mig_trace == [1.0]
-        assert state.warning is not None
+        assert rnd.accepted == [f"p{i:02d}" for i in range(10)]
+        assert rnd.mig_trace == [1.0]
+        assert rnd.warning is not None
 
 
 class CountingGateway:
@@ -879,12 +884,14 @@ class TestPerCutOracle:
         rounds = [r for question in questions
                   for r in reasoning.run(question, graph, offline_gateway, run_cfg).retrieval_log]
         for r in rounds:
-            state = RetrievalState(query=r["sub_query"],
-                                   ranked_candidates=[tuple(pair) for pair in r["ranked"]])
-            adaptive_expand(state, cfg.tau, cfg.k0, cfg.delta_k, cfg.k_max, summarize, embed)
-            assert (state.accepted, state.mig_trace) == (r["accepted"], r["mig_trace"])
+            # each round holds the top k_max passages only
+            assert len(r.ranked) == min(cfg.k_max, len(graph.passages))
+            oracle = RetrievalRound(sub_query=r.sub_query, target_anchor=r.target_anchor,
+                                    ranked=r.ranked)
+            adaptive_expand(oracle, cfg.tau, cfg.k0, cfg.delta_k, cfg.k_max, summarize, embed)
+            assert (oracle.accepted, oracle.mig_trace) == (r.accepted, r.mig_trace)
         # later rounds, after an accepted first one, are among those checked
-        assert any(len(r["mig_trace"]) > 1 for r in rounds)
+        assert any(len(r.mig_trace) > 1 for r in rounds)
 
 
 class TestMarginalGain:
