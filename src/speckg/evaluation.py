@@ -257,7 +257,7 @@ class ItemResult:
 class EvalReport:
     items: list[ItemResult]
     per_category: dict[str, dict]
-    overall_f1: float
+    overall_f1: float | None
     mean_system_recall: float | None
     recall_k: int
     n_runs: int
@@ -281,7 +281,7 @@ class EvalReport:
         for qtype in QUESTION_TYPES:
             stats = self.per_category.get(qtype)
             cells.append(f"{stats['mean_f1']:.3f}" if stats else "-")
-        cells.append(f"{self.overall_f1:.3f}")
+        cells.append(f"{self.overall_f1:.3f}" if self.overall_f1 is not None else "-")
         cells.append(f"{self.mean_system_recall:.3f}" if self.mean_system_recall is not None else "-")
         widths = [max(len(h), len(c)) for h, c in zip(header, cells)]
         line = " | ".join(h.ljust(w) for h, w in zip(header, widths))
@@ -384,7 +384,7 @@ def run_benchmark(dataset: list[QAItem], kg: SpecGraph, gateway: Gateway, cfg) -
         per_category[qtype] = {"mean_f1": mean, "std_f1": std, "n": len(scores)}
 
     scored = [r.f1 for r in items if r.error is None]
-    overall = sum(scored) / len(scored) if scored else 0.0
+    overall = sum(scored) / len(scored) if scored else None
     recalls = [r.system_recall for r in items if r.system_recall is not None]
     mean_recall = sum(recalls) / len(recalls) if recalls else None
     return EvalReport(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,14 +102,15 @@ IRREGULAR_STEMS = {"driven": "drive", "goes": "go", "gone": "go",
                    "written": "write", "wrote": "write"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClauseParse:
-    """Shallow parse of one sentence."""
+    """Shallow parse of one sentence; immutable, since the model shares one
+    parse of a passage among every request that sends that passage."""
 
     kind: str
     sentence: str
     central_entity: str = ""
-    attributes: list[tuple[str, str]] = field(default_factory=list)
+    attributes: tuple[tuple[str, str], ...] = ()
     trigger: str = ""
     condition: str = ""
     action: tuple[str, str, str] | None = None  # subject, verb, object
@@ -240,7 +241,7 @@ def _parse_table_row(row: str) -> ClauseParse | None:
     else:
         attrs = [(cells[1], " ".join(cells[2:]))]
     return ClauseParse(kind="declarative", sentence=row.strip(),
-                       central_entity=cells[0], attributes=attrs)
+                       central_entity=cells[0], attributes=tuple(attrs))
 
 
 def parse_sentence(sentence: str) -> ClauseParse | None:
@@ -270,7 +271,7 @@ def parse_sentence(sentence: str) -> ClauseParse | None:
     if not entity:
         return None
     return ClauseParse(kind="declarative", sentence=stripped,
-                       central_entity=entity, attributes=attrs)
+                       central_entity=entity, attributes=tuple(attrs))
 
 
 def clause_entity(clause: str) -> str:
@@ -391,16 +392,12 @@ def _answer_text(statements: list[str], incomplete: bool) -> str:
 
 
 class _Resolver:
-    """Shared question-resolution engine behind the reason and synthesize tasks."""
+    """Shared question-resolution engine behind the reason and synthesize
+    tasks, over the parsed sentences of the context passages in order."""
 
-    def __init__(self, question: str, context: list[dict]):
+    def __init__(self, question: str, parses: list[ClauseParse]):
         self.question = question
-        self.parses: list[ClauseParse] = []
-        for item in context:
-            for start, end in split_sentences(item["text"]):
-                parse = parse_sentence(item["text"][start:end])
-                if parse is not None:
-                    self.parses.append(parse)
+        self.parses = parses
 
     # lookup helpers ---------------------------------------------------------
 
@@ -542,21 +539,23 @@ class _Resolver:
         two_stage = re.match(r"(?i)^(?P<first>.+?)\s+immediately after\s+(?:a\s+|the\s+)?reset$",
                              cond.strip())
         fsm_key = canonical_entity(fsm)
-        reset_parse = None
+        # The reset parse is skipped by position: a passage sent twice
+        # shares its parse objects, and its second copy still counts.
+        reset_parse, reset_at = None, -1
         if two_stage:
-            for p in self.parses:
+            for i, p in enumerate(self.parses):
                 if (p.kind == "procedural" and p.action
                         and canonical_entity(p.action[0]) == fsm_key
                         and "reset" in tokenize(p.trigger)):
-                    reset_parse = p
+                    reset_parse, reset_at = p, i
                     break
         state0 = reset_parse.action[2] if reset_parse is not None else None
         cond_tokens = _content(two_stage.group("first") if two_stage else cond)
         final_parse = None
-        for p in self.parses:
+        for i, p in enumerate(self.parses):
             if p.kind != "procedural" or not p.action:
                 continue
-            if canonical_entity(p.action[0]) != fsm_key or p is reset_parse:
+            if canonical_entity(p.action[0]) != fsm_key or i == reset_at:
                 continue
             trigger_tokens = set(tokenize(p.trigger))
             if len(cond_tokens & trigger_tokens) < 2:
@@ -620,9 +619,20 @@ class _Resolver:
 
 class OfflineModel:
     """Provider implementation backed by the rule engine above; its reply is
-    a function of the request."""
+    a function of the request.
+
+    The retrieval loop sends the same passages in request after request, so
+    the model analyses each passage text, and hashes each token, once per
+    instance: the memos grow with the distinct texts and tokens it is sent.
+    Their values are immutable and a function of the key, so requests on
+    several threads may share them."""
 
     deterministic = True
+
+    def __init__(self) -> None:
+        self._token_slots: dict[str, tuple[int, float]] = {}
+        self._sentences: dict[str, tuple[tuple[str, frozenset[str]], ...]] = {}
+        self._parses: dict[str, tuple[ClauseParse, ...]] = {}
 
     def chat(self, request: ChatRequest, model: str) -> str:
         payload = extract_payload(request.user_prompt)
@@ -642,18 +652,55 @@ class OfflineModel:
         return json.dumps(reply, ensure_ascii=False, sort_keys=True)
 
     def embed(self, texts: list[str], model: str) -> np.ndarray:
-        """One row per text, filled in place: each content token adds ±1 at
-        its hashed index, and a row left all zero gets a 1 in column 0."""
-        matrix = np.zeros((len(texts), EMBED_DIM), dtype=np.float64)
-        for vec, text in zip(matrix, texts):
+        """One row per text: each content token adds ±1 at its hashed column,
+        and a row left all zero gets a 1 in column 0. Every entry is a sum of
+        ±1.0, exact in any order, so one ``bincount`` fills the matrix."""
+        cells: list[int] = []
+        signs: list[float] = []
+        for row, text in enumerate(texts):
             tokens = [t for t in tokenize(text) if t not in STOPWORDS] or [text.strip().lower() or "empty"]
             for token in tokens:
-                h = hashlib.sha256(token.encode("utf-8")).digest()
-                idx = int.from_bytes(h[:4], "little") % EMBED_DIM
-                vec[idx] += 1.0 if h[4] % 2 == 0 else -1.0
-            if not vec.any():
-                vec[0] = 1.0
+                column, sign = self._token_slot(token)
+                cells.append(row * EMBED_DIM + column)
+                signs.append(sign)
+        # bincount of no cells at all comes back as int64, hence the astype
+        matrix = np.bincount(np.array(cells, dtype=np.intp), weights=np.array(signs),
+                             minlength=len(texts) * EMBED_DIM).astype(np.float64, copy=False)
+        matrix = matrix.reshape(len(texts), EMBED_DIM)
+        matrix[~matrix.any(axis=1), 0] = 1.0
         return matrix
+
+    def _token_slot(self, token: str) -> tuple[int, float]:
+        """The column a token's hash selects and the sign it adds there."""
+        slot = self._token_slots.get(token)
+        if slot is None:
+            h = hashlib.sha256(token.encode("utf-8")).digest()
+            slot = (int.from_bytes(h[:4], "little") % EMBED_DIM, 1.0 if h[4] % 2 == 0 else -1.0)
+            self._token_slots[token] = slot
+        return slot
+
+    def _sentences_of(self, text: str) -> tuple[tuple[str, frozenset[str]], ...]:
+        """Each sentence of a passage (its span is trimmed already), with its
+        content tokens."""
+        sentences = self._sentences.get(text)
+        if sentences is None:
+            sentences = tuple((sentence, frozenset(_content(sentence)))
+                              for sentence in (text[s:e] for s, e in split_sentences(text)))
+            self._sentences[text] = sentences
+        return sentences
+
+    def _parses_of(self, context: list[dict]) -> list[ClauseParse]:
+        """The parsed sentences of the context passages, in order."""
+        parses: list[ClauseParse] = []
+        for item in context:
+            text = item["text"]
+            cached = self._parses.get(text)
+            if cached is None:
+                cached = tuple(p for start, end in split_sentences(text)
+                               if (p := parse_sentence(text[start:end])) is not None)
+                self._parses[text] = cached
+            parses.extend(cached)
+        return parses
 
     # -- task handlers --------------------------------------------------------
 
@@ -681,8 +728,7 @@ class OfflineModel:
             "action": {"subject": subject, "verb": verb, "object": obj},
         }
 
-    @staticmethod
-    def _summarize(payload: dict) -> dict:
+    def _summarize(self, payload: dict) -> dict:
         """Each passage's query-relevant sentences, found once; a cut's summary
         joins those of the passages before it."""
         query = payload["query"]
@@ -690,11 +736,8 @@ class OfflineModel:
         ends = [0]  # ends[n]: the number of lines from the first n passages
         lines: list[str] = []
         for passage in payload["passages"]:
-            text = passage["text"]
-            for start, end in split_sentences(text):
-                sentence = text[start:end]
-                if _content(sentence) & query_tokens:
-                    lines.append(sentence.strip())
+            lines.extend(sentence for sentence, tokens in self._sentences_of(passage["text"])
+                         if not tokens.isdisjoint(query_tokens))
             ends.append(len(lines))
         summaries = []
         for cut in payload["cuts"]:
@@ -703,16 +746,16 @@ class OfflineModel:
                              else f"No evidence relevant to: {query}")
         return {"summaries": summaries}
 
-    @staticmethod
-    def _reason(payload: dict) -> dict:
-        verdict, statements = _Resolver(payload["question"], payload["context"]).resolve()
+    def _reason(self, payload: dict) -> dict:
+        verdict, statements = _Resolver(payload["question"],
+                                        self._parses_of(payload["context"])).resolve()
         if verdict["status"] == "sufficient":
             verdict["answer"] = _answer_text(statements, incomplete=False)
         return verdict
 
-    @staticmethod
-    def _synthesize(payload: dict) -> str:
-        _, statements = _Resolver(payload["question"], payload["context"]).resolve()
+    def _synthesize(self, payload: dict) -> str:
+        _, statements = _Resolver(payload["question"],
+                                  self._parses_of(payload["context"])).resolve()
         return _answer_text(statements, bool(payload.get("incomplete_evidence")))
 
     @staticmethod

@@ -56,15 +56,31 @@ def estimate_tokens(text: str) -> int:
     return max(1, round(len(text) / 4))
 
 
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ.")
+_INITIALS_RE = re.compile(r"[a-z]\.[a-z]")
+
+
 def _is_abbreviation_end(text: str, end: int) -> bool:
-    """True when the '.' at text[end-1] belongs to a known abbreviation."""
-    head = text[:end].rstrip(".")
-    m = re.search(r"[A-Za-z.]+$", head)
-    if not m:
+    """True when the '.' at text[end-1] belongs to a known abbreviation.
+
+    Looks back from ``end`` over the word alone, so a prose run splits in
+    time linear in its length. The word is the run of letters and dots before
+    the trailing dots, or before one newline that ends them ("b.b\\n." ends
+    in the initials "b.b").
+    """
+    stop = end
+    while stop > 0 and text[stop - 1] == ".":
+        stop -= 1
+    if stop > 0 and text[stop - 1] == "\n":
+        stop -= 1
+    start = stop
+    while start > 0 and text[start - 1] in _WORD_CHARS:
+        start -= 1
+    if start == stop:
         return False
-    word = m.group(0).lower().rstrip(".")
-    # "e.g." arrives as "e.g" after the rstrip above
-    return word in _ABBREVIATIONS or re.fullmatch(r"[a-z]\.[a-z]", word) is not None
+    # "e.g." arrives as "e.g" after the strip
+    word = text[start:stop].lower().rstrip(".")
+    return word in _ABBREVIATIONS or _INITIALS_RE.fullmatch(word) is not None
 
 
 _SPECIAL_LINE_RE = re.compile(r"^([-*+]\s|\d+[.)]\s|\|)")

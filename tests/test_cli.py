@@ -172,7 +172,12 @@ class TestItemErrors:
             assert "error:FixtureMiss" in item["flags"]
             assert item["error"] == "error:FixtureMiss" and item["samples"] == 0
         assert report["per_category"] == {} and report["mean_system_recall"] is None
-        assert out.with_suffix(".txt").exists()
+        # with nothing scored there is no overall F1: null, printed "-" like
+        # the per-category cells and Recall, not an AVG of 0.000
+        assert report["overall_f1"] is None
+        header, _, row = out.with_suffix(".txt").read_text().splitlines()
+        assert "AVG | Recall@" in header
+        assert [cell.strip() for cell in row.split(" | ")][1:] == ["-"] * 7
 
 
 class TestReplayVerify:

@@ -114,6 +114,7 @@ class RecordingModel(OfflineModel):
     ``fault`` rewrites the reply entries for the ``faulty`` sentence list."""
 
     def __init__(self, fault=None, faulty=None):
+        super().__init__()
         self.asked = []
         self.fault, self.faulty = fault, faulty
 
@@ -132,6 +133,7 @@ class OneSentenceModel(OfflineModel):
     sentence with a reply that is not JSON."""
 
     def __init__(self):
+        super().__init__()
         self.refused = 0
 
     def chat(self, request, model):

@@ -10,13 +10,18 @@ chain) are reached by neither the fixture QA nor the benchmark manual.
 
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from speckg import prompts
-from speckg.offline import EMBED_DIM, STOPWORDS, OfflineModel, _Resolver
-from speckg.text import tokenize
+from speckg import evaluation, offline, prompts
+from speckg.config import RunConfig
+from speckg.gateway import Gateway
+from speckg.offline import (EMBED_DIM, STOPWORDS, OfflineModel, _answer_text, _content,
+                            _Resolver, parse_sentence)
+from speckg.text import split_sentences, tokenize
 
 RESET = "When the reset input is asserted, the TX FSM returns to the IDLE state."
 START = "When a start bit is detected in the IDLE state, the TX FSM enters the SYNC state."
@@ -31,6 +36,10 @@ ARRIVE = ("When a byte arrives in the transmit FIFO, the transmit FIFO signals t
 CONTROL = "The loopback function is controlled by the LOOP_EN bit."
 PLACE = "The LOOP_EN bit occupies bit position 3 of the CTRL register."
 DIVISOR = "The BAUD register holds the 16-bit clock divisor for the bit engine."
+# Also meets the transition's condition: sent twice, its first copy is the
+# reset step and its second the final one, by position in the context.
+RESET_TWICE = ("When a reset start bit is detected in IDLE, the TX FSM enters the "
+               "IDLE state.")
 
 CHAIN_Q = "Which source signal ultimately drives the TX_READY flag?"
 ATTR_Q = "What is the default value of the BAUD register?"
@@ -166,6 +175,12 @@ CASES = {
         "The TX FSM returns to the IDLE state when the reset input asserted. The TX FSM "
         "enters the SYNC state when the start bit detected in IDLE state.",
     ),
+    "transition-reset-sentence-twice": (
+        TRANSITION_Q, [RESET_TWICE, RESET_TWICE],
+        sufficient("Transition resolved: the TX FSM ends in IDLE state."),
+        "The TX FSM enters the IDLE state when the reset start bit detected in IDLE. "
+        "The TX FSM enters the IDLE state when the reset start bit detected in IDLE.",
+    ),
     "transition-single-stage": (
         "Which state does the TX FSM return to when the reset input is asserted?", [RESET],
         sufficient("Transition resolved: the TX FSM ends in IDLE state."),
@@ -288,3 +303,173 @@ def test_embed_matrix_matches_the_per_text_lists(graph):
     matrix = OfflineModel().embed(texts, "offline-embed")
     assert matrix.dtype == np.float64 and matrix.shape == (len(texts), EMBED_DIM)
     assert matrix.tobytes() == np.array([list_embed_one(t) for t in texts]).tobytes()
+
+
+# --- the per-text memos against the model without them ----------------------
+
+class OracleModel(OfflineModel):
+    """The offline model without its memos: every request splits,
+    tokenizes and parses its passages anew, and every token is hashed anew."""
+
+    @staticmethod
+    def _summarize(payload):
+        query = payload["query"]
+        query_tokens = _content(query)
+        ends = [0]
+        lines = []
+        for passage in payload["passages"]:
+            text = passage["text"]
+            for start, end in split_sentences(text):
+                sentence = text[start:end]
+                if _content(sentence) & query_tokens:
+                    lines.append(sentence.strip())
+            ends.append(len(lines))
+        summaries = []
+        for cut in payload["cuts"]:
+            n = ends[cut]
+            summaries.append(f"Evidence for: {query}\n" + " ".join(lines[:n]) if n
+                             else f"No evidence relevant to: {query}")
+        return {"summaries": summaries}
+
+    @staticmethod
+    def _oracle_parses(context):
+        parses = []
+        for item in context:
+            for start, end in split_sentences(item["text"]):
+                parse = parse_sentence(item["text"][start:end])
+                if parse is not None:
+                    parses.append(parse)
+        return parses
+
+    def _reason(self, payload):
+        verdict, statements = _Resolver(payload["question"],
+                                        self._oracle_parses(payload["context"])).resolve()
+        if verdict["status"] == "sufficient":
+            verdict["answer"] = _answer_text(statements, incomplete=False)
+        return verdict
+
+    def _synthesize(self, payload):
+        _, statements = _Resolver(payload["question"],
+                                  self._oracle_parses(payload["context"])).resolve()
+        return _answer_text(statements, bool(payload.get("incomplete_evidence")))
+
+    def embed(self, texts, model):
+        return np.array([list_embed_one(t) for t in texts], dtype=np.float64).reshape(
+            len(texts), EMBED_DIM)
+
+
+class CheckedModel(OfflineModel):
+    """The memoizing model, checking every reply and matrix it serves against
+    a fresh oracle's answer to the same request."""
+
+    def __init__(self):
+        super().__init__()
+        self.checked = {"chat": 0, "embed": 0}
+
+    def chat(self, request, model):
+        reply = super().chat(request, model)
+        assert reply == OracleModel().chat(request, model)
+        self.checked["chat"] += 1
+        return reply
+
+    def embed(self, texts, model):
+        matrix = super().embed(texts, model)
+        assert matrix.dtype == np.float64 and matrix.shape == (len(texts), EMBED_DIM)
+        assert matrix.tobytes() == OracleModel().embed(texts, model).tobytes()
+        self.checked["embed"] += 1
+        return matrix
+
+
+ODD_TEXTS = ["", "the is of", "   ", "Le registre CTRL contient « le champ » — 8 bits. "
+             "Über-Zähler ändert sich.", RESET_TWICE]
+
+
+def test_memoized_model_matches_the_oracle_on_every_request(graph, dataset):
+    model = CheckedModel()
+    gw = Gateway(provider=model, mode="live", sleep=lambda s: None, max_attempts=1,
+                 chat_model="offline-chat", embedding_model="offline-embed")
+    cfg = RunConfig()
+    texts = ODD_TEXTS + [graph.passages[p].text for p in sorted(graph.passages)]
+    passages = context(texts)
+    for _ in range(2):  # the second pass finds every text memoized
+        report = evaluation.run_benchmark(dataset, graph, gw, cfg)
+        assert report.overall_f1 == 1.0
+        for item in dataset:
+            gw.chat(prompts.summarize(item.question, passages, [1, 5, len(passages)]))
+            gw.chat(prompts.reason(item.question, [], passages))
+            gw.chat(prompts.synthesize(item.question, [], passages, True))
+        gw.chat(prompts.reason(TRANSITION_Q, [], context([RESET_TWICE, RESET_TWICE])))
+        model.embed(texts + sorted(graph.entities), "offline-embed")
+        model.embed([], "offline-embed")
+    assert model.checked["chat"] > 6 * len(dataset) and model.checked["embed"] > 4
+
+
+def counting(monkeypatch, name):
+    """Count the calls ``speckg.offline`` makes to its ``name``."""
+    calls = []
+    real = getattr(offline, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(offline, name, counted)
+    return calls
+
+
+def test_passages_sent_again_are_not_split_again(monkeypatch):
+    model = OfflineModel()
+    split = counting(monkeypatch, "split_sentences")
+    parse = counting(monkeypatch, "parse_sentence")
+    passages = context(SUMMARY_PASSAGES)
+    first = model.chat(prompts.summarize(ATTR_Q, passages, [2, 5]), "offline-chat")
+    assert len(split) == len(SUMMARY_PASSAGES)
+    assert model.chat(prompts.summarize(CHAIN_Q, passages[:3], [3]), "offline-chat")
+    assert model.chat(prompts.summarize(ATTR_Q, passages, [2, 5]), "offline-chat") == first
+    assert len(split) == len(SUMMARY_PASSAGES)
+    # reason and synthesize keep their own memo of each passage's parses
+    model.chat(prompts.reason(CHAIN_Q, [], passages), "offline-chat")
+    split_count, parse_count = len(split), len(parse)
+    assert split_count == 2 * len(SUMMARY_PASSAGES) and parse_count > 0
+    model.chat(prompts.synthesize(CHAIN_Q, [], passages, False), "offline-chat")
+    model.chat(prompts.reason(ATTR_Q, [], passages[1:]), "offline-chat")
+    assert (len(split), len(parse)) == (split_count, parse_count)
+
+
+def test_threads_sharing_one_model_get_the_oracle_replies(graph, dataset):
+    # with jobs > 1 one model serves several threads: a memo entry two threads
+    # fill at once is filled twice with one value, and no reply changes
+    texts = [graph.passages[p].text for p in sorted(graph.passages)]
+    passages = context(texts)
+    requests = [r for item in dataset for r in (
+        prompts.summarize(item.question, passages, [3, len(passages)]),
+        prompts.reason(item.question, [], passages),
+        prompts.synthesize(item.question, [], passages, False))]
+    oracle = OracleModel()
+    expected = [oracle.chat(r, "offline-chat") for r in requests]
+    vectors = oracle.embed(texts, "offline-embed").tobytes()
+    model = OfflineModel()
+    results, errors = [], []
+
+    def worker(shift):
+        try:
+            for i in range(len(requests)):
+                j = (i + shift) % len(requests)
+                results.append((j, model.chat(requests[j], "offline-chat")))
+            results.append((-1, model.embed(texts, "offline-embed").tobytes()))
+        except Exception as exc:  # reported below, in the test's own thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k * 3,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(results) == 6 * (len(requests) + 1)
+    for j, reply in results:
+        assert reply == (vectors if j < 0 else expected[j])

@@ -159,6 +159,7 @@ class CountingModel(OfflineModel):
     may rewrite a reply before it leaves."""
 
     def __init__(self, reply=None):
+        super().__init__()
         self.requests = []
         self.reply = reply
 

@@ -815,6 +815,7 @@ class FaultySummaries(OfflineModel):
     }
 
     def __init__(self, fault, from_request):
+        super().__init__()
         self.fault, self.from_request = self.FAULTS[fault], from_request
         self.requests = 0
 

@@ -1,3 +1,11 @@
+import re
+import time
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from speckg import text as text_module
 from speckg.text import canonical_entity, estimate_tokens, split_sentences, tokenize
 
 
@@ -53,3 +61,51 @@ def test_estimate_tokens():
     assert estimate_tokens("") == 0
     assert estimate_tokens("abcd" * 100) == 100
     assert estimate_tokens("x") == 1
+
+
+def oracle_abbreviation_end(text, end):
+    """The abbreviation guard as first written: a ``$``-anchored search over
+    a copy of everything before the boundary, so quadratic in a prose run."""
+    head = text[:end].rstrip(".")
+    m = re.search(r"[A-Za-z.]+$", head)
+    if not m:
+        return False
+    word = m.group(0).lower().rstrip(".")
+    return word in text_module._ABBREVIATIONS or re.fullmatch(r"[a-z]\.[a-z]", word) is not None
+
+
+def oracle_split(text):
+    with mock.patch.object(text_module, "_is_abbreviation_end", oracle_abbreviation_end):
+        return split_sentences(text)
+
+
+PIECES = st.sampled_from(list("abgiyXZ.!? \n") + ["e.g.", "i.e.", "reg.", "Fig.", "etc.",
+                                                    "b.b", "- ", "1. ", "| "])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(PIECES, max_size=30).map("".join))
+def test_abbreviation_guard_matches_the_oracle(text):
+    # at every terminal mark, including one after a lone newline: the
+    # oracle's "$" also matches just before a final newline
+    for end in range(1, len(text) + 1):
+        if text[end - 1] in ".!?":
+            assert text_module._is_abbreviation_end(text, end) == oracle_abbreviation_end(text, end)
+    assert split_sentences(text) == oracle_split(text)
+
+
+def test_initials_before_a_newline_stay_unsplit():
+    text = "b.b\n.  i1.g.yg..!."
+    assert text_module._is_abbreviation_end(text, 5) and oracle_abbreviation_end(text, 5)
+    assert split_sentences(text) == oracle_split(text)
+
+
+def test_one_long_paragraph_splits_in_linear_time():
+    # 188 KB of prose with no blank line is one run; the oracle took 20 s
+    sentence = "The CTRL reg. holds the mode, e.g. after reset (see Fig. 3)."
+    text = " ".join([sentence] * (188_000 // (len(sentence) + 1)))
+    assert len(text) >= 187_000
+    start = time.perf_counter()
+    spans = split_sentences(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(spans) == text.count("3).")
