@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import filecmp
-import hashlib
 import json
 import logging
 import sys
@@ -29,11 +28,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verbose", action="store_true")
 
 
-def _add_repetitions(p: argparse.ArgumentParser) -> None:
+def _add_scoring(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that score a dataset: eval, bench, replay-verify."""
     only = (", repeated only with a live provider that samples (replay, record "
             "and the offline provider answer and judge once)")
+    p.add_argument("--kg", required=True, help="graph store directory")
+    p.add_argument("--dataset", required=True, help="QA dataset (JSON lines)")
     p.add_argument("--runs", type=int, help="answer generations per item" + only)
     p.add_argument("--judge-reps", type=int, help="judge assessments per answer" + only)
+    p.add_argument("--jobs", type=int, help="parallel per-question workers")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,28 +56,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a QA dataset and write a report")
     _add_common(p)
-    p.add_argument("--kg", required=True)
-    p.add_argument("--dataset", required=True)
-    _add_repetitions(p)
-    p.add_argument("--jobs", type=int, help="parallel per-question workers")
+    _add_scoring(p)
     p.add_argument("--out", required=True, help="report path (JSON; .txt written beside)")
 
     p = sub.add_parser("bench", help="run the benchmark into a run directory")
     _add_common(p)
-    p.add_argument("--kg", required=True)
-    p.add_argument("--dataset", required=True)
+    _add_scoring(p)
     p.add_argument("--run-dir", required=True)
-    _add_repetitions(p)
-    p.add_argument("--jobs", type=int, help="parallel per-question workers")
 
     p = sub.add_parser("replay-verify",
                        help="run the benchmark twice in replay mode and compare reports")
     _add_common(p)
-    p.add_argument("--kg", required=True)
-    p.add_argument("--dataset", required=True)
+    _add_scoring(p)
     p.add_argument("--out", required=True, help="directory receiving both run dirs")
-    _add_repetitions(p)
-    p.add_argument("--jobs", type=int, help="parallel per-question workers")
 
     return parser
 
@@ -88,10 +82,6 @@ def _config_from_args(args) -> RunConfig:
         "jobs": getattr(args, "jobs", None),
     }
     return load_config(args.config, overrides)
-
-
-def _file_checksum(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def cmd_build_kg(args) -> int:
@@ -161,15 +151,20 @@ def cmd_eval(args) -> int:
     return _exit_code(report)
 
 
-def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
-    run_dir = Path(args.run_dir)
+def _bench_into(cfg: RunConfig, args, run_dir: Path) -> evaluation.EvalReport:
+    """Persist the effective config with the store's and dataset's checksums,
+    score the dataset, and write the report into ``run_dir``."""
     cfg.persist(run_dir, extra={
-        "corpus_checksum": _file_checksum(Path(args.kg) / "graph.jsonl"),
-        "dataset_checksum": _file_checksum(Path(args.dataset)),
+        "corpus_checksum": kgmod.sha256_file(Path(args.kg) / "graph.jsonl"),
+        "dataset_checksum": kgmod.sha256_file(Path(args.dataset)),
     })
     report = _run_eval(cfg, args.kg, args.dataset)
     evaluation.write_report(report, run_dir / "report.json", run_dir / "report.txt")
+    return report
+
+
+def cmd_bench(args) -> int:
+    report = _bench_into(_config_from_args(args), args, Path(args.run_dir))
     print(report.render_text())
     return _exit_code(report)
 
@@ -178,17 +173,9 @@ def cmd_replay_verify(args) -> int:
     cfg = _config_from_args(args)
     if cfg.gateway.mode != "replay":
         raise ConfigError("replay-verify requires gateway.mode=replay (pass --mode replay)")
-    out = Path(args.out)
-    reports = []
-    for name in ("run1", "run2"):
-        run_dir = out / name
-        cfg.persist(run_dir, extra={
-            "corpus_checksum": _file_checksum(Path(args.kg) / "graph.jsonl"),
-            "dataset_checksum": _file_checksum(Path(args.dataset)),
-        })
-        report = _run_eval(cfg, args.kg, args.dataset)
-        evaluation.write_report(report, run_dir / "report.json", run_dir / "report.txt")
-        reports.append(run_dir / "report.json")
+    reports = [Path(args.out) / name / "report.json" for name in ("run1", "run2")]
+    for path in reports:
+        _bench_into(cfg, args, path.parent)
     identical = filecmp.cmp(reports[0], reports[1], shallow=False)
     print(json.dumps({"identical": identical,
                       "reports": [str(p) for p in reports]}, indent=2))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,11 +60,6 @@ class PPRConfig:
 
 
 @dataclass
-class FilterConfig:
-    fallback_keep_unanchored: bool = True
-
-
-@dataclass
 class ReasoningConfig:
     max_rounds: int = 12
     stall_limit: int = 2
@@ -83,7 +79,6 @@ class RunConfig:
     ingest: IngestConfig = field(default_factory=IngestConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     ppr: PPRConfig = field(default_factory=PPRConfig)
-    filter: FilterConfig = field(default_factory=FilterConfig)
     reasoning: ReasoningConfig = field(default_factory=ReasoningConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     jobs: int = 1
@@ -104,6 +99,10 @@ class RunConfig:
             if tag not in TASK_TAGS:
                 raise ConfigError(f"provider.task_models routes {tag!r}, which names no task; "
                                   f"tasks are {', '.join(TASK_TAGS)}")
+        if self.gateway.max_attempts < 1:
+            raise ConfigError("gateway.max_attempts must be >= 1")
+        if not (math.isfinite(self.gateway.backoff_base) and self.gateway.backoff_base >= 0.0):
+            raise ConfigError("gateway.backoff_base must be a finite number >= 0")
         if self.retrieval.k0 < 1 or self.retrieval.delta_k < 1:
             raise ConfigError("retrieval.k0 and retrieval.delta_k must be >= 1")
         if self.retrieval.k_max < self.retrieval.k0:
@@ -138,56 +137,59 @@ class RunConfig:
             fh.write("\n")
 
 
-_SECTIONS = {
-    "provider": ProviderConfig,
-    "gateway": GatewayConfig,
-    "ingest": IngestConfig,
-    "retrieval": RetrievalConfig,
-    "ppr": PPRConfig,
-    "filter": FilterConfig,
-    "reasoning": ReasoningConfig,
-    "eval": EvalConfig,
-}
+def _key_defaults() -> dict:
+    """Every settable key of RunConfig, dotted like ``retrieval.k0``, with its default."""
+    defaults = RunConfig()
+    table = {}
+    for top in dataclasses.fields(RunConfig):
+        value = getattr(defaults, top.name)
+        if dataclasses.is_dataclass(value):
+            for sub in dataclasses.fields(value):
+                table[f"{top.name}.{sub.name}"] = getattr(value, sub.name)
+        else:
+            table[top.name] = value
+    return table
+
+
+DEFAULTS = _key_defaults()
 
 
 def _coerce(name: str, value, default):
     """Coerce a loaded value for the dotted key ``name`` to the field's default type.
 
     YAML quirk guard: PyYAML reads dotless scientific notation ("1e-08") as a
-    string, so numeric fields accept numeric strings.
+    string, so numeric fields accept numeric strings. A field whose default
+    is None (the fixture path) takes a string.
     """
-    if value is None or default is None:
-        return value
     try:
-        if isinstance(default, bool):
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str) and value.lower() in ("true", "false"):
-                return value.lower() == "true"
-            raise ValueError(f"expected boolean, got {value!r}")
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"expected mapping, got {value!r}")
+            return value
+        if default is None or isinstance(default, str):
+            if not isinstance(value, str):
+                raise ValueError(f"expected string, got {value!r}")
+            return value
+        if isinstance(value, bool):
+            raise ValueError(f"expected number, got {value!r}")
         if isinstance(default, int):
             as_float = float(value)
             if as_float != int(as_float):
                 raise ValueError(f"expected integer, got {value!r}")
             return int(as_float)
-        if isinstance(default, float):
-            return float(value)
-        if isinstance(default, str):
-            if not isinstance(value, str):
-                raise ValueError(f"expected string, got {value!r}")
-            return value
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"expected mapping, got {value!r}")
-            return value
-    except (TypeError, ValueError) as exc:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from exc
-    return value
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from defaults, an optional YAML/JSON file, and
-    dotted-key overrides like ``{"retrieval.k0": 3}``."""
+    dotted-key overrides like ``{"retrieval.k0": 3}``.
+
+    The file's sections are flattened to the same dotted keys, and both are
+    checked against ``DEFAULTS``, the keys of RunConfig's fields. A null
+    value leaves its key as it was.
+    """
     data: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -195,37 +197,24 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
 
-    cfg = RunConfig()
+    flat = {}
     for section, value in data.items():
-        if section == "jobs":
-            cfg.jobs = _coerce("jobs", value, RunConfig.jobs)
-            continue
-        cls = _SECTIONS.get(section)
-        if cls is None:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {section!r} must be a mapping")
-        current = getattr(cfg, section)
-        for key, item in value.items():
-            if not hasattr(current, key):
-                raise ConfigError(f"unknown config key {section}.{key}")
-            defaults = _SECTIONS[section]()
-            setattr(current, key, _coerce(f"{section}.{key}", item, getattr(defaults, key)))
+        if isinstance(value, dict) and section not in DEFAULTS:
+            flat.update((f"{section}.{key}", item) for key, item in value.items())
+        else:
+            flat[section] = value
 
-    for dotted, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if dotted == "jobs":
-            cfg.jobs = _coerce("jobs", value, RunConfig.jobs)
-            continue
-        section, _, key = dotted.partition(".")
-        if section not in _SECTIONS or not key:
-            raise ConfigError(f"unknown config override {dotted!r}")
-        current = getattr(cfg, section)
-        if not hasattr(current, key):
-            raise ConfigError(f"unknown config override {dotted!r}")
-        defaults = _SECTIONS[section]()
-        setattr(current, key, _coerce(dotted, value, getattr(defaults, key)))
+    cfg = RunConfig()
+    for settings, unknown in ((flat, "unknown config key {}"),
+                              (overrides or {}, "unknown config override {!r}")):
+        for dotted, value in settings.items():
+            if dotted not in DEFAULTS:
+                raise ConfigError(unknown.format(dotted))
+            if value is None:
+                continue
+            section, _, name = dotted.rpartition(".")
+            setattr(getattr(cfg, section) if section else cfg, name,
+                    _coerce(dotted, value, DEFAULTS[dotted]))
 
     cfg.validate()
     return cfg

@@ -190,9 +190,7 @@ def system_recall_at_k(retrieval_log: list[RetrievalRound], gold_passages: list[
 @dataclass
 class TwoSigmaResult:
     mean: float
-    kept: int
     dropped: int
-    flagged: bool = False  # fewer than 2 samples: raw mean returned
 
 
 def aggregate_two_sigma(scores: list[float]) -> TwoSigmaResult:
@@ -201,20 +199,16 @@ def aggregate_two_sigma(scores: list[float]) -> TwoSigmaResult:
         raise InvalidInput("cannot aggregate an empty score list")
     n = len(scores)
     mean = sum(scores) / n
-    if n < 2:
-        return TwoSigmaResult(mean=mean, kept=n, dropped=0, flagged=True)
     sigma = math.sqrt(sum((x - mean) ** 2 for x in scores) / n)
     if sigma == 0.0:
-        # equal values, or squared deviations underflowed: nothing to trim
-        return TwoSigmaResult(mean=mean, kept=n, dropped=0)
+        # one value, equal values, or squared deviations underflowed:
+        # nothing to trim
+        return TwoSigmaResult(mean=mean, dropped=0)
     survivors = [x for x in scores if abs(x - mean) <= 2.0 * sigma]
     if not survivors:
         survivors = list(scores)
-    return TwoSigmaResult(
-        mean=sum(survivors) / len(survivors),
-        kept=len(survivors),
-        dropped=n - len(survivors),
-    )
+    return TwoSigmaResult(mean=sum(survivors) / len(survivors),
+                          dropped=n - len(survivors))
 
 
 # --- benchmark ---------------------------------------------------------------------

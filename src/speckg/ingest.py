@@ -42,9 +42,6 @@ class SemanticAnchor:
         if not self.entity:
             raise InvalidInput("anchor entity must be non-empty")
 
-    def canonical(self) -> "SemanticAnchor":
-        return SemanticAnchor(self.anchor_type, canonical_entity(self.entity))
-
     def to_dict(self) -> dict:
         return {"anchor_type": self.anchor_type, "entity": self.entity}
 
@@ -127,20 +124,6 @@ class SemanticIR:
             base["condition"] = self.condition
             base["action"] = self.action
         return base
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SemanticIR":
-        return cls(
-            sentence_id=data["sentence_id"],
-            kind=data["kind"],
-            passage_id=data["source"]["passage_id"],
-            span=tuple(data["source"]["span"]),
-            central_entity=data.get("central_entity", ""),
-            attributes=data.get("attributes", []),
-            trigger=data.get("trigger", ""),
-            condition=data.get("condition", ""),
-            action=data.get("action", {}),
-        )
 
 
 @dataclass

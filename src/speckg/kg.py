@@ -466,7 +466,7 @@ def build_from_corpus(corpus: Corpus, gateway: Gateway) -> SpecGraph:
 
 # --- persistence -------------------------------------------------------------------
 
-def _sha256_file(path: Path) -> str:
+def sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -525,8 +525,8 @@ def save(kg: SpecGraph, out_dir: str | Path) -> None:
             "edges": len(kg.edges),
         },
         "checksums": {
-            "graph.jsonl": _sha256_file(graph_path),
-            "embeddings.bin": _sha256_file(emb_path),
+            "graph.jsonl": sha256_file(graph_path),
+            "embeddings.bin": sha256_file(emb_path),
         },
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
@@ -550,7 +550,7 @@ def load(store_dir: str | Path) -> SpecGraph:
         path = store / name
         if not path.exists():
             raise CorruptStore(f"missing store file {name}")
-        actual = _sha256_file(path)
+        actual = sha256_file(path)
         if actual != expected:
             raise CorruptStore(f"checksum mismatch for {name}")
 

@@ -378,29 +378,27 @@ class FilterResult:
 
 
 def anchor_compatible(candidate: SemanticAnchor | None, target: SemanticAnchor,
-                      kg: SpecGraph, keep_unanchored: bool) -> bool:
+                      kg: SpecGraph) -> bool:
     if candidate is None:
-        return keep_unanchored
+        return True
     if candidate.anchor_type != target.anchor_type:
         return False
     return kg.resolve_entity(candidate.entity) == kg.resolve_entity(target.entity)
 
 
-def csa_filter(candidates: Sequence[str], target: SemanticAnchor, kg: SpecGraph,
-               keep_unanchored: bool = True) -> FilterResult:
+def csa_filter(candidates: Sequence[str], target: SemanticAnchor,
+               kg: SpecGraph) -> FilterResult:
     """Keep candidates whose anchors match the target intent exactly.
 
     Match = same anchor type and same canonical entity after alias
-    resolution. Unanchored passages pass only when ``keep_unanchored`` is
-    set. Fail-open: when filtering would empty the set, the unfiltered
-    candidates come back with the bypass flag raised so the event stays
-    auditable.
+    resolution. Unanchored passages always pass. Fail-open: when filtering
+    would empty the set, the unfiltered candidates come back with the bypass
+    flag raised so the event stays auditable.
     """
     kept, removed = [], []
     for pid in candidates:
         passage = kg.passages.get(pid)
-        ok = passage is not None and anchor_compatible(passage.anchor, target, kg,
-                                                        keep_unanchored)
+        ok = passage is not None and anchor_compatible(passage.anchor, target, kg)
         (kept if ok else removed).append(pid)
     if not kept and removed:
         return FilterResult(kept=list(candidates), removed=[], bypassed=True)
@@ -422,8 +420,7 @@ def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway
 
     adaptive_expand(round_, cfg.retrieval.tau, cfg.retrieval.k0,
                     cfg.retrieval.delta_k, cfg.retrieval.k_max, summarize, gateway.embed)
-    result = csa_filter(round_.accepted, target, kg,
-                        keep_unanchored=cfg.filter.fallback_keep_unanchored)
+    result = csa_filter(round_.accepted, target, kg)
     round_.filtered, round_.removed = result.kept, result.removed
     round_.bypassed = result.bypassed
     return round_

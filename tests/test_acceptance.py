@@ -195,7 +195,7 @@ def test_criterion_4_filter_purity():
             incompatible.append(f"ent{i}")
 
         pool = compatible + incompatible
-        result = csa_filter(pool, target, graph, keep_unanchored=False)
+        result = csa_filter(pool, target, graph)
         assert set(result.removed) == set(incompatible), "must remove all incompatible"
         assert set(result.kept) == set(compatible), "must keep all compatible"
         assert not result.bypassed

@@ -1,10 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from speckg import prompts
-from speckg.config import RunConfig, build_gateway, load_config
+from speckg.config import DEFAULTS, RunConfig, build_gateway, load_config
 from speckg.errors import ConfigError
 from speckg.offline import OfflineModel
 
@@ -19,7 +21,6 @@ class TestDefaults:
         assert cfg.retrieval.k_max == 50
         assert cfg.retrieval.tau == 0.05
         assert cfg.ppr.damping == 0.85
-        assert cfg.filter.fallback_keep_unanchored is True
         assert cfg.reasoning.max_rounds == 12
         assert cfg.reasoning.stall_limit == 2
         assert cfg.eval.n_runs == 5
@@ -61,6 +62,78 @@ class TestPrecedence:
         cfg = load_config(conf)
         assert cfg.reasoning.max_rounds == 4
 
+    def test_null_in_file_leaves_the_default(self, tmp_path):
+        conf = tmp_path / "conf.yaml"
+        conf.write_text("retrieval:\n  k0:\n  tau: 0.2\n")
+        cfg = load_config(conf)
+        assert (cfg.retrieval.k0, cfg.retrieval.tau) == (5, 0.2)
+
+
+# one value per settable key, each unlike its default and valid beside a
+# fixture path
+SAMPLES = {
+    "provider.endpoint": "https://api.example.com/v1",
+    "provider.model": "chat-2",
+    "provider.embedding_model": "embed-2",
+    "provider.api_key_env": "OTHER_KEY",
+    "provider.task_models": {"reason": "deep-reasoner"},
+    "gateway.mode": "replay",
+    "gateway.fixture_path": "other.jsonl",
+    "gateway.max_attempts": 5,
+    "gateway.backoff_base": 0.25,
+    "ingest.max_passage_tokens": 256,
+    "retrieval.k0": 3,
+    "retrieval.delta_k": 2,
+    "retrieval.k_max": 30,
+    "retrieval.tau": 0.1,
+    "retrieval.n_seeds": 4,
+    "ppr.damping": 0.5,
+    "reasoning.max_rounds": 6,
+    "reasoning.stall_limit": 3,
+    "eval.n_runs": 2,
+    "eval.n_judge": 3,
+    "eval.recall_k": 10,
+    "jobs": 2,
+}
+
+
+class TestKeyTable:
+    def test_keys_are_runconfigs_fields(self):
+        assert sorted(DEFAULTS) == sorted(SAMPLES)
+        flat = {}
+        for section, value in RunConfig().to_dict().items():
+            if isinstance(value, dict):
+                flat.update((f"{section}.{key}", item) for key, item in value.items())
+            else:
+                flat[section] = value
+        assert flat == DEFAULTS
+
+    @pytest.mark.parametrize("key", sorted(SAMPLES))
+    def test_file_and_override_set_the_same_value(self, tmp_path, key):
+        settings = {"gateway.fixture_path": "f.jsonl", key: SAMPLES[key]}
+        nested: dict = {}
+        for dotted, value in settings.items():
+            section, _, name = dotted.rpartition(".")
+            (nested.setdefault(section, {}) if section else nested)[name] = value
+        conf = tmp_path / "conf.yaml"
+        conf.write_text(yaml.safe_dump(nested))
+        from_file = load_config(conf)
+        # overrides given as text are coerced to the field's type
+        from_flags = load_config(None, overrides={
+            dotted: str(value) if isinstance(value, (int, float)) else value
+            for dotted, value in settings.items()})
+        section, _, name = key.rpartition(".")
+        value = getattr(getattr(from_file, section) if section else from_file, name)
+        assert value == SAMPLES[key] != DEFAULTS[key]
+        assert type(value) is type(SAMPLES[key])
+        assert from_file.to_dict() == from_flags.to_dict()
+        assert from_file.checksum() == from_flags.checksum()
+
+    def test_readme_lists_exactly_the_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        assert sorted(re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)) == sorted(DEFAULTS)
+
 
 class TestValidation:
     def test_unknown_section_rejected(self, tmp_path):
@@ -94,11 +167,20 @@ class TestValidation:
         ("eval.n_runs", 0), ("eval.n_judge", 0), ("eval.recall_k", 0),
         ("eval.n_judge", -2),
         ("jobs", "abc"), ("jobs", 0), ("jobs", -2), ("jobs", 2.7),
+        ("jobs", "1e400"), ("jobs", float("inf")),
+        ("retrieval.k0", "1e400"), ("retrieval.k0", float("inf")),
+        ("gateway.max_attempts", 0), ("gateway.max_attempts", -1),
+        ("gateway.backoff_base", -1.0), ("gateway.backoff_base", float("inf")),
+        ("gateway.backoff_base", float("nan")),
+        ("jobs", True), ("retrieval.tau", False), ("gateway.fixture_path", 5),
     ])
     def test_retrieval_ranges_rejected_at_load(self, tmp_path, key, value):
         # the damping range walk_scores checks, seed's need for one
-        # similarity, evaluation's need for one run, judge and passage, and
-        # one worker at least, counted in whole workers
+        # similarity, evaluation's need for one run, judge and passage, one
+        # worker at least, counts that are finite whole numbers, and a
+        # gateway that calls the model at least once and sleeps a finite,
+        # non-negative time between attempts; no boolean stands for a
+        # number, and a path is text
         with pytest.raises(ConfigError, match=key):
             load_config(None, overrides={key: value})
         section, _, name = key.partition(".")
@@ -150,6 +232,20 @@ class TestValidation:
         conf.write_text(yaml.safe_dump({section: {name: value}}))
         with pytest.raises(ConfigError, match=f"unknown config key {key}"):
             load_config(conf)
+
+
+    def test_removed_filter_section_rejected(self, tmp_path):
+        # unanchored passages always pass the anchor filter; a config or a
+        # persisted effective config that still carries the knob fails at load
+        key = "filter.fallback_keep_unanchored"
+        payload = RunConfig().to_dict()
+        payload["filter"] = {"fallback_keep_unanchored": True}
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"unknown config key {key}"):
+            load_config(conf)
+        with pytest.raises(ConfigError, match=f"unknown config override '{key}'"):
+            load_config(None, overrides={key: True})
 
 
 class TestTaskRouting:

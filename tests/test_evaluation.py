@@ -188,10 +188,10 @@ class TestTwoSigma:
     def test_two_equal_scores(self):
         assert aggregate_two_sigma([0.8, 0.8]).mean == 0.8
 
-    def test_single_score_flagged_raw_mean(self):
+    def test_single_score_raw_mean(self):
         result = aggregate_two_sigma([0.5])
         assert result.mean == 0.5
-        assert result.flagged
+        assert result.dropped == 0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
@@ -212,7 +212,7 @@ class TestTwoSigma:
     @given(st.lists(st.floats(0, 1), min_size=2, max_size=50))
     @settings(max_examples=200, deadline=None)
     def test_never_drops_everything(self, scores):
-        assert aggregate_two_sigma(scores).kept >= 1
+        assert aggregate_two_sigma(scores).dropped < len(scores)
 
 
 class TestDataset:

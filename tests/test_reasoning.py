@@ -11,6 +11,7 @@ from speckg.prompts import extract_payload
 from speckg.reasoning import (FLAG_BUDGET, FLAG_DEGRADED, FLAG_INCOMPLETE,
                               FLAG_STALL, ContextItem, ReasoningContext,
                               acquire, reason_step, run, synthesize)
+from speckg.text import canonical_entity
 
 from conftest import synthesized_answer
 
@@ -42,7 +43,7 @@ class TestReasonStep:
         assert assessment.status == "gap"
         assert "FIFO_EMPTY" in assessment.sub_query
         assert assessment.target_anchor.anchor_type == "procedural"
-        assert assessment.target_anchor.canonical().entity == "fifo_empty signal"
+        assert canonical_entity(assessment.target_anchor.entity) == "fifo_empty signal"
 
     def test_malformed_assessment_degrades_to_sufficient(self):
         class BadProvider:

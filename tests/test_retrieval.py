@@ -948,22 +948,17 @@ class TestAnchorFilter:
                             SemanticAnchor("procedural", "CTRL register"), graph)
         assert result.kept == ["proc-ctrl-alias"]
 
-    def test_unanchored_kept_only_with_fallback(self):
+    def test_unanchored_always_kept(self):
         graph = anchored_graph()
-        keep = csa_filter(["unanchored", "proc-fsm"],
-                          SemanticAnchor("procedural", "fsm"), graph,
-                          keep_unanchored=True)
-        assert keep.kept == ["unanchored", "proc-fsm"]
-        drop = csa_filter(["unanchored", "proc-fsm"],
-                          SemanticAnchor("procedural", "fsm"), graph,
-                          keep_unanchored=False)
-        assert drop.kept == ["proc-fsm"]
+        result = csa_filter(["unanchored", "proc-fsm", "decl-fsm"],
+                            SemanticAnchor("procedural", "fsm"), graph)
+        assert result.kept == ["unanchored", "proc-fsm"]
+        assert result.removed == ["decl-fsm"]
 
     def test_fail_open_when_everything_mismatches(self):
         graph = anchored_graph()
         result = csa_filter(["decl-fsm", "proc-ctrl"],
-                            SemanticAnchor("procedural", "baud register"), graph,
-                            keep_unanchored=False)
+                            SemanticAnchor("procedural", "baud register"), graph)
         assert result.bypassed
         assert result.kept == ["decl-fsm", "proc-ctrl"]
         assert result.removed == []
@@ -971,12 +966,10 @@ class TestAnchorFilter:
     def test_filter_soundness_removed_provably_fail(self):
         graph = anchored_graph()
         target = SemanticAnchor("procedural", "fsm")
-        result = csa_filter(list(graph.passages), target, graph, keep_unanchored=False)
+        result = csa_filter(list(graph.passages), target, graph)
         for pid in result.removed:
             anchor = graph.passages[pid].anchor
-            assert anchor is None or not retrieval.anchor_compatible(
-                anchor, target, graph, keep_unanchored=False)
+            assert not retrieval.anchor_compatible(anchor, target, graph)
         for pid in result.kept:
             anchor = graph.passages[pid].anchor
-            assert retrieval.anchor_compatible(anchor, target, graph,
-                                               keep_unanchored=False)
+            assert retrieval.anchor_compatible(anchor, target, graph)
