@@ -101,6 +101,8 @@ class RunConfig:
                                   f"tasks are {', '.join(TASK_TAGS)}")
         if self.gateway.max_attempts < 1:
             raise ConfigError("gateway.max_attempts must be >= 1")
+        if self.ingest.max_passage_tokens < 1:
+            raise ConfigError("ingest.max_passage_tokens must be >= 1")
         if not (math.isfinite(self.gateway.backoff_base) and self.gateway.backoff_base >= 0.0):
             raise ConfigError("gateway.backoff_base must be a finite number >= 0")
         if self.retrieval.k0 < 1 or self.retrieval.delta_k < 1:

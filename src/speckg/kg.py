@@ -286,8 +286,9 @@ class SpecGraph:
     edges: list[Edge] = field(default_factory=list)
     alias_map: dict[str, str] = field(default_factory=dict)
     embeddings: EmbeddingIndex | None = None
-    # retrieval.graph_walk's random walk over this graph, rebuilt there when
-    # the nodes or edges change; never compared, printed or saved
+    # retrieval.graph_walk's random walk over this graph, with its passage
+    # tables, rebuilt there when the nodes or edges change; never compared,
+    # printed or saved
     _walk: object = field(default=None, init=False, repr=False, compare=False)
 
     def node_exists(self, key: str) -> bool:

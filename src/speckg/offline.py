@@ -21,6 +21,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,13 @@ class ClauseParse:
     condition: str = ""
     action: tuple[str, str, str] | None = None  # subject, verb, object
     direct: bool = False  # "<participle> directly by <agent>" root marker
+
+    @cached_property
+    def entity_key(self) -> str:
+        """The canonical entity the parse is about: its action's subject, or
+        its central entity. Computed on first lookup, so a memoized parse
+        computes it once."""
+        return canonical_entity(self.action[0] if self.action else self.central_entity)
 
 
 def _normalize_clause(clause: str) -> str:
@@ -401,17 +409,17 @@ class _Resolver:
 
     # lookup helpers ---------------------------------------------------------
 
-    def _proc_by_subject(self, entity: str) -> ClauseParse | None:
-        key = canonical_entity(entity)
+    def _proc_by_subject(self, key: str) -> ClauseParse | None:
+        """The first procedural parse whose subject has the canonical ``key``."""
         for p in self.parses:
-            if p.kind == "procedural" and p.action and canonical_entity(p.action[0]) == key:
+            if p.kind == "procedural" and p.action and p.entity_key == key:
                 return p
         return None
 
     def _decl_attr(self, entity: str, name_tokens: set[str]) -> tuple[str, str, str] | None:
         key = canonical_entity(entity)
         for p in self.parses:
-            if p.kind != "declarative" or canonical_entity(p.central_entity) != key:
+            if p.kind != "declarative" or p.entity_key != key:
                 continue
             for name, value in p.attributes:
                 if _content(name) & name_tokens or set(tokenize(name)) & name_tokens:
@@ -454,7 +462,7 @@ class _Resolver:
             if key in seen:
                 return _sufficient(f"Dependency loop at '{goal}'; stopping."), out
             seen.add(key)
-            parse = self._proc_by_subject(goal)
+            parse = self._proc_by_subject(key)
             if parse is None:
                 return _gap(
                     f"No evidence yet for what drives '{goal}'.",
@@ -545,7 +553,7 @@ class _Resolver:
         if two_stage:
             for i, p in enumerate(self.parses):
                 if (p.kind == "procedural" and p.action
-                        and canonical_entity(p.action[0]) == fsm_key
+                        and p.entity_key == fsm_key
                         and "reset" in tokenize(p.trigger)):
                     reset_parse, reset_at = p, i
                     break
@@ -555,7 +563,7 @@ class _Resolver:
         for i, p in enumerate(self.parses):
             if p.kind != "procedural" or not p.action:
                 continue
-            if canonical_entity(p.action[0]) != fsm_key or i == reset_at:
+            if p.entity_key != fsm_key or i == reset_at:
                 continue
             trigger_tokens = set(tokenize(p.trigger))
             if len(cond_tokens & trigger_tokens) < 2:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,6 +93,16 @@ def seed(query: str, kg: SpecGraph, n_seeds: int, gateway: Gateway) -> dict[str,
 WALK_ERROR = 1e-7
 # The largest damping accepted, at 1,604 steps: the count grows like 16 / (1 - d).
 MAX_DAMPING = 0.99
+# Passage columns walked at once while a passage table is built. It bounds the
+# build's working memory: each step gathers one row of 32 floats per edge.
+TABLE_CHUNK = 32
+
+
+def walk_steps(damping: float) -> int:
+    """The steps every walk runs at ``damping``: the fewest k with dᵏ <= WALK_ERROR."""
+    if not 0.0 < damping <= MAX_DAMPING:
+        raise InvalidInput(f"damping must lie in (0, {MAX_DAMPING}]")
+    return math.ceil(math.log(WALK_ERROR) / math.log(damping))
 
 
 @dataclass(frozen=True)
@@ -104,26 +115,43 @@ class Walk:
     src: np.ndarray
     dst: np.ndarray
     prob: np.ndarray  # transition probability of each edge
-    dangling: np.ndarray  # indices of the nodes without out-weight
+    out_weight: np.ndarray  # each node's summed out-edge weight; 0 where it dangles
     component: np.ndarray  # each node's weakly connected component: its least node
 
+    @property
+    def dangling(self) -> np.ndarray:
+        """The indices of the nodes without out-weight."""
+        return np.flatnonzero(self.out_weight == 0.0)
+
+    @cached_property
+    def in_edges(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The edges grouped by the in-degree k of their target: for each k,
+        the targets, and each target's k sources and probabilities as a row."""
+        order = np.argsort(self.dst, kind="stable")
+        in_degree = np.bincount(self.dst, minlength=self.n_nodes)
+        first = np.cumsum(in_degree) - in_degree
+        groups = []
+        for k in np.unique(in_degree[in_degree > 0]).tolist():
+            nodes = np.flatnonzero(in_degree == k)
+            edges = order[first[nodes][:, None] + np.arange(k)]
+            groups.append((nodes, self.src[edges], self.prob[edges]))
+        return tuple(groups)
+
     def step(self, x: np.ndarray) -> np.ndarray:
-        """``Wᵀx``: each node's in-edges added in source order, the order of a
-        sparse CSC product, so the sums are bit for bit that product's. (An
-        edgeless walk's ``bincount`` comes back as integer zeros.)"""
-        return np.bincount(self.dst, weights=self.prob * x[self.src],
-                           minlength=self.n_nodes).astype(np.float64, copy=False)
+        """``Wᵀx``, for a vector or for each column of a matrix."""
+        out = np.zeros(x.shape)
+        for nodes, sources, prob in self.in_edges:
+            out[nodes] = np.einsum("nk,nk...->n...", prob, x[sources])
+        return out
 
     def restrict(self, active: np.ndarray) -> Walk:
         """The walk over the nodes where ``active`` holds, a union of whole
         components, renumbered in their order. No edge crosses the border of a
-        component, and each node keeps its in-edges in their order, so ``step``
-        adds the same terms in the same order as on the whole walk."""
+        component, so every walk inside them is unchanged."""
         index = np.cumsum(active) - 1
         keep = active[self.src]
         return Walk(int(index[-1]) + 1, index[self.src[keep]], index[self.dst[keep]],
-                    self.prob[keep], index[self.dangling[active[self.dangling]]],
-                    index[self.component[active]])
+                    self.prob[keep], self.out_weight[active], index[self.component[active]])
 
 
 def weak_components(n_nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -144,7 +172,7 @@ def weak_components(n_nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarra
 
 def build_walk(n_nodes: int, edges: Sequence[tuple[int, int, float]]) -> Walk:
     """Walk over ``n_nodes`` nodes along weighted directed ``(src, dst, weight)``
-    edges; parallel edges add their weights, in the order given."""
+    edges; parallel edges add their weights."""
     src = np.array([e[0] for e in edges], dtype=np.intp)
     dst = np.array([e[1] for e in edges], dtype=np.intp)
     weights = np.array([e[2] for e in edges], dtype=np.float64)
@@ -156,10 +184,10 @@ def build_walk(n_nodes: int, edges: Sequence[tuple[int, int, float]]) -> Walk:
     src, dst = src[first], dst[first]
 
     out_weight = np.bincount(src, weights=weight, minlength=n_nodes)
-    dangling = out_weight == 0.0
+    linked = out_weight > 0.0
     inv = np.zeros(n_nodes)
-    inv[~dangling] = 1.0 / out_weight[~dangling]
-    return Walk(n_nodes, src, dst, inv[src] * weight, np.flatnonzero(dangling),
+    inv[linked] = 1.0 / out_weight[linked]
+    return Walk(n_nodes, src, dst, inv[src] * weight, out_weight,
                 weak_components(n_nodes, src, dst))
 
 
@@ -167,50 +195,18 @@ def walk_scores(walk: Walk, personalization: np.ndarray, damping: float) -> np.n
     """``pagerank_scores``' power iteration on a built walk, from ``x = p``.
 
     Each step contracts the L1 distance to the fixed point by ``damping``, and
-    ``x = p`` starts within 2 of it, so ``k = ceil(log(WALK_ERROR) / log d)``
-    steps (100 at d = 0.85) leave an L1 error of at most ``2·dᵏ ≤ 2·WALK_ERROR``.
+    ``x = p`` starts within 2 of it, so ``k = walk_steps(damping)`` steps (100
+    at d = 0.85) leave an L1 error of at most ``2·dᵏ ≤ 2·WALK_ERROR``.
     """
-    if not 0.0 < damping <= MAX_DAMPING:
-        raise InvalidInput(f"damping must lie in (0, {MAX_DAMPING}]")
+    steps = walk_steps(damping)
     p = np.asarray(personalization, dtype=np.float64)
     if p.shape != (walk.n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
         raise InvalidInput("personalization must be a nonnegative distribution")
-
-    # Mass never leaves the components that hold personalization mass: no edge
-    # leads out of them and the restart only returns into them. Every other
-    # node scores exactly 0.0, as in the iteration over the whole walk, so the
-    # iteration runs over those components alone.
-    seeded = np.zeros(walk.n_nodes, dtype=bool)
-    seeded[walk.component[p > 0]] = True
-    active = seeded[walk.component]
-    sub = walk if active.all() else walk.restrict(active)
-    q = p if sub is walk else p[active]
-    # The dangling mass is summed over all of the walk's dangling nodes in
-    # their order, the inactive ones as the zeros they hold: a sum over the
-    # active ones alone would group numpy's pairwise additions differently.
-    dangling_x = np.zeros(walk.dangling.size)
-    slots = np.flatnonzero(active[walk.dangling])
-
-    # Each step performs the float operations of (1-d)·p + d·(Wᵀx + m·p), m
-    # the dangling mass, one at a time in place, so the scores, and the exact
-    # ties rank_passages breaks by id, are those of the formula bit for bit.
-    # Without active dangling nodes m·p is all zeros, and adding it changes
-    # no bit.
-    restart = (1.0 - damping) * q
-    x = q
-    for _ in range(math.ceil(math.log(WALK_ERROR) / math.log(damping))):
-        x_next = sub.step(x)
-        if slots.size:
-            dangling_x[slots] = x[sub.dangling]
-            x_next += float(dangling_x.sum()) * q
-        x_next *= damping
-        x_next += restart
-        x = x_next
-    if sub is walk:
-        return x
-    scores = np.zeros(walk.n_nodes)
-    scores[active] = x
-    return scores
+    dangling = walk.dangling
+    x = p
+    for _ in range(steps):
+        x = (1.0 - damping) * p + damping * (walk.step(x) + x[dangling].sum() * p)
+    return x
 
 
 def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
@@ -228,9 +224,96 @@ def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
 
 
 @dataclass(frozen=True)
+class PassageTable:
+    """Every node's personalized PageRank score on every passage of its
+    component, at one damping, for a walk whose every edge goes both ways.
+
+    Without dangling nodes PageRank is linear in its personalization, so a
+    personalization's passage scores are the weighted sum of its seeds' rows.
+    In a walk whose edges go both ways the dangling nodes are the isolated
+    ones; their mass handed back to the personalization scales the whole sum
+    by ``1 / (1 - d·P_d)``, ``P_d`` the seed weight on dangling nodes.
+    """
+
+    damping: float
+    order: np.ndarray  # each table column's passage position, in id order
+    spans: list[slice]  # per node: the columns of its component's passages
+    rows: list[np.ndarray]  # per node: its scores on those passages
+    dangling: np.ndarray  # per node: whether it is isolated
+    nbytes: int  # the size of the scores
+
+    def scores(self, nodes: Sequence[int], weights: Sequence[float]) -> np.ndarray:
+        """The passage scores, in id order, of the personalization that gives
+        each of ``nodes`` its weight."""
+        x = np.zeros(self.order.size)
+        dangling_mass = 0.0
+        for i, weight in zip(nodes, weights):
+            x[self.spans[i]] += weight * self.rows[i]
+            if self.dangling[i]:
+                dangling_mass += weight
+        scores = np.empty_like(x)
+        scores[self.order] = x / (1.0 - self.damping * dangling_mass)
+        return scores
+
+
+def build_passage_table(walk: Walk, passages: slice, damping: float) -> PassageTable:
+    """The passage table of ``walk``, whose nodes in ``passages`` are the
+    passages in id order.
+
+    One walk per passage j, ``walk_scores``' steps without the dangling
+    hand-back, gives π_j, its scores on every node of its component. Every edge
+    goes both ways, so w_s·π_s(j) = w_j·π_j(s), w the weighted degree, and
+    node s's score on passage j is π_s(j) = w_j / w_s · π_j(s). The walks run
+    ``TABLE_CHUNK`` passages at a time, over their components alone.
+    """
+    steps = walk_steps(damping)
+    component = walk.component
+    # The table's columns: the passages grouped by component, in id order
+    # within each; its rows: the nodes grouped by component, in walk order.
+    order = np.argsort(component[passages], kind="stable")
+    columns = np.arange(passages.start, passages.stop)[order]
+    by_component = np.argsort(component, kind="stable")
+    labels, first = np.unique(component[by_component], return_index=True)
+    members = np.split(by_component, first[1:])
+    column_labels = component[columns]
+    bounds = zip(np.searchsorted(column_labels, labels, "left").tolist(),
+                 np.searchsorted(column_labels, labels, "right").tolist())
+    spans = [slice(a, b) for a, b in bounds]
+    blocks = [np.empty((nodes.size, span.stop - span.start))
+              for nodes, span in zip(members, spans)]
+
+    for start in range(0, columns.size, TABLE_CHUNK):
+        sources = columns[start:start + TABLE_CHUNK]
+        active = np.isin(component, component[sources])
+        sub = walk.restrict(active)
+        local = np.cumsum(active) - 1
+        restart = np.zeros((sub.n_nodes, sources.size))
+        restart[local[sources], np.arange(sources.size)] = 1.0 - damping
+        x = restart / (1.0 - damping)
+        for _ in range(steps):
+            x = restart + damping * sub.step(x)
+        stop = start + sources.size
+        for c in np.unique(np.searchsorted(labels, component[sources])).tolist():
+            a, b = max(spans[c].start, start), min(spans[c].stop, stop)
+            blocks[c][:, a - spans[c].start:b - spans[c].start] = (
+                x[local[members[c]], a - start:b - start])
+
+    # An isolated node is its own component, so its weight cancels: any will do.
+    weight = np.where(walk.out_weight > 0.0, walk.out_weight, 1.0)
+    spans_of, rows_of = [None] * walk.n_nodes, [None] * walk.n_nodes
+    for nodes, span, block in zip(members, spans, blocks):
+        block *= weight[columns[span]] / weight[nodes][:, None]
+        for node, row in zip(nodes.tolist(), block):
+            spans_of[node], rows_of[node] = span, row
+    return PassageTable(damping, order, spans_of, rows_of, walk.out_weight == 0.0,
+                        sum(block.nbytes for block in blocks))
+
+
+@dataclass(frozen=True)
 class GraphWalk:
     """A graph's walk with its node keys in walk order, and the graph state it
-    was built from. The passages lie contiguous in that order, sorted by id."""
+    was built from. The passages lie contiguous in that order, sorted by id.
+    Its passage tables, one per damping, are built on first use."""
 
     keys: list[str]
     index: dict[str, int]
@@ -239,14 +322,15 @@ class GraphWalk:
     passage_ids: list[str]
     edges: list[Edge]
     nodes: tuple[set[str], set[str], set[str]]  # entity, passage, statement ids
+    tables: dict[float, PassageTable] = field(default_factory=dict, compare=False, repr=False)
 
 
 def graph_walk(kg: SpecGraph) -> GraphWalk:
     """The walk over ``kg`` with every edge in both directions, built on first
     use and again after the graph's nodes or edges have changed.
 
-    Threads sharing a graph may each build it once; every walk they keep is
-    whole and never written to.
+    Threads sharing a graph may each build it, or one of its passage tables,
+    once; every walk and table they keep is whole and never written to.
     """
     cached = kg._walk
     nodes = (kg.entities, kg.passages.keys(), kg.statements.keys())
@@ -271,37 +355,49 @@ def graph_walk(kg: SpecGraph) -> GraphWalk:
     return kg._walk
 
 
+def passage_table(walk: GraphWalk, damping: float) -> PassageTable:
+    """The graph walk's passage table at ``damping``, built on first use."""
+    table = walk.tables.get(damping)
+    if table is None:
+        table = build_passage_table(walk.walk, walk.passages, damping)
+        walk.tables[damping] = table
+    return table
+
+
 def ppr(kg: SpecGraph, seed_weights: dict[str, float],
         damping: float) -> tuple[np.ndarray, bool]:
-    """Personalized PageRank over the seeds' components; edges walk both ways.
+    """Personalized PageRank's passage scores, in passage-id order; edges walk
+    both ways.
 
-    The scores come in ``graph_walk(kg).keys`` order. The walk is the graph's
-    cached one; only the personalization is built per call, uniform when no
-    seed carries weight. The second item is always True, as the walk's fixed
-    step count always meets its error bound; it stays because
-    ``perfbench/spans.py`` reads it.
+    The scores are the seeds' weighted rows of the graph's passage table
+    (``passage_table``), the personalization uniform when no seed carries
+    weight. The second item is always True, as the walk's fixed step count
+    always meets its error bound; it stays because ``perfbench/spans.py``
+    reads it.
     """
     walk = graph_walk(kg)
-    p = np.zeros(len(walk.keys))
-    for key, weight in seed_weights.items():
+    nodes = []
+    for key in seed_weights:
         if key not in walk.index:
             raise InvalidInput(f"seed weight for unknown node {key!r}")
-        p[walk.index[key]] = weight
-    if p.sum() <= 0:
-        p[:] = 1.0 / len(walk.keys)
-    return walk_scores(walk.walk, p, damping), True
+        nodes.append(walk.index[key])
+    weights = np.array(list(seed_weights.values()), dtype=np.float64)
+    if weights.sum() <= 0:
+        nodes = range(len(walk.keys))
+        weights = np.full(len(walk.keys), 1.0 / len(walk.keys))
+    elif np.any(weights < 0) or not np.isclose(weights.sum(), 1.0):
+        raise InvalidInput("personalization must be a nonnegative distribution")
+    return passage_table(walk, damping).scores(nodes, weights.tolist()), True
 
 
 def rank_passages(kg: SpecGraph, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """The top ``k`` passage ids with their scores, by score descending with a
-    lexicographic id tiebreak, from ``ppr``'s scores. The passages' slice of
-    the scores is in id order, so a stable sort of their negated scores breaks
-    ties by id, and its first ``k`` entries are a prefix of the whole ranking."""
-    walk = graph_walk(kg)
-    passage_scores = scores[walk.passages]
-    top = np.argsort(-passage_scores, kind="stable")[:k]
-    return list(zip([walk.passage_ids[i] for i in top.tolist()],
-                    passage_scores[top].tolist()))
+    """The top ``k`` passage ids with their scores, from ``ppr``'s scores: by
+    score rounded to 12 decimals, descending, then by id. The rounding makes
+    scores that differ only in their last bits tie, so their order is the
+    ids'."""
+    ids = graph_walk(kg).passage_ids
+    top = np.lexsort((np.arange(scores.size), -np.round(scores, 12)))[:k]
+    return list(zip([ids[i] for i in top.tolist()], scores[top].tolist()))
 
 
 # (query, passage ids, cuts) -> one summary per cut n, of the first n passages

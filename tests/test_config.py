@@ -172,15 +172,16 @@ class TestValidation:
         ("gateway.max_attempts", 0), ("gateway.max_attempts", -1),
         ("gateway.backoff_base", -1.0), ("gateway.backoff_base", float("inf")),
         ("gateway.backoff_base", float("nan")),
+        ("ingest.max_passage_tokens", 0), ("ingest.max_passage_tokens", -5),
         ("jobs", True), ("retrieval.tau", False), ("gateway.fixture_path", 5),
     ])
     def test_retrieval_ranges_rejected_at_load(self, tmp_path, key, value):
-        # the damping range walk_scores checks, seed's need for one
-        # similarity, evaluation's need for one run, judge and passage, one
-        # worker at least, counts that are finite whole numbers, and a
-        # gateway that calls the model at least once and sleeps a finite,
-        # non-negative time between attempts; no boolean stands for a
-        # number, and a path is text
+        # the damping range ppr checks, seed's need for one similarity,
+        # evaluation's need for one run, judge and passage, one worker at
+        # least, counts that are finite whole numbers, a passage budget of one
+        # token at least, and a gateway that calls the model at least once
+        # and sleeps a finite, non-negative time between attempts; no boolean
+        # stands for a number, and a path is text
         with pytest.raises(ConfigError, match=key):
             load_config(None, overrides={key: value})
         section, _, name = key.partition(".")
