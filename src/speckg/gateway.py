@@ -156,8 +156,7 @@ class FixtureStore:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._out = open(self.path, "a", encoding="utf-8")
                 weakref.finalize(self, self._out.close)
-            record = {"digest": digest, "task_tag": task_tag, "reply": reply}
-            self._out.write(json.dumps(record, ensure_ascii=False) + "\n")
+            self._out.write(_fixture_line(digest, task_tag, reply))
             self._out.flush()
 
     def __len__(self) -> int:
@@ -357,11 +356,33 @@ class Gateway:
         raise RetryExhausted(f"{label} failed after {self.max_attempts} attempts: {last}")
 
 
+class _Base64Vector(dict):
+    """A vector reply made by :func:`_vector_record`: its ``f8`` is base64
+    output, whose alphabet a JSON string never escapes."""
+
+
 def _vector_record(vec: np.ndarray) -> dict:
     """The fixture record of one vector: its float64 bytes, little-endian, in
     base64, so the file holds every bit without printing a decimal per value."""
     blob = vec.astype("<f8", copy=False).tobytes()
-    return {"kind": "vector", "f8": base64.b64encode(blob).decode("ascii")}
+    return _Base64Vector(kind="vector", f8=base64.b64encode(blob).decode("ascii"))
+
+
+_FIXTURE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def _fixture_line(digest: str, task_tag: str, reply: dict) -> str:
+    """One fixture record as a JSON line, as ``json.dumps(record,
+    ensure_ascii=False)`` writes it. A vector's base64 is put between the
+    quotes of an empty ``f8`` rather than scanned by the encoder."""
+    if type(reply) is not _Base64Vector:
+        return _FIXTURE_ENCODER.encode(
+            {"digest": digest, "task_tag": task_tag, "reply": reply}) + "\n"
+    # "f8" is the reply's last key, so the line ends with its empty string's
+    # closing quote and the two closing braces
+    line = _FIXTURE_ENCODER.encode(
+        {"digest": digest, "task_tag": task_tag, "reply": {**reply, "f8": ""}})
+    return f"{line[:-3]}{reply['f8']}{line[-3:]}\n"
 
 
 def _decoded_vector(record: dict):

@@ -21,6 +21,8 @@ from .text import canonical_entity, estimate_tokens, split_sentences
 
 logger = logging.getLogger(__name__)
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False)  # the corpus files' record encoder
+
 DEFAULT_MAX_PASSAGE_TOKENS = 512
 BLANK_SENTENCE = "empty sentence"  # skip reason of a sentence sent to no model
 
@@ -136,14 +138,13 @@ class Corpus:
     skipped: list[dict] = field(default_factory=list)
 
     def save(self, out_dir: str | Path) -> None:
+        """Write passages.jsonl and ir.jsonl, one JSON line per record and
+        one write per file."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "passages.jsonl", "w", encoding="utf-8") as fh:
-            for passage in self.passages:
-                fh.write(json.dumps(passage.to_dict(), ensure_ascii=False) + "\n")
-        with open(out / "ir.jsonl", "w", encoding="utf-8") as fh:
-            for ir in self.irs:
-                fh.write(json.dumps(ir.to_dict(), ensure_ascii=False) + "\n")
+        for name, records in (("passages.jsonl", self.passages), ("ir.jsonl", self.irs)):
+            lines = "".join([_ENCODER.encode(r.to_dict()) + "\n" for r in records])
+            (out / name).write_bytes(lines.encode("utf-8"))
 
 
 # --- chunking ----------------------------------------------------------------

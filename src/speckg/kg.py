@@ -16,6 +16,7 @@ typed edge list and an exact-scan embedding index. Node keys are prefixed
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import re
@@ -186,10 +187,6 @@ def _is_abbreviation(variant: list[str], full: list[str]) -> bool:
     return strict
 
 
-def _shape(tokens: list[str]) -> tuple:
-    return (len(tokens), *(t[:2] for t in tokens))
-
-
 def compute_alias_map(entities: Iterable[str]) -> dict[str, str]:
     """Variant → canonical mapping over canonicalized corpus entities.
 
@@ -203,22 +200,33 @@ def compute_alias_map(entities: Iterable[str]) -> dict[str, str]:
     # Every contiguous token n-gram shorter than an entity, the empty one
     # included, maps to the entities containing it: the fragment targets.
     containers: dict[tuple[str, ...], set[str]] = {}
-    # An abbreviation keeps the token count and each token's first two
-    # characters (a stem of 2+, a prefix of 3+, or the token itself), so only
-    # entities sharing that key can be its expansions.
-    by_shape: dict[tuple, list[str]] = {}
+    # An abbreviation's expansion has the same token count, and its first
+    # token starts with the abbreviation's first token, less a final ".". So
+    # entities are grouped by token count and sorted by first token, and the
+    # expansions of a variant lie in one bisected run of its group.
+    by_count: dict[int, list[tuple[str, str]]] = {}
     for e in ents:
         toks = tokens[e]
         for n in range(len(toks)):
             for i in range(len(toks) - n + 1):
                 containers.setdefault(tuple(toks[i:i + n]), set()).add(e)
-        by_shape.setdefault(_shape(toks), []).append(e)
+        if toks:
+            by_count.setdefault(len(toks), []).append((toks[0], e))
+    for group in by_count.values():
+        group.sort()
     aliases: dict[str, str] = {}
     for e in ents:
         toks = tokens[e]
         targets = set(containers.get(tuple(toks), ()))
-        targets.update(other for other in by_shape[_shape(toks)]
-                       if _is_abbreviation(toks, tokens[other]))
+        if toks:
+            stem = toks[0][:-1] if toks[0].endswith(".") else toks[0]
+            group = by_count[len(toks)]
+            i = bisect.bisect_left(group, stem, key=lambda pair: pair[0])
+            while i < len(group) and group[i][0].startswith(stem):
+                other = group[i][1]
+                if _is_abbreviation(toks, tokens[other]):
+                    targets.add(other)
+                i += 1
         if len(targets) == 1:
             aliases[e] = targets.pop()
     return aliases
@@ -475,45 +483,54 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+# graph.jsonl's record encoder, made once
+_GRAPH_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def save(kg: SpecGraph, out_dir: str | Path) -> None:
-    """Write graph.jsonl + embeddings.bin + manifest.json (canonical order)."""
+    """Write graph.jsonl + embeddings.bin + manifest.json (canonical order).
+
+    graph.jsonl is encoded whole and written in one call, and each manifest
+    checksum is taken from the bytes written rather than read back.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     index = kg.embeddings
     row_of = {key: i for i, key in enumerate(index.keys)} if index else {}
 
-    graph_path = out / "graph.jsonl"
-    with open(graph_path, "w", encoding="utf-8") as fh:
+    def records():
         for pid in sorted(kg.passages):
-            record = {"type": "passage", **kg.passages[pid].to_dict(),
-                      "embedding_row": row_of.get(passage_key(pid))}
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            yield {"type": "passage", **kg.passages[pid].to_dict(),
+                   "embedding_row": row_of.get(passage_key(pid))}
         for entity in sorted(kg.entities):
-            record = {"type": "entity", "key": entity,
-                      "embedding_row": row_of.get(entity_key(entity))}
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            yield {"type": "entity", "key": entity,
+                   "embedding_row": row_of.get(entity_key(entity))}
         for tid in sorted(kg.triples):
-            record = {"type": "triple", **kg.triples[tid].to_dict()}
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            yield {"type": "triple", **kg.triples[tid].to_dict()}
         for edge in sorted(kg.edges, key=lambda e: (e.kind, e.src, e.dst)):
-            record = {"type": "edge", "kind": edge.kind, "src": edge.src, "dst": edge.dst}
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            yield {"type": "edge", "kind": edge.kind, "src": edge.src, "dst": edge.dst}
         for variant in sorted(kg.alias_map):
-            record = {"type": "alias", "variant": variant,
-                      "canonical": kg.alias_map[variant]}
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            yield {"type": "alias", "variant": variant, "canonical": kg.alias_map[variant]}
 
-    emb_path = out / "embeddings.bin"
+    graph = "".join([_GRAPH_ENCODER.encode(r) + "\n" for r in records()]).encode("utf-8")
+    (out / "graph.jsonl").write_bytes(graph)
+    checksums = {"graph.jsonl": hashlib.sha256(graph).hexdigest()}
+    del graph
+
     if index is None or len(index.keys) == 0:
         dim, rows, payload = 0, 0, b""
     else:
         matrix = np.ascontiguousarray(index.matrix, dtype="<f4")
         rows, dim = matrix.shape
         payload = matrix.tobytes(order="C")
-    with open(emb_path, "wb") as fh:
-        fh.write(struct.pack("<II", dim, rows))
+    header = struct.pack("<II", dim, rows)
+    with open(out / "embeddings.bin", "wb") as fh:
+        fh.write(header)
         fh.write(payload)
+    digest = hashlib.sha256(header)
+    digest.update(payload)
+    checksums["embeddings.bin"] = digest.hexdigest()
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -525,80 +542,115 @@ def save(kg: SpecGraph, out_dir: str | Path) -> None:
             "triples": len(kg.triples),
             "edges": len(kg.edges),
         },
-        "checksums": {
-            "graph.jsonl": sha256_file(graph_path),
-            "embeddings.bin": sha256_file(emb_path),
-        },
+        "checksums": checksums,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _read_checked(store: Path, name: str, expected: str) -> bytes:
+    """The bytes of one store file, once their sha256 matches the manifest."""
+    try:
+        data = (store / name).read_bytes()
+    except FileNotFoundError:
+        raise CorruptStore(f"missing store file {name}") from None
+    if hashlib.sha256(data).hexdigest() != expected:
+        raise CorruptStore(f"checksum mismatch for {name}")
+    return data
+
+
+def _parse_graph(data: bytes) -> tuple[SpecGraph, dict[int, str]]:
+    """The graph in graph.jsonl's bytes, and the node key of each embedding row."""
+    lines = data.decode("utf-8").split("\n")
+    del data
+    if lines[-1] == "":
+        lines.pop()
+    # One parse of the lines as a JSON array; a line that is not exactly one
+    # value changes the count.
+    records = json.loads("[" + ",".join(lines) + "]")
+    if len(records) != len(lines):
+        raise CorruptStore("graph.jsonl holds a line that is not one record")
+    del lines
+    kg = SpecGraph()
+    embedding_rows: dict[int, str] = {}
+    for record in records:
+        kind = record.pop("type")
+        if kind == "passage":
+            row = record.pop("embedding_row")
+            passage = Passage.from_dict(record)
+            kg.passages[passage.passage_id] = passage
+            if row is not None:
+                embedding_rows[row] = passage_key(passage.passage_id)
+        elif kind == "entity":
+            kg.entities.add(record["key"])
+            if record.get("embedding_row") is not None:
+                embedding_rows[record["embedding_row"]] = entity_key(record["key"])
+        elif kind == "triple":
+            triple = Triple.from_dict(record)
+            kg.triples[triple.triple_id] = triple
+            if triple.category in (BACKBONE, AUXILIARY):
+                kg.statements[triple.triple_id] = triple
+        elif kind == "edge":
+            kg.edges.append(Edge(record["kind"], record["src"], record["dst"]))
+        elif kind == "alias":
+            kg.alias_map[record["variant"]] = record["canonical"]
+        else:
+            raise CorruptStore(f"unknown record type {kind!r}")
+    return kg, embedding_rows
+
+
 def load(store_dir: str | Path) -> SpecGraph:
+    """Read a store written by :func:`save`.
+
+    Each store file is read once; its sha256 is checked against the manifest,
+    which must name both files, and the same bytes are then parsed.
+    """
     store = Path(store_dir)
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
         raise CorruptStore(f"missing manifest in {store}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # a JSON or UTF-8 error
+        raise CorruptStore(f"manifest.json is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CorruptStore("manifest.json is not a JSON object")
     version = manifest.get("format_version")
     if not isinstance(version, int) or version > FORMAT_VERSION:
         raise IncompatibleFormat(
             f"store format {version} newer than supported {FORMAT_VERSION}"
         )
-    for name, expected in manifest.get("checksums", {}).items():
-        path = store / name
-        if not path.exists():
-            raise CorruptStore(f"missing store file {name}")
-        actual = sha256_file(path)
-        if actual != expected:
-            raise CorruptStore(f"checksum mismatch for {name}")
+    checksums = manifest.get("checksums")
+    if not isinstance(checksums, dict) or set(checksums) != {"graph.jsonl", "embeddings.bin"}:
+        raise CorruptStore("manifest must checksum exactly graph.jsonl and embeddings.bin")
+    model_id = manifest.get("embedding_model") or ""
 
-    kg = SpecGraph()
-    embedding_rows: dict[int, str] = {}
-    with open(store / "graph.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            record = json.loads(line)
-            kind = record.pop("type")
-            if kind == "passage":
-                row = record.pop("embedding_row")
-                passage = Passage.from_dict(record)
-                kg.passages[passage.passage_id] = passage
-                if row is not None:
-                    embedding_rows[row] = passage_key(passage.passage_id)
-            elif kind == "entity":
-                kg.entities.add(record["key"])
-                if record.get("embedding_row") is not None:
-                    embedding_rows[record["embedding_row"]] = entity_key(record["key"])
-            elif kind == "triple":
-                triple = Triple.from_dict(record)
-                kg.triples[triple.triple_id] = triple
-                if triple.category in (BACKBONE, AUXILIARY):
-                    kg.statements[triple.triple_id] = triple
-            elif kind == "edge":
-                kg.edges.append(Edge(record["kind"], record["src"], record["dst"]))
-            elif kind == "alias":
-                kg.alias_map[record["variant"]] = record["canonical"]
-            else:
-                raise CorruptStore(f"unknown record type {kind!r}")
+    try:
+        kg, embedding_rows = _parse_graph(
+            _read_checked(store, "graph.jsonl", checksums["graph.jsonl"]))
+    except (KeyError, TypeError, ValueError, AttributeError, InvalidInput) as exc:
+        # a JSON or UTF-8 error, a record that is not an object, or one
+        # without its type or fields
+        raise CorruptStore(f"bad record in graph.jsonl: {exc!r}") from None
 
-    with open(store / "embeddings.bin", "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise CorruptStore("embeddings.bin header truncated")
-        dim, rows = struct.unpack("<II", header)
-        payload = fh.read()
+    data = _read_checked(store, "embeddings.bin", checksums["embeddings.bin"])
+    if len(data) < 8:
+        raise CorruptStore("embeddings.bin header truncated")
+    dim, rows = struct.unpack_from("<II", data)
+    # The count is compared first, so a header's row count is bounded by the
+    # records before anything is built from it.
+    if len(embedding_rows) != rows or any(i not in embedding_rows for i in range(rows)):
+        raise CorruptStore(f"graph.jsonl does not name each of embeddings.bin's "
+                           f"{rows} rows once")
     if rows:
-        expected = rows * dim * 4
-        if len(payload) != expected:
+        if len(data) - 8 != rows * dim * 4:
             raise CorruptStore("embeddings.bin payload truncated")
-        matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
+        matrix = np.frombuffer(data, dtype="<f4", offset=8).reshape(rows, dim)
         keys = [embedding_rows[i] for i in range(rows)]
-        kg.embeddings = EmbeddingIndex(keys, matrix.copy(),
-                                       manifest.get("embedding_model") or "")
+        kg.embeddings = EmbeddingIndex(keys, matrix.copy(), model_id)
     else:
-        kg.embeddings = EmbeddingIndex([], np.zeros((0, 0), dtype=np.float32),
-                                       manifest.get("embedding_model") or "")
+        kg.embeddings = EmbeddingIndex([], np.zeros((0, 0), dtype=np.float32), model_id)
     check_integrity(kg)
     return kg

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import os
 
-import requests
-
 from .errors import ConfigError
 from .gateway import ChatRequest
 from .offline import OfflineModel
@@ -37,6 +35,16 @@ class HttpProvider:
         return {"Authorization": f"Bearer {self.api_key}",
                 "Content-Type": "application/json"}
 
+    def _post(self, path: str, body: dict) -> dict:
+        # Imported here: only a hosted model needs requests, and importing it
+        # takes about 60 ms of every CLI start.
+        import requests
+
+        resp = requests.post(f"{self.endpoint}/{path}", json=body,
+                             headers=self._headers(), timeout=self.timeout)
+        resp.raise_for_status()
+        return resp.json()
+
     def chat(self, request: ChatRequest, model: str) -> str:
         body = {
             "model": model,
@@ -46,18 +54,11 @@ class HttpProvider:
                 {"role": "user", "content": request.user_prompt},
             ],
         }
-        resp = requests.post(f"{self.endpoint}/chat/completions", json=body,
-                             headers=self._headers(), timeout=self.timeout)
-        resp.raise_for_status()
-        return resp.json()["choices"][0]["message"]["content"]
+        return self._post("chat/completions", body)["choices"][0]["message"]["content"]
 
     def embed(self, texts: list[str], model: str) -> list[list[float]]:
-        body = {"model": model, "input": texts}
-        resp = requests.post(f"{self.endpoint}/embeddings", json=body,
-                             headers=self._headers(), timeout=self.timeout)
-        resp.raise_for_status()
-        data = sorted(resp.json()["data"], key=lambda d: d["index"])
-        return [d["embedding"] for d in data]
+        data = self._post("embeddings", {"model": model, "input": texts})["data"]
+        return [d["embedding"] for d in sorted(data, key=lambda d: d["index"])]
 
 
 def make_provider(endpoint: str, api_key_env: str = "SPECKG_API_KEY"):

@@ -150,6 +150,44 @@ class TestFixtureWrites:
             assert second.entries == first.entries
         assert len(second) == 3
 
+    # digests and task tags that JSON must escape: quotes, backslashes,
+    # control characters and line separators, and text beyond ASCII
+    AWKWARD = ['d"1', "d\\2", "d\n3", "d é", "d\x00\x1f", "\U0001f600"]
+
+    def test_vector_lines_as_json_dumps_writes_them(self, tmp_path):
+        # the oracle is json.dumps(record, ensure_ascii=False) on every record
+        replies = [gateway_module._vector_record(np.array([0.1, -2.5, 1e300, 5e-324]))
+                   for _ in self.AWKWARD]
+        replies += [
+            {"kind": "text", "text": "café \"x\" \\ \n  "},
+            {"kind": "json", "value": {"entité": ["µs", "a\"b", 1.5, None]}},
+            {"kind": "vector", "values": [0.25, -1.0]},  # an older vector record
+            {"kind": "vector", "f8": 'not "base64"\n'},  # a plain dict takes the encoder
+        ]
+        digests = self.AWKWARD + [f"plain{i}" for i in range(4)]
+        path = tmp_path / "replies.jsonl"
+        store = FixtureStore(path)
+        expected = ""
+        for i, (digest, reply) in enumerate(zip(digests, replies)):
+            tag = self.AWKWARD[i % len(self.AWKWARD)] + "-tag"
+            store.put(digest, tag, reply)
+            expected += json.dumps({"digest": digest, "task_tag": tag, "reply": reply},
+                                   ensure_ascii=False) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+        assert FixtureStore(path).entries == store.entries
+
+    @given(st.text(), st.text(min_size=1),
+           st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_any_vector_line_as_json_dumps_writes_it(self, digest, tag, values):
+        reply = gateway_module._vector_record(np.array(values))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "replies.jsonl"
+            FixtureStore(path).put(digest, tag, reply)
+            line = path.read_text(encoding="utf-8")
+        assert line == json.dumps({"digest": digest, "task_tag": tag, "reply": reply},
+                                  ensure_ascii=False) + "\n"
+
     def test_repeated_digest_written_once(self, tmp_path):
         store = FixtureStore(tmp_path / "replies.jsonl")
         store.put("d", "summarize", {"kind": "text", "text": "first"})

@@ -1,17 +1,21 @@
 import copy
+import hashlib
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speckg import kg as kgmod
+from speckg.cli import main
 from speckg.errors import (CorpusInconsistent, CorruptStore, IncompatibleFormat,
                            NormalizationCycle)
-from speckg.ingest import Corpus, Passage, SemanticIR
+from speckg.ingest import Corpus, Passage, SemanticIR, ingest_document
 
-from conftest import mention_components
+from conftest import load_manual_module, make_offline_gateway, mention_components
 
 def passage(pid="p0", text="Stub passage text."):
     return Passage(passage_id=pid, doc_id="t", section_path=["S"], text=text,
@@ -102,16 +106,22 @@ def brute_alias_map(entities) -> dict[str, str]:
 
 
 # Colliding vocabulary: dotted abbreviations, shared prefixes, one-character
-# tokens and words that abbreviate each other.
+# tokens and words that abbreviate each other. For the bisected candidate
+# range: first tokens that are prefixes of other first tokens ("re", "c",
+# "st.."), lone and doubled dots, and the empty entity (no tokens).
 _VOCAB = ["st.", "status", "stat", "b.", "bit", "bits", "ctl", "ctrl", "control",
           "controller", "reg", "register", "regs", "tx", "t", "s", "s.", "x",
-          "fifo", "fi", "en", "enable", "enabled"]
+          "fifo", "fi", "en", "enable", "enabled", "re", "reg.", "c", "st..",
+          ".", "..", "cfg1_reg", "cfg10_reg", "cfg1_reg."]
 _ENTITY = st.lists(st.sampled_from(_VOCAB), min_size=0, max_size=4).map(" ".join)
 
 
 class TestAliasRules:
     @given(st.lists(_ENTITY, max_size=25))
     @settings(max_examples=300, deadline=None)
+    @example(["", ".", "..", ". reg", ".. reg", "re", "reg", "register", "regs",
+              "reg.", "c", "ctl", "ctrl", "st.. x", "st. x", "status x"])
+    @example(["cfg1_reg", "cfg10_reg", "cfg1_reg.", "cfg1_reg. bit", "cfg1_register bit"])
     def test_indexed_alias_map_matches_brute_force(self, entities):
         assert kgmod.compute_alias_map(entities) == brute_alias_map(entities)
 
@@ -379,6 +389,224 @@ class TestPersistence:
         path.write_text(path.read_text() + "\n")
         with pytest.raises(CorruptStore):
             kgmod.load(tmp_path / "store")
+
+    @pytest.mark.parametrize("names", [(), ("graph.jsonl",), ("embeddings.bin",),
+                                       ("graph.jsonl", "embeddings.bin", "extra.bin")],
+                             ids=["none", "graph-only", "embeddings-only", "extra-name"])
+    def test_manifest_must_checksum_both_files(self, graph, tmp_path, names):
+        # a file the manifest does not checksum would load unchecked
+        store = tmp_path / "store"
+        kgmod.save(graph, store)
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["checksums"] = {name: manifest["checksums"].get(name, "0" * 64)
+                                 for name in names}
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStore):
+            kgmod.load(store)
+
+    @pytest.mark.parametrize("case", ["missing", "beyond-the-matrix", "huge-header"])
+    def test_embedding_rows_must_match_the_matrix(self, graph, tmp_path, case):
+        # every row of embeddings.bin is named by one record, and no record
+        # names a row it lacks; a header claiming 2**32 - 1 empty rows is
+        # refused before anything is built from that count
+        store = tmp_path / "store"
+        kgmod.save(graph, store)
+        if case == "missing":
+            edit_graph_file(store, lambda records: [
+                r for r in records if r.get("key") != sorted(graph.entities)[0]])
+        elif case == "huge-header":
+            rehash_store_file(store, "embeddings.bin", struct.pack("<II", 0, 2**32 - 1))
+        else:
+            edit_graph_file(store, lambda records: records + [
+                {"type": "entity", "key": "zz extra",
+                 "embedding_row": len(graph.embeddings.keys)}])
+        with pytest.raises(CorruptStore, match="rows once"):
+            kgmod.load(store)
+
+    def test_missing_embedding_row_is_a_cli_error(self, graph, tmp_path, capsys):
+        # the store a query reads names no entity for one embedding row
+        store = tmp_path / "store"
+        kgmod.save(graph, store)
+        edit_graph_file(store, lambda records: [r for r in records
+                                                if r.get("key") != sorted(graph.entities)[0]])
+        assert main(["query", "--kg", str(store), "--question", "What is BAUD?"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_record_without_type_rejected(self, graph, tmp_path):
+        store = tmp_path / "store"
+        kgmod.save(graph, store)
+        edit_graph_file(store, lambda records: [
+            {k: v for k, v in r.items() if k != "type"} if i == 3 else r
+            for i, r in enumerate(records)])
+        with pytest.raises(CorruptStore):
+            kgmod.load(store)
+
+    @pytest.mark.parametrize("kind,field", [
+        ("passage", "text"), ("passage", "embedding_row"), ("entity", "key"),
+        ("triple", "predicate"), ("edge", "dst"), ("alias", "canonical")])
+    def test_record_with_missing_field_rejected(self, graph, tmp_path, kind, field):
+        store = tmp_path / "store"
+        kgmod.save(graph, store)
+
+        def drop(records):
+            first = next(i for i, r in enumerate(records) if r["type"] == kind)
+            del records[first][field]
+            return records
+
+        edit_graph_file(store, drop)
+        with pytest.raises(CorruptStore):
+            kgmod.load(store)
+
+    @pytest.mark.parametrize("bad", [
+        b'{"type": "edge", "kind": "mention",',  # a truncated record
+        b"",  # a blank line
+        None,  # the line's record twice on it, parted by a comma
+        b'[1, 2]',  # not an object
+        b'{"type": "alias", "variant": "\xff", "canonical": "b"}',  # not UTF-8
+    ], ids=["truncated", "blank", "two-records", "not-an-object", "not-utf8"])
+    def test_line_that_is_not_one_json_record_rejected(self, graph, tmp_path, bad):
+        store = tmp_path / "store"
+        kgmod.save(graph, store)
+        path = store / "graph.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[5] = lines[5] + b", " + lines[5] if bad is None else bad
+        rehash_store_file(store, "graph.jsonl", b"\n".join(lines))
+        with pytest.raises(CorruptStore):
+            kgmod.load(store)
+
+
+def rehash_store_file(store: Path, name: str, data: bytes) -> None:
+    """Replace a store file's bytes and give the manifest their checksum."""
+    (store / name).write_bytes(data)
+    manifest = json.loads((store / "manifest.json").read_text())
+    manifest["checksums"][name] = hashlib.sha256(data).hexdigest()
+    (store / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edit_graph_file(store: Path, edit) -> None:
+    """Rewrite graph.jsonl's records through ``edit``, checksummed anew."""
+    lines = (store / "graph.jsonl").read_text(encoding="utf-8").splitlines()
+    records = edit([json.loads(line) for line in lines])
+    rehash_store_file(store, "graph.jsonl",
+                      "".join(json.dumps(r) + "\n" for r in records).encode())
+
+
+def line_by_line_save(kg, out_dir: Path) -> None:
+    """Oracle for kg.save's bytes: one json.dumps and one write per record,
+    then each file read back to hash it."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    index = kg.embeddings
+    row_of = {key: i for i, key in enumerate(index.keys)} if index else {}
+    graph_path = out / "graph.jsonl"
+    with open(graph_path, "w", encoding="utf-8") as fh:
+        for pid in sorted(kg.passages):
+            record = {"type": "passage", **kg.passages[pid].to_dict(),
+                      "embedding_row": row_of.get(kgmod.passage_key(pid))}
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        for entity in sorted(kg.entities):
+            record = {"type": "entity", "key": entity,
+                      "embedding_row": row_of.get(kgmod.entity_key(entity))}
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        for tid in sorted(kg.triples):
+            record = {"type": "triple", **kg.triples[tid].to_dict()}
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        for edge in sorted(kg.edges, key=lambda e: (e.kind, e.src, e.dst)):
+            record = {"type": "edge", "kind": edge.kind, "src": edge.src, "dst": edge.dst}
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        for variant in sorted(kg.alias_map):
+            record = {"type": "alias", "variant": variant,
+                      "canonical": kg.alias_map[variant]}
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    emb_path = out / "embeddings.bin"
+    if index is None or len(index.keys) == 0:
+        dim, rows, payload = 0, 0, b""
+    else:
+        matrix = np.ascontiguousarray(index.matrix, dtype="<f4")
+        rows, dim = matrix.shape
+        payload = matrix.tobytes(order="C")
+    with open(emb_path, "wb") as fh:
+        fh.write(struct.pack("<II", dim, rows))
+        fh.write(payload)
+    manifest = {
+        "format_version": kgmod.FORMAT_VERSION,
+        "embedding_model": index.model_id if index else None,
+        "counts": {
+            "passages": len(kg.passages),
+            "entities": len(kg.entities),
+            "statements": len(kg.statements),
+            "triples": len(kg.triples),
+            "edges": len(kg.edges),
+        },
+        "checksums": {
+            "graph.jsonl": kgmod.sha256_file(graph_path),
+            "embeddings.bin": kgmod.sha256_file(emb_path),
+        },
+    }
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def line_by_line_corpus_save(corpus, out_dir: Path) -> None:
+    """Oracle for Corpus.save's bytes: one json.dumps and one write per record."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "passages.jsonl", "w", encoding="utf-8") as fh:
+        for p in corpus.passages:
+            fh.write(json.dumps(p.to_dict(), ensure_ascii=False) + "\n")
+    with open(out / "ir.jsonl", "w", encoding="utf-8") as fh:
+        for ir in corpus.irs:
+            fh.write(json.dumps(ir.to_dict(), ensure_ascii=False) + "\n")
+
+
+STORE_FILES = ("graph.jsonl", "embeddings.bin", "manifest.json", "passages.jsonl", "ir.jsonl")
+
+
+@pytest.fixture(scope="module", params=["fixture-spec", "manual-30"])
+def built(request, corpus, graph):
+    """A corpus and its graph: the fixture spec's, or the 30-block benchmark
+    manual's."""
+    if request.param == "fixture-spec":
+        return corpus, graph
+    gateway = make_offline_gateway()
+    manual = ingest_document(gateway, load_manual_module().generate(0, 30).text, "regmanual")
+    return manual, kgmod.build_from_corpus(manual, gateway)
+
+
+class TestSaveOracle:
+    def test_files_match_the_line_by_line_save(self, built, tmp_path):
+        corpus, graph = built
+        corpus.save(tmp_path / "new")
+        kgmod.save(graph, tmp_path / "new")
+        line_by_line_corpus_save(corpus, tmp_path / "old")
+        line_by_line_save(graph, tmp_path / "old")
+        for name in STORE_FILES:
+            assert (tmp_path / "new" / name).read_bytes() == \
+                   (tmp_path / "old" / name).read_bytes(), name
+
+    def test_line_by_line_store_loads_whole(self, built, tmp_path):
+        # a store as the line-by-line save wrote it loads as the graph it holds
+        _corpus, graph = built
+        line_by_line_save(graph, tmp_path / "old")
+        loaded = kgmod.load(tmp_path / "old")
+        assert loaded.passages == graph.passages
+        assert loaded.entities == graph.entities
+        assert loaded.triples == graph.triples
+        assert loaded.statements == graph.statements
+        assert loaded.edges == graph.edges
+        assert loaded.alias_map == graph.alias_map
+        assert loaded.embeddings.keys == graph.embeddings.keys
+        assert loaded.embeddings.matrix.tobytes() == graph.embeddings.matrix.tobytes()
+
+    def test_empty_graph_round_trips(self, tmp_path):
+        kgmod.save(kgmod.SpecGraph(), tmp_path / "new")
+        line_by_line_save(kgmod.SpecGraph(), tmp_path / "old")
+        for name in ("graph.jsonl", "embeddings.bin", "manifest.json"):
+            assert (tmp_path / "new" / name).read_bytes() == \
+                   (tmp_path / "old" / name).read_bytes()
+        loaded = kgmod.load(tmp_path / "new")
+        assert not loaded.passages and not loaded.edges and loaded.embeddings.keys == []
 
 
 class TestDeterminism:

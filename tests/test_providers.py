@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from speckg import providers
 from speckg.errors import ConfigError
 from speckg.gateway import ChatRequest
 from speckg.offline import OfflineModel
@@ -56,7 +61,7 @@ class TestHttpProvider:
             return FakeResponse(
                 {"choices": [{"message": {"content": "the reply"}}]})
 
-        monkeypatch.setattr("speckg.providers.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         request = ChatRequest(task_tag="summarize", system_prompt="sys",
                               user_prompt="user", temperature=0.7)
         reply = provider.chat(request, "model-x")
@@ -79,13 +84,27 @@ class TestHttpProvider:
                 {"index": 0, "embedding": [1.0, 0.0]},
             ]})
 
-        monkeypatch.setattr("speckg.providers.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         vectors = provider.embed(["a", "b"], "embed-x")
         assert vectors == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_http_error_propagates_for_gateway_retry(self, provider, monkeypatch):
-        monkeypatch.setattr("speckg.providers.requests.post",
+        monkeypatch.setattr("requests.post",
                             lambda *a, **k: FakeResponse({}, status=500))
         request = ChatRequest(task_tag="summarize", system_prompt="s", user_prompt="u")
         with pytest.raises(RuntimeError):
             provider.chat(request, "m")
+
+
+def test_cli_imports_no_requests():
+    # requests is imported on a hosted model's first call, not at start-up: a
+    # fresh interpreter that imports the CLI loads no requests module
+    code = ("import sys, speckg.cli; print(sorted(m for m in sys.modules "
+            "if m == 'requests' or m.startswith('requests.')))")
+    src = Path(providers.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
