@@ -194,8 +194,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     """
     data: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = yaml.safe_load(fh) or {}
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config file {path} is not valid YAML: "
+                              f"{' '.join(str(exc).split())}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
 

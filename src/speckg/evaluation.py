@@ -33,6 +33,10 @@ QUESTION_TYPES = (
     "control-path-tracing",
 )
 
+# Each field of a dataset record and its type; the lists hold strings.
+_ITEM_FIELDS = {"qid": str, "question": str, "question_type": str, "hop_count": int,
+                "gold_answer": str, "gold_atoms": list, "gold_passages": list}
+
 
 @dataclass
 class QAItem:
@@ -54,6 +58,18 @@ class QAItem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QAItem":
+        """The item a dataset record holds. A record that is not an object, or
+        lacks a field or holds one at another JSON type, raises InvalidInput."""
+        if not isinstance(data, dict):
+            raise InvalidInput("a dataset item must be a JSON object")
+        for name, kind in _ITEM_FIELDS.items():
+            if name not in data:
+                raise InvalidInput(f"missing field {name!r}")
+            value = data[name]
+            if (not isinstance(value, kind) or isinstance(value, bool)
+                    or kind is list and not all(isinstance(v, str) for v in value)):
+                expected = "a list of strings" if kind is list else f"a JSON {kind.__name__}"
+                raise InvalidInput(f"field {name!r} must be {expected}, not {value!r}")
         return cls(
             qid=data["qid"],
             question=data["question"],
@@ -66,12 +82,20 @@ class QAItem:
 
 
 def load_dataset(path: str | Path) -> list[QAItem]:
+    """The items of a JSON-lines QA dataset. A line that is not JSON or not a
+    valid item raises InvalidInput naming ``path:line``."""
     items = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 items.append(QAItem.from_dict(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise InvalidInput(f"{path}:{lineno}: not JSON: {exc}") from None
+            except InvalidInput as exc:
+                raise InvalidInput(f"{path}:{lineno}: {exc}") from None
     if not items:
         raise InvalidInput(f"dataset {path} is empty")
     return items

@@ -125,6 +125,10 @@ class FixtureStore:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise InvalidInput(f"{self.path}:{lineno}: bad fixture record") from exc
+                if (not isinstance(record, dict) or not isinstance(record.get("digest"), str)
+                        or not isinstance(record.get("reply"), dict)):
+                    raise InvalidInput(f"{self.path}:{lineno}: a fixture record must be an "
+                                       f"object with a string digest and an object reply")
                 self.entries[record["digest"]] = record["reply"]
 
     def get(self, digest: str) -> dict | None:

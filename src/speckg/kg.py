@@ -11,7 +11,8 @@ Sentence parses become four categories of triples:
 
 The assembled graph holds entity, passage, and statement nodes plus a flat
 typed edge list and an exact-scan embedding index. Node keys are prefixed
-("e:", "p:", "s:") so the three key spaces cannot collide.
+("e:", "p:", "s:") so the three key spaces cannot collide. A graph is built
+whole and never changes: each builder returns a new one.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -69,6 +72,12 @@ class Triple:
     object: str           # canonical entity, literal, or triple_id
     object_is_entity: bool
     source: str           # sentence_id
+
+    @property
+    def is_statement(self) -> bool:
+        """Whether the triple is a statement node of the graph: a backbone or
+        auxiliary triple."""
+        return self.category in (BACKBONE, AUXILIARY)
 
     def to_dict(self) -> dict:
         return {
@@ -259,21 +268,32 @@ def extract_corpus_triples(corpus: Corpus) -> list[Triple]:
 
 # --- graph -----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EmbeddingIndex:
-    keys: list[str]
+    """Unit embedding rows by node key. It never changes: the index holds its
+    keys as a tuple and a read-only view of its matrix."""
+
+    keys: tuple[str, ...]
     matrix: np.ndarray  # float32, unit rows
     model_id: str
-    # the matrix and its values widened to float64 for scoring, made on the
-    # first query and again if the matrix is replaced; never saved
-    _wide: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "keys", tuple(self.keys))
+        if self.matrix.flags.writeable:
+            matrix = self.matrix.view()
+            matrix.flags.writeable = False
+            object.__setattr__(self, "matrix", matrix)
+
+    @cached_property
+    def _wide(self) -> np.ndarray:
+        """The matrix widened to float64 for scoring, on the first query; never
+        saved."""
+        return self.matrix.astype(np.float64)
 
     def top_similar(self, query: np.ndarray, n: int) -> list[tuple[str, float]]:
         if len(self.keys) == 0:
             raise EmptyGraph("embedding index is empty")
-        if self._wide is None or self._wide[0] is not self.matrix:
-            self._wide = (self.matrix, self.matrix.astype(np.float64))
-        scores = self._wide[1] @ np.asarray(query, dtype=np.float64)
+        scores = self._wide @ np.asarray(query, dtype=np.float64)
         count = len(self.keys)
         candidates = range(count)
         if 0 < n < count:
@@ -285,19 +305,35 @@ class EmbeddingIndex:
         return [(self.keys[i], float(scores[i])) for i in order[:n]]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpecGraph:
-    passages: dict[str, Passage] = field(default_factory=dict)
-    entities: set[str] = field(default_factory=set)
-    statements: dict[str, Triple] = field(default_factory=dict)
-    triples: dict[str, Triple] = field(default_factory=dict)
-    edges: list[Edge] = field(default_factory=list)
-    alias_map: dict[str, str] = field(default_factory=dict)
+    """A graph built whole that never changes, so what is derived from it,
+    such as its PageRank walk, stays valid for its lifetime. Its containers
+    are read-only: entities a frozenset, edges a tuple, the mappings behind
+    ``MappingProxyType``. Graphs compare by identity."""
+
+    passages: Mapping[str, Passage] = field(default_factory=dict)
+    entities: frozenset[str] = frozenset()
+    triples: Mapping[str, Triple] = field(default_factory=dict)
+    edges: tuple[Edge, ...] = ()
+    alias_map: Mapping[str, str] = field(default_factory=dict)
     embeddings: EmbeddingIndex | None = None
-    # retrieval.graph_walk's random walk over this graph, with its passage
-    # tables, rebuilt there when the nodes or edges change; never compared,
-    # printed or saved
-    _walk: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # A container another graph froze is shared as it is; any other is
+        # copied once, so no caller keeps a handle that edits the graph.
+        for name in ("passages", "triples", "alias_map"):
+            value = getattr(self, name)
+            if not isinstance(value, MappingProxyType):
+                object.__setattr__(self, name, MappingProxyType(dict(value)))
+        object.__setattr__(self, "entities", frozenset(self.entities))
+        object.__setattr__(self, "edges", tuple(self.edges))
+
+    @cached_property
+    def statements(self) -> Mapping[str, Triple]:
+        """The statement nodes: the triples that are statements, by id."""
+        return MappingProxyType({tid: t for tid, t in self.triples.items()
+                                 if t.is_statement})
 
     def node_exists(self, key: str) -> bool:
         space, _, name = key.partition(":")
@@ -329,36 +365,33 @@ class SpecGraph:
 def build_graph(corpus: Corpus, triples: list[Triple]) -> SpecGraph:
     """Assemble nodes and edges; raises CorpusInconsistent on dangling refs."""
     sentence_ids = {ir.sentence_id for ir in corpus.irs}
-    kg = SpecGraph()
-    for passage in corpus.passages:
-        kg.passages[passage.passage_id] = passage
+    passages = {passage.passage_id: passage for passage in corpus.passages}
 
     by_id: dict[str, Triple] = {}
     for t in triples:
         if t.source not in sentence_ids:
             raise CorpusInconsistent(f"triple {t.triple_id} references unknown sentence {t.source!r}")
         by_id[t.triple_id] = t
-    kg.triples = by_id
 
+    entities: set[str] = set()
     edges: set[Edge] = set()
     for t in by_id.values():
-        if t.category in (BACKBONE, AUXILIARY):
-            kg.statements[t.triple_id] = t
-            kg.entities.add(t.subject)
+        if t.is_statement:
+            entities.add(t.subject)
             edges.add(Edge("subject", entity_key(t.subject), statement_key(t.triple_id)))
             if t.object_is_entity:
-                kg.entities.add(t.object)
+                entities.add(t.object)
                 edges.add(Edge("object", statement_key(t.triple_id), entity_key(t.object)))
         elif t.category == NORMALIZATION:
-            kg.entities.add(t.subject)
-            kg.entities.add(t.object)
+            entities.add(t.subject)
+            entities.add(t.object)
             edges.add(Edge("alias", entity_key(t.subject), entity_key(t.object)))
 
     for t in by_id.values():
         if t.category != LINKING:
             continue
-        tb = kg.statements.get(t.subject)
-        ta = kg.statements.get(t.object)
+        tb = by_id.get(t.subject)
+        ta = by_id.get(t.object)
         if tb is None or ta is None:
             raise CorpusInconsistent(f"linking triple {t.triple_id} has a missing endpoint")
         if tb.category != BACKBONE or ta.category != AUXILIARY:
@@ -374,24 +407,25 @@ def build_graph(corpus: Corpus, triples: list[Triple]) -> SpecGraph:
     # Mention edges: every entity referenced by a passage's parses touches it.
     ir_by_sentence = {ir.sentence_id: ir for ir in corpus.irs}
     for t in by_id.values():
-        if t.category not in (BACKBONE, AUXILIARY):
+        if not t.is_statement:
             continue
         ir = ir_by_sentence.get(t.source)
         if ir is None:
             continue
         pid = ir.passage_id
-        if pid not in kg.passages:
+        if pid not in passages:
             raise CorpusInconsistent(f"IR {ir.sentence_id} references unknown passage {pid!r}")
         edges.add(Edge("mention", entity_key(t.subject), passage_key(pid)))
         if t.object_is_entity:
             edges.add(Edge("mention", entity_key(t.object), passage_key(pid)))
 
-    kg.edges = sorted(edges, key=lambda e: (e.kind, e.src, e.dst))
-    return kg
+    return SpecGraph(passages=passages, entities=entities, triples=by_id,
+                     edges=sorted(edges, key=lambda e: (e.kind, e.src, e.dst)))
 
 
 def apply_normalization(kg: SpecGraph) -> SpecGraph:
-    """Merge alias-connected entities onto their canonical nodes.
+    """A new graph with alias-connected entities merged onto their canonical
+    nodes; ``kg`` itself is returned when it has no alias edge.
 
     All incident edges are rehomed (never dropped, only deduplicated after
     rewriting); variant nodes disappear; the resolution map survives on the
@@ -427,24 +461,23 @@ def apply_normalization(kg: SpecGraph) -> SpecGraph:
         if edge.kind == "alias":
             continue
         new_edges.add(Edge(edge.kind, rewrite(edge.src), rewrite(edge.dst)))
-    kg.edges = sorted(new_edges, key=lambda e: (e.kind, e.src, e.dst))
-    kg.entities = {resolution.get(e, e) for e in kg.entities}
-    kg.alias_map.update(resolution)
-    return kg
+    return replace(kg, edges=sorted(new_edges, key=lambda e: (e.kind, e.src, e.dst)),
+                   entities={resolution.get(e, e) for e in kg.entities},
+                   alias_map={**kg.alias_map, **resolution})
 
 
-def compute_embeddings(kg: SpecGraph, gateway: Gateway) -> None:
-    """Embed all passages (full text) and entities (canonical surface form)."""
+def compute_embeddings(kg: SpecGraph, gateway: Gateway) -> SpecGraph:
+    """A new graph: ``kg`` with an index embedding all passages (full text)
+    and entities (canonical surface form)."""
     keys = [passage_key(p) for p in sorted(kg.passages)]
     texts = [kg.passages[p].text for p in sorted(kg.passages)]
     keys += [entity_key(e) for e in sorted(kg.entities)]
     texts += sorted(kg.entities)
     if not keys:
-        kg.embeddings = EmbeddingIndex([], np.zeros((0, 0), dtype=np.float32),
-                                       gateway.embedding_model)
-        return
-    matrix = gateway.embed(texts).astype(np.float32)
-    kg.embeddings = EmbeddingIndex(keys, matrix, gateway.embedding_model)
+        matrix = np.zeros((0, 0), dtype=np.float32)
+    else:
+        matrix = gateway.embed(texts).astype(np.float32)
+    return replace(kg, embeddings=EmbeddingIndex(keys, matrix, gateway.embedding_model))
 
 
 def check_integrity(kg: SpecGraph) -> None:
@@ -467,8 +500,8 @@ def build_from_corpus(corpus: Corpus, gateway: Gateway) -> SpecGraph:
     """Standard pipeline: extract, assemble, normalize, embed, verify."""
     triples = extract_corpus_triples(corpus)
     kg = build_graph(corpus, triples)
-    apply_normalization(kg)
-    compute_embeddings(kg, gateway)
+    kg = apply_normalization(kg)
+    kg = compute_embeddings(kg, gateway)
     check_integrity(kg)
     return kg
 
@@ -572,32 +605,35 @@ def _parse_graph(data: bytes) -> tuple[SpecGraph, dict[int, str]]:
     if len(records) != len(lines):
         raise CorruptStore("graph.jsonl holds a line that is not one record")
     del lines
-    kg = SpecGraph()
+    passages: dict[str, Passage] = {}
+    entities: set[str] = set()
+    triples: dict[str, Triple] = {}
+    edges: list[Edge] = []
+    alias_map: dict[str, str] = {}
     embedding_rows: dict[int, str] = {}
     for record in records:
         kind = record.pop("type")
         if kind == "passage":
             row = record.pop("embedding_row")
             passage = Passage.from_dict(record)
-            kg.passages[passage.passage_id] = passage
+            passages[passage.passage_id] = passage
             if row is not None:
                 embedding_rows[row] = passage_key(passage.passage_id)
         elif kind == "entity":
-            kg.entities.add(record["key"])
+            entities.add(record["key"])
             if record.get("embedding_row") is not None:
                 embedding_rows[record["embedding_row"]] = entity_key(record["key"])
         elif kind == "triple":
             triple = Triple.from_dict(record)
-            kg.triples[triple.triple_id] = triple
-            if triple.category in (BACKBONE, AUXILIARY):
-                kg.statements[triple.triple_id] = triple
+            triples[triple.triple_id] = triple
         elif kind == "edge":
-            kg.edges.append(Edge(record["kind"], record["src"], record["dst"]))
+            edges.append(Edge(record["kind"], record["src"], record["dst"]))
         elif kind == "alias":
-            kg.alias_map[record["variant"]] = record["canonical"]
+            alias_map[record["variant"]] = record["canonical"]
         else:
             raise CorruptStore(f"unknown record type {kind!r}")
-    return kg, embedding_rows
+    return SpecGraph(passages=passages, entities=entities, triples=triples, edges=edges,
+                     alias_map=alias_map), embedding_rows
 
 
 def load(store_dir: str | Path) -> SpecGraph:
@@ -647,10 +683,11 @@ def load(store_dir: str | Path) -> SpecGraph:
     if rows:
         if len(data) - 8 != rows * dim * 4:
             raise CorruptStore("embeddings.bin payload truncated")
+        # read-only already: a view of the bytes read
         matrix = np.frombuffer(data, dtype="<f4", offset=8).reshape(rows, dim)
-        keys = [embedding_rows[i] for i in range(rows)]
-        kg.embeddings = EmbeddingIndex(keys, matrix.copy(), model_id)
     else:
-        kg.embeddings = EmbeddingIndex([], np.zeros((0, 0), dtype=np.float32), model_id)
+        matrix = np.zeros((0, 0), dtype=np.float32)
+    keys = [embedding_rows[i] for i in range(rows)]
+    kg = replace(kg, embeddings=EmbeddingIndex(keys, matrix, model_id))
     check_integrity(kg)
     return kg

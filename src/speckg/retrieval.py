@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -26,7 +27,7 @@ from . import prompts
 from .errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply
 from .gateway import Gateway
 from .ingest import SemanticAnchor
-from .kg import Edge, SpecGraph
+from .kg import SpecGraph
 
 logger = logging.getLogger(__name__)
 
@@ -311,30 +312,33 @@ def build_passage_table(walk: Walk, passages: slice, damping: float) -> PassageT
 
 @dataclass(frozen=True)
 class GraphWalk:
-    """A graph's walk with its node keys in walk order, and the graph state it
-    was built from. The passages lie contiguous in that order, sorted by id.
-    Its passage tables, one per damping, are built on first use."""
+    """A graph's walk with its node keys in walk order. The passages lie
+    contiguous in that order, sorted by id. Its passage tables, one per
+    damping, are built on first use."""
 
     keys: list[str]
     index: dict[str, int]
     walk: Walk
     passages: slice  # the passages' positions in walk order
     passage_ids: list[str]
-    edges: list[Edge]
-    nodes: tuple[set[str], set[str], set[str]]  # entity, passage, statement ids
     tables: dict[float, PassageTable] = field(default_factory=dict, compare=False, repr=False)
+
+
+# Each graph's walk, for as long as the graph lives. A graph never changes, so
+# its walk never goes stale.
+_WALKS: weakref.WeakKeyDictionary[SpecGraph, GraphWalk] = weakref.WeakKeyDictionary()
 
 
 def graph_walk(kg: SpecGraph) -> GraphWalk:
     """The walk over ``kg`` with every edge in both directions, built on first
-    use and again after the graph's nodes or edges have changed.
+    use.
 
-    Threads sharing a graph may each build it, or one of its passage tables,
-    once; every walk and table they keep is whole and never written to.
+    Threads sharing a graph may each build it once, and all then use the walk
+    stored first; they may each build one of its passage tables too. Every
+    walk and table they keep is whole and never written to.
     """
-    cached = kg._walk
-    nodes = (kg.entities, kg.passages.keys(), kg.statements.keys())
-    if cached is not None and cached.edges == kg.edges and cached.nodes == nodes:
+    cached = _WALKS.get(kg)
+    if cached is not None:
         return cached
     keys = kg.all_node_keys()
     if not keys:
@@ -348,11 +352,9 @@ def graph_walk(kg: SpecGraph) -> GraphWalk:
         edges.append((i, j, 1.0))
         edges.append((j, i, 1.0))
     passages = slice(len(kg.entities), len(kg.entities) + len(kg.passages))
-    kg._walk = GraphWalk(keys, index, build_walk(len(keys), edges),
-                         passages=passages, passage_ids=sorted(kg.passages),
-                         edges=list(kg.edges),
-                         nodes=(set(kg.entities), set(kg.passages), set(kg.statements)))
-    return kg._walk
+    return _WALKS.setdefault(kg, GraphWalk(keys, index, build_walk(len(keys), edges),
+                                           passages=passages,
+                                           passage_ids=sorted(kg.passages)))
 
 
 def passage_table(walk: GraphWalk, damping: float) -> PassageTable:

@@ -173,12 +173,12 @@ def test_criterion_3_adaptive_expansion_behavior():
 
 def test_criterion_4_filter_purity():
     with _Verdict(4, "filter removes 100% of incompatible candidates and 0% of compatible ones"):
-        graph = SpecGraph()
+        passages = {}
         target = SemanticAnchor("procedural", "TX_READY flag")
         compatible, incompatible = [], []
 
         def add(pid, anchor_type, entity):
-            graph.passages[pid] = Passage(
+            passages[pid] = Passage(
                 passage_id=pid, doc_id="t", section_path=[], text=pid,
                 sentence_spans=[], token_estimate=1,
                 anchor=SemanticAnchor(anchor_type, entity))
@@ -195,7 +195,7 @@ def test_criterion_4_filter_purity():
             incompatible.append(f"ent{i}")
 
         pool = compatible + incompatible
-        result = csa_filter(pool, target, graph)
+        result = csa_filter(pool, target, SpecGraph(passages=passages))
         assert set(result.removed) == set(incompatible), "must remove all incompatible"
         assert set(result.kept) == set(compatible), "must keep all compatible"
         assert not result.bypassed
@@ -234,8 +234,7 @@ def test_criterion_6_graph_integrity(replay_artifacts):
 
         before_components = mention_components(graph)
         before_mentions = {(e.src, e.dst) for e in graph.edges if e.kind == "mention"}
-        kgmod.apply_normalization(graph)
-        kgmod.compute_embeddings(graph, gateway)
+        graph = kgmod.compute_embeddings(kgmod.apply_normalization(graph), gateway)
 
         # zero dangling endpoints (full scan)
         kgmod.check_integrity(graph)

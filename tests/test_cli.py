@@ -37,6 +37,20 @@ class TestBuildKG:
         assert code == 2
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("text", [None, "retrieval: [\n"], ids=["missing", "bad-yaml"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "config.yaml"
+        if text is not None:
+            config.write_text(text, encoding="utf-8")
+        code = main(["build-kg", "--config", str(config), "--spec", str(SPEC_DOC),
+                     "--out", str(tmp_path / "kg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(config) in err
+        assert "Traceback" not in err and not (tmp_path / "kg").exists()
+
+
 class TestUsageErrors:
     def test_query_without_kg_flag_exits_2(self):
         assert main(["query", "--question", "what?"]) == 2
@@ -139,6 +153,29 @@ def replay_without(built_store, tmp_path, task_tag):
 def assert_whole_report(report):
     assert len(report["items"]) == len(QA_DATASET.read_text().splitlines())
     assert {"per_category", "overall_f1", "mean_system_recall"} <= set(report)
+
+
+class TestDatasetErrors:
+    @pytest.mark.parametrize("line,problem", [
+        ("not json", "not JSON"),
+        ("[1]", "a dataset item must be a JSON object"),
+        ('{"qid": "x"}', "missing field 'question'"),
+        (None, "field 'hop_count' must be a JSON int, not '2'"),
+    ], ids=["not-json", "not-an-object", "missing-field", "wrong-type"])
+    def test_bad_item_is_one_error_line(self, built_store, tmp_path, capsys, line, problem):
+        # the second line is bad: the error names it, and no traceback is printed
+        first, second = QA_DATASET.read_text(encoding="utf-8").splitlines()[:2]
+        if line is None:
+            line = json.dumps({**json.loads(second), "hop_count": "2"})
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text(first + "\n" + line + "\n", encoding="utf-8")
+        code = main(["eval", "--kg", str(built_store["store"]), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        errors = [text for text in err.splitlines() if text.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {dataset}:2: {problem}")
+        assert "Traceback" not in err
 
 
 class TestItemErrors:

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -149,6 +150,18 @@ class TestFixtureWrites:
             second = FixtureStore(path)
             assert second.entries == first.entries
         assert len(second) == 3
+
+    @pytest.mark.parametrize("line", [
+        '{"digest": "x"}', "[1]", '{"digest": 1, "reply": {"kind": "text", "text": "a"}}',
+        '{"digest": "x", "reply": "a"}', "not json"],
+        ids=["no-reply", "not-an-object", "digest-not-a-string", "reply-not-an-object",
+             "not-json"])
+    def test_bad_record_names_its_line(self, tmp_path, line):
+        path = tmp_path / "replies.jsonl"
+        good = {"digest": "d0", "task_tag": "summarize", "reply": {"kind": "text", "text": "a"}}
+        path.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"^{re.escape(str(path))}:2: "):
+            FixtureStore(path)
 
     # digests and task tags that JSON must escape: quotes, backslashes,
     # control characters and line separators, and text beyond ASCII

@@ -1,7 +1,7 @@
-import copy
 import hashlib
 import json
 import struct
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +194,6 @@ class TestTopSimilar:
         rng = np.random.default_rng(1)
         matrix = rng.standard_normal((50, 16)).astype(np.float32)
         keys = [f"k{i:02d}" for i in range(50)]
-        index = kgmod.EmbeddingIndex(keys, matrix, "test")
         plain = kgmod.EmbeddingIndex(keys, matrix, "test")
         widened = []
         astype = np.ndarray.astype
@@ -204,14 +203,14 @@ class TestTopSimilar:
                 widened.append(args)
                 return astype(np.asarray(self), *args, **kwargs)
 
-        index.matrix = matrix.view(Counted)
-        for _ in range(3):
-            query = rng.standard_normal(16)
-            assert index.top_similar(query, 50) == full_sort_top(plain, query, 50)
-        assert len(widened) == 1
-        index.matrix = plain.matrix = matrix[::-1].copy()  # widened again
-        assert index.top_similar(query, 50) == full_sort_top(plain, query, 50)
-        assert index.matrix.dtype == np.float32
+        for rows in (matrix, matrix[::-1].copy()):  # each index widens its own
+            index = kgmod.EmbeddingIndex(keys, rows.view(Counted), "test")
+            oracle = kgmod.EmbeddingIndex(keys, rows, "test")
+            for _ in range(3):
+                query = rng.standard_normal(16)
+                assert index.top_similar(query, 50) == full_sort_top(oracle, query, 50)
+        assert len(widened) == 2
+        assert index.matrix.dtype == plain.matrix.dtype == np.float32
 
 
 def small_corpus():
@@ -275,35 +274,37 @@ class TestNormalization:
         corpus = corpus_with_aliases()
         graph = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus))
         before_mentions = {(e.src, e.dst) for e in graph.edges if e.kind == "mention"}
-        kgmod.apply_normalization(graph)
-        kgmod.check_integrity(graph)
+        merged = kgmod.apply_normalization(graph)
+        kgmod.check_integrity(merged)
         # canonical node inherits every passage mention of every variant
-        resolved = {(f"e:{graph.resolve_entity(src[2:])}", dst)
+        resolved = {(f"e:{merged.resolve_entity(src[2:])}", dst)
                     for src, dst in before_mentions}
-        after = {(e.src, e.dst) for e in graph.edges if e.kind == "mention"}
-        assert resolved <= after
+        after = {(e.src, e.dst) for e in merged.edges if e.kind == "mention"}
+        assert resolved <= after and resolved != before_mentions
+        # the input graph is left as it was
+        assert {(e.src, e.dst) for e in graph.edges if e.kind == "mention"} == before_mentions
 
     def test_component_count_drops_three_to_one(self):
         corpus = corpus_with_aliases()
         graph = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus))
         # brute-force component count before/after over the mention subgraph
         assert mention_components(graph) == 3
-        kgmod.apply_normalization(graph)
-        assert mention_components(graph) == 1
+        assert mention_components(kgmod.apply_normalization(graph)) == 1
+        assert mention_components(graph) == 3
 
     def test_no_alias_triples_graph_unchanged(self):
         corpus = small_corpus()
         graph = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus))
-        before = copy.deepcopy((graph.entities, graph.edges))
-        kgmod.apply_normalization(graph)
-        assert (graph.entities, graph.edges) == before
+        normalized = kgmod.apply_normalization(graph)
+        assert (normalized.entities, normalized.edges, normalized.alias_map) == \
+               (graph.entities, graph.edges, {})
 
     def test_component_count_never_increases(self, corpus, offline_gateway):
         triples = kgmod.extract_corpus_triples(corpus)
         graph = kgmod.build_graph(corpus, triples)
-        before = mention_components(graph)
-        kgmod.apply_normalization(graph)
-        assert mention_components(graph) <= before
+        merged = kgmod.apply_normalization(graph)
+        assert merged.alias_map  # the fixture spec has aliases to merge
+        assert mention_components(merged) <= mention_components(graph)
 
     def test_alias_cycle_detected(self):
         corpus = small_corpus()
@@ -606,7 +607,7 @@ class TestSaveOracle:
             assert (tmp_path / "new" / name).read_bytes() == \
                    (tmp_path / "old" / name).read_bytes()
         loaded = kgmod.load(tmp_path / "new")
-        assert not loaded.passages and not loaded.edges and loaded.embeddings.keys == []
+        assert not loaded.passages and not loaded.edges and loaded.embeddings.keys == ()
 
 
 class TestDeterminism:
@@ -635,3 +636,52 @@ class TestDeterminism:
         for edge in graph.edges:
             assert graph.node_exists(edge.src)
             assert graph.node_exists(edge.dst)
+
+
+class TestReadOnly:
+    """A graph never changes once built or loaded: every edit raises, so no
+    caller can leave a graph's cached walk out of date."""
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_every_edit_raises(self, graph, tmp_path, source):
+        if source == "loaded":
+            kgmod.save(graph, tmp_path)
+            graph = kgmod.load(tmp_path)
+        before = (len(graph.edges), len(graph.entities), dict(graph.passages),
+                  dict(graph.alias_map), graph.embeddings.matrix.tobytes())
+        pid = sorted(graph.passages)[0]
+        with pytest.raises(AttributeError):
+            graph.edges.append(graph.edges[0])
+        with pytest.raises(AttributeError):
+            graph.entities.add("new entity")
+        with pytest.raises(TypeError):
+            graph.passages[pid] = graph.passages[pid]
+        with pytest.raises(TypeError):
+            graph.alias_map["new variant"] = "ctrl register"
+        with pytest.raises(TypeError):
+            graph.statements["new"] = graph.triples[sorted(graph.triples)[0]]
+        for name in ("passages", "entities", "triples", "edges", "alias_map",
+                     "embeddings", "statements"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(graph, name, None)
+        with pytest.raises(FrozenInstanceError):
+            graph.embeddings.keys = ()
+        with pytest.raises(ValueError, match="read-only"):
+            graph.embeddings.matrix[0] = 0.0
+        assert before == (len(graph.edges), len(graph.entities), dict(graph.passages),
+                          dict(graph.alias_map), graph.embeddings.matrix.tobytes())
+
+    def test_a_graph_keeps_no_handle_of_its_caller(self):
+        # what the constructor is given is copied, so editing it later leaves
+        # the graph as it was built
+        passages = {"p0": passage()}
+        alias_map = {"ctrl": "ctrl register"}
+        entities, edges = {"fsm"}, [kgmod.Edge("mention", "e:fsm", "p:p0")]
+        graph = kgmod.SpecGraph(passages=passages, entities=entities, edges=edges,
+                                alias_map=alias_map)
+        passages["p1"] = passage("p1")
+        alias_map["tx"] = "tx register"
+        entities.add("idle")
+        edges.append(kgmod.Edge("mention", "e:idle", "p:p1"))
+        assert list(graph.passages) == ["p0"] and graph.alias_map == {"ctrl": "ctrl register"}
+        assert graph.entities == {"fsm"} and len(graph.edges) == 1

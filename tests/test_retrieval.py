@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -95,18 +97,17 @@ class FakeEmbedGateway:
 
 
 def toy_graph_with_embeddings(table):
-    graph = SpecGraph()
-    keys, rows = [], []
+    passages, keys, rows = {}, [], []
     for key, vec in sorted(table.items()):
         pid = key
-        graph.passages[pid] = Passage(passage_id=pid, doc_id="t", section_path=[],
-                                      text=f"text of {pid}", sentence_spans=[],
-                                      token_estimate=1)
+        passages[pid] = Passage(passage_id=pid, doc_id="t", section_path=[],
+                                text=f"text of {pid}", sentence_spans=[],
+                                token_estimate=1)
         keys.append(f"p:{pid}")
         arr = np.asarray(vec, dtype=float)
         rows.append(arr / np.linalg.norm(arr))
-    graph.embeddings = EmbeddingIndex(keys, np.stack(rows).astype(np.float32), "fake")
-    return graph
+    return SpecGraph(passages=passages, embeddings=EmbeddingIndex(
+        keys, np.stack(rows).astype(np.float32), "fake"))
 
 
 class TestSeed:
@@ -144,8 +145,8 @@ class TestSeed:
         assert sum(weights.values()) == pytest.approx(1.0)
 
     def test_empty_index_rejected(self):
-        graph = SpecGraph()
-        graph.embeddings = EmbeddingIndex([], np.zeros((0, 0), dtype=np.float32), "fake")
+        graph = SpecGraph(embeddings=EmbeddingIndex([], np.zeros((0, 0), dtype=np.float32),
+                                                    "fake"))
         gw = FakeEmbedGateway({"q": [1.0]})
         with pytest.raises(EmptyGraph):
             seed("q", graph, 3, gw)
@@ -313,9 +314,7 @@ class TestPagerankCore:
         for damping in (0.0, 1.0, 1.5):
             with pytest.raises(InvalidInput):
                 pagerank_scores(2, [], np.array([0.5, 0.5]), damping)
-        graph = SpecGraph()
-        add_passage(graph, "a")
-        add_passage(graph, "b")
+        graph = SpecGraph(passages=stub_passages("a", "b"))
         for weights in ({"p:a": 0.4, "p:b": 0.4}, {"p:a": -0.5, "p:b": 1.5}):
             with pytest.raises(InvalidInput):
                 ppr(graph, weights, 0.85)
@@ -527,10 +526,7 @@ class TestPPROverGraph:
         assert np.abs(scores - whole_walk_ppr(graph, {keys[0]: 1.0}, 0.85)).sum() < 1e-12
 
     def test_rank_passages_orders_by_score_then_id(self):
-        graph = SpecGraph()
-        graph.entities = {"x"}
-        for pid in ("b", "a", "c", "d"):
-            add_passage(graph, pid)
+        graph = SpecGraph(passages=stub_passages("b", "a", "c", "d"), entities={"x"})
         assert retrieval.graph_walk(graph).passage_ids == ["a", "b", "c", "d"]
         # b and d differ from a only below the 12th decimal: all three tie
         scores = np.array([0.5, 0.5 + 3e-14, 0.9, 0.5 - 2e-14])
@@ -576,24 +572,24 @@ class TestPPROverGraph:
         assert len(calls) > len(manual.questions)
 
 
-def add_passage(graph, pid):
-    graph.passages[pid] = Passage(passage_id=pid, doc_id="t", section_path=[],
-                                  text=pid, sentence_spans=[], token_estimate=1)
+def stub_passages(*pids):
+    """Passages whose text is their id, by id."""
+    return {pid: Passage(passage_id=pid, doc_id="t", section_path=[], text=pid,
+                         sentence_spans=[], token_estimate=1) for pid in pids}
 
 
 @st.composite
 def small_graphs(draw):
     """Graphs with isolated nodes, repeated and self edges, edges to missing
     nodes, and sometimes no edges at all."""
-    graph = SpecGraph()
-    graph.entities = set(draw(st.lists(st.sampled_from("abcdefg"), max_size=6)))
-    for pid in draw(st.lists(st.sampled_from(["p1", "p2", "p10", "q"]), max_size=4)):
-        add_passage(graph, pid)
-    keys = graph.all_node_keys()
+    entities = draw(st.lists(st.sampled_from("abcdefg"), max_size=6))
+    passages = stub_passages(*draw(st.lists(st.sampled_from(["p1", "p2", "p10", "q"]),
+                                            max_size=4)))
+    keys = SpecGraph(passages=passages, entities=entities).all_node_keys()
     endpoints = st.sampled_from(keys + ["e:missing"]) if keys else st.just("e:missing")
-    graph.edges = draw(st.lists(st.builds(Edge, st.just("mention"), endpoints, endpoints),
-                                max_size=12))
-    return graph
+    edges = draw(st.lists(st.builds(Edge, st.just("mention"), endpoints, endpoints),
+                          max_size=12))
+    return SpecGraph(passages=passages, entities=entities, edges=edges)
 
 
 def assert_matches_whole_walk(graph, weights, damping):
@@ -636,8 +632,7 @@ class TestCachedWalk:
             assert ppr(graph, weights, damping)[0].tobytes() == first.tobytes()
 
     def test_nodeless_graph_raises(self):
-        graph = SpecGraph()
-        graph.edges = [Edge("mention", "e:a", "p:b")]
+        graph = SpecGraph(edges=[Edge("mention", "e:a", "p:b")])
         with pytest.raises(EmptyGraph):
             ppr(graph, {}, 0.85)
 
@@ -709,46 +704,49 @@ class TestCachedWalk:
         assert sorted(retrieval.graph_walk(fresh).tables) == [0.5, 0.85]
 
     def test_changed_graph_gets_a_new_walk(self, monkeypatch):
+        # apply_normalization returns a new graph: it gets its own walk and
+        # table, and the graph it came from keeps its own
         tables = self.count_calls(monkeypatch, "build_passage_table")
-        graph = SpecGraph()
-        graph.entities = {"ctrl reg", "ctrl register", "fsm"}
-        for pid in ("p1", "p2", "p3"):
-            add_passage(graph, pid)
-        graph.edges = [Edge("alias", "e:ctrl reg", "e:ctrl register"),
-                       Edge("mention", "e:ctrl reg", "p:p1"),
-                       Edge("mention", "e:ctrl register", "p:p2"),
-                       Edge("mention", "e:fsm", "p:p3")]
+        graph = SpecGraph(passages=stub_passages("p1", "p2", "p3"),
+                          entities={"ctrl reg", "ctrl register", "fsm"},
+                          edges=[Edge("alias", "e:ctrl reg", "e:ctrl register"),
+                                 Edge("mention", "e:ctrl reg", "p:p1"),
+                                 Edge("mention", "e:ctrl register", "p:p2"),
+                                 Edge("mention", "e:fsm", "p:p3")])
         params = ({"p:p1": 1.0}, 0.85)
         before = assert_matches_whole_walk(graph, *params)
-        assert_matches_whole_walk(graph, *params)
+        walk = retrieval.graph_walk(graph)
         assert len(tables) == 1
 
-        kgmod.apply_normalization(graph)  # reassigns edges and entities
-        after_merge = assert_matches_whole_walk(graph, *params)
+        merged = kgmod.apply_normalization(graph)
+        after_merge = assert_matches_whole_walk(merged, *params)
         assert np.abs(after_merge - before).sum() > 1e-3
+        assert retrieval.graph_walk(merged) is not walk
+        assert list(retrieval.graph_walk(merged).tables) == [0.85]
         assert len(tables) == 2
 
-        graph.edges.append(Edge("mention", "e:fsm", "p:p2"))  # in place
-        after_append = assert_matches_whole_walk(graph, *params)
-        assert np.abs(after_append - after_merge).sum() > 1e-3
-        assert len(tables) == 3
+        assert retrieval.graph_walk(graph) is walk and list(walk.tables) == [0.85]
+        assert ppr(graph, *params)[0].tobytes() == before.tobytes()
+        assert len(tables) == 2
 
-        add_passage(graph, "p4")
-        assert len(assert_matches_whole_walk(graph, *params)) == len(graph.passages) == 4
-        assert len(tables) == 4
+    def test_walks_do_not_keep_graphs_alive(self):
+        graph = SpecGraph(passages=stub_passages("p1", "p2"), entities={"a"},
+                          edges=[Edge("mention", "e:a", "p:p1")])
+        ppr(graph, {"p:p1": 1.0}, 0.85)
+        alive = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert alive() is None
 
     def test_interchangeable_passages_tie_exactly(self):
         # A star seeded at its centre: every passage is the same distance from
         # the seed, so their scores agree to the rounding rank_passages applies,
         # and it orders them by id.
-        graph = SpecGraph()
-        graph.entities = {"hub", "leaf"}
         ids = ["7", "12", "3", "10", "1", "25", "4"]
-        for pid in ids:
-            add_passage(graph, pid)
-        graph.edges = [Edge("mention", "e:hub", f"p:{pid}") for pid in ids]
-        graph.edges.append(Edge("mention", "e:leaf", "p:7"))
-        graph.edges.append(Edge("mention", "e:leaf", "p:12"))
+        graph = SpecGraph(passages=stub_passages(*ids), entities={"hub", "leaf"},
+                          edges=[Edge("mention", "e:hub", f"p:{pid}") for pid in ids]
+                          + [Edge("mention", "e:leaf", "p:7"),
+                             Edge("mention", "e:leaf", "p:12")])
         for damping in (0.5, 0.85):
             scores, _ = ppr(graph, {"e:hub": 1.0}, damping)
             ranked = rank_passages(graph, scores, len(ids))
@@ -1077,20 +1075,15 @@ class TestMarginalGain:
 
 
 def anchored_graph():
-    graph = SpecGraph()
-
-    def add(pid, anchor):
-        graph.passages[pid] = Passage(passage_id=pid, doc_id="t", section_path=[],
-                                      text=pid, sentence_spans=[], token_estimate=1,
-                                      anchor=anchor)
-
-    add("proc-fsm", SemanticAnchor("procedural", "fsm"))
-    add("decl-fsm", SemanticAnchor("declarative", "fsm"))
-    add("proc-ctrl", SemanticAnchor("procedural", "ctrl register"))
-    add("proc-ctrl-alias", SemanticAnchor("procedural", "ctrl reg"))
-    add("unanchored", None)
-    graph.alias_map = {"ctrl reg": "ctrl register"}
-    return graph
+    anchors = {"proc-fsm": SemanticAnchor("procedural", "fsm"),
+               "decl-fsm": SemanticAnchor("declarative", "fsm"),
+               "proc-ctrl": SemanticAnchor("procedural", "ctrl register"),
+               "proc-ctrl-alias": SemanticAnchor("procedural", "ctrl reg"),
+               "unanchored": None}
+    passages = {pid: Passage(passage_id=pid, doc_id="t", section_path=[], text=pid,
+                             sentence_spans=[], token_estimate=1, anchor=anchor)
+                for pid, anchor in anchors.items()}
+    return SpecGraph(passages=passages, alias_map={"ctrl reg": "ctrl register"})
 
 
 class TestAnchorFilter:
