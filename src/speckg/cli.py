@@ -127,11 +127,12 @@ def cmd_query(args) -> int:
     return 0 if not any(f.startswith("error:") for f in record.flags) else 1
 
 
-def _run_eval(cfg: RunConfig, kg_dir: str, dataset_path: str):
+def _scoring_inputs(cfg: RunConfig, args):
+    """The gateway, the store's graph with its manifest checksums, and the
+    dataset of a scoring command."""
     gateway = build_gateway(cfg)
-    graph = kgmod.load(kg_dir)
-    dataset = evaluation.load_dataset(dataset_path)
-    return evaluation.run_benchmark(dataset, graph, gateway, cfg)
+    graph, checksums = kgmod.load_store(args.kg)
+    return gateway, graph, checksums, evaluation.load_dataset(args.dataset)
 
 
 def _exit_code(report: evaluation.EvalReport) -> int:
@@ -144,7 +145,8 @@ def _exit_code(report: evaluation.EvalReport) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
-    report = _run_eval(cfg, args.kg, args.dataset)
+    gateway, graph, _, dataset = _scoring_inputs(cfg, args)
+    report = evaluation.run_benchmark(dataset, graph, gateway, cfg)
     out = Path(args.out)
     evaluation.write_report(report, out, out.with_suffix(".txt"))
     print(report.render_text())
@@ -153,12 +155,15 @@ def cmd_eval(args) -> int:
 
 def _bench_into(cfg: RunConfig, args, run_dir: Path) -> evaluation.EvalReport:
     """Persist the effective config with the store's and dataset's checksums,
-    score the dataset, and write the report into ``run_dir``."""
+    score the dataset, and write the report into ``run_dir``. The store's
+    checksum is the manifest's, which ``graph.jsonl`` was checked against as
+    it was loaded."""
+    gateway, graph, checksums, dataset = _scoring_inputs(cfg, args)
     cfg.persist(run_dir, extra={
-        "corpus_checksum": kgmod.sha256_file(Path(args.kg) / "graph.jsonl"),
+        "corpus_checksum": checksums["graph.jsonl"],
         "dataset_checksum": kgmod.sha256_file(Path(args.dataset)),
     })
-    report = _run_eval(cfg, args.kg, args.dataset)
+    report = evaluation.run_benchmark(dataset, graph, gateway, cfg)
     evaluation.write_report(report, run_dir / "report.json", run_dir / "report.txt")
     return report
 

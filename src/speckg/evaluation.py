@@ -82,10 +82,15 @@ class QAItem:
 
 
 def load_dataset(path: str | Path) -> list[QAItem]:
-    """The items of a JSON-lines QA dataset. A line that is not JSON or not a
-    valid item raises InvalidInput naming ``path:line``."""
+    """The items of a JSON-lines QA dataset. A file that cannot be opened
+    raises InvalidInput, and a line that is not JSON or not a valid item one
+    naming ``path:line``."""
     items = []
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInput(f"cannot read dataset {path}: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -1,9 +1,10 @@
 """Document ingestion: chunking, sentence IR extraction, anchor distillation.
 
-A document becomes passages (the retrieval granularity), each passage's
-sentences get structured parses from one gateway call, and every passage is
-distilled to a semantic anchor, a (type, entity) tag of its functional
-intent, or an explicit no-anchor marker when nothing parseable survives.
+A document becomes passages (the retrieval granularity), the sentences of
+each run of passages up to the passage budget get structured parses from one
+gateway call, and every passage is distilled to a semantic anchor, a (type,
+entity) tag of its functional intent, or an explicit no-anchor marker when
+nothing parseable survives.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import prompts
@@ -52,15 +54,24 @@ class SemanticAnchor:
         return cls(data["anchor_type"], data["entity"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Passage:
+    """A run of a document's text, built whole: ingest makes each passage
+    once its anchor is known, so a graph's passages never change."""
+
     passage_id: str
     doc_id: str
-    section_path: list[str]
+    section_path: tuple[str, ...]
     text: str
-    sentence_spans: list[tuple[int, int]]
+    sentence_spans: tuple[tuple[int, int], ...]
     token_estimate: int
     anchor: SemanticAnchor | None = None
+
+    def __post_init__(self):
+        # A list the caller passes is copied into a tuple, so no one keeps a
+        # handle that edits the passage.
+        object.__setattr__(self, "section_path", tuple(self.section_path))
+        object.__setattr__(self, "sentence_spans", tuple(map(tuple, self.sentence_spans)))
 
     def sentences(self) -> list[str]:
         return [self.text[s:e] for s, e in self.sentence_spans]
@@ -82,9 +93,9 @@ class Passage:
         return cls(
             passage_id=data["passage_id"],
             doc_id=data["doc_id"],
-            section_path=list(data["section_path"]),
+            section_path=data["section_path"],
             text=data["text"],
-            sentence_spans=[tuple(span) for span in data["sentence_spans"]],
+            sentence_spans=data["sentence_spans"],
             token_estimate=data["token_estimate"],
             anchor=anchor,
         )
@@ -201,7 +212,7 @@ def chunk(document: str, doc_id: str,
         passages.append(Passage(
             passage_id=passage_id,
             doc_id=doc_id,
-            section_path=[title for _, title in section_stack],
+            section_path=tuple(title for _, title in section_stack),
             text=text,
             sentence_spans=_passage_spans(text),
             token_estimate=estimate_tokens(text),
@@ -276,36 +287,71 @@ def _passage_spans(text: str) -> list[tuple[int, int]]:
 
 # --- sentence extraction -----------------------------------------------------
 
-def passage_replies(gateway: Gateway, passage: Passage) -> dict[int, dict]:
-    """Classify and parse a passage's non-blank sentences in one model call.
+def extraction_batches(passages: list[Passage], max_tokens: int) -> Iterator[list[Passage]]:
+    """Runs of consecutive passages, in document order, whose summed
+    ``token_estimate`` stays within ``max_tokens``; a passage over the budget
+    goes alone. So no request carries more text than one passage may."""
+    batch: list[Passage] = []
+    tokens = 0
+    for passage in passages:
+        if batch and tokens + passage.token_estimate > max_tokens:
+            yield batch
+            batch, tokens = [], 0
+        batch.append(passage)
+        tokens += passage.token_estimate
+    if batch:
+        yield batch
 
-    Returns each sentence's schema-checked ``semantic-ir`` entry by the
-    sentence's index in the passage; a passage with no non-blank sentence
-    makes no call. The reply is dropped with a warning when it is still
-    malformed after the gateway's repair, holds the wrong number of entries,
-    or, in replay, was never recorded (record mode stores no malformed
-    reply). Then each sentence is asked alone through
+
+def batch_replies(gateway: Gateway, batch: list[Passage]) -> dict[str, dict[int, dict]]:
+    """Classify and parse the non-blank sentences of a run of passages in one
+    model call.
+
+    Returns each sentence's schema-checked ``semantic-ir`` entry by passage id
+    and the sentence's index in the passage. A passage with no non-blank
+    sentence is left out of the request, and a run of such passages makes no
+    call. A reply is dropped with a warning when it is still malformed after
+    the gateway's repair, holds the wrong number of entries, or, in replay,
+    was never recorded (record mode stores no malformed reply). Then each
+    passage of the request is asked alone, and a lone passage's unusable
+    reply has its sentences asked one at a time through
     :func:`classify_sentence`, so one bad reply loses no sentence.
     """
-    sentences = {i: s for i, s in enumerate(passage.sentences()) if s.strip()}
-    if not sentences:
+    asked = [(passage, sentences) for passage in batch
+             if (sentences := {i: s for i, s in enumerate(passage.sentences()) if s.strip()})]
+    if not asked:
         return {}
+    count = sum(len(sentences) for _, sentences in asked)
     try:
-        entries = gateway.chat(prompts.extract_ir(list(sentences.values()),
-                                                  passage.section_path))["sentences"]
-        if len(entries) == len(sentences):
-            return dict(zip(sentences, entries))
-        problem = f"{len(entries)} entries for {len(sentences)} sentences"
+        entries = gateway.chat(prompts.extract_ir(
+            [(passage.section_path, list(sentences.values())) for passage, sentences in asked]
+        ))["sentences"]
+        if len(entries) == count:
+            replies, start = {}, 0
+            for passage, sentences in asked:
+                end = start + len(sentences)
+                replies[passage.passage_id] = dict(zip(sentences, entries[start:end]))
+                start = end
+            return replies
+        problem = f"{len(entries)} entries for {count} sentences"
     except (MalformedReply, FixtureMiss) as exc:
         problem = str(exc)
+    if len(asked) > 1:
+        logger.warning("passages %s to %s: unusable ir-extract reply (%s); asking each "
+                       "of its %d passages alone", asked[0][0].passage_id,
+                       asked[-1][0].passage_id, problem, len(asked))
+        return {passage.passage_id: batch_replies(gateway, [passage])[passage.passage_id]
+                for passage, _ in asked}
+    passage, sentences = asked[0]
     logger.warning("passage %s: unusable ir-extract reply (%s); asking its %d "
                    "sentences one at a time", passage.passage_id, problem, len(sentences))
-    return {i: classify_sentence(gateway, s, passage) for i, s in sentences.items()}
+    return {passage.passage_id: {i: classify_sentence(gateway, s, passage)
+                                 for i, s in sentences.items()}}
 
 
 def classify_sentence(gateway: Gateway, sentence: str, passage: Passage) -> dict:
-    """Classify and parse one sentence alone: the fallback when a passage's
-    reply is unusable.
+    """Classify and parse one sentence alone: the fallback when a lone
+    passage's reply is unusable.
 
     Sends a one-sentence ``ir-extract`` request and returns its one entry,
     the sentence's ``kind`` and that kind's fields, or a skip. A blank
@@ -313,7 +359,7 @@ def classify_sentence(gateway: Gateway, sentence: str, passage: Passage) -> dict
     """
     if not sentence.strip():
         raise SkippedSentence(BLANK_SENTENCE)
-    entries = gateway.chat(prompts.extract_ir([sentence], passage.section_path))["sentences"]
+    entries = gateway.chat(prompts.extract_ir([(passage.section_path, [sentence])]))["sentences"]
     if len(entries) != 1:
         raise MalformedReply(f"ir-extract reply holds {len(entries)} entries for one "
                              f"sentence of {passage.passage_id}")
@@ -367,30 +413,34 @@ def distill_anchor(irs: list[SemanticIR]) -> SemanticAnchor | None:
 
 def ingest_document(gateway: Gateway, document: str, doc_id: str,
                     max_passage_tokens: int = DEFAULT_MAX_PASSAGE_TOKENS) -> Corpus:
-    """Full ingest: chunk, classify and parse each passage's sentences in one
-    model call, distill anchors.
+    """Full ingest: chunk, classify and parse the sentences of each run of
+    passages up to the passage budget in one model call, distill anchors.
 
-    Extraction results are committed in document order so corpus files are
-    deterministic regardless of call scheduling; skips are logged in sentence
-    order, blank sentences among them.
+    Runs are asked and committed one after another in document order, so
+    corpus files are deterministic regardless of call scheduling; skips are
+    logged in sentence order, blank sentences among them.
     """
-    passages = chunk(document, doc_id, max_passage_tokens)
+    passages: list[Passage] = []
     irs: list[SemanticIR] = []
     skipped: list[dict] = []
-    for passage in passages:
-        replies = passage_replies(gateway, passage)
-        passage_irs: list[SemanticIR] = []
-        for index, span in enumerate(passage.sentence_spans):
-            sentence_id = f"{passage.passage_id}:s{index:03d}"
-            reply = replies.get(index, {"skip": True, "reason": BLANK_SENTENCE})
-            try:
-                ir = extract_ir(reply, passage, sentence_id, span)
-            except SkippedSentence as exc:
-                skipped.append({"sentence_id": sentence_id, "reason": str(exc)})
-                continue
-            passage_irs.append(ir)
-        passage.anchor = distill_anchor(passage_irs)
-        if passage.anchor is None:
-            logger.debug("passage %s has no anchor", passage.passage_id)
-        irs.extend(passage_irs)
+    for batch in extraction_batches(chunk(document, doc_id, max_passage_tokens),
+                                    max_passage_tokens):
+        batch_entries = batch_replies(gateway, batch)
+        for passage in batch:
+            replies = batch_entries.get(passage.passage_id, {})
+            passage_irs: list[SemanticIR] = []
+            for index, span in enumerate(passage.sentence_spans):
+                sentence_id = f"{passage.passage_id}:s{index:03d}"
+                reply = replies.get(index, {"skip": True, "reason": BLANK_SENTENCE})
+                try:
+                    ir = extract_ir(reply, passage, sentence_id, span)
+                except SkippedSentence as exc:
+                    skipped.append({"sentence_id": sentence_id, "reason": str(exc)})
+                    continue
+                passage_irs.append(ir)
+            passage = replace(passage, anchor=distill_anchor(passage_irs))
+            if passage.anchor is None:
+                logger.debug("passage %s has no anchor", passage.passage_id)
+            passages.append(passage)
+            irs.extend(passage_irs)
     return Corpus(doc_id=doc_id, passages=passages, irs=irs, skipped=skipped)

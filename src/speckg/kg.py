@@ -642,6 +642,12 @@ def load(store_dir: str | Path) -> SpecGraph:
     Each store file is read once; its sha256 is checked against the manifest,
     which must name both files, and the same bytes are then parsed.
     """
+    return load_store(store_dir)[0]
+
+
+def load_store(store_dir: str | Path) -> tuple[SpecGraph, dict[str, str]]:
+    """:func:`load`, also returning the manifest's sha256 of each store file,
+    which the files just read were checked against."""
     store = Path(store_dir)
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
@@ -690,4 +696,4 @@ def load(store_dir: str | Path) -> SpecGraph:
     keys = [embedding_rows[i] for i in range(rows)]
     kg = replace(kg, embeddings=EmbeddingIndex(keys, matrix, model_id))
     check_integrity(kg)
-    return kg
+    return kg, checksums

@@ -715,7 +715,8 @@ class OfflineModel:
     @staticmethod
     def _extract_ir(payload: dict) -> dict:
         return {"sentences": [OfflineModel._sentence_ir(item["text"])
-                              for item in payload["sentences"]]}
+                              for passage in payload["passages"]
+                              for item in passage["sentences"]]}
 
     @staticmethod
     def _sentence_ir(sentence: str) -> dict:

@@ -9,8 +9,10 @@ Generative tasks run at temperature 0.7, evaluation tasks at 0.2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+from collections.abc import Sequence
 
 from .gateway import ChatRequest
 
@@ -19,10 +21,10 @@ EVALUATION_TEMPERATURE = 0.2
 
 _SYSTEM = {
     "ir-extract": (
-        "You deconstruct each numbered sentence of a hardware specification "
-        "passage into a compact JSON structure. First decide its kind: a "
-        "declarative functional description (static properties, register fields, "
-        "signal functions) or a procedural behavioral description (state "
+        "You deconstruct each numbered sentence of one or more hardware "
+        "specification passages into a compact JSON structure. First decide its "
+        "kind: a declarative functional description (static properties, register "
+        "fields, signal functions) or a procedural behavioral description (state "
         "transitions, conditional triggers, signal assignments). Then parse it "
         "with that kind's template, \"kind\" first. Declarative sentences become "
         "{\"kind\": \"declarative\", \"central_entity\": ..., "
@@ -83,17 +85,21 @@ def _render(instruction: str, payload: dict) -> str:
     return f"{instruction}\n\nInput:\n```json\n{json.dumps(payload, ensure_ascii=False, sort_keys=True)}\n```"
 
 
-def extract_ir(sentences: list[str], section_path: list[str]) -> ChatRequest:
-    """One request for a passage's sentences, numbered from 1; the reply holds
-    one ``semantic-ir`` entry per sentence, in order."""
+def extract_ir(passages: list[tuple[Sequence[str], list[str]]]) -> ChatRequest:
+    """One request for the sentences of one or more passages, each given as
+    its (section path, sentences). The sentences are numbered from 1 across
+    the whole request; the reply holds one ``semantic-ir`` entry per
+    sentence, in order."""
+    numbers = itertools.count(1)
     return ChatRequest(
         task_tag="ir-extract",
         system_prompt=_SYSTEM["ir-extract"],
         user_prompt=_render("Classify each numbered sentence, then deconstruct it "
                             "using that kind's template.",
-                            {"sentences": [{"number": n, "text": sentence}
-                                           for n, sentence in enumerate(sentences, 1)],
-                             "section": section_path}),
+                            {"passages": [{"section": section,
+                                           "sentences": [{"number": next(numbers), "text": s}
+                                                         for s in sentences]}
+                                          for section, sentences in passages]}),
         temperature=GENERATIVE_TEMPERATURE,
         response_schema_id="semantic-ir-list",
     )

@@ -178,6 +178,27 @@ class TestDatasetErrors:
         assert "Traceback" not in err
 
 
+class TestMissingInputs:
+    """A scoring command whose dataset or store is not there prints one
+    ``error:`` line and exits 1, with no traceback."""
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("missing", ["dataset", "kg"])
+    def test_missing_input_is_one_error_line(self, built_store, tmp_path, capsys,
+                                             command, missing):
+        paths = {"kg": str(built_store["store"]), "dataset": str(QA_DATASET)}
+        paths[missing] = str(tmp_path / "absent")
+        out = (["--out", str(tmp_path / "report.json")] if command == "eval"
+               else ["--run-dir", str(tmp_path / "run")])
+        code = main([command, "--kg", paths["kg"], "--dataset", paths["dataset"], *out])
+        assert code == 1
+        err = capsys.readouterr().err
+        errors = [text for text in err.splitlines() if text.startswith("error: ")]
+        assert len(errors) == 1 and str(tmp_path / "absent") in errors[0]
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists() and not (tmp_path / "run").exists()
+
+
 class TestItemErrors:
     def test_judge_fixture_miss_fails_the_item(self, built_store, tmp_path):
         # without the atom-match replies no atom can be judged: each item ends

@@ -3,15 +3,16 @@ import logging
 
 import pytest
 
-from speckg import ingest
+from speckg import ingest, kg as kgmod, prompts
 from speckg.errors import InvalidInput, MalformedReply, SkippedSentence
 from speckg.gateway import FixtureStore
-from speckg.ingest import (Passage, SemanticIR, chunk, classify_sentence,
-                           distill_anchor, extract_ir, ingest_document)
+from speckg.ingest import (DEFAULT_MAX_PASSAGE_TOKENS, Passage, SemanticIR, chunk,
+                           classify_sentence, distill_anchor, extract_ir,
+                           extraction_batches, ingest_document)
 from speckg.offline import OfflineModel
 from speckg.prompts import extract_payload
 
-from conftest import load_manual_module, make_offline_gateway
+from conftest import SPEC_DOC, load_manual_module, make_offline_gateway
 
 HANDBUILT_DOC = """# Device Guide
 
@@ -62,10 +63,10 @@ class TestChunk:
         # equal its enclosing headings
         passages = chunk(HANDBUILT_DOC, "doc", max_passage_tokens=512)
         by_text = {p.text.splitlines()[0]: p for p in passages}
-        assert by_text["## Block A"].section_path == ["Device Guide", "Block A"]
-        assert by_text["### Block A details"].section_path == [
-            "Device Guide", "Block A", "Block A details"]
-        assert by_text["## Block B"].section_path == ["Device Guide", "Block B"]
+        assert by_text["## Block A"].section_path == ("Device Guide", "Block A")
+        assert by_text["### Block A details"].section_path == (
+            "Device Guide", "Block A", "Block A details")
+        assert by_text["## Block B"].section_path == ("Device Guide", "Block B")
 
     def test_token_budget_splits_long_sections(self):
         body = " ".join(f"Sentence number {i} is here." for i in range(200))
@@ -105,25 +106,31 @@ def parse(gw, sentence: str) -> SemanticIR:
     return extract_ir(reply, passage, "s0", passage.sentence_spans[0])
 
 
-def asked_sentences(request) -> list[str]:
-    return [item["text"] for item in extract_payload(request.user_prompt)["sentences"]]
+def asked_passages(request) -> list[list[str]]:
+    """The sentences of each passage of an ir-extract request, in order."""
+    return [[item["text"] for item in passage["sentences"]]
+            for passage in extract_payload(request.user_prompt)["passages"]]
 
 
 class RecordingModel(OfflineModel):
-    """The offline model, logging the sentences of every ir-extract request;
-    ``fault`` rewrites the reply entries for the ``faulty`` sentence list."""
+    """The offline model, logging every ir-extract request as the sentence
+    lists of its passages; ``fault`` rewrites the reply entries of every
+    request that holds the ``faulty`` passage's sentences."""
 
     def __init__(self, fault=None, faulty=None):
         super().__init__()
         self.asked = []
+        self.sections = []
         self.fault, self.faulty = fault, faulty
 
     def chat(self, request, model):
         reply = super().chat(request, model)
         assert request.task_tag == "ir-extract"
-        sentences = asked_sentences(request)
-        self.asked.append(sentences)
-        if sentences != self.faulty:
+        passages = asked_passages(request)
+        self.asked.append(passages)
+        self.sections.append([passage["section"] for passage in
+                              extract_payload(request.user_prompt)["passages"]])
+        if self.faulty not in passages:
             return reply
         return json.dumps({"sentences": self.fault(json.loads(reply)["sentences"])})
 
@@ -137,7 +144,8 @@ class OneSentenceModel(OfflineModel):
         self.refused = 0
 
     def chat(self, request, model):
-        if request.task_tag == "ir-extract" and len(asked_sentences(request)) > 1:
+        if (request.task_tag == "ir-extract"
+                and sum(map(len, asked_passages(request))) > 1):
             self.refused += 1
             return "I can only parse one sentence at a time."
         return super().chat(request, model)
@@ -146,6 +154,15 @@ class OneSentenceModel(OfflineModel):
 def ingest_warnings(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records
             if r.name == "speckg.ingest" and r.levelno == logging.WARNING]
+
+
+def source_document(source: str) -> tuple[str, str]:
+    """A document to ingest and its id: the fixture spec, or the benchmark's
+    seed-0 register manual of ``manual-<blocks>`` blocks."""
+    if source == "fixture-spec":
+        return SPEC_DOC.read_text(encoding="utf-8"), "serial_link_spec"
+    blocks = int(source.removeprefix("manual-"))
+    return load_manual_module().generate(0, blocks).text, "regmanual"
 
 
 class TestClassify:
@@ -236,20 +253,45 @@ class TestExtractIR:
         assert (ir.passage_id, ir.span) == (passage.passage_id, (0, 3))
 
 
-class TestOneCallPerPassage:
-    def test_one_ir_extract_call_per_passage_with_a_sentence(self, fixture_document,
-                                                              corpus):
+class TestOneRequestPerRun:
+    """One ir-extract request per run of consecutive passages whose summed
+    token estimates stay within the passage budget."""
+
+    @pytest.mark.parametrize("source, requests", [("fixture-spec", 2), ("manual-102", 23)])
+    def test_requests_hold_runs_of_passages_within_the_budget(self, source, requests):
+        document, doc_id = source_document(source)
         model = RecordingModel()
-        again = ingest_document(make_offline_gateway(provider=model), fixture_document,
-                                "serial_link_spec")
-        sentences = sum(len(p.sentence_spans) for p in again.passages)
-        assert sentences == len(again.irs) + len(again.skipped)
-        asked = [p.sentences() for p in again.passages
-                 if any(s.strip() for s in p.sentences())]
-        assert len(asked) == 21 < sentences == 40
-        assert model.asked == asked
-        assert [ir.to_dict() for ir in again.irs] == [ir.to_dict() for ir in corpus.irs]
-        assert again.skipped == corpus.skipped
+        corpus = ingest_document(make_offline_gateway(provider=model), document, doc_id)
+        asked = [p for p in corpus.passages if any(s.strip() for s in p.sentences())]
+        # every passage with a sentence is asked once, in document order
+        assert [sentences for request in model.asked for sentences in request] == [
+            p.sentences() for p in asked]
+        assert [section for request in model.sections for section in request] == [
+            list(p.section_path) for p in asked]
+        start = 0
+        for request in model.asked:
+            run = asked[start:start + len(request)]
+            start += len(request)
+            assert (len(run) == 1
+                    or sum(p.token_estimate for p in run) <= DEFAULT_MAX_PASSAGE_TOKENS)
+        assert len(model.asked) == requests
+        sentences = sum(len(p.sentence_spans) for p in corpus.passages)
+        assert sentences == len(corpus.irs) + len(corpus.skipped)
+
+    def test_sentences_are_numbered_across_the_request(self):
+        request = prompts.extract_ir([(("A",), ["One.", "Two."]), (("A", "B"), ["Three."])])
+        assert extract_payload(request.user_prompt) == {"passages": [
+            {"section": ["A"], "sentences": [{"number": 1, "text": "One."},
+                                             {"number": 2, "text": "Two."}]},
+            {"section": ["A", "B"], "sentences": [{"number": 3, "text": "Three."}]}]}
+
+    def test_a_passage_over_the_budget_goes_alone(self):
+        passages = [Passage(passage_id=f"d#p{i}", doc_id="d", section_path=(), text="x",
+                            sentence_spans=(), token_estimate=tokens)
+                    for i, tokens in enumerate([3, 4, 9, 2, 2, 2, 5])]
+        runs = list(extraction_batches(passages, 8))
+        assert [[p.token_estimate for p in run] for run in runs] == [
+            [3, 4], [9], [2, 2, 2], [5]]
 
 
 def corpus_files(corpus, out) -> dict[str, bytes]:
@@ -259,29 +301,34 @@ def corpus_files(corpus, out) -> dict[str, bytes]:
 
 class TestPerSentenceOracle:
     """Asking every sentence alone, through the fallback, is the oracle: the
-    passage requests must give byte-identical corpus files."""
+    requests for runs of passages must give byte-identical corpus files."""
 
     @pytest.mark.parametrize("source", ["fixture-spec", "manual-30"])
-    def test_fallback_for_every_passage_gives_the_same_files(self, source, fixture_document,
-                                                             tmp_path, caplog):
-        if source == "fixture-spec":
-            document, doc_id = fixture_document, "serial_link_spec"
-        else:
-            document, doc_id = load_manual_module().generate(0, 30).text, "regmanual"
-        batched = ingest_document(make_offline_gateway(), document, doc_id)
+    def test_fallback_for_every_passage_gives_the_same_files(self, source, tmp_path, caplog):
+        document, doc_id = source_document(source)
+        clean = RecordingModel()
+        batched = ingest_document(make_offline_gateway(provider=clean), document, doc_id)
         model = OneSentenceModel()
         with caplog.at_level(logging.WARNING, logger="speckg.ingest"):
             alone = ingest_document(make_offline_gateway(provider=model), document, doc_id)
-        multi = [p for p in batched.passages if len(p.sentence_spans) > 1]
-        assert multi and len(ingest_warnings(caplog)) == len(multi)
-        assert model.refused == len(multi) * 2  # each refusal, then its repair
+        # A refused request of several passages re-asks each alone; a refused
+        # lone passage asks its sentences alone. Each refusal is repaired once.
+        refused = [request for request in clean.asked if sum(map(len, request)) > 1]
+        split = [request for request in refused if len(request) > 1]
+        multi = [p for request in clean.asked for p in request if len(p) > 1]
+        assert split and multi
+        assert model.refused == 2 * (len(refused) + sum(len(p) > 1 for r in split for p in r))
+        warnings = ingest_warnings(caplog)
+        assert len([w for w in warnings if w.endswith("passages alone")]) == len(split)
+        assert len([w for w in warnings if w.endswith("one at a time")]) == len(multi)
         assert (corpus_files(alone, tmp_path / "alone")
                 == corpus_files(batched, tmp_path / "batched"))
         assert alone.skipped == batched.skipped
 
     def test_replay_reproduces_a_recorded_fallback(self, fixture_document, corpus, tmp_path):
-        # Record keeps no malformed reply, so replay misses on the passage
-        # request and must take the recorded one-sentence requests instead.
+        # Record keeps no malformed reply, so replay misses on the requests
+        # of several sentences and must take the recorded lone-passage and
+        # one-sentence requests instead.
         path = tmp_path / "f.jsonl"
         rec = make_offline_gateway(provider=OneSentenceModel(), mode="record",
                                    fixtures=FixtureStore(path))
@@ -294,8 +341,26 @@ class TestPerSentenceOracle:
             assert again.skipped == corpus.skipped
 
 
+def test_replay_of_a_recorded_build_writes_the_same_store(tmp_path, caplog):
+    document, doc_id = source_document("manual-30")
+    path = tmp_path / "f.jsonl"
+    stores = []
+    for name, provider in (("record", OfflineModel()), ("replay", None)):
+        # the replay store is opened once the record run has written it
+        gateway = make_offline_gateway(provider=provider, mode=name,
+                                       fixtures=FixtureStore(path))
+        with caplog.at_level(logging.WARNING, logger="speckg.ingest"):
+            corpus = ingest_document(gateway, document, doc_id)
+        corpus.save(tmp_path / name)
+        kgmod.save(kgmod.build_from_corpus(corpus, gateway), tmp_path / name)
+        stores.append({f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())})
+    assert len(stores[0]) == 5 and stores[0] == stores[1]
+    assert ingest_warnings(caplog) == []
+
+
 class TestPassageFallback:
-    """One bad passage reply re-asks that passage's sentences alone."""
+    """One bad reply to a run's request re-asks each of its passages alone;
+    only the bad passage then has its sentences asked one at a time."""
 
     @staticmethod
     def target(document):
@@ -309,22 +374,31 @@ class TestPassageFallback:
     def test_only_the_bad_passage_is_re_asked(self, fault, repaired, fixture_document,
                                               corpus, caplog):
         target = self.target(fixture_document)
-        model = RecordingModel(fault=fault, faulty=target.sentences())
+        sentences_of_target = target.sentences()
+        clean = RecordingModel()
+        ingest_document(make_offline_gateway(provider=clean), fixture_document,
+                        "serial_link_spec")
+        model = RecordingModel(fault=fault, faulty=sentences_of_target)
         with caplog.at_level(logging.WARNING, logger="speckg.ingest"):
             again = ingest_document(make_offline_gateway(provider=model), fixture_document,
                                     "serial_link_spec")
         expected = []
-        for p in again.passages:
-            sentences = p.sentences()
-            if sentences:
-                expected.append(sentences)
-            if p.passage_id == target.passage_id:
-                expected += [sentences] * repaired + [[s] for s in sentences]
+        for request in clean.asked:
+            expected.append(request)
+            if sentences_of_target in request:
+                assert len(request) > 1
+                expected += [request] * repaired
+                for sentences in request:
+                    expected.append([sentences])
+                    if sentences == sentences_of_target:
+                        expected += [[sentences]] * repaired + [[[s]] for s in sentences]
         assert model.asked == expected
         assert [ir.to_dict() for ir in again.irs] == [ir.to_dict() for ir in corpus.irs]
         assert again.skipped == corpus.skipped
         warnings = ingest_warnings(caplog)
-        assert len(warnings) == 1 and target.passage_id in warnings[0]
+        assert len(warnings) == 2 and warnings[0].endswith("passages alone")
+        assert warnings[1].startswith(f"passage {target.passage_id}:")
+        assert warnings[1].endswith("one at a time")
 
 
 class TestBlankSentences:
@@ -344,7 +418,7 @@ class TestBlankSentences:
         corpus, asked = self.ingest_passage(
             monkeypatch, text, [(0, len(first)), (len(first), blank_end),
                                 (blank_end, len(text))])
-        assert asked == [[first, second]]
+        assert asked == [[[first, second]]]
         assert corpus.skipped == [
             {"sentence_id": "d#p0000:s000", "reason": "no technical content"},
             {"sentence_id": "d#p0000:s001", "reason": "empty sentence"},

@@ -13,7 +13,7 @@ from speckg import kg as kgmod
 from speckg.cli import main
 from speckg.errors import (CorpusInconsistent, CorruptStore, IncompatibleFormat,
                            NormalizationCycle)
-from speckg.ingest import Corpus, Passage, SemanticIR, ingest_document
+from speckg.ingest import Corpus, Passage, SemanticAnchor, SemanticIR, ingest_document
 
 from conftest import load_manual_module, make_offline_gateway, mention_components
 
@@ -668,6 +668,12 @@ class TestReadOnly:
             graph.embeddings.keys = ()
         with pytest.raises(ValueError, match="read-only"):
             graph.embeddings.matrix[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            graph.passages[pid].anchor = SemanticAnchor("declarative", "new entity")
+        with pytest.raises(AttributeError):
+            graph.passages[pid].section_path.append("new section")
+        with pytest.raises(AttributeError):
+            graph.passages[pid].sentence_spans.append((0, 1))
         assert before == (len(graph.edges), len(graph.entities), dict(graph.passages),
                           dict(graph.alias_map), graph.embeddings.matrix.tobytes())
 
@@ -685,3 +691,11 @@ class TestReadOnly:
         edges.append(kgmod.Edge("mention", "e:idle", "p:p1"))
         assert list(graph.passages) == ["p0"] and graph.alias_map == {"ctrl": "ctrl register"}
         assert graph.entities == {"fsm"} and len(graph.edges) == 1
+
+    def test_a_passage_keeps_no_handle_of_its_caller(self):
+        section, spans = ["S"], [[0, 4]]
+        built = Passage(passage_id="p0", doc_id="t", section_path=section, text="Text.",
+                        sentence_spans=spans, token_estimate=1)
+        section.append("T")
+        spans[0][1] = 2
+        assert built.section_path == ("S",) and built.sentence_spans == ((0, 4),)

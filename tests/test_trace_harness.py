@@ -15,10 +15,11 @@ def test_trace_harness_instruments_speckg():
     # A fresh interpreter, so the harness's monkeypatching stays out of the
     # other tests. Embedding two texts inside an operation must count two,
     # which holds while Gateway.embed takes the texts as its one argument.
-    # Ingesting a document must count one ir-extract request per passage with
-    # a sentence. ingest.sentences counts the sentences asked alone through
-    # classify_sentence, the fallback for an unusable passage reply: none
-    # here. A retrieval makes one summarize request per expansion round, so
+    # Ingesting a document must count one ir-extract request per run of
+    # passages within the passage token budget: one here, for the one
+    # passage. ingest.sentences counts the sentences asked alone through
+    # classify_sentence, the fallback for a lone passage's unusable reply:
+    # none here. A retrieval makes one summarize request per expansion round, so
     # summarize_per_round reads 1.
     code = f"""
 import spans
