@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import hashlib
 import json
 import logging
 import sys
@@ -128,11 +129,15 @@ def cmd_query(args) -> int:
 
 
 def _scoring_inputs(cfg: RunConfig, args):
-    """The gateway, the store's graph with its manifest checksums, and the
-    dataset of a scoring command."""
+    """The gateway, graph and dataset of a scoring command, with checksums:
+    the manifest's of ``graph.jsonl``, which loading checked the file
+    against, and the dataset's, of the bytes that were parsed."""
     gateway = build_gateway(cfg)
-    graph, checksums = kgmod.load_store(args.kg)
-    return gateway, graph, checksums, evaluation.load_dataset(args.dataset)
+    graph, store_checksums = kgmod.load_store(args.kg)
+    data, dataset = evaluation.read_dataset(args.dataset)
+    checksums = {"corpus_checksum": store_checksums["graph.jsonl"],
+                 "dataset_checksum": hashlib.sha256(data).hexdigest()}
+    return gateway, graph, dataset, checksums
 
 
 def _exit_code(report: evaluation.EvalReport) -> int:
@@ -145,7 +150,7 @@ def _exit_code(report: evaluation.EvalReport) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
-    gateway, graph, _, dataset = _scoring_inputs(cfg, args)
+    gateway, graph, dataset, _ = _scoring_inputs(cfg, args)
     report = evaluation.run_benchmark(dataset, graph, gateway, cfg)
     out = Path(args.out)
     evaluation.write_report(report, out, out.with_suffix(".txt"))
@@ -155,14 +160,9 @@ def cmd_eval(args) -> int:
 
 def _bench_into(cfg: RunConfig, args, run_dir: Path) -> evaluation.EvalReport:
     """Persist the effective config with the store's and dataset's checksums,
-    score the dataset, and write the report into ``run_dir``. The store's
-    checksum is the manifest's, which ``graph.jsonl`` was checked against as
-    it was loaded."""
-    gateway, graph, checksums, dataset = _scoring_inputs(cfg, args)
-    cfg.persist(run_dir, extra={
-        "corpus_checksum": checksums["graph.jsonl"],
-        "dataset_checksum": kgmod.sha256_file(Path(args.dataset)),
-    })
+    score the dataset, and write the report into ``run_dir``."""
+    gateway, graph, dataset, checksums = _scoring_inputs(cfg, args)
+    cfg.persist(run_dir, extra=checksums)
     report = evaluation.run_benchmark(dataset, graph, gateway, cfg)
     evaluation.write_report(report, run_dir / "report.json", run_dir / "report.txt")
     return report

@@ -10,6 +10,7 @@ dropped before averaging.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -81,29 +82,33 @@ class QAItem:
         )
 
 
-def load_dataset(path: str | Path) -> list[QAItem]:
-    """The items of a JSON-lines QA dataset. A file that cannot be opened
-    raises InvalidInput, and a line that is not JSON or not a valid item one
-    naming ``path:line``."""
-    items = []
+def read_dataset(path: str | Path) -> tuple[bytes, list[QAItem]]:
+    """The bytes of a JSON-lines QA dataset and the items they hold. A file
+    that cannot be read raises InvalidInput, and a line that is not JSON or
+    not a valid item one naming ``path:line``."""
     try:
-        fh = open(path, encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InvalidInput(f"cannot read dataset {path}: {exc.strerror}") from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(QAItem.from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise InvalidInput(f"{path}:{lineno}: not JSON: {exc}") from None
-            except InvalidInput as exc:
-                raise InvalidInput(f"{path}:{lineno}: {exc}") from None
+    items = []
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            items.append(QAItem.from_dict(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"{path}:{lineno}: not JSON: {exc}") from None
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}:{lineno}: {exc}") from None
     if not items:
         raise InvalidInput(f"dataset {path} is empty")
-    return items
+    return data, items
+
+
+def load_dataset(path: str | Path) -> list[QAItem]:
+    """The items of the JSON-lines QA dataset at ``path``."""
+    return read_dataset(path)[1]
 
 
 # --- atoms -------------------------------------------------------------------
@@ -126,24 +131,18 @@ def decompose(gateway: Gateway, answer: str) -> list[str]:
     return atoms
 
 
-@dataclass
-class MatchOutcome:
-    matched: list[str]
-    judge_errors: int = 0
-
-
-def match(gateway: Gateway, a_gen: list[str], a_ref: list[str]) -> MatchOutcome:
-    """Greedy one-to-one matching of generated atoms against references.
+def match(gateway: Gateway, a_gen: list[str], a_ref: list[str]) -> list[str]:
+    """The generated atoms, in order, matched one-to-one to references.
 
     Each judge call sees only the references not yet consumed, so a single
     reference can never certify two paraphrases; a judge failure scores that
-    atom unmatched and is counted. A ``FixtureMiss`` is no judge failure: a
+    atom unmatched and is logged. A ``FixtureMiss`` is no judge failure: a
     replay without the judge's reply propagates it and fails the item.
     """
     if not a_ref:
         raise InvalidInput("reference atom set must be non-empty")
     available = list(range(len(a_ref)))
-    outcome = MatchOutcome(matched=[])
+    matched = []
     for atom in a_gen:
         refs = [a_ref[i] for i in available]
         if not refs:
@@ -152,14 +151,15 @@ def match(gateway: Gateway, a_gen: list[str], a_ref: list[str]) -> MatchOutcome:
             reply = gateway.chat(prompts.atom_match(atom, refs))
         except FixtureMiss:
             raise
-        except SpecKGError:
-            outcome.judge_errors += 1
+        except SpecKGError as exc:
+            logger.warning("judge failed on atom %r (%s: %s); scored unmatched",
+                           atom, type(exc).__name__, exc)
             continue
         idx = reply["match_index"]
         if idx is not None and 0 <= idx < len(refs):
             available.pop(idx)
-            outcome.matched.append(atom)
-    return outcome
+            matched.append(atom)
+    return matched
 
 
 def score(matched: list[str], a_gen: list[str], a_ref: list[str]) -> tuple[float, float, float]:
@@ -183,8 +183,8 @@ def atomic_score(gateway: Gateway, answer: str, gold_atoms: list[str]) -> Atomic
     a_gen = decompose(gateway, answer)
     if not a_gen:
         return AtomicScore(0.0, 0.0, 0.0)
-    outcome = match(gateway, a_gen, gold_atoms)
-    return AtomicScore(*score(outcome.matched, a_gen, gold_atoms))
+    matched = match(gateway, a_gen, gold_atoms)
+    return AtomicScore(*score(matched, a_gen, gold_atoms))
 
 
 # --- run-level metrics ----------------------------------------------------------

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
-import jsonschema
 import numpy as np
 
 from . import schemas
@@ -260,11 +259,8 @@ class Gateway:
             value = json.loads(text)
         except json.JSONDecodeError as exc:
             return None, f"not JSON: {exc}"
-        try:
-            schemas.validate_reply(schema_id, value)
-        except jsonschema.ValidationError as exc:
-            return None, exc.message
-        return value, None
+        error = schemas.validate_reply(schema_id, value)
+        return (value, None) if error is None else (None, error.message)
 
     @staticmethod
     def _encode_chat(reply) -> dict:
@@ -280,13 +276,11 @@ class Gateway:
                 )
             return record["text"]
         value = record["value"]
-        try:
-            schemas.validate_reply(req.response_schema_id, value)
-        except jsonschema.ValidationError as exc:
+        error = schemas.validate_reply(req.response_schema_id, value)
+        if error is not None:
             # The schema gate holds even for hand-edited fixture files.
-            raise MalformedReply(
-                f"recorded reply for {req.task_tag!r} violates schema: {exc.message}"
-            ) from exc
+            raise MalformedReply(f"recorded reply for {req.task_tag!r} violates schema: "
+                                 f"{error.message}")
         return value
 
     # -- embeddings -----------------------------------------------------------

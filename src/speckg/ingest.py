@@ -310,18 +310,23 @@ def batch_replies(gateway: Gateway, batch: list[Passage]) -> dict[str, dict[int,
     Returns each sentence's schema-checked ``semantic-ir`` entry by passage id
     and the sentence's index in the passage. A passage with no non-blank
     sentence is left out of the request, and a run of such passages makes no
-    call. A reply is dropped with a warning when it is still malformed after
-    the gateway's repair, holds the wrong number of entries, or, in replay,
-    was never recorded (record mode stores no malformed reply). Then each
-    passage of the request is asked alone, and a lone passage's unusable
-    reply has its sentences asked one at a time through
-    :func:`classify_sentence`, so one bad reply loses no sentence.
+    call; a run with a single such sentence is asked through
+    :func:`classify_sentence`, whose request it is. A reply is dropped with a
+    warning when it is still malformed after the gateway's repair, holds the
+    wrong number of entries, or, in replay, was never recorded (record mode
+    stores no malformed reply). Then each passage of the request is asked
+    alone, and a lone passage's unusable reply has its sentences asked one at
+    a time, so one bad reply loses no other sentence.
     """
     asked = [(passage, sentences) for passage in batch
              if (sentences := {i: s for i, s in enumerate(passage.sentences()) if s.strip()})]
     if not asked:
         return {}
     count = sum(len(sentences) for _, sentences in asked)
+    if count == 1:
+        [(passage, sentences)] = asked
+        return {passage.passage_id: {i: classify_sentence(gateway, s, passage)
+                                     for i, s in sentences.items()}}
     try:
         entries = gateway.chat(prompts.extract_ir(
             [(passage.section_path, list(sentences.values())) for passage, sentences in asked]
@@ -350,20 +355,27 @@ def batch_replies(gateway: Gateway, batch: list[Passage]) -> dict[str, dict[int,
 
 
 def classify_sentence(gateway: Gateway, sentence: str, passage: Passage) -> dict:
-    """Classify and parse one sentence alone: the fallback when a lone
-    passage's reply is unusable.
+    """Classify and parse one sentence alone: a run's only sentence, or the
+    fallback when a lone passage's reply is unusable.
 
     Sends a one-sentence ``ir-extract`` request and returns its one entry,
     the sentence's ``kind`` and that kind's fields, or a skip. A blank
-    sentence is skipped without a call.
+    sentence is skipped without a call. A reply still malformed after repair,
+    or holding other than one entry, is logged and gives a skip naming the
+    problem; a replay miss propagates as :class:`FixtureMiss`.
     """
     if not sentence.strip():
         raise SkippedSentence(BLANK_SENTENCE)
-    entries = gateway.chat(prompts.extract_ir([(passage.section_path, [sentence])]))["sentences"]
-    if len(entries) != 1:
-        raise MalformedReply(f"ir-extract reply holds {len(entries)} entries for one "
-                             f"sentence of {passage.passage_id}")
-    return entries[0]
+    try:
+        entries = gateway.chat(prompts.extract_ir([(passage.section_path, [sentence])]))["sentences"]
+        if len(entries) == 1:
+            return entries[0]
+        problem = f"{len(entries)} entries for one sentence"
+    except MalformedReply as exc:
+        problem = str(exc)
+    logger.warning("passage %s: unusable ir-extract reply (%s); skipping a sentence",
+                   passage.passage_id, problem)
+    return {"skip": True, "reason": f"unusable ir-extract reply: {problem}"}
 
 
 def extract_ir(reply: dict, passage: Passage, sentence_id: str,

@@ -508,14 +508,6 @@ def build_from_corpus(corpus: Corpus, gateway: Gateway) -> SpecGraph:
 
 # --- persistence -------------------------------------------------------------------
 
-def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 # graph.jsonl's record encoder, made once
 _GRAPH_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 

@@ -3,25 +3,24 @@
 A reply tagged with a schema id must validate before it reaches any
 downstream module; "freeform" replies bypass validation and stay text.
 
-At import each schema is checked against its meta-schema by jsonschema and
-compiled twice: into a jsonschema validator, and into a plain-Python
-predicate (``compile_predicate``) that decides validity without building a
-validator per subschema. A reply the predicate accepts is valid; only a
-rejected reply goes to jsonschema, which words the error. The predicate
-knows only the keywords the registry uses (``type``, ``enum``, ``const``,
+Each schema is compiled once, at import, into a plain-Python predicate
+(``compile_predicate``) that decides validity. The predicate knows only the
+keywords the registry uses (``type``, ``enum`` and ``const`` over scalars,
 ``minLength``, ``minimum``, ``required``, ``properties``,
 ``additionalProperties: false``, ``items``, ``not``, ``anyOf`` and
 ``if``/``then``/``else``), each with jsonschema's rule; any other keyword is
-refused when the schema is compiled.
+refused when the schema is compiled. jsonschema is imported only when a
+reply is rejected, to word the error; the schemas themselves are checked
+against their meta-schema by the tests.
 """
 
 from __future__ import annotations
 
 import numbers
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import jsonschema
-from jsonschema._utils import equal
+if TYPE_CHECKING:
+    from jsonschema import ValidationError
 
 FREEFORM = "freeform"
 
@@ -35,9 +34,9 @@ _ANCHOR = {
     "additionalProperties": False,
 }
 
-# The three semantic-ir reply shapes exclude each other (a skip has no kind,
-# and each parse names its own kind), so the schema checks one of them: a
-# reply is a skip if it carries "skip", a procedural parse if its kind says
+# The three shapes of a semantic-ir entry exclude each other (a skip has no
+# kind, and each parse names its own kind), so the schema checks one of them:
+# an entry is a skip if it carries "skip", a procedural parse if its kind says
 # so, and a declarative parse otherwise.
 _SKIP = {
     "required": ["skip"],
@@ -101,7 +100,6 @@ _SEMANTIC_IR = {
 }
 
 SCHEMAS: dict[str, dict] = {
-    "semantic-ir": _SEMANTIC_IR,
     # One ir-extract reply: a semantic-ir entry per sentence of the request.
     # The entry schema is inlined, not a $ref, so no reference is resolved
     # per entry; the entry count is checked against the request by ingest.
@@ -171,16 +169,6 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
-def compile_schema(schema: dict) -> jsonschema.protocols.Validator:
-    """Check ``schema`` against its draft's meta-schema and build its validator.
-
-    Raises jsonschema.SchemaError when the schema itself is invalid.
-    """
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 Predicate = Callable[[object], bool]
 
 _COMPILED_KEYWORDS = frozenset({
@@ -209,6 +197,13 @@ _TYPES: dict[str, Predicate] = {
     "integer": _is_integer,
     "number": _is_number,
 }
+
+
+def _equal(member, value) -> bool:
+    """jsonschema's ``equal`` for a scalar ``member``: True is not 1."""
+    if member is value:
+        return True
+    return not isinstance(member, bool) and not isinstance(value, bool) and member == value
 
 
 def _accept(x) -> bool:
@@ -256,35 +251,39 @@ def compile_predicate(schema: dict) -> Predicate:
 
     Each keyword follows its rule in jsonschema's ``_keywords``: a keyword
     for one type passes values of any other type, ``bool`` is neither an
-    ``integer`` nor a number, ``enum`` and ``const`` compare with
-    jsonschema's bool-aware ``equal``, and ``minimum`` fails only when
-    ``x < minimum``. Raises jsonschema.SchemaError on a keyword outside
-    ``_COMPILED_KEYWORDS`` or an ``additionalProperties`` other than false,
-    so no rule is skipped silently.
+    ``integer`` nor a number, ``enum`` and ``const`` compare as jsonschema's
+    ``equal`` does (``True`` is not ``1``), and ``minimum`` fails only when
+    ``x < minimum``. Raises ValueError on a keyword outside
+    ``_COMPILED_KEYWORDS``, an ``additionalProperties`` other than false, or
+    an ``enum`` or ``const`` member that is not a string, bool, number or
+    null, so no rule is skipped silently.
     """
     if not isinstance(schema, dict):
-        raise jsonschema.SchemaError(f"cannot compile non-object schema {schema!r}")
+        raise ValueError(f"cannot compile non-object schema {schema!r}")
     unknown = sorted(set(schema) - _COMPILED_KEYWORDS)
     if unknown:
-        raise jsonschema.SchemaError(f"cannot compile schema keywords {unknown}")
+        raise ValueError(f"cannot compile schema keywords {unknown}")
     if schema.get("additionalProperties", False) is not False:
-        raise jsonschema.SchemaError("cannot compile additionalProperties other than false")
+        raise ValueError("cannot compile additionalProperties other than false")
+    constants = schema.get("enum", []) + ([schema["const"]] if "const" in schema else [])
+    if not all(c is None or isinstance(c, (str, int, float)) for c in constants):
+        raise ValueError(f"cannot compile enum or const members {constants!r}")
 
     checks: list[Predicate] = []
     if "type" in schema:
         types = schema["type"]
         names = [types] if isinstance(types, str) else types
         if not set(names) <= set(_TYPES):
-            raise jsonschema.SchemaError(f"cannot compile type {types!r}")
+            raise ValueError(f"cannot compile type {types!r}")
         preds = [_TYPES[name] for name in names]
         checks.append(preds[0] if len(preds) == 1
                       else lambda x: any(pred(x) for pred in preds))
     if "enum" in schema:
         members = schema["enum"]
-        checks.append(lambda x: any(equal(each, x) for each in members))
+        checks.append(lambda x: any(_equal(each, x) for each in members))
     if "const" in schema:
         const = schema["const"]
-        checks.append(lambda x: equal(x, const))
+        checks.append(lambda x: _equal(const, x))
     if "minLength" in schema:
         min_length = schema["minLength"]
         checks.append(lambda x: not isinstance(x, str) or len(x) >= min_length)
@@ -314,29 +313,28 @@ def compile_predicate(schema: dict) -> Predicate:
     return _all_of(checks)
 
 
-VALIDATORS: dict[str, jsonschema.protocols.Validator] = {
-    schema_id: compile_schema(schema) for schema_id, schema in SCHEMAS.items()
-}
-
 PREDICATES: dict[str, Predicate] = {
     schema_id: compile_predicate(schema) for schema_id, schema in SCHEMAS.items()
 }
 
 
-def validate_reply(schema_id: str, reply: object) -> None:
-    """Raise jsonschema.ValidationError when the reply violates its schema.
+def validate_reply(schema_id: str, reply: object) -> ValidationError | None:
+    """None when the reply satisfies its schema; else jsonschema's error.
 
-    The compiled predicate decides; a rejected reply is explained by
-    jsonschema, so the error is the one ``jsonschema.validate`` would raise:
-    the best match among all violations.
+    The compiled predicate decides. Only a rejected reply imports jsonschema
+    and builds a validator, which words the error ``jsonschema.validate``
+    would raise: the best match among all violations. Raises KeyError on an
+    unknown schema id.
     """
     if schema_id == FREEFORM:
-        return
+        return None
     accepts = PREDICATES.get(schema_id)
     if accepts is None:
         raise KeyError(f"unknown response schema id: {schema_id!r}")
     if accepts(reply):
-        return
-    error = jsonschema.exceptions.best_match(VALIDATORS[schema_id].iter_errors(reply))
-    if error is not None:
-        raise error
+        return None
+    from jsonschema import exceptions, validators
+
+    schema = SCHEMAS[schema_id]
+    validator = validators.validator_for(schema)(schema)
+    return exceptions.best_match(validator.iter_errors(reply))

@@ -42,40 +42,40 @@ class TestDecompose:
 class TestMatch:
     def test_identical_sets_all_matched(self, offline_gateway):
         atoms = ["The FSM resets to IDLE", "The BAUD register defaults to 0x0010"]
-        outcome = match(offline_gateway, atoms, list(atoms))
-        assert outcome.matched == atoms
+        matched = match(offline_gateway, atoms, list(atoms))
+        assert matched == atoms
 
     def test_disjoint_sets_nothing_matched(self, offline_gateway):
-        outcome = match(offline_gateway,
+        matched = match(offline_gateway,
                         ["The sky is blue today"],
                         ["The BAUD register defaults to 0x0010"])
-        assert outcome.matched == []
+        assert matched == []
 
     def test_paraphrase_pair_matches(self, offline_gateway):
-        outcome = match(offline_gateway,
+        matched = match(offline_gateway,
                         ["The FSM resets to IDLE"],
                         ["The FSM returns to the IDLE state"])
-        assert outcome.matched == ["The FSM resets to IDLE"]
+        assert matched == ["The FSM resets to IDLE"]
 
     def test_one_to_one_reference_consumed_once(self, offline_gateway):
         # two paraphrases of one reference: only the first may match
-        outcome = match(offline_gateway,
+        matched = match(offline_gateway,
                         ["The FSM resets to IDLE", "The FSM returns to IDLE"],
                         ["The FSM returns to the IDLE state"])
-        assert len(outcome.matched) == 1
+        assert len(matched) == 1
 
     def test_cardinality_bound(self, offline_gateway):
         gen = ["The FSM resets to IDLE", "The FSM has 3 states",
                "The clock runs at 8 MHz"]
         ref = ["The FSM returns to the IDLE state"]
-        outcome = match(offline_gateway, gen, ref)
-        assert len(outcome.matched) <= min(len(gen), len(ref))
+        matched = match(offline_gateway, gen, ref)
+        assert len(matched) <= min(len(gen), len(ref))
 
     def test_empty_reference_rejected(self, offline_gateway):
         with pytest.raises(InvalidInput):
             match(offline_gateway, ["x"], [])
 
-    def test_judge_error_flagged_not_fatal(self):
+    def test_judge_error_flagged_not_fatal(self, caplog):
         from speckg.gateway import Gateway
 
         class Dead:
@@ -86,9 +86,15 @@ class TestMatch:
                 raise ConnectionError("down")
 
         gw = Gateway(provider=Dead(), mode="live", sleep=lambda s: None, max_attempts=1)
-        outcome = match(gw, ["claim one"], ["reference one"])
-        assert outcome.matched == []
-        assert outcome.judge_errors == 1
+        with caplog.at_level(logging.WARNING, logger="speckg.evaluation"):
+            matched = match(gw, ["claim one", "claim two"], ["reference one"])
+        assert matched == []
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "speckg.evaluation" and r.levelno == logging.WARNING]
+        assert len(warnings) == 2
+        for atom, warning in zip(["claim one", "claim two"], warnings):
+            assert warning.startswith(f"judge failed on atom {atom!r} (RetryExhausted: ")
+            assert "down" in warning
 
 
     def test_judge_fixture_miss_propagates(self, tmp_path):

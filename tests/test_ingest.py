@@ -4,7 +4,7 @@ import logging
 import pytest
 
 from speckg import ingest, kg as kgmod, prompts
-from speckg.errors import InvalidInput, MalformedReply, SkippedSentence
+from speckg.errors import FixtureMiss, InvalidInput, SkippedSentence
 from speckg.gateway import FixtureStore
 from speckg.ingest import (DEFAULT_MAX_PASSAGE_TOKENS, Passage, SemanticIR, chunk,
                            classify_sentence, distill_anchor, extract_ir,
@@ -192,9 +192,10 @@ class TestClassify:
     def test_one_sentence_reply_of_the_wrong_length_is_malformed(self):
         sentence = "The CTRL register holds the mode."
         model = RecordingModel(fault=lambda entries: entries * 2, faulty=[sentence])
-        with pytest.raises(MalformedReply, match="2 entries for one sentence"):
-            classify_sentence(make_offline_gateway(provider=model), sentence,
-                              make_passage(sentence))
+        reply = classify_sentence(make_offline_gateway(provider=model), sentence,
+                                  make_passage(sentence))
+        assert reply == {"skip": True,
+                         "reason": "unusable ir-extract reply: 2 entries for one sentence"}
 
     def test_reply_carries_the_kind_and_its_fields(self):
         gw = make_offline_gateway()
@@ -292,6 +293,68 @@ class TestOneRequestPerRun:
         runs = list(extraction_batches(passages, 8))
         assert [[p.token_estimate for p in run] for run in runs] == [
             [3, 4], [9], [2, 2, 2], [5]]
+
+
+class NotJsonModel(OfflineModel):
+    """The offline model, answering every chat request with text that is not
+    JSON."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def chat(self, request, model):
+        self.calls += 1
+        return "not json"
+
+
+class TestUnusableReplies:
+    """A sentence whose own ir-extract reply is unusable is skipped with the
+    reason; the ingest goes on."""
+
+    @staticmethod
+    def reasons(corpus) -> list[str]:
+        return [entry["reason"] for entry in corpus.skipped]
+
+    def test_one_sentence_document_is_asked_once_and_builds(self, caplog):
+        model = NotJsonModel()
+        gateway = make_offline_gateway(provider=model)
+        with caplog.at_level(logging.WARNING, logger="speckg.ingest"):
+            corpus = ingest_document(gateway, "# Guide\n\nThe CTRL register holds the mode.\n",
+                                     "doc")
+        # the request and its repair; the sentence is not asked again
+        assert model.calls == 2
+        assert corpus.irs == []
+        [reason] = self.reasons(corpus)
+        assert reason.startswith("unusable ir-extract reply: task_tag='ir-extract' reply "
+                                 "invalid after repair: not JSON")
+        problem = reason.removeprefix("unusable ir-extract reply: ")
+        assert ingest_warnings(caplog) == [
+            f"passage doc#p0000: unusable ir-extract reply ({problem}); skipping a sentence"]
+        graph = kgmod.build_from_corpus(corpus, make_offline_gateway())
+        assert list(graph.passages) == ["doc#p0000"]
+
+    def test_two_sentence_passage_skips_both_sentences(self):
+        model = NotJsonModel()
+        corpus = ingest_document(make_offline_gateway(provider=model),
+                                 "The CTRL register holds the mode. The FSM has 3 states.",
+                                 "doc")
+        # the passage's request, then each sentence alone, each repaired once
+        assert model.calls == 6
+        assert corpus.irs == []
+        assert [entry["sentence_id"] for entry in corpus.skipped] == [
+            "doc#p0000:s000", "doc#p0000:s001"]
+        assert all(reason.startswith("unusable ir-extract reply: ")
+                   for reason in self.reasons(corpus))
+
+    def test_replay_miss_on_a_one_sentence_passage_propagates(self, tmp_path):
+        replay = make_offline_gateway(provider=None, mode="replay",
+                                      fixtures=FixtureStore(tmp_path / "none.jsonl"))
+        with pytest.raises(FixtureMiss, match="ir-extract"):
+            ingest_document(replay, "The CTRL register holds the mode.", "doc")
+        with pytest.raises(FixtureMiss, match="ir-extract"):
+            classify_sentence(replay, "The CTRL register holds the mode.",
+                              make_passage("The CTRL register holds the mode."))
 
 
 def corpus_files(corpus, out) -> dict[str, bytes]:

@@ -540,8 +540,8 @@ def line_by_line_save(kg, out_dir: Path) -> None:
             "edges": len(kg.edges),
         },
         "checksums": {
-            "graph.jsonl": kgmod.sha256_file(graph_path),
-            "embeddings.bin": kgmod.sha256_file(emb_path),
+            "graph.jsonl": hashlib.sha256(graph_path.read_bytes()).hexdigest(),
+            "embeddings.bin": hashlib.sha256(emb_path.read_bytes()).hexdigest(),
         },
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:

@@ -12,6 +12,8 @@ from speckg.gateway import ChatRequest
 from speckg.offline import OfflineModel
 from speckg.providers import HttpProvider, make_provider
 
+from conftest import SPEC_DOC
+
 
 class FakeResponse:
     def __init__(self, payload, status=200):
@@ -96,15 +98,35 @@ class TestHttpProvider:
             provider.chat(request, "m")
 
 
-def test_cli_imports_no_requests():
-    # requests is imported on a hosted model's first call, not at start-up: a
-    # fresh interpreter that imports the CLI loads no requests module
-    code = ("import sys, speckg.cli; print(sorted(m for m in sys.modules "
-            "if m == 'requests' or m.startswith('requests.')))")
+def loaded_after(code: str, package: str) -> list[str]:
+    """The modules of ``package`` that a fresh interpreter has loaded after
+    running ``code``."""
+    code += ("\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules "
+             f"if m == {package!r} or m.startswith({package + '.'!r}))))")
     src = Path(providers.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_imports_no_requests():
+    # requests is imported on a hosted model's first call, not at start-up: a
+    # fresh interpreter that imports the CLI loads no requests module
+    assert loaded_after("import speckg.cli", "requests") == []
+
+
+def test_jsonschema_is_loaded_only_to_word_a_rejection(tmp_path):
+    # the compiled predicates decide; jsonschema is imported by the first
+    # rejected reply, to word its error
+    assert loaded_after("import speckg.cli", "jsonschema") == []
+    build = (f"from speckg import cli; assert cli.main(['build-kg', '--mode', 'record', "
+             f"'--fixtures', {str(tmp_path / 'f.jsonl')!r}, '--spec', {str(SPEC_DOC)!r}, "
+             f"'--out', {str(tmp_path / 'store')!r}]) == 0")
+    assert loaded_after(build, "jsonschema") == []
+    assert (tmp_path / "store" / "graph.jsonl").exists()
+    reject = ("from speckg import schemas; "
+              "assert schemas.validate_reply('atom-list', {'atoms': [1]}) is not None")
+    assert "jsonschema" in loaded_after(reject, "jsonschema")

@@ -14,11 +14,34 @@ from speckg.offline import OfflineModel
 
 _ANCHOR = {"anchor_type": "declarative", "entity": "ctrl register"}
 
-# Valid and invalid replies per schema id. Several invalid replies break more
-# than one rule at once, including under semantic-ir's and gap-assess's
-# if/then/else, so best_match has to choose among the errors.
+# The semantic-ir entry schema has no registry id: it is inlined as the items
+# of semantic-ir-list. Its cases are kept under this case id and each is
+# checked as a one-entry semantic-ir-list reply.
+ENTRY = "semantic-ir"
+ENTRY_SCHEMA = schemas.SCHEMAS["semantic-ir-list"]["properties"]["sentences"]["items"]
+
+
+def as_reply(case_id, reply):
+    """The registry id and the reply a case is checked as."""
+    if case_id == ENTRY:
+        return "semantic-ir-list", {"sentences": [reply]}
+    return case_id, reply
+
+
+def build_validator(schema):
+    """jsonschema's validator for ``schema``, once the schema passes its
+    draft's meta-schema."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+# Valid and invalid replies per case id: each schema id, and ENTRY. Several
+# invalid replies break more than one rule at once, including under the
+# entry's and gap-assess's if/then/else, so best_match has to choose among
+# the errors.
 REPLIES = {
-    "semantic-ir": [
+    ENTRY: [
         {"skip": True},
         {"skip": True, "reason": "heading"},
         {"kind": "declarative", "central_entity": "ctrl register",
@@ -110,27 +133,34 @@ REPLIES = {
 }
 
 
-def _outcome(check, schema_id, reply):
+CASE_SCHEMAS = {**schemas.SCHEMAS, ENTRY: ENTRY_SCHEMA}
+VALIDATORS = {case_id: build_validator(schema) for case_id, schema in CASE_SCHEMAS.items()}
+
+
+def _outcome(error):
+    return None if error is None else (error.message, list(error.path), error.validator)
+
+
+def oracle_error(schema_id, reply):
+    """The error ``jsonschema.validate`` raises on the reply, or None."""
     try:
-        check(schema_id, reply)
+        jsonschema.validate(reply, schemas.SCHEMAS[schema_id])
     except jsonschema.ValidationError as error:
-        return (error.message, list(error.path), error.validator)
+        return error
     return None
 
 
 def test_replies_cover_every_schema():
-    assert set(REPLIES) == set(schemas.SCHEMAS)
+    assert set(REPLIES) == set(schemas.SCHEMAS) | {ENTRY}
 
 
-@pytest.mark.parametrize("schema_id", sorted(schemas.SCHEMAS))
-def test_validate_reply_matches_jsonschema_validate(schema_id):
-    def oracle(sid, reply):
-        jsonschema.validate(reply, schemas.SCHEMAS[sid])
-
+@pytest.mark.parametrize("case_id", sorted(REPLIES))
+def test_validate_reply_matches_jsonschema_validate(case_id):
     outcomes = []
-    for reply in REPLIES[schema_id]:
-        expected = _outcome(oracle, schema_id, reply)
-        assert _outcome(schemas.validate_reply, schema_id, reply) == expected, reply
+    for case in REPLIES[case_id]:
+        schema_id, reply = as_reply(case_id, case)
+        expected = _outcome(oracle_error(schema_id, reply))
+        assert _outcome(schemas.validate_reply(schema_id, reply)) == expected, reply
         outcomes.append(expected is None)
     assert True in outcomes and False in outcomes
 
@@ -143,7 +173,7 @@ class TestGapAssessAnswer:
 
     @staticmethod
     def valid(reply) -> bool:
-        return schemas.VALIDATORS["gap-assess"].is_valid(reply)
+        return VALIDATORS["gap-assess"].is_valid(reply)
 
     def test_sufficient_with_answer_is_valid(self):
         assert self.valid({"thought": "t", "status": "sufficient", "answer": "a"})
@@ -152,8 +182,7 @@ class TestGapAssessAnswer:
     def test_sufficient_without_a_non_empty_answer_is_invalid(self, extra):
         reply = {"thought": "t", "status": "sufficient", **extra}
         assert not self.valid(reply)
-        with pytest.raises(jsonschema.ValidationError):
-            schemas.validate_reply("gap-assess", reply)
+        assert isinstance(schemas.validate_reply("gap-assess", reply), jsonschema.ValidationError)
 
     def test_gap_without_answer_is_valid(self):
         assert self.valid(self.GAP)
@@ -162,25 +191,24 @@ class TestGapAssessAnswer:
     def test_gap_with_answer_is_invalid(self, answer):
         reply = {**self.GAP, "answer": answer}
         assert not self.valid(reply)
-        with pytest.raises(jsonschema.ValidationError):
-            schemas.validate_reply("gap-assess", reply)
+        assert isinstance(schemas.validate_reply("gap-assess", reply), jsonschema.ValidationError)
 
 
 def test_unknown_id_raises_and_freeform_bypasses():
-    with pytest.raises(KeyError):
-        schemas.validate_reply("no-such-schema", {})
-    schemas.validate_reply(schemas.FREEFORM, object())
+    for unknown in ("no-such-schema", ENTRY):
+        with pytest.raises(KeyError):
+            schemas.validate_reply(unknown, {})
+    assert schemas.validate_reply(schemas.FREEFORM, object()) is None
 
 
 class TestCompiledAtImport:
-    def test_every_schema_id_has_a_compiled_validator(self):
-        assert set(schemas.VALIDATORS) == set(schemas.SCHEMAS)
-        for schema_id, validator in schemas.VALIDATORS.items():
-            assert validator.schema is schemas.SCHEMAS[schema_id]
+    def test_every_schema_passes_its_meta_schema(self):
+        for schema in schemas.SCHEMAS.values():
+            jsonschema.validators.validator_for(schema).check_schema(schema)
 
-    def test_invalid_schema_rejected_when_compiled(self):
+    def test_meta_schema_check_rejects_an_invalid_schema(self):
         with pytest.raises(jsonschema.SchemaError):
-            schemas.compile_schema({"type": "object", "required": "kind"})
+            build_validator({"type": "object", "required": "kind"})
 
     def test_replies_make_no_schema_checks(self, monkeypatch):
         calls = []
@@ -192,8 +220,9 @@ class TestCompiledAtImport:
                 return _original(schema, *args, **kwargs)
 
             monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
-        replies = [("semantic-ir", {"skip": True}),
+        replies = [("semantic-ir-list", {"sentences": [{"skip": True}]}),
                    ("atom-list", {"atoms": ["x"]}),
+                   ("atom-list", {"atoms": [1]}),
                    ("match-verdict", {"match_index": None}),
                    ("summary-list", {"summaries": ["s"]}),
                    ("gap-assess", {"thought": "t", "status": "sufficient", "answer": "a"})]
@@ -203,8 +232,9 @@ class TestCompiledAtImport:
 
 
 def test_semantic_ir_list_items_are_the_semantic_ir_schema_inlined():
-    items = schemas.SCHEMAS["semantic-ir-list"]["properties"]["sentences"]["items"]
-    assert items is schemas.SCHEMAS["semantic-ir"]
+    # the entry schema has no registry id of its own, and no $ref names it
+    assert ENTRY not in schemas.SCHEMAS
+    assert ENTRY_SCHEMA["type"] == "object" and "if" in ENTRY_SCHEMA
     assert "$ref" not in json.dumps(schemas.SCHEMAS)
 
 
@@ -265,7 +295,7 @@ ONE_OF_SEMANTIC_IR = {
     ],
 }
 
-ONE_OF_VALIDATOR = schemas.compile_schema(ONE_OF_SEMANTIC_IR)
+ONE_OF_VALIDATOR = build_validator(ONE_OF_SEMANTIC_IR)
 
 _scalar = st.sampled_from(["", "x", 0, 1.5, True, False, None])
 _text = st.sampled_from(["", "x"])
@@ -302,26 +332,23 @@ def semantic_ir_replies(draw):
     return reply
 
 
-@pytest.mark.parametrize("reply", REPLIES["semantic-ir"])
+@pytest.mark.parametrize("reply", REPLIES[ENTRY])
 def test_semantic_ir_accepts_what_one_of_accepts(reply):
-    assert (schemas.VALIDATORS["semantic-ir"].is_valid(reply)
-            == ONE_OF_VALIDATOR.is_valid(reply))
+    assert VALIDATORS[ENTRY].is_valid(reply) == ONE_OF_VALIDATOR.is_valid(reply)
 
 
 @settings(max_examples=600, deadline=None)
 @given(semantic_ir_replies())
 def test_semantic_ir_accepts_what_one_of_accepts_on_drawn_replies(reply):
-    accepted = schemas.VALIDATORS["semantic-ir"].is_valid(reply)
+    accepted = VALIDATORS[ENTRY].is_valid(reply)
     assert accepted == ONE_OF_VALIDATOR.is_valid(reply)
-    if not accepted:
-        with pytest.raises(jsonschema.ValidationError):
-            schemas.validate_reply("semantic-ir", reply)
+    assert (schemas.validate_reply(*as_reply(ENTRY, reply)) is None) == accepted
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(semantic_ir_replies(), max_size=4))
 def test_semantic_ir_list_accepts_lists_of_what_one_of_accepts(entries):
-    accepted = schemas.VALIDATORS["semantic-ir-list"].is_valid({"sentences": entries})
+    accepted = VALIDATORS["semantic-ir-list"].is_valid({"sentences": entries})
     assert accepted == all(ONE_OF_VALIDATOR.is_valid(entry) for entry in entries)
 
 
@@ -343,13 +370,13 @@ def _schema_words(schema, names: set, constants: set) -> None:
             _schema_words(value, names, constants)
 
 
-def drawn_replies(schema_id):
-    """Objects keyed by the schema's property names plus a stray key, with
+def drawn_replies(case_id):
+    """Objects keyed by the case's property names plus a stray key, with
     values drawn from edge scalars, lists and nested objects; and the valid
-    ``REPLIES`` of the schema with up to three keys or items, at any depth,
+    ``REPLIES`` of the case with up to three keys or items, at any depth,
     dropped, added or replaced by such a value."""
     names, constants = set(), set()
-    _schema_words(schemas.SCHEMAS[schema_id], names, constants)
+    _schema_words(CASE_SCHEMAS[case_id], names, constants)
     keys = st.sampled_from(sorted(names) + ["stray"])
     leaves = st.sampled_from(["", "x", *sorted(constants), 0, -1, 1.0, 1.5,
                               True, False, None, float("nan")])
@@ -358,7 +385,7 @@ def drawn_replies(schema_id):
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=4),
         max_leaves=12,
     )
-    valid = [r for r in REPLIES[schema_id] if schemas.VALIDATORS[schema_id].is_valid(r)]
+    valid = [r for r in REPLIES[case_id] if VALIDATORS[case_id].is_valid(r)]
 
     @st.composite
     def replies(draw):
@@ -389,27 +416,33 @@ def drawn_replies(schema_id):
     return replies()
 
 
-def assert_predicate_agrees(schema_id, reply):
+def assert_predicate_agrees(case_id, case):
+    """The predicate's verdict is jsonschema's, and a rejection is worded as
+    ``jsonschema.validate`` words it."""
+    schema_id, reply = as_reply(case_id, case)
     accepted = schemas.PREDICATES[schema_id](reply)
-    assert accepted == schemas.VALIDATORS[schema_id].is_valid(reply), reply
-    assert (_outcome(schemas.validate_reply, schema_id, reply) is None) == accepted
+    assert accepted == VALIDATORS[schema_id].is_valid(reply), reply
+    outcome = _outcome(schemas.validate_reply(schema_id, reply))
+    assert (outcome is None) == accepted
+    if not accepted:
+        assert outcome == _outcome(oracle_error(schema_id, reply)), reply
 
 
 def test_every_schema_id_has_a_predicate():
     assert set(schemas.PREDICATES) == set(schemas.SCHEMAS)
 
 
-@pytest.mark.parametrize("schema_id, reply",
-                         [(sid, reply) for sid in sorted(REPLIES) for reply in REPLIES[sid]])
-def test_predicate_agrees_with_jsonschema_on_fixed_replies(schema_id, reply):
-    assert_predicate_agrees(schema_id, reply)
+@pytest.mark.parametrize("case_id, reply",
+                         [(cid, reply) for cid in sorted(REPLIES) for reply in REPLIES[cid]])
+def test_predicate_agrees_with_jsonschema_on_fixed_replies(case_id, reply):
+    assert_predicate_agrees(case_id, reply)
 
 
-@pytest.mark.parametrize("schema_id", sorted(schemas.SCHEMAS))
+@pytest.mark.parametrize("case_id", sorted(REPLIES))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_predicate_agrees_with_jsonschema_on_drawn_replies(schema_id, data):
-    assert_predicate_agrees(schema_id, data.draw(drawn_replies(schema_id)))
+def test_predicate_agrees_with_jsonschema_on_drawn_replies(case_id, data):
+    assert_predicate_agrees(case_id, data.draw(drawn_replies(case_id)))
 
 
 EDGE_VALUES = [0, 1, 2, 3, -1, 1.0, 2.5, True, False, None, float("nan"), "", "a", "ab",
@@ -422,7 +455,7 @@ EDGE_VALUES = [0, 1, 2, 3, -1, 1.0, 2.5, True, False, None, float("nan"), "", "a
     {"minLength": 1},
     {"const": True},
     {"const": 1},
-    {"const": [1, {"a": False}]},
+    {"enum": [False, 1.0, ""]},
     {"enum": [0, "a", None]},
     {"type": "integer"},
     {"type": ["integer", "null"]},
@@ -443,9 +476,21 @@ def test_each_keyword_follows_jsonschema(schema):
     # passes the others, bool is no number, 1.0 is an integer, and enum and
     # const tell True from 1
     predicate = schemas.compile_predicate(schema)
-    validator = schemas.compile_schema(schema)
+    validator = build_validator(schema)
     for value in EDGE_VALUES:
         assert predicate(value) == validator.is_valid(value), value
+
+
+@pytest.mark.parametrize("member", [0, 1, -1, 1.0, 2.5, True, False, None, "", "a",
+                                    float("nan")])
+def test_enum_and_const_compare_as_jsonschema_does(member):
+    # the predicate's own equality against jsonschema's, on every edge value
+    # and on the member object itself
+    for schema in ({"const": member}, {"enum": [member]}, {"enum": ["z", member]}):
+        predicate = schemas.compile_predicate(schema)
+        validator = build_validator(schema)
+        for value in [*EDGE_VALUES, member]:
+            assert predicate(value) == validator.is_valid(value), (schema, value)
 
 
 @pytest.mark.parametrize("schema", [
@@ -456,9 +501,11 @@ def test_each_keyword_follows_jsonschema(schema):
     {"type": "object", "additionalProperties": True},
     {"properties": {"a": {"items": {"pattern": "^x"}}}},
     {"type": "tuple"},
+    {"const": [1, {"a": False}]},
+    {"properties": {"a": {"enum": ["x", {"a": 1}]}}},
 ])
 def test_compiler_refuses_keywords_it_does_not_implement(schema):
-    with pytest.raises(jsonschema.SchemaError):
+    with pytest.raises(ValueError):
         schemas.compile_predicate(schema)
 
 
@@ -468,7 +515,7 @@ class TestJsonschemaOnlyExplainsRejections:
         """Patch every registry validator class to record the validator each
         ``iter_errors`` call is made on, nested calls included."""
         calls = []
-        for cls in {type(v) for v in schemas.VALIDATORS.values()}:
+        for cls in {type(v) for v in VALIDATORS.values()}:
             def counting(self, *args, _original=cls.iter_errors, **kwargs):
                 calls.append(self)
                 return _original(self, *args, **kwargs)
@@ -480,7 +527,7 @@ class TestJsonschemaOnlyExplainsRejections:
         validated = []
         original = schemas.validate_reply
         monkeypatch.setattr(schemas, "validate_reply",
-                            lambda sid, reply: (validated.append(sid), original(sid, reply)))
+                            lambda sid, reply: (validated.append(sid), original(sid, reply))[1])
         calls = self.count_iter_errors(monkeypatch)
         gateway = Gateway(provider=OfflineModel(), mode="record",
                           fixtures=FixtureStore(tmp_path / "replies.jsonl"),
@@ -493,7 +540,7 @@ class TestJsonschemaOnlyExplainsRejections:
     def test_one_invalid_reply_makes_one_iter_errors_call(self, monkeypatch):
         calls = self.count_iter_errors(monkeypatch)
         reply = {"sentences": [{"skip": True}, {"kind": "procedural", "trigger": ""}]}
-        with pytest.raises(jsonschema.ValidationError):
-            schemas.validate_reply("semantic-ir-list", reply)
-        top_level = [v for v in calls if v is schemas.VALIDATORS["semantic-ir-list"]]
+        error = schemas.validate_reply("semantic-ir-list", reply)
+        assert isinstance(error, jsonschema.ValidationError)
+        top_level = [v for v in calls if v.schema is schemas.SCHEMAS["semantic-ir-list"]]
         assert len(top_level) == 1
