@@ -290,19 +290,30 @@ class EmbeddingIndex:
         saved."""
         return self.matrix.astype(np.float64)
 
+    @cached_property
+    def _key_rank(self) -> np.ndarray:
+        """Each row's key's position in sorted key order, on the first query;
+        never saved."""
+        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return rank
+
     def top_similar(self, query: np.ndarray, n: int) -> list[tuple[str, float]]:
+        """The ``n`` keys most similar to ``query``, with their scores: by
+        score, descending, then by key."""
         if len(self.keys) == 0:
             raise EmptyGraph("embedding index is empty")
         scores = self._wide @ np.asarray(query, dtype=np.float64)
         count = len(self.keys)
-        candidates = range(count)
+        candidates = np.arange(count)
         if 0 < n < count:
             # Everything scoring at least the n-th largest score, so that
             # ties at the cut are still ordered by key.
             cut = np.partition(scores, count - n)[count - n]
-            candidates = np.flatnonzero(scores >= cut).tolist()
-        order = sorted(candidates, key=lambda i: (-scores[i], self.keys[i]))
-        return [(self.keys[i], float(scores[i])) for i in order[:n]]
+            candidates = np.flatnonzero(scores >= cut)
+        order = candidates[np.lexsort((self._key_rank[candidates], -scores[candidates]))][:n]
+        return list(zip([self.keys[i] for i in order.tolist()], scores[order].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,6 +345,14 @@ class SpecGraph:
         """The statement nodes: the triples that are statements, by id."""
         return MappingProxyType({tid: t for tid, t in self.triples.items()
                                  if t.is_statement})
+
+    @cached_property
+    def resolved_anchors(self) -> Mapping[str, tuple[str, str]]:
+        """Each anchored passage's anchor type and alias-resolved entity, by
+        passage id."""
+        return MappingProxyType({
+            pid: (p.anchor.anchor_type, self.resolve_entity(p.anchor.entity))
+            for pid, p in self.passages.items() if p.anchor is not None})
 
     def node_exists(self, key: str) -> bool:
         space, _, name = key.partition(":")

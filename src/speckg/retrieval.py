@@ -9,7 +9,8 @@ out. Each round makes one summarize request, over the accepted context plus
 the increment, for the summary of each prefix it names by a cut, and embeds
 the summaries in one call. The first round cuts twice, after the base and
 after the increment; an accepted round's summary is the next round's base, so
-later rounds cut once, after the increment.
+later rounds cut once, after the increment. A round whose expanded summary is
+the base summary's text has gain 0.0 and embeds nothing.
 """
 
 from __future__ import annotations
@@ -384,10 +385,12 @@ def ppr(kg: SpecGraph, seed_weights: dict[str, float],
             raise InvalidInput(f"seed weight for unknown node {key!r}")
         nodes.append(walk.index[key])
     weights = np.array(list(seed_weights.values()), dtype=np.float64)
-    if weights.sum() <= 0:
+    total = float(weights.sum())
+    if total <= 0:
         nodes = range(len(walk.keys))
         weights = np.full(len(walk.keys), 1.0 / len(walk.keys))
-    elif np.any(weights < 0) or not np.isclose(weights.sum(), 1.0):
+    # np.isclose(total, 1.0)'s test, without its array machinery
+    elif np.any(weights < 0) or not abs(total - 1.0) <= 1e-08 + 1e-05:
         raise InvalidInput("personalization must be a nonnegative distribution")
     return passage_table(walk, damping).scores(nodes, weights.tolist()), True
 
@@ -426,7 +429,9 @@ def adaptive_expand(round_: RetrievalRound, tau: float, k0: int, delta_k: int,
     and one ``embed`` call for its summaries. The first round's cuts are
     ``[k, k + Δ]``, giving the k0 base's summary and the expanded one; later
     rounds cut once, at ``k + Δ``, and reuse the summary of the round before,
-    which is the accepted context's. Hard stops: the accepted set reaching
+    which is the accepted context's, with its embedding. A round whose
+    expanded summary is the base summary's text has gain exactly 0.0 and
+    makes no ``embed`` call. Hard stops: the accepted set reaching
     k_max, or candidates running out. A failed summarize or embed call, or a
     reply with another number of summaries than cuts, aborts the round and
     returns the set accepted so far with a warning. A ``FixtureMiss`` is not
@@ -438,21 +443,29 @@ def adaptive_expand(round_: RetrievalRound, tau: float, k0: int, delta_k: int,
     limit = min(k_max, len(ids))
     round_.accepted = ids[:min(k0, limit)]
     round_.mig_trace = []
-    base_vec = None
+    # The accepted context's summary, and its embedding once one was needed.
+    base_text = base_vec = None
 
     while len(round_.accepted) < limit:
         start = len(round_.accepted)
         end = min(start + delta_k, limit)
-        cuts = [end] if base_vec is not None else [start, end]
+        cuts = [end] if base_text is not None else [start, end]
         try:
             summaries = summarize(round_.sub_query, ids[:end], cuts)
             if len(summaries) != len(cuts):
                 raise MalformedReply(f"{len(summaries)} summaries for {len(cuts)} cuts")
-            vecs = embed(summaries)
-            if base_vec is None:
-                base_vec = vecs[0]
-            expanded_vec = vecs[-1]
-            gain = marginal_gain(base_vec, expanded_vec)
+            if base_text is None:
+                base_text = summaries[0]
+            expanded_text = summaries[-1]
+            if expanded_text == base_text:
+                gain, expanded_vec = 0.0, base_vec
+            else:
+                vecs = embed([base_text, expanded_text] if base_vec is None
+                             else [expanded_text])
+                if base_vec is None:
+                    base_vec = vecs[0]
+                expanded_vec = vecs[-1]
+                gain = marginal_gain(base_vec, expanded_vec)
         except FixtureMiss:
             raise
         except Exception as exc:
@@ -462,7 +475,7 @@ def adaptive_expand(round_: RetrievalRound, tau: float, k0: int, delta_k: int,
         round_.mig_trace.append(gain)
         if gain > tau:
             round_.accepted = ids[:end]
-            base_vec = expanded_vec
+            base_text, base_vec = expanded_text, expanded_vec
         else:
             break
     return round_
@@ -475,28 +488,22 @@ class FilterResult:
     bypassed: bool = False
 
 
-def anchor_compatible(candidate: SemanticAnchor | None, target: SemanticAnchor,
-                      kg: SpecGraph) -> bool:
-    if candidate is None:
-        return True
-    if candidate.anchor_type != target.anchor_type:
-        return False
-    return kg.resolve_entity(candidate.entity) == kg.resolve_entity(target.entity)
-
-
 def csa_filter(candidates: Sequence[str], target: SemanticAnchor,
                kg: SpecGraph) -> FilterResult:
     """Keep candidates whose anchors match the target intent exactly.
 
     Match = same anchor type and same canonical entity after alias
-    resolution. Unanchored passages always pass. Fail-open: when filtering
-    would empty the set, the unfiltered candidates come back with the bypass
-    flag raised so the event stays auditable.
+    resolution. Unanchored passages always pass; an id the graph does not
+    hold is removed. Fail-open: when filtering would empty the set, the
+    unfiltered candidates come back with the bypass flag raised so the event
+    stays auditable.
     """
+    want = (target.anchor_type, kg.resolve_entity(target.entity))
+    anchors = kg.resolved_anchors
     kept, removed = [], []
     for pid in candidates:
-        passage = kg.passages.get(pid)
-        ok = passage is not None and anchor_compatible(passage.anchor, target, kg)
+        anchor = anchors.get(pid)
+        ok = anchor == want if anchor is not None else pid in kg.passages
         (kept if ok else removed).append(pid)
     if not kept and removed:
         return FilterResult(kept=list(candidates), removed=[], bypassed=True)

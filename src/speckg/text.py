@@ -23,8 +23,11 @@ _SENT_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s|$)")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lower-cased word tokens; underscores kept (signal names stay whole)."""
-    return [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+    """Lower-cased word tokens; underscores kept (signal names stay whole).
+
+    Words are matched before lower-casing, which turns some non-ASCII letters,
+    such as the Kelvin sign, into ASCII ones the pattern would match."""
+    return [t.lower() for t in _WORD_RE.findall(text)]
 
 
 def canonical_entity(surface: str) -> str:

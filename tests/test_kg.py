@@ -177,7 +177,54 @@ def full_sort_top(index, query, n):
     return [(index.keys[i], float(scores[i])) for i in order[:n]]
 
 
+def partition_sort_top(index, query, n):
+    """Oracle for EmbeddingIndex.top_similar: partition at the n-th score,
+    then sort the keys scoring at least that by (-score, key) in Python."""
+    scores = index.matrix.astype(np.float64) @ np.asarray(query, dtype=np.float64)
+    count = len(index.keys)
+    candidates = range(count)
+    if 0 < n < count:
+        cut = np.partition(scores, count - n)[count - n]
+        candidates = np.flatnonzero(scores >= cut).tolist()
+    order = sorted(candidates, key=lambda i: (-scores[i], index.keys[i]))
+    return [(index.keys[i], float(scores[i])) for i in order[:n]]
+
+
+@st.composite
+def tied_indexes(draw):
+    """An index of small integer-valued rows, so that scores tie often, under
+    keys in an order unrelated to the rows', and an integer-valued query."""
+    rows = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 4))
+    values = st.integers(-2, 2)
+    matrix = np.array(draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                    min_size=rows, max_size=rows)), dtype=np.float32)
+    keys = draw(st.lists(st.text("abcp:e", min_size=1, max_size=4), min_size=rows,
+                         max_size=rows, unique=True))
+    query = np.array(draw(st.lists(values, min_size=dim, max_size=dim)), dtype=np.float64)
+    return kgmod.EmbeddingIndex(keys, matrix, "test"), query
+
+
 class TestTopSimilar:
+    @given(tied_indexes())
+    @settings(max_examples=200, deadline=None)
+    def test_ties_order_as_the_python_sort(self, case):
+        index, query = case
+        count = len(index.keys)
+        for n in sorted({0, 1, count // 2, count - 1, count, count + 1, count + 5}):
+            top = index.top_similar(query, n)
+            assert top == partition_sort_top(index, query, n) == full_sort_top(index, query, n)
+            assert all(type(score) is float for _, score in top)
+
+    def test_key_ranks_built_once_per_index(self):
+        index = kgmod.EmbeddingIndex(["b", "c", "a"], np.eye(3, dtype=np.float32), "test")
+        assert "_key_rank" not in vars(index)
+        index.top_similar(np.ones(3), 2)
+        ranks = vars(index)["_key_rank"]
+        assert ranks.tolist() == [1, 2, 0]
+        assert index.top_similar(np.ones(3), 2) == [("a", 1.0), ("b", 1.0)]
+        assert vars(index)["_key_rank"] is ranks
+
     def test_matches_full_sort_with_ties_and_large_n(self):
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((12, 8)).astype(np.float32)
@@ -660,8 +707,10 @@ class TestReadOnly:
             graph.alias_map["new variant"] = "ctrl register"
         with pytest.raises(TypeError):
             graph.statements["new"] = graph.triples[sorted(graph.triples)[0]]
+        with pytest.raises(TypeError):
+            graph.resolved_anchors[pid] = ("declarative", "new entity")
         for name in ("passages", "entities", "triples", "edges", "alias_map",
-                     "embeddings", "statements"):
+                     "embeddings", "statements", "resolved_anchors"):
             with pytest.raises(FrozenInstanceError):
                 setattr(graph, name, None)
         with pytest.raises(FrozenInstanceError):
@@ -676,6 +725,21 @@ class TestReadOnly:
             graph.passages[pid].sentence_spans.append((0, 1))
         assert before == (len(graph.edges), len(graph.entities), dict(graph.passages),
                           dict(graph.alias_map), graph.embeddings.matrix.tobytes())
+
+    def test_derived_state_is_built_on_first_use(self, corpus, offline_gateway, tmp_path):
+        # building, saving and loading a graph resolve no anchor and rank no key
+        built = kgmod.build_from_corpus(corpus, offline_gateway)
+        kgmod.save(built, tmp_path)
+        for graph in (built, kgmod.load(tmp_path)):
+            assert "resolved_anchors" not in vars(graph)
+            assert not {"_key_rank", "_wide"} & set(vars(graph.embeddings))
+            assert graph.resolved_anchors == {
+                pid: (p.anchor.anchor_type, graph.resolve_entity(p.anchor.entity))
+                for pid, p in graph.passages.items() if p.anchor is not None}
+            assert graph.resolved_anchors is graph.resolved_anchors
+            # an alias is resolved: "controller" is the serial link controller
+            assert any(entity != graph.passages[pid].anchor.entity
+                       for pid, (_, entity) in graph.resolved_anchors.items())
 
     def test_a_graph_keeps_no_handle_of_its_caller(self):
         # what the constructor is given is copied, so editing it later leaves

@@ -289,6 +289,21 @@ class TestPagerankCore:
         with pytest.raises(InvalidInput):
             pagerank_scores(2, [], np.array([0.5, 0.2]))
 
+    def test_ppr_weight_sum_tolerance_is_isclose(self, graph):
+        # ppr's scalar test accepts exactly the sums np.isclose(total, 1.0) does
+        a, b = sorted(graph.entities)[:2]
+        for total, ok in [(1.0 + 9e-6, True), (1.0 - 9e-6, True), (1.0 + 2e-5, False),
+                          (1.0 - 2e-5, False), (float("nan"), False),
+                          (float("inf"), False)]:
+            assert bool(np.isclose(total, 1.0)) is ok
+            weights = {kgmod.entity_key(a): 0.5, kgmod.entity_key(b): total - 0.5}
+            if ok:
+                scores, _ = ppr(graph, weights, 0.85)
+                assert scores.shape == (len(graph.passages),)
+            else:
+                with pytest.raises(InvalidInput):
+                    ppr(graph, weights, 0.85)
+
     def test_damping_bounded_above(self, monkeypatch):
         # 0.99 (1,604 steps) is the largest damping taken; the step count grows
         # as 1 / (1 - d), so larger ones are refused before the walk starts
@@ -824,11 +839,57 @@ class TestAdaptiveExpand:
     def test_identical_summaries_terminate_with_k0(self):
         rnd = self.make_round()
         summarize = lambda q, ids, cuts: ["same summary every time"] * len(cuts)
-        embed = lambda texts: np.array([[1.0, 0.0]] * len(texts))
+        embedded = []
+
+        def embed(texts):
+            embedded.append(texts)
+            return np.array([[1.0, 0.0]] * len(texts))
+
         adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=embed)
-        assert len(rnd.accepted) == 5
+        assert rnd.accepted == [f"p{i:02d}" for i in range(5)]
         assert rnd.mig_trace == [0.0]
+        # the base and the expanded summary are one text: nothing is embedded
+        assert embedded == []
+
+    def test_later_round_with_the_accepted_summary_embeds_nothing(self):
+        rnd = self.make_round()
+        # the summaries stop changing after the tenth passage
+        summarize = lambda q, ids, cuts: [f"summary of {min(n, 10)}" for n in cuts]
+        embedded = []
+
+        def embed(texts):
+            embedded.append(texts)
+            return np.eye(2)[[int(t == "summary of 10") for t in texts]]
+
+        adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
+                        summarize=summarize, embed=embed)
+        assert rnd.accepted == [f"p{i:02d}" for i in range(10)]
+        assert rnd.mig_trace == [1.0, 0.0]
+        assert embedded == [["summary of 5", "summary of 10"]]
+
+    # A unit vector whose dot product with itself is 1 - 1.1e-16 in float64.
+    NOISY = np.array([[0.4472135954999579, 0.8944271909999159]])
+
+    @pytest.mark.parametrize("unchanged_from", [1, 2])
+    def test_tau_zero_stops_on_an_unchanged_summary(self, unchanged_from):
+        # Embedding an unchanged summary twice gave a gain of float noise, which
+        # tau = 0 accepted; a summary equal to its base has gain 0.0 and stops.
+        assert marginal_gain(self.NOISY[0], self.NOISY[0]) == 1.1102230246251565e-16
+        rnd = self.make_round()
+        last = 5 if unchanged_from == 1 else 10
+        summarize = lambda q, ids, cuts: [f"summary of {min(n, last)}" for n in cuts]
+
+        def embed(texts):
+            # the first round's two summaries differ when unchanged_from is 2
+            return np.vstack([self.NOISY if t == f"summary of {last}" else [[1.0, 0.0]]
+                              for t in texts])
+
+        adaptive_expand(rnd, tau=0.0, k0=5, delta_k=5, k_max=50,
+                        summarize=summarize, embed=embed)
+        assert len(rnd.accepted) == last
+        assert rnd.mig_trace[-1] == 0.0
+        assert len(rnd.mig_trace) == unchanged_from
 
     def test_exactly_n_highgain_rounds_accepted(self):
         rnd = self.run_expand([0.5, 0.5, 0.0])
@@ -891,6 +952,23 @@ class TestAdaptiveExpand:
         with pytest.raises(FixtureMiss):
             adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                             summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
+
+    def test_fixture_miss_after_an_unchanged_summary_round_propagates(self):
+        # a negative tau accepts round 1's unchanged summary unembedded; the
+        # next round still cuts once, and its miss is not caught
+        rnd = self.make_round()
+        calls = []
+
+        def summarize(q, ids, cuts):
+            calls.append(cuts)
+            if len(calls) == 2:
+                raise FixtureMiss("no fixture for task_tag='summarize'")
+            return ["one summary"] * len(cuts)
+
+        with pytest.raises(FixtureMiss):
+            adaptive_expand(rnd, tau=-1.0, k0=5, delta_k=5, k_max=50,
+                            summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
+        assert calls == [[5, 10], [15]]
 
     @staticmethod
     def counting_doubles(fail_on_call=None):
@@ -1074,6 +1152,45 @@ class TestMarginalGain:
         assert 0.0 <= marginal_gain(va, vb) <= 2.0
 
 
+def anchor_compatible(candidate, target, kg):
+    """The anchor filter's rule for one passage anchor, resolving both
+    entities on every call: the oracle for ``csa_filter``."""
+    if candidate is None:
+        return True
+    if candidate.anchor_type != target.anchor_type:
+        return False
+    return kg.resolve_entity(candidate.entity) == kg.resolve_entity(target.entity)
+
+
+def per_candidate_filter(candidates, target, kg):
+    """``csa_filter`` decided one candidate at a time by ``anchor_compatible``:
+    an unknown id is removed, and an emptied set comes back bypassed."""
+    kept, removed = [], []
+    for pid in candidates:
+        passage = kg.passages.get(pid)
+        ok = passage is not None and anchor_compatible(passage.anchor, target, kg)
+        (kept if ok else removed).append(pid)
+    if not kept and removed:
+        return list(candidates), [], True
+    return kept, removed, False
+
+
+def alias_chain_graph():
+    """Anchored passages over an alias chain ``ctrl`` → ``ctrl reg`` → ``ctrl
+    register``, with an unanchored passage."""
+    anchors = {"ctrl": SemanticAnchor("procedural", "CTRL"),
+               "ctrl-reg": SemanticAnchor("declarative", "the Ctrl Reg."),
+               "ctrl-register": SemanticAnchor("procedural", "ctrl register"),
+               "ctrl-register-decl": SemanticAnchor("declarative", "ctrl-register"),
+               "fsm": SemanticAnchor("procedural", "tx fsm"),
+               "unanchored": None}
+    passages = {pid: Passage(passage_id=pid, doc_id="t", section_path=[], text=pid,
+                             sentence_spans=[], token_estimate=1, anchor=anchor)
+                for pid, anchor in anchors.items()}
+    return SpecGraph(passages=passages, entities={"ctrl register", "tx fsm"},
+                     alias_map={"ctrl": "ctrl reg", "ctrl reg": "ctrl register"})
+
+
 def anchored_graph():
     anchors = {"proc-fsm": SemanticAnchor("procedural", "fsm"),
                "decl-fsm": SemanticAnchor("declarative", "fsm"),
@@ -1127,7 +1244,39 @@ class TestAnchorFilter:
         result = csa_filter(list(graph.passages), target, graph)
         for pid in result.removed:
             anchor = graph.passages[pid].anchor
-            assert not retrieval.anchor_compatible(anchor, target, graph)
+            assert not anchor_compatible(anchor, target, graph)
         for pid in result.kept:
             anchor = graph.passages[pid].anchor
-            assert retrieval.anchor_compatible(anchor, target, graph)
+            assert anchor_compatible(anchor, target, graph)
+
+    def test_alias_chain_resolves_to_its_end(self):
+        graph = alias_chain_graph()
+        result = csa_filter(sorted(graph.passages), SemanticAnchor("procedural", "Ctrl Reg"),
+                            graph)
+        assert result.kept == ["ctrl", "ctrl-register", "unanchored"]
+        assert result.removed == ["ctrl-reg", "ctrl-register-decl", "fsm"]
+
+    @pytest.mark.parametrize("source", ["fixture-spec", "alias-chain"])
+    def test_matches_the_per_candidate_oracle(self, source, graph):
+        if source == "alias-chain":
+            graph = alias_chain_graph()
+        elif all(p.anchor is not None for p in graph.passages.values()):
+            pytest.fail("the fixture graph has no unanchored passage")
+        entities = set(graph.entities) | set(graph.alias_map)
+        entities |= {p.anchor.entity for p in graph.passages.values() if p.anchor}
+        # every entity, each with an other surface form, and one no alias resolves
+        surfaces = sorted(entities) + [f"The {e.upper()}." for e in sorted(entities)]
+        surfaces.append("no such entity")
+        candidates = sorted(graph.passages) + ["not-in-graph", "p:also-unknown"]
+        seen = {"kept": 0, "removed": 0, "bypassed": 0}
+        for surface in surfaces:
+            for anchor_type in ("declarative", "procedural"):
+                target = SemanticAnchor(anchor_type, surface)
+                for ids in [candidates, candidates[::-1]] + [[pid] for pid in candidates]:
+                    result = csa_filter(ids, target, graph)
+                    assert ((result.kept, result.removed, result.bypassed)
+                            == per_candidate_filter(ids, target, graph))
+                    seen["kept"] += bool(result.kept) and not result.bypassed
+                    seen["removed"] += bool(result.removed)
+                    seen["bypassed"] += result.bypassed
+        assert all(seen.values())

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from speckg import text as text_module
 from speckg.text import canonical_entity, estimate_tokens, split_sentences, tokenize
 
+from conftest import SPEC_DOC, load_manual_module
+
 
 def spans_to_texts(text):
     return [text[s:e] for s, e in split_sentences(text)]
@@ -15,6 +17,34 @@ def spans_to_texts(text):
 
 def test_tokenize_keeps_identifiers_whole():
     assert tokenize("the TX_READY flag and 0x0010") == ["the", "tx_ready", "flag", "and", "0x0010"]
+
+
+def finditer_tokenize(text):
+    """Oracle for ``tokenize``: one match object per token, each lower-cased."""
+    return [m.group(0).lower() for m in text_module._WORD_RE.finditer(text)]
+
+
+# The Kelvin sign and the dotted capital I lower-case to ASCII-led strings, ß
+# and é are letters the pattern does not match, and full-width digits are
+# digits to \d but not to [0-9].
+NON_ASCII = ["\u212a", "\u212aELVIN 0x1\u212a", "\u0130NTR", "STRA\u00dfE_EN",
+             "\uff11\uff12 CLK \uff13", "caf\u00e9 mod\u00e9_2.5", "\u212a\u0130\u00df\u00e9\uff10"]
+
+
+def test_tokenize_matches_the_match_object_oracle():
+    manual = load_manual_module().generate(0, 30).text
+    for text in [manual, SPEC_DOC.read_text(encoding="utf-8")] + NON_ASCII:
+        assert tokenize(text) == finditer_tokenize(text)
+    # a token is matched before it is lower-cased: the Kelvin sign is no k
+    assert tokenize("\u212aHz") == ["hz"]
+    assert tokenize("\u0130NTR") == ["ntr"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(list("aZ09_. -\n") + ["\u212a", "\u0130", "\u00df",
+                                                     "\u00e9", "\uff11"]), max_size=40))
+def test_tokenize_matches_the_oracle_on_drawn_text(text):
+    assert tokenize(text) == finditer_tokenize(text)
 
 
 def test_canonical_entity_folds_case_articles_hyphens():
