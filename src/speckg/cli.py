@@ -94,9 +94,10 @@ def cmd_build_kg(args) -> int:
     document = spec_path.read_text(encoding="utf-8")
     corpus = ingest.ingest_document(gateway, document, spec_path.stem,
                                     cfg.ingest.max_passage_tokens)
+    # build before saving anything, so a failed build leaves the store as it was
+    graph = kgmod.build_from_corpus(corpus, gateway)
     out = Path(args.out)
     corpus.save(out)
-    graph = kgmod.build_from_corpus(corpus, gateway)
     kgmod.save(graph, out)
     logger.info("built store=%s passages=%d entities=%d statements=%d skipped=%d",
                 out, len(graph.passages), len(graph.entities),

@@ -1,11 +1,13 @@
 """Factual-fidelity evaluation.
 
-Answers are decomposed into minimal atomic claims; a judge matches generated
-atoms against human-authored reference atoms one-to-one (greedy in generated
-order, each reference certifying at most one candidate), and precision /
-recall / F1 follow from the matched set. Whole-run statistics use the
-two-sigma rule: one pass, outliers beyond two population standard deviations
-dropped before averaging.
+Answers are decomposed into minimal atomic claims; one judge request per
+judge pass matches all generated atoms against the human-authored reference
+atoms, and the one-to-one rule is enforced in code (greedy in generated
+order, each reference certifying at most one candidate). Precision / recall
+/ F1 follow from the matched set. System Recall@K counts the passages each
+retrieval round accepted, before the anchor filter. Whole-run statistics use
+the two-sigma rule: one pass, outliers beyond two population standard
+deviations dropped before averaging.
 """
 
 from __future__ import annotations
@@ -134,31 +136,46 @@ def decompose(gateway: Gateway, answer: str) -> list[str]:
 def match(gateway: Gateway, a_gen: list[str], a_ref: list[str]) -> list[str]:
     """The generated atoms, in order, matched one-to-one to references.
 
-    Each judge call sees only the references not yet consumed, so a single
-    reference can never certify two paraphrases; a judge failure scores that
-    atom unmatched and is logged. A ``FixtureMiss`` is no judge failure: a
-    replay without the judge's reply propagates it and fails the item.
+    One judge request carries every generated atom and every reference, and
+    its reply names, per atom in order, the index of its matching reference
+    or null. One-to-one is enforced here, in atom order: an atom whose index
+    is out of range or was already claimed by an earlier atom stays
+    unmatched, with one warning naming it. A reply with the wrong number of
+    entries, or a judge failure, scores every atom unmatched with one warning
+    naming them all. A ``FixtureMiss`` is no judge failure: a replay without
+    the judge's reply propagates it and fails the item.
     """
     if not a_ref:
         raise InvalidInput("reference atom set must be non-empty")
-    available = list(range(len(a_ref)))
+    if not a_gen:
+        return []
+    try:
+        entries = gateway.chat(prompts.atom_match(a_gen, a_ref))["matches"]
+    except FixtureMiss:
+        raise
+    except SpecKGError as exc:
+        logger.warning("judge failed on atoms %r (%s: %s); scored unmatched",
+                       a_gen, type(exc).__name__, exc)
+        return []
+    if len(entries) != len(a_gen):
+        logger.warning("judge replied %d entries for the %d atoms %r; scored unmatched",
+                       len(entries), len(a_gen), a_gen)
+        return []
+    claimed: set[int] = set()
     matched = []
-    for atom in a_gen:
-        refs = [a_ref[i] for i in available]
-        if not refs:
+    for atom, idx in zip(a_gen, entries):
+        if idx is None:
             continue
-        try:
-            reply = gateway.chat(prompts.atom_match(atom, refs))
-        except FixtureMiss:
-            raise
-        except SpecKGError as exc:
-            logger.warning("judge failed on atom %r (%s: %s); scored unmatched",
-                           atom, type(exc).__name__, exc)
+        # the schema admits only integral numbers of at least 0 (2.0 as well)
+        idx = int(idx)
+        fault = ("no such reference" if idx >= len(a_ref)
+                 else "already matched" if idx in claimed else None)
+        if fault is not None:
+            logger.warning("judge matched atom %r to reference %d (%s); scored unmatched",
+                           atom, idx, fault)
             continue
-        idx = reply["match_index"]
-        if idx is not None and 0 <= idx < len(refs):
-            available.pop(idx)
-            matched.append(atom)
+        claimed.add(idx)
+        matched.append(atom)
     return matched
 
 
@@ -195,7 +212,9 @@ def system_recall_at_k(retrieval_log: list[RetrievalRound], gold_passages: list[
 
     The retrieved pool is the union of per-round accepted sets in
     chronological acceptance order, capped at the first k distinct passages.
-    Empty gold → None (not applicable).
+    It is read before the anchor filter: a gold passage that expansion
+    accepted and the filter then removed still counts as retrieved. Empty
+    gold → None (not applicable).
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")

@@ -85,8 +85,13 @@ def embed_digest(text: str, model: str) -> str:
     return _digest({"kind": "embed", "text": text.rstrip(), "model": model})
 
 
+# the digest payload encoder, made once: json.dumps with these settings builds
+# one per call
+_DIGEST_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def _digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    blob = _DIGEST_ENCODER.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -31,6 +31,9 @@ from .text import canonical_entity, split_sentences, strip_articles, tokenize
 
 EMBED_DIM = 256
 
+# the reply encoder, made once: json.dumps with these settings builds one per call
+_REPLY_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
 STOPWORDS = {
     "the", "a", "an", "is", "are", "was", "were", "be", "been", "being",
     "to", "of", "in", "at", "on", "by", "for", "with", "from", "into",
@@ -657,7 +660,7 @@ class OfflineModel:
         reply = handler(payload)
         if isinstance(reply, str):
             return reply
-        return json.dumps(reply, ensure_ascii=False, sort_keys=True)
+        return _REPLY_ENCODER.encode(reply)
 
     def embed(self, texts: list[str], model: str) -> np.ndarray:
         """One row per text: each content token adds ±1 at its hashed column,
@@ -795,8 +798,13 @@ class OfflineModel:
 
     @staticmethod
     def _match(payload: dict) -> dict:
-        candidate = judge_normalize(payload["candidate"])
-        for ref in payload["references"]:
-            if judge_normalize(ref["text"]) == candidate:
-                return {"match_index": ref["index"]}
-        return {"match_index": None}
+        """Greedy in candidate order: each candidate takes the first reference
+        not yet taken whose normalized form equals its own."""
+        available: dict[tuple[str, ...], list[int]] = {}
+        for ref in reversed(payload["references"]):
+            available.setdefault(judge_normalize(ref["text"]), []).append(ref["index"])
+        matches = []
+        for candidate in payload["candidates"]:
+            indices = available.get(judge_normalize(candidate["text"]))
+            matches.append(indices.pop() if indices else None)
+        return {"matches": matches}

@@ -62,10 +62,11 @@ _SYSTEM = {
         '{"atoms": [...]}.'
     ),
     "atom-match": (
-        "Judge whether the candidate claim is semantically equivalent to any of "
-        "the numbered reference claims. Paraphrase and wording variance do not "
-        "matter; the facts must match. Reply with JSON: {\"match_index\": <number "
-        "of the matching reference>} or {\"match_index\": null}."
+        "Judge each numbered candidate claim against the numbered reference "
+        "claims. A candidate matches a reference that states the same facts; "
+        "paraphrase and wording variance do not matter. Each reference matches "
+        "at most one candidate. Reply with JSON: {\"matches\": [...]}, one entry "
+        "per candidate, in order: the number of its matching reference, or null."
     ),
 }
 
@@ -81,8 +82,12 @@ def extract_payload(user_prompt: str) -> dict:
     return json.loads(blocks[-1])
 
 
+# the payload encoder, made once: json.dumps with these settings builds one per call
+_PAYLOAD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def _render(instruction: str, payload: dict) -> str:
-    return f"{instruction}\n\nInput:\n```json\n{json.dumps(payload, ensure_ascii=False, sort_keys=True)}\n```"
+    return f"{instruction}\n\nInput:\n```json\n{_PAYLOAD_ENCODER.encode(payload)}\n```"
 
 
 def extract_ir(passages: list[tuple[Sequence[str], list[str]]]) -> ChatRequest:
@@ -158,15 +163,18 @@ def atom_decompose(answer: str) -> ChatRequest:
     )
 
 
-def atom_match(candidate: str, references: list[str]) -> ChatRequest:
+def atom_match(candidates: list[str], references: list[str]) -> ChatRequest:
+    """One request judging every candidate claim against the references; the
+    reply holds one ``match-list`` entry per candidate, in order: the index
+    of its matching reference, or null."""
     return ChatRequest(
         task_tag="atom-match",
         system_prompt=_SYSTEM["atom-match"],
         user_prompt=_render(
-            "Find the reference claim equivalent to the candidate, if any.",
-            {"candidate": candidate,
+            "Find the reference claim equivalent to each candidate, if any.",
+            {"candidates": [{"index": i, "text": t} for i, t in enumerate(candidates)],
              "references": [{"index": i, "text": t} for i, t in enumerate(references)]},
         ),
         temperature=EVALUATION_TEMPERATURE,
-        response_schema_id="match-verdict",
+        response_schema_id="match-list",
     )

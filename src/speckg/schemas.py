@@ -158,11 +158,14 @@ SCHEMAS: dict[str, dict] = {
         },
         "additionalProperties": False,
     },
-    "match-verdict": {
+    # One atom-match reply: per candidate, in order, the index of its matching
+    # reference or null; the count, the range and that no index repeats are
+    # checked against the request by evaluation.
+    "match-list": {
         "type": "object",
-        "required": ["match_index"],
+        "required": ["matches"],
         "properties": {
-            "match_index": {"type": ["integer", "null"], "minimum": 0},
+            "matches": {"type": "array", "items": {"type": ["integer", "null"], "minimum": 0}},
         },
         "additionalProperties": False,
     },

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -30,6 +31,29 @@ class TestBuildKG:
         code = main(["build-kg", "--spec", str(SPEC_DOC), "--out", str(tmp_path / "kg2"),
                      "--mode", "replay", "--fixtures", str(built_store["fixtures"])])
         assert code == 0
+
+    def test_failed_build_leaves_the_store_as_it_was(self, built_store, tmp_path):
+        # the other document's fixture file holds its ir-extract replies but
+        # no embeddings, so its replayed build fails after ingest
+        other = tmp_path / "timer_spec.md"
+        other.write_text("# Timer\n\nThe TMR_CTRL register defaults to 0x0001.\n",
+                         encoding="utf-8")
+        fixtures = tmp_path / "replies.jsonl"
+        assert main(["build-kg", "--spec", str(other), "--out", str(tmp_path / "timer_kg"),
+                     "--mode", "record", "--fixtures", str(fixtures)]) == 0
+        lines = fixtures.read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if json.loads(line)["task_tag"] != "embed"]
+        assert 0 < len(kept) < len(lines)
+        fixtures.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+
+        store = tmp_path / "kg"
+        shutil.copytree(built_store["store"], store)
+        before = {path.name: path.read_bytes() for path in store.iterdir()}
+        assert len(before) == 5
+        code = main(["build-kg", "--spec", str(other), "--out", str(store),
+                     "--mode", "replay", "--fixtures", str(fixtures)])
+        assert code == 1
+        assert {path.name: path.read_bytes() for path in store.iterdir()} == before
 
     def test_missing_spec_file_is_config_error(self, tmp_path):
         code = main(["build-kg", "--spec", str(tmp_path / "nope.md"),

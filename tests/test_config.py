@@ -275,7 +275,7 @@ class TestTaskRouting:
             prompts.reason("q", [], []),
             prompts.synthesize("q", [], [], False),
             prompts.atom_decompose("a"),
-            prompts.atom_match("a", ["b"]),
+            prompts.atom_match(["a"], ["b"]),
         ]
         assert sorted(r.task_tag for r in requests) == sorted(prompts.TASK_TAGS)
         model = OfflineModel()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 import math
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speckg import evaluation, reasoning
+from speckg import evaluation, prompts, reasoning
 from speckg.errors import FixtureMiss, InvalidInput
 from speckg.evaluation import (QAItem, aggregate_two_sigma, atomic_score,
                                decompose, load_dataset, match, run_benchmark,
@@ -89,19 +90,123 @@ class TestMatch:
         with caplog.at_level(logging.WARNING, logger="speckg.evaluation"):
             matched = match(gw, ["claim one", "claim two"], ["reference one"])
         assert matched == []
-        warnings = [r.getMessage() for r in caplog.records
-                    if r.name == "speckg.evaluation" and r.levelno == logging.WARNING]
-        assert len(warnings) == 2
-        for atom, warning in zip(["claim one", "claim two"], warnings):
-            assert warning.startswith(f"judge failed on atom {atom!r} (RetryExhausted: ")
-            assert "down" in warning
-
+        [warning] = judge_warnings(caplog)
+        assert warning.startswith(
+            "judge failed on atoms ['claim one', 'claim two'] (RetryExhausted: ")
+        assert "down" in warning
 
     def test_judge_fixture_miss_propagates(self, tmp_path):
         # a replay without the judge's reply is a stale file, not a judge error
         gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(tmp_path / "none.jsonl"))
         with pytest.raises(FixtureMiss, match="atom-match"):
             match(gw, ["claim one"], ["reference one"])
+
+    def test_no_atoms_no_request(self):
+        gw = CountingGateway(provider=OfflineModel(), mode="live")
+        assert match(gw, [], ["reference one"]) == []
+        assert gw.calls == Counter()
+
+    def test_one_request_per_pass(self):
+        gw = CountingGateway(provider=OfflineModel(), mode="live")
+        match(gw, CLAIMS, ["The FSM resets to IDLE"])
+        assert gw.calls == Counter({"atom-match": 1})
+
+
+class Fixed:
+    """A judge that gives one reply to every request."""
+
+    def __init__(self, matches):
+        self.reply = json.dumps({"matches": matches})
+
+    def chat(self, request, model):
+        return self.reply
+
+
+def judge_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "speckg.evaluation" and r.levelno == logging.WARNING]
+
+
+class TestMatchFaults:
+    """Replies that break one-to-one, checked in code against the request."""
+
+    GEN = ["claim one", "claim two", "claim three"]
+    REF = ["reference one", "reference two"]
+
+    def judged(self, matches, caplog):
+        gw = Gateway(provider=Fixed(matches), mode="live")
+        with caplog.at_level(logging.WARNING, logger="speckg.evaluation"):
+            return match(gw, self.GEN, self.REF), judge_warnings(caplog)
+
+    def test_valid_reply_matches_each_claimed_reference(self, caplog):
+        matched, warnings = self.judged([1, None, 0.0], caplog)
+        assert matched == ["claim one", "claim three"]
+        assert warnings == []
+
+    def test_reused_index_leaves_the_later_atom_unmatched(self, caplog):
+        matched, warnings = self.judged([1, 1, 0], caplog)
+        assert matched == ["claim one", "claim three"]
+        assert warnings == ["judge matched atom 'claim two' to reference 1 "
+                            "(already matched); scored unmatched"]
+
+    def test_out_of_range_index_leaves_that_atom_unmatched(self, caplog):
+        matched, warnings = self.judged([2, 0, 7], caplog)
+        assert matched == ["claim two"]
+        assert warnings == [
+            "judge matched atom 'claim one' to reference 2 (no such reference); scored unmatched",
+            "judge matched atom 'claim three' to reference 7 (no such reference); scored unmatched",
+        ]
+
+    @pytest.mark.parametrize("matches", [[0, 1], [0, 1, None, None], []],
+                             ids=["short", "long", "empty"])
+    def test_wrong_entry_count_scores_the_pass_unmatched(self, matches, caplog):
+        matched, warnings = self.judged(matches, caplog)
+        assert matched == []
+        assert warnings == [f"judge replied {len(matches)} entries for the 3 atoms "
+                            f"{self.GEN!r}; scored unmatched"]
+
+
+# Claims grouped by the offline judge's verdict: claims of one group are
+# paraphrases of each other, claims of different groups never match.
+PARAPHRASES = [
+    ["The FSM resets to IDLE", "The FSM returns to the IDLE state", "the fsm returns to idle"],
+    ["The BAUD register defaults to 0x0010", "The BAUD register defaults to 0x0010."],
+    ["The TX_READY flag is driven by the FIFO_EMPTY signal", "FIFO_EMPTY drives TX_READY"],
+    ["The clock runs at 8 MHz"],
+    ["The FSM has 3 states"],
+    ["The sky is blue today"],
+]
+CLAIMS = [text for group in PARAPHRASES for text in group]
+
+
+def sequential_match(gateway, a_gen, a_ref):
+    """The per-atom protocol: one judge request per generated atom, each
+    seeing only the references no earlier atom matched."""
+    available = list(range(len(a_ref)))
+    matched = []
+    for atom in a_gen:
+        if not available:
+            break
+        request = prompts.atom_match([atom], [a_ref[i] for i in available])
+        idx = gateway.chat(request)["matches"][0]
+        if idx is not None:
+            available.pop(idx)
+            matched.append(atom)
+    return matched
+
+
+class TestMatchOracle:
+    def test_claim_groups_are_the_judges_verdicts(self, offline_gateway):
+        for group in PARAPHRASES:
+            for claim in CLAIMS:
+                assert (match(offline_gateway, [claim], group[:1]) == [claim]) == (claim in group)
+
+    @given(st.lists(st.sampled_from(CLAIMS), max_size=8),
+           st.lists(st.sampled_from(CLAIMS), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_match_equals_the_per_atom_protocol(self, a_gen, a_ref):
+        gateway = make_offline_gateway()
+        assert match(gateway, a_gen, a_ref) == sequential_match(gateway, a_gen, a_ref)
 
 
 def brute_force_f1(m, g, r):
@@ -172,6 +277,12 @@ class TestSystemRecall:
 
     def test_empty_gold_not_applicable(self):
         assert system_recall_at_k(self.log(["p1"]), [], 20) is None
+
+    def test_gold_removed_by_the_anchor_filter_still_counts(self):
+        # the pool is what expansion accepted, read before the anchor filter
+        entry = logged_round(["p1", "gold"])
+        entry.filtered, entry.removed = ["p1"], ["gold"]
+        assert system_recall_at_k([entry], ["gold"], 20) == 1.0
 
     def test_k_must_be_positive(self):
         with pytest.raises(InvalidInput):
@@ -297,7 +408,6 @@ class TestBenchmark:
         assert "Recall@20" in text
 
     def test_parallel_jobs_report_identical(self, dataset, graph, offline_gateway):
-        import json
         serial_cfg = self.small_cfg()
         parallel_cfg = self.small_cfg()
         parallel_cfg.jobs = 3
@@ -369,7 +479,9 @@ class TestRepetitions:
             assert sampled.samples == 100
             assert once.samples == 1
             assert dataclasses.replace(sampled, samples=1) == once
-        assert sampling.calls["atom-match"] >= 100 * len(dataset)
+        # every answer has atoms: one decompose and one match per judge pass
+        assert sampling.calls["atom-decompose"] == 100 * len(dataset)
+        assert sampling.calls["atom-match"] == 100 * len(dataset)
 
     def test_system_recall_averaged_over_runs(self, dataset, graph, monkeypatch):
         item = dataset[0]

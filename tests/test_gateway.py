@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import re
 import tempfile
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speckg import gateway as gateway_module
+from speckg import offline as offline_module
 from speckg import prompts
 from speckg.errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
 from speckg.gateway import ChatRequest, FixtureStore, Gateway, chat_digest, embed_digest
@@ -100,7 +102,7 @@ class TestRecordReplay:
                           fixtures=FixtureStore(tmp_path / name),
                           chat_model="offline-chat", embedding_model="offline-embed")
             rec.chat(prompts.summarize("q", [{"passage_id": "p", "text": "body text."}], [1]))
-            rec.chat(prompts.atom_match("x is 1", ["x is 1"]))
+            rec.chat(prompts.atom_match(["x is 1"], ["x is 1"]))
             rec.embed(["one text", "two text"])
         first = (tmp_path / "first.jsonl").read_bytes()
         assert first.count(b"\n") == 4
@@ -113,12 +115,12 @@ class TestRecordReplay:
     def test_temperatures_by_task(self):
         # generative tasks run warm, evaluation tasks cold
         assert prompts.summarize("q", [], []).temperature == 0.7
-        assert prompts.atom_match("a", ["b"]).temperature == 0.2
+        assert prompts.atom_match(["a"], ["b"]).temperature == 0.2
         summary = make_offline_gateway().chat(
             prompts.summarize("q", [{"passage_id": "p", "text": "q body."}], [1]))
         assert [type(text) for text in summary["summaries"]] == [str]
-        verdict = make_offline_gateway().chat(prompts.atom_match("x is 1", ["x is 1"]))
-        assert verdict == {"match_index": 0}
+        verdict = make_offline_gateway().chat(prompts.atom_match(["x is 1"], ["x is 1"]))
+        assert verdict == {"matches": [0]}
 
 
 class TestFixtureWrites:
@@ -244,6 +246,25 @@ def test_digest_format_frozen():
         "fcd55321e6a3831be30063bbf9fe3dd65e66e1dac3f51a56e6386ffe9f5722d8")
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+@example({"text": "Ünïcødé –   \"quoted\" \\ 中文", "score": 0.1 + 0.2,
+          "nested": {"b": [1e-310, -0.0, float("inf")], "a": None}})
+@settings(max_examples=200, deadline=None)
+def test_shared_encoders_write_what_json_dumps_writes(payload):
+    # digests, prompt payloads and offline replies each keep one encoder
+    expected = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    assert gateway_module._digest(payload) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+    assert prompts._render("Do it.", payload) == f"Do it.\n\nInput:\n```json\n{expected}\n```"
+    assert offline_module._REPLY_ENCODER.encode(payload) == expected
+
+
 def test_record_mode_serializes_concurrent_writes(tmp_path):
     import threading
 
@@ -289,7 +310,7 @@ def test_live_mode_hashes_no_request(monkeypatch):
     gw = make_offline_gateway()
     summary = gw.chat(prompts.summarize("q", [{"passage_id": "p", "text": "q x."}], [1]))
     assert [type(text) for text in summary["summaries"]] == [str]
-    assert gw.chat(prompts.atom_match("x is 1", ["x is 1"])) == {"match_index": 0}
+    assert gw.chat(prompts.atom_match(["x is 1"], ["x is 1"])) == {"matches": [0]}
     assert gw.embed(["alpha", "beta"]).shape == (2, EMBED_DIM)
 
 
@@ -566,7 +587,7 @@ class TestRetriesAndSchemaGate:
         provider = BadProvider()
         gw = Gateway(provider=provider, mode="live", sleep=lambda s: None)
         with pytest.raises(MalformedReply):
-            gw.chat(req(task_tag="atom-match", response_schema_id="match-verdict",
+            gw.chat(req(task_tag="atom-match", response_schema_id="match-list",
                         temperature=0.2))
         assert provider.calls == 2  # original + one repair round-trip
 
@@ -579,20 +600,20 @@ class TestRetriesAndSchemaGate:
                 self.calls += 1
                 if self.calls == 1:
                     return "{broken"
-                return json.dumps({"match_index": None})
+                return json.dumps({"matches": [None]})
 
         gw = Gateway(provider=FlakyJson(), mode="live", sleep=lambda s: None)
-        reply = gw.chat(req(task_tag="atom-match", response_schema_id="match-verdict"))
-        assert reply == {"match_index": None}
+        reply = gw.chat(req(task_tag="atom-match", response_schema_id="match-list"))
+        assert reply == {"matches": [None]}
 
     def test_schema_gate_blocks_invalid_fixture(self, tmp_path):
         # Hand-edited fixture violating the schema must not cross the boundary.
-        request = req(task_tag="atom-match", response_schema_id="match-verdict")
+        request = req(task_tag="atom-match", response_schema_id="match-list")
         digest = chat_digest(request, "default-chat")
         store_path = tmp_path / "replies.jsonl"
         store_path.write_text(json.dumps({
             "digest": digest, "task_tag": "atom-match",
-            "reply": {"kind": "json", "value": {"match_index": "NaN"}},
+            "reply": {"kind": "json", "value": {"matches": ["NaN"]}},
             "timestamp": "2026-01-01T00:00:00+00:00",
         }) + "\n")
         gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))

@@ -20,12 +20,20 @@ _ANCHOR = {"anchor_type": "declarative", "entity": "ctrl register"}
 ENTRY = "semantic-ir"
 ENTRY_SCHEMA = schemas.SCHEMAS["semantic-ir-list"]["properties"]["sentences"]["items"]
 
+# The per-atom match-verdict reply gave way to one match-list reply per judge
+# pass. Its cases are kept under their case id, each re-expressed as a
+# one-entry match-list reply.
+VERDICT = "match-verdict"
+
+# The registry id each case id that is not one is checked as.
+CHECKED_AS = {ENTRY: "semantic-ir-list", VERDICT: "match-list"}
+
 
 def as_reply(case_id, reply):
     """The registry id and the reply a case is checked as."""
     if case_id == ENTRY:
         return "semantic-ir-list", {"sentences": [reply]}
-    return case_id, reply
+    return CHECKED_AS.get(case_id, case_id), reply
 
 
 def build_validator(schema):
@@ -36,7 +44,8 @@ def build_validator(schema):
     return cls(schema)
 
 
-# Valid and invalid replies per case id: each schema id, and ENTRY. Several
+# Valid and invalid replies per case id: each schema id but match-list, ENTRY
+# and VERDICT. Several
 # invalid replies break more than one rule at once, including under the
 # entry's and gap-assess's if/then/else, so best_match has to choose among
 # the errors.
@@ -121,19 +130,19 @@ REPLIES = {
         {"atoms": ["a", 1, ""], "extra": 0},
         {},
     ],
-    "match-verdict": [
-        {"match_index": 0},
-        {"match_index": None},
-        {"match_index": -1},
-        {"match_index": 1.5},
-        {"match_index": True},
-        {"match_index": "0", "other": 1},
+    VERDICT: [
+        {"matches": [0]},
+        {"matches": [None]},
+        {"matches": [-1]},
+        {"matches": [1.5]},
+        {"matches": [True]},
+        {"matches": ["0"], "other": 1},
         {},
     ],
 }
 
 
-CASE_SCHEMAS = {**schemas.SCHEMAS, ENTRY: ENTRY_SCHEMA}
+CASE_SCHEMAS = {**schemas.SCHEMAS, ENTRY: ENTRY_SCHEMA, VERDICT: schemas.SCHEMAS["match-list"]}
 VALIDATORS = {case_id: build_validator(schema) for case_id, schema in CASE_SCHEMAS.items()}
 
 
@@ -151,7 +160,8 @@ def oracle_error(schema_id, reply):
 
 
 def test_replies_cover_every_schema():
-    assert set(REPLIES) == set(schemas.SCHEMAS) | {ENTRY}
+    assert {CHECKED_AS.get(case_id, case_id) for case_id in REPLIES} == set(schemas.SCHEMAS)
+    assert set(CHECKED_AS) <= set(REPLIES)
 
 
 @pytest.mark.parametrize("case_id", sorted(REPLIES))
@@ -195,7 +205,7 @@ class TestGapAssessAnswer:
 
 
 def test_unknown_id_raises_and_freeform_bypasses():
-    for unknown in ("no-such-schema", ENTRY):
+    for unknown in ("no-such-schema", ENTRY, VERDICT):
         with pytest.raises(KeyError):
             schemas.validate_reply(unknown, {})
     assert schemas.validate_reply(schemas.FREEFORM, object()) is None
@@ -223,7 +233,7 @@ class TestCompiledAtImport:
         replies = [("semantic-ir-list", {"sentences": [{"skip": True}]}),
                    ("atom-list", {"atoms": ["x"]}),
                    ("atom-list", {"atoms": [1]}),
-                   ("match-verdict", {"match_index": None}),
+                   ("match-list", {"matches": [None]}),
                    ("summary-list", {"summaries": ["s"]}),
                    ("gap-assess", {"thought": "t", "status": "sufficient", "answer": "a"})]
         for i in range(100):
@@ -436,6 +446,18 @@ def test_every_schema_id_has_a_predicate():
                          [(cid, reply) for cid in sorted(REPLIES) for reply in REPLIES[cid]])
 def test_predicate_agrees_with_jsonschema_on_fixed_replies(case_id, reply):
     assert_predicate_agrees(case_id, reply)
+
+
+@pytest.mark.parametrize("reply", [
+    {"matches": []},
+    {"matches": [2, None, 0, 2.0]},
+    {"matches": [0, -1, "1", None, 0.5]},
+    {"matches": [[0], {"index": 0}], "extra": 0},
+    {"matches": 0},
+])
+def test_predicate_agrees_with_jsonschema_on_match_lists(reply):
+    # replies of several entries or none, which VERDICT's cases do not hold
+    assert_predicate_agrees("match-list", reply)
 
 
 @pytest.mark.parametrize("case_id", sorted(REPLIES))
