@@ -17,13 +17,14 @@ from pathlib import Path
 from . import evaluation, ingest, kg as kgmod, reasoning
 from .config import RunConfig, build_gateway, load_config
 from .errors import ConfigError, SpecKGError
+from .gateway import MODES
 
 logger = logging.getLogger("speckg")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML/JSON config file")
-    parser.add_argument("--mode", choices=["live", "record", "replay"],
+    parser.add_argument("--mode", choices=MODES,
                         help="gateway mode (overrides config)")
     parser.add_argument("--fixtures", help="fixture store path (overrides config)")
     parser.add_argument("--verbose", action="store_true")
@@ -89,9 +90,14 @@ def cmd_build_kg(args) -> int:
     cfg = _config_from_args(args)
     gateway = build_gateway(cfg)
     spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise ConfigError(f"spec file not found: {spec_path}")
-    document = spec_path.read_text(encoding="utf-8")
+    try:
+        document = spec_path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"spec file not found: {spec_path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read spec file {spec_path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"spec file {spec_path} is not UTF-8 text (byte {exc.start})") from None
     corpus = ingest.ingest_document(gateway, document, spec_path.stem,
                                     cfg.ingest.max_passage_tokens)
     # build before saving anything, so a failed build leaves the store as it was

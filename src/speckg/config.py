@@ -17,17 +17,21 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .gateway import FixtureStore, Gateway
+from .gateway import MODES, FixtureStore, Gateway
+from .ingest import DEFAULT_MAX_PASSAGE_TOKENS
 from .prompts import TASK_TAGS
 from .providers import make_provider
 from .retrieval import MAX_DAMPING
 
 
+# The model names and the retry policy default to a bare Gateway's, and the
+# passage budget to ingest's, so a run configured by default and one wired by
+# hand agree.
 @dataclass
 class ProviderConfig:
     endpoint: str = "offline:"
-    model: str = "offline-chat"
-    embedding_model: str = "offline-embed"
+    model: str = Gateway.chat_model
+    embedding_model: str = Gateway.embedding_model
     api_key_env: str = "SPECKG_API_KEY"
     task_models: dict = field(default_factory=dict)
 
@@ -36,13 +40,13 @@ class ProviderConfig:
 class GatewayConfig:
     mode: str = "live"
     fixture_path: str | None = None
-    max_attempts: int = 3
-    backoff_base: float = 1.0
+    max_attempts: int = Gateway.max_attempts
+    backoff_base: float = Gateway.backoff_base
 
 
 @dataclass
 class IngestConfig:
-    max_passage_tokens: int = 512
+    max_passage_tokens: int = DEFAULT_MAX_PASSAGE_TOKENS
 
 
 @dataclass
@@ -91,7 +95,7 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def validate(self) -> None:
-        if self.gateway.mode not in ("live", "record", "replay"):
+        if self.gateway.mode not in MODES:
             raise ConfigError(f"gateway.mode must be live/record/replay, got {self.gateway.mode!r}")
         if self.gateway.mode in ("record", "replay") and not self.gateway.fixture_path:
             raise ConfigError(f"gateway.mode={self.gateway.mode} requires gateway.fixture_path")
@@ -99,6 +103,13 @@ class RunConfig:
             if tag not in TASK_TAGS:
                 raise ConfigError(f"provider.task_models routes {tag!r}, which names no task; "
                                   f"tasks are {', '.join(TASK_TAGS)}")
+        models = {"provider.model": self.provider.model,
+                  "provider.embedding_model": self.provider.embedding_model,
+                  **{f"provider.task_models.{tag}": model
+                     for tag, model in self.provider.task_models.items()}}
+        for key, model in models.items():
+            if not isinstance(model, str) or not model.strip():
+                raise ConfigError(f"{key} must be a non-empty model name, got {model!r}")
         if self.gateway.max_attempts < 1:
             raise ConfigError("gateway.max_attempts must be >= 1")
         if self.ingest.max_passage_tokens < 1:

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import prompts, reasoning
@@ -73,27 +73,23 @@ class QAItem:
                     or kind is list and not all(isinstance(v, str) for v in value)):
                 expected = "a list of strings" if kind is list else f"a JSON {kind.__name__}"
                 raise InvalidInput(f"field {name!r} must be {expected}, not {value!r}")
-        return cls(
-            qid=data["qid"],
-            question=data["question"],
-            question_type=data["question_type"],
-            hop_count=data["hop_count"],
-            gold_answer=data["gold_answer"],
-            gold_atoms=list(data["gold_atoms"]),
-            gold_passages=list(data["gold_passages"]),
-        )
+        return cls(**{name: list(data[name]) if kind is list else data[name]
+                      for name, kind in _ITEM_FIELDS.items()})
 
 
 def read_dataset(path: str | Path) -> tuple[bytes, list[QAItem]]:
     """The bytes of a JSON-lines QA dataset and the items they hold. A file
-    that cannot be read raises InvalidInput, and a line that is not JSON or
-    not a valid item one naming ``path:line``."""
+    that cannot be read, or is not UTF-8 text, raises InvalidInput, and a
+    line that is not JSON or not a valid item one naming ``path:line``."""
     try:
         data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise InvalidInput(f"cannot read dataset {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"dataset {path} is not UTF-8 text (byte {exc.start})") from None
     items = []
-    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), 1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
         line = line.strip()
         if not line:
             continue
@@ -277,23 +273,6 @@ class ItemResult:
     dropped: int
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "qid": self.qid,
-            "question_type": self.question_type,
-            "hop_count": self.hop_count,
-            "answer": self.answer,
-            "rounds_used": self.rounds_used,
-            "flags": self.flags,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "system_recall": self.system_recall,
-            "samples": self.samples,
-            "dropped": self.dropped,
-            "error": self.error,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -306,15 +285,7 @@ class EvalReport:
     n_judge: int
 
     def to_dict(self) -> dict:
-        return {
-            "items": [item.to_dict() for item in self.items],
-            "per_category": self.per_category,
-            "overall_f1": self.overall_f1,
-            "mean_system_recall": self.mean_system_recall,
-            "recall_k": self.recall_k,
-            "n_runs": self.n_runs,
-            "n_judge": self.n_judge,
-        }
+        return asdict(self)
 
     def render_text(self) -> str:
         """One row per configuration, one column per question type."""

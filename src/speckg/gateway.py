@@ -25,6 +25,7 @@ import numpy as np
 
 from . import schemas
 from .errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
+from .text import ORDERED_JSON, SORTED_JSON
 
 logger = logging.getLogger(__name__)
 
@@ -85,13 +86,8 @@ def embed_digest(text: str, model: str) -> str:
     return _digest({"kind": "embed", "text": text.rstrip(), "model": model})
 
 
-# the digest payload encoder, made once: json.dumps with these settings builds
-# one per call
-_DIGEST_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-
-
 def _digest(payload: dict) -> str:
-    blob = _DIGEST_ENCODER.encode(payload)
+    blob = SORTED_JSON.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -120,9 +116,13 @@ class FixtureStore:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
+                try:
+                    line = line.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    raise InvalidInput(f"{self.path}:{lineno}: fixture record is not "
+                                       f"UTF-8 text") from None
                 if not line:
                     continue
                 try:
@@ -176,16 +176,17 @@ class Gateway:
     """Mode-aware front door for all model calls.
 
     ``task_models`` routes a task_tag to a specific chat model; unrouted tags
-    use ``chat_model``. Retries are bounded (3 attempts, exponential backoff
-    starting at 1s) and one repair round-trip is attempted when a structured
-    reply fails validation.
+    use ``chat_model``. Retries are bounded (``max_attempts`` calls, backing
+    off from ``backoff_base`` seconds, doubling) and one repair round-trip is
+    attempted when a structured reply fails validation. The field defaults are
+    the run config's defaults too.
     """
 
     provider: Provider | None
     mode: str = "live"
     fixtures: FixtureStore | None = None
-    chat_model: str = "default-chat"
-    embedding_model: str = "default-embed"
+    chat_model: str = "offline-chat"
+    embedding_model: str = "offline-embed"
     task_models: dict[str, str] = field(default_factory=dict)
     max_attempts: int = 3
     backoff_base: float = 1.0
@@ -371,19 +372,16 @@ def _vector_record(vec: np.ndarray) -> dict:
     return _Base64Vector(kind="vector", f8=base64.b64encode(blob).decode("ascii"))
 
 
-_FIXTURE_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def _fixture_line(digest: str, task_tag: str, reply: dict) -> str:
     """One fixture record as a JSON line, as ``json.dumps(record,
     ensure_ascii=False)`` writes it. A vector's base64 is put between the
     quotes of an empty ``f8`` rather than scanned by the encoder."""
     if type(reply) is not _Base64Vector:
-        return _FIXTURE_ENCODER.encode(
+        return ORDERED_JSON.encode(
             {"digest": digest, "task_tag": task_tag, "reply": reply}) + "\n"
     # "f8" is the reply's last key, so the line ends with its empty string's
     # closing quote and the two closing braces
-    line = _FIXTURE_ENCODER.encode(
+    line = ORDERED_JSON.encode(
         {"digest": digest, "task_tag": task_tag, "reply": {**reply, "f8": ""}})
     return f"{line[:-3]}{reply['f8']}{line[-3:]}\n"
 

@@ -9,7 +9,6 @@ nothing parseable survives.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from collections.abc import Iterator
@@ -19,11 +18,9 @@ from pathlib import Path
 from . import prompts
 from .errors import FixtureMiss, InvalidInput, MalformedReply, SkippedSentence
 from .gateway import Gateway
-from .text import canonical_entity, estimate_tokens, split_sentences
+from .text import ORDERED_JSON, canonical_entity, estimate_tokens, split_sentences
 
 logger = logging.getLogger(__name__)
-
-_ENCODER = json.JSONEncoder(ensure_ascii=False)  # the corpus files' record encoder
 
 DEFAULT_MAX_PASSAGE_TOKENS = 512
 BLANK_SENTENCE = "empty sentence"  # skip reason of a sentence sent to no model
@@ -154,7 +151,7 @@ class Corpus:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, records in (("passages.jsonl", self.passages), ("ir.jsonl", self.irs)):
-            lines = "".join([_ENCODER.encode(r.to_dict()) + "\n" for r in records])
+            lines = "".join([ORDERED_JSON.encode(r.to_dict()) + "\n" for r in records])
             (out / name).write_bytes(lines.encode("utf-8"))
 
 

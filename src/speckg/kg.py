@@ -34,7 +34,7 @@ from .errors import (CorpusInconsistent, CorruptStore, EmptyGraph,
                      IncompatibleFormat, InvalidInput, NormalizationCycle)
 from .gateway import Gateway
 from .ingest import Corpus, Passage, SemanticIR
-from .text import canonical_entity
+from .text import SORTED_JSON, canonical_entity
 
 FORMAT_VERSION = 1
 
@@ -109,6 +109,11 @@ class Edge:
     kind: str  # mention | subject | object | link | alias
     src: str
     dst: str
+
+
+def _edge_order(edge: Edge) -> tuple[str, str, str]:
+    """The sort key of a graph's edge list, and of graph.jsonl's edge records."""
+    return edge.kind, edge.src, edge.dst
 
 
 # --- triple extraction ---------------------------------------------------------
@@ -439,7 +444,7 @@ def build_graph(corpus: Corpus, triples: list[Triple]) -> SpecGraph:
             edges.add(Edge("mention", entity_key(t.object), passage_key(pid)))
 
     return SpecGraph(passages=passages, entities=entities, triples=by_id,
-                     edges=sorted(edges, key=lambda e: (e.kind, e.src, e.dst)))
+                     edges=sorted(edges, key=_edge_order))
 
 
 def apply_normalization(kg: SpecGraph) -> SpecGraph:
@@ -480,7 +485,7 @@ def apply_normalization(kg: SpecGraph) -> SpecGraph:
         if edge.kind == "alias":
             continue
         new_edges.add(Edge(edge.kind, rewrite(edge.src), rewrite(edge.dst)))
-    return replace(kg, edges=sorted(new_edges, key=lambda e: (e.kind, e.src, e.dst)),
+    return replace(kg, edges=sorted(new_edges, key=_edge_order),
                    entities={resolution.get(e, e) for e in kg.entities},
                    alias_map={**kg.alias_map, **resolution})
 
@@ -527,10 +532,6 @@ def build_from_corpus(corpus: Corpus, gateway: Gateway) -> SpecGraph:
 
 # --- persistence -------------------------------------------------------------------
 
-# graph.jsonl's record encoder, made once
-_GRAPH_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-
-
 def save(kg: SpecGraph, out_dir: str | Path) -> None:
     """Write graph.jsonl + embeddings.bin + manifest.json (canonical order).
 
@@ -552,12 +553,12 @@ def save(kg: SpecGraph, out_dir: str | Path) -> None:
                    "embedding_row": row_of.get(entity_key(entity))}
         for tid in sorted(kg.triples):
             yield {"type": "triple", **kg.triples[tid].to_dict()}
-        for edge in sorted(kg.edges, key=lambda e: (e.kind, e.src, e.dst)):
+        for edge in sorted(kg.edges, key=_edge_order):
             yield {"type": "edge", "kind": edge.kind, "src": edge.src, "dst": edge.dst}
         for variant in sorted(kg.alias_map):
             yield {"type": "alias", "variant": variant, "canonical": kg.alias_map[variant]}
 
-    graph = "".join([_GRAPH_ENCODER.encode(r) + "\n" for r in records()]).encode("utf-8")
+    graph = "".join([SORTED_JSON.encode(r) + "\n" for r in records()]).encode("utf-8")
     (out / "graph.jsonl").write_bytes(graph)
     checksums = {"graph.jsonl": hashlib.sha256(graph).hexdigest()}
     del graph

@@ -18,7 +18,6 @@ directly, only gateway replies.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,13 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from .gateway import ChatRequest
-from .prompts import extract_payload
-from .text import canonical_entity, split_sentences, strip_articles, tokenize
+from .prompts import TASK_TAGS, extract_payload
+from .text import SORTED_JSON, canonical_entity, split_sentences, strip_articles, tokenize
 
 EMBED_DIM = 256
-
-# the reply encoder, made once: json.dumps with these settings builds one per call
-_REPLY_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 STOPWORDS = {
     "the", "a", "an", "is", "are", "was", "were", "be", "been", "being",
@@ -425,7 +421,7 @@ class _Resolver:
             if p.kind != "declarative" or p.entity_key != key:
                 continue
             for name, value in p.attributes:
-                if _content(name) & name_tokens or set(tokenize(name)) & name_tokens:
+                if set(tokenize(name)) & name_tokens:
                     return p.central_entity, name, value
         return None
 
@@ -645,22 +641,17 @@ class OfflineModel:
         self._sentences: dict[str, tuple[tuple[str, frozenset[str]], ...]] = {}
         self._parses: dict[str, tuple[ClauseParse, ...]] = {}
 
+    # each task's rule: the handler below named after its tag, as _atom_match
+    _RULES = {tag: "_" + tag.replace("-", "_") for tag in TASK_TAGS}
+
     def chat(self, request: ChatRequest, model: str) -> str:
-        payload = extract_payload(request.user_prompt)
-        handler = {
-            "ir-extract": self._extract_ir,
-            "summarize": self._summarize,
-            "reason": self._reason,
-            "synthesize": self._synthesize,
-            "atom-decompose": self._decompose,
-            "atom-match": self._match,
-        }.get(request.task_tag)
-        if handler is None:
+        rule = self._RULES.get(request.task_tag)
+        if rule is None:
             raise ValueError(f"offline model has no rule for task_tag {request.task_tag!r}")
-        reply = handler(payload)
+        reply = getattr(self, rule)(extract_payload(request.user_prompt))
         if isinstance(reply, str):
             return reply
-        return _REPLY_ENCODER.encode(reply)
+        return SORTED_JSON.encode(reply)
 
     def embed(self, texts: list[str], model: str) -> np.ndarray:
         """One row per text: each content token adds ±1 at its hashed column,
@@ -716,7 +707,7 @@ class OfflineModel:
     # -- task handlers --------------------------------------------------------
 
     @staticmethod
-    def _extract_ir(payload: dict) -> dict:
+    def _ir_extract(payload: dict) -> dict:
         return {"sentences": [OfflineModel._sentence_ir(item["text"])
                               for passage in payload["passages"]
                               for item in passage["sentences"]]}
@@ -771,7 +762,7 @@ class OfflineModel:
         return _answer_text(statements, bool(payload.get("incomplete_evidence")))
 
     @staticmethod
-    def _decompose(payload: dict) -> dict:
+    def _atom_decompose(payload: dict) -> dict:
         """One atom per sentence, splitting compound predicates on 'and'."""
         text = payload["answer"]
         verbs = DECL_VERBS | PROC_VERBS
@@ -797,7 +788,7 @@ class OfflineModel:
         return {"atoms": atoms}
 
     @staticmethod
-    def _match(payload: dict) -> dict:
+    def _atom_match(payload: dict) -> dict:
         """Greedy in candidate order: each candidate takes the first reference
         not yet taken whose normalized form equals its own."""
         available: dict[tuple[str, ...], list[int]] = {}

@@ -1,10 +1,14 @@
 """Prompt templates for every pipeline task.
 
+``TASKS`` states each task once: its system prompt, the instruction that
+opens its user prompt, its temperature and the schema its reply must meet.
+Generative tasks run at temperature 0.7, evaluation tasks at 0.2. The request
+builders below only shape their task's payload; the task tags, the config's
+routing check and the offline provider's dispatch all read the table.
+
 Each user prompt ends with the task input rendered as a fenced JSON block.
 Structured inputs keep hosted models honest and give the offline provider a
 parseable payload; :func:`extract_payload` recovers it on the provider side.
-
-Generative tasks run at temperature 0.7, evaluation tasks at 0.2.
 """
 
 from __future__ import annotations
@@ -13,65 +17,84 @@ import itertools
 import json
 import re
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from .gateway import ChatRequest
+from .text import SORTED_JSON
 
 GENERATIVE_TEMPERATURE = 0.7
 EVALUATION_TEMPERATURE = 0.2
 
-_SYSTEM = {
-    "ir-extract": (
-        "You deconstruct each numbered sentence of one or more hardware "
-        "specification passages into a compact JSON structure. First decide its "
-        "kind: a declarative functional description (static properties, register "
-        "fields, signal functions) or a procedural behavioral description (state "
-        "transitions, conditional triggers, signal assignments). Then parse it "
-        "with that kind's template, \"kind\" first. Declarative sentences become "
-        "{\"kind\": \"declarative\", \"central_entity\": ..., "
-        "\"attributes\": [{\"name\": ..., \"value\": ...}]}. Procedural sentences become "
-        "{\"kind\": \"procedural\", \"trigger\": ..., \"condition\": ..., \"action\": "
-        "{\"subject\": ..., \"verb\": ..., \"object\": ...}}. A sentence that carries no "
-        "technical content (a caption or cross-reference) becomes {\"skip\": true, "
-        "\"reason\": ...}. Reply with JSON only: {\"sentences\": [...]}, one entry "
-        "per sentence, in order."
-    ),
-    "summarize": (
-        "Summarize what the given passages contribute toward answering the query. "
-        "Be terse and factual; mention only content relevant to the query. For each "
-        "number n in cuts, summarize the first n passages alone. Reply with JSON: "
-        '{"summaries": [...]}, one summary per cut, in order.'
-    ),
-    "reason": (
-        "You answer questions about a hardware specification step by step. Given "
-        "the question, your prior notes, and the evidence passages, produce one "
-        "reasoning step and assess whether the evidence suffices. Reply with JSON: "
-        '{"thought": ..., "status": "sufficient", "answer": ...} or {"thought": ..., '
-        '"status": "gap", "gap_description": ..., "sub_query": ..., "target_anchor": '
-        '{"anchor_type": "declarative"|"procedural", "entity": ...}}. The answer states '
-        "each fact from the evidence as its own short sentence. The sub_query must name "
-        "the single missing fact; the target_anchor captures its functional intent."
-    ),
-    "synthesize": (
-        "Write the final answer to the question using only the evidence passages. "
-        "State each fact as its own short sentence. If the evidence is flagged "
-        "incomplete, say what is known and note the gap."
-    ),
-    "atom-decompose": (
-        "Decompose the answer into minimal, self-contained factual claims. Each "
-        "atom must stand alone as one declarative statement. Reply with JSON: "
-        '{"atoms": [...]}.'
-    ),
-    "atom-match": (
-        "Judge each numbered candidate claim against the numbered reference "
-        "claims. A candidate matches a reference that states the same facts; "
-        "paraphrase and wording variance do not matter. Each reference matches "
-        "at most one candidate. Reply with JSON: {\"matches\": [...]}, one entry "
-        "per candidate, in order: the number of its matching reference, or null."
-    ),
+
+class Task(NamedTuple):
+    """One task as every request for it states it, apart from its payload."""
+
+    system: str
+    instruction: str
+    temperature: float
+    schema_id: str
+
+
+TASKS = {
+    "ir-extract": Task(
+        system="You deconstruct each numbered sentence of one or more hardware "
+               "specification passages into a compact JSON structure. First decide its "
+               "kind: a declarative functional description (static properties, register "
+               "fields, signal functions) or a procedural behavioral description (state "
+               "transitions, conditional triggers, signal assignments). Then parse it "
+               "with that kind's template, \"kind\" first. Declarative sentences become "
+               "{\"kind\": \"declarative\", \"central_entity\": ..., "
+               "\"attributes\": [{\"name\": ..., \"value\": ...}]}. Procedural sentences become "
+               "{\"kind\": \"procedural\", \"trigger\": ..., \"condition\": ..., \"action\": "
+               "{\"subject\": ..., \"verb\": ..., \"object\": ...}}. A sentence that carries no "
+               "technical content (a caption or cross-reference) becomes {\"skip\": true, "
+               "\"reason\": ...}. Reply with JSON only: {\"sentences\": [...]}, one entry "
+               "per sentence, in order.",
+        instruction=("Classify each numbered sentence, then deconstruct it using that "
+                     "kind's template."),
+        temperature=GENERATIVE_TEMPERATURE, schema_id="semantic-ir-list"),
+    "summarize": Task(
+        system="Summarize what the given passages contribute toward answering the query. "
+               "Be terse and factual; mention only content relevant to the query. For each "
+               "number n in cuts, summarize the first n passages alone. Reply with JSON: "
+               '{"summaries": [...]}, one summary per cut, in order.',
+        instruction="Summarize the evidence with respect to the query, once per cut.",
+        temperature=GENERATIVE_TEMPERATURE, schema_id="summary-list"),
+    "reason": Task(
+        system="You answer questions about a hardware specification step by step. Given "
+               "the question, your prior notes, and the evidence passages, produce one "
+               "reasoning step and assess whether the evidence suffices. Reply with JSON: "
+               '{"thought": ..., "status": "sufficient", "answer": ...} or {"thought": ..., '
+               '"status": "gap", "gap_description": ..., "sub_query": ..., "target_anchor": '
+               '{"anchor_type": "declarative"|"procedural", "entity": ...}}. The answer states '
+               "each fact from the evidence as its own short sentence. The sub_query must name "
+               "the single missing fact; the target_anchor captures its functional intent.",
+        instruction="Produce the next reasoning step and assess sufficiency.",
+        temperature=GENERATIVE_TEMPERATURE, schema_id="gap-assess"),
+    "synthesize": Task(
+        system="Write the final answer to the question using only the evidence passages. "
+               "State each fact as its own short sentence. If the evidence is flagged "
+               "incomplete, say what is known and note the gap.",
+        instruction="Write the final grounded answer.",
+        temperature=GENERATIVE_TEMPERATURE, schema_id="freeform"),
+    "atom-decompose": Task(
+        system="Decompose the answer into minimal, self-contained factual claims. Each "
+               "atom must stand alone as one declarative statement. Reply with JSON: "
+               '{"atoms": [...]}.',
+        instruction="Decompose this answer into atomic facts.",
+        temperature=EVALUATION_TEMPERATURE, schema_id="atom-list"),
+    "atom-match": Task(
+        system="Judge each numbered candidate claim against the numbered reference "
+               "claims. A candidate matches a reference that states the same facts; "
+               "paraphrase and wording variance do not matter. Each reference matches "
+               "at most one candidate. Reply with JSON: {\"matches\": [...]}, one entry "
+               "per candidate, in order: the number of its matching reference, or null.",
+        instruction="Find the reference claim equivalent to each candidate, if any.",
+        temperature=EVALUATION_TEMPERATURE, schema_id="match-list"),
 }
 
 # Every task the pipeline asks a chat model for; routing keys must name one.
-TASK_TAGS = tuple(_SYSTEM)
+TASK_TAGS = tuple(TASKS)
 
 
 def extract_payload(user_prompt: str) -> dict:
@@ -82,12 +105,16 @@ def extract_payload(user_prompt: str) -> dict:
     return json.loads(blocks[-1])
 
 
-# the payload encoder, made once: json.dumps with these settings builds one per call
-_PAYLOAD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-
-
 def _render(instruction: str, payload: dict) -> str:
-    return f"{instruction}\n\nInput:\n```json\n{_PAYLOAD_ENCODER.encode(payload)}\n```"
+    return f"{instruction}\n\nInput:\n```json\n{SORTED_JSON.encode(payload)}\n```"
+
+
+def _request(tag: str, payload: dict) -> ChatRequest:
+    """Task ``tag``'s request for ``payload``, as the table states the task."""
+    task = TASKS[tag]
+    return ChatRequest(task_tag=tag, system_prompt=task.system,
+                       user_prompt=_render(task.instruction, payload),
+                       temperature=task.temperature, response_schema_id=task.schema_id)
 
 
 def extract_ir(passages: list[tuple[Sequence[str], list[str]]]) -> ChatRequest:
@@ -96,85 +123,37 @@ def extract_ir(passages: list[tuple[Sequence[str], list[str]]]) -> ChatRequest:
     the whole request; the reply holds one ``semantic-ir`` entry per
     sentence, in order."""
     numbers = itertools.count(1)
-    return ChatRequest(
-        task_tag="ir-extract",
-        system_prompt=_SYSTEM["ir-extract"],
-        user_prompt=_render("Classify each numbered sentence, then deconstruct it "
-                            "using that kind's template.",
-                            {"passages": [{"section": section,
-                                           "sentences": [{"number": next(numbers), "text": s}
-                                                         for s in sentences]}
-                                          for section, sentences in passages]}),
-        temperature=GENERATIVE_TEMPERATURE,
-        response_schema_id="semantic-ir-list",
-    )
+    return _request("ir-extract", {"passages": [
+        {"section": section,
+         "sentences": [{"number": next(numbers), "text": s} for s in sentences]}
+        for section, sentences in passages]})
 
 
 def summarize(query: str, passages: list[dict], cuts: list[int]) -> ChatRequest:
     """One request for the summaries of several prefixes of ``passages``; the
     reply holds one ``summary-list`` entry per cut n, the summary of the first
     n passages, in order."""
-    return ChatRequest(
-        task_tag="summarize",
-        system_prompt=_SYSTEM["summarize"],
-        user_prompt=_render("Summarize the evidence with respect to the query, once per cut.",
-                            {"query": query, "passages": passages, "cuts": cuts}),
-        temperature=GENERATIVE_TEMPERATURE,
-        response_schema_id="summary-list",
-    )
+    return _request("summarize", {"query": query, "passages": passages, "cuts": cuts})
 
 
 def reason(question: str, thoughts: list[str], context: list[dict]) -> ChatRequest:
-    return ChatRequest(
-        task_tag="reason",
-        system_prompt=_SYSTEM["reason"],
-        user_prompt=_render(
-            "Produce the next reasoning step and assess sufficiency.",
-            {"question": question, "thoughts": thoughts, "context": context},
-        ),
-        temperature=GENERATIVE_TEMPERATURE,
-        response_schema_id="gap-assess",
-    )
+    return _request("reason", {"question": question, "thoughts": thoughts, "context": context})
 
 
 def synthesize(question: str, thoughts: list[str], context: list[dict],
                incomplete: bool) -> ChatRequest:
-    return ChatRequest(
-        task_tag="synthesize",
-        system_prompt=_SYSTEM["synthesize"],
-        user_prompt=_render(
-            "Write the final grounded answer.",
-            {"question": question, "thoughts": thoughts, "context": context,
-             "incomplete_evidence": incomplete},
-        ),
-        temperature=GENERATIVE_TEMPERATURE,
-        response_schema_id="freeform",
-    )
+    return _request("synthesize", {"question": question, "thoughts": thoughts,
+                                   "context": context, "incomplete_evidence": incomplete})
 
 
 def atom_decompose(answer: str) -> ChatRequest:
-    return ChatRequest(
-        task_tag="atom-decompose",
-        system_prompt=_SYSTEM["atom-decompose"],
-        user_prompt=_render("Decompose this answer into atomic facts.",
-                            {"answer": answer}),
-        temperature=EVALUATION_TEMPERATURE,
-        response_schema_id="atom-list",
-    )
+    return _request("atom-decompose", {"answer": answer})
 
 
 def atom_match(candidates: list[str], references: list[str]) -> ChatRequest:
     """One request judging every candidate claim against the references; the
     reply holds one ``match-list`` entry per candidate, in order: the index
     of its matching reference, or null."""
-    return ChatRequest(
-        task_tag="atom-match",
-        system_prompt=_SYSTEM["atom-match"],
-        user_prompt=_render(
-            "Find the reference claim equivalent to each candidate, if any.",
-            {"candidates": [{"index": i, "text": t} for i, t in enumerate(candidates)],
-             "references": [{"index": i, "text": t} for i, t in enumerate(references)]},
-        ),
-        temperature=EVALUATION_TEMPERATURE,
-        response_schema_id="match-list",
-    )
+    return _request("atom-match", {
+        "candidates": [{"index": i, "text": t} for i, t in enumerate(candidates)],
+        "references": [{"index": i, "text": t} for i, t in enumerate(references)]})

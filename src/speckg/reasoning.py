@@ -14,7 +14,7 @@ other exit (budget, stall, or a malformed assessment) asks for one
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import prompts, retrieval
 from .errors import MalformedReply, SpecKGError, SynthesisFailed
@@ -66,8 +66,8 @@ class ReasoningContext:
 
 @dataclass
 class AnswerRecord:
-    """One question's answer and how it was reached; ``to_dict`` is where the
-    retrieval rounds become dicts, for the CLI's output."""
+    """One question's answer and how it was reached; ``to_dict`` turns it,
+    retrieval rounds and all, into the CLI's output."""
 
     question: str
     answer: str
@@ -78,15 +78,7 @@ class AnswerRecord:
     thoughts: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "answer": self.answer,
-            "provenance": self.provenance,
-            "retrieval_log": [r.to_dict() for r in self.retrieval_log],
-            "rounds_used": self.rounds_used,
-            "flags": self.flags,
-            "thoughts": self.thoughts,
-        }
+        return asdict(self)
 
 
 def reason_step(gateway: Gateway, ctx: ReasoningContext) -> GapAssessment:

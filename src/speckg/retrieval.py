@@ -28,7 +28,7 @@ from . import prompts
 from .errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply
 from .gateway import Gateway
 from .ingest import SemanticAnchor
-from .kg import SpecGraph
+from .kg import SpecGraph, passage_key
 
 logger = logging.getLogger(__name__)
 
@@ -48,19 +48,6 @@ class RetrievalRound:
     mig_trace: list[float] = field(default_factory=list)
     bypassed: bool = False
     warning: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "sub_query": self.sub_query,
-            "target_anchor": self.target_anchor.to_dict(),
-            "ranked": [[pid, score] for pid, score in self.ranked],
-            "accepted": self.accepted,
-            "filtered": self.filtered,
-            "removed": self.removed,
-            "mig_trace": self.mig_trace,
-            "bypassed": self.bypassed,
-            "warning": self.warning,
-        }
 
 
 def seed(query: str, kg: SpecGraph, n_seeds: int, gateway: Gateway) -> dict[str, float]:
@@ -258,9 +245,10 @@ class PassageTable:
         return scores
 
 
-def build_passage_table(walk: Walk, passages: slice, damping: float) -> PassageTable:
-    """The passage table of ``walk``, whose nodes in ``passages`` are the
-    passages in id order.
+def build_passage_table(walk: Walk, passages: slice | np.ndarray,
+                        damping: float) -> PassageTable:
+    """The passage table of ``walk``, whose nodes at ``passages``, a slice or
+    an array of positions, are the passages in id order.
 
     One walk per passage j, ``walk_scores``' steps without the dangling
     hand-back, gives π_j, its scores on every node of its component. Every edge
@@ -273,7 +261,7 @@ def build_passage_table(walk: Walk, passages: slice, damping: float) -> PassageT
     # The table's columns: the passages grouped by component, in id order
     # within each; its rows: the nodes grouped by component, in walk order.
     order = np.argsort(component[passages], kind="stable")
-    columns = np.arange(passages.start, passages.stop)[order]
+    columns = np.arange(walk.n_nodes)[passages][order]
     by_component = np.argsort(component, kind="stable")
     labels, first = np.unique(component[by_component], return_index=True)
     members = np.split(by_component, first[1:])
@@ -313,14 +301,13 @@ def build_passage_table(walk: Walk, passages: slice, damping: float) -> PassageT
 
 @dataclass(frozen=True)
 class GraphWalk:
-    """A graph's walk with its node keys in walk order. The passages lie
-    contiguous in that order, sorted by id. Its passage tables, one per
-    damping, are built on first use."""
+    """A graph's walk with its node keys in walk order. Its passage tables,
+    one per damping, are built on first use."""
 
     keys: list[str]
     index: dict[str, int]
     walk: Walk
-    passages: slice  # the passages' positions in walk order
+    passages: np.ndarray  # the passages' positions in walk order, in id order
     passage_ids: list[str]
     tables: dict[float, PassageTable] = field(default_factory=dict, compare=False, repr=False)
 
@@ -352,10 +339,10 @@ def graph_walk(kg: SpecGraph) -> GraphWalk:
         i, j = index[edge.src], index[edge.dst]
         edges.append((i, j, 1.0))
         edges.append((j, i, 1.0))
-    passages = slice(len(kg.entities), len(kg.entities) + len(kg.passages))
+    passage_ids = sorted(kg.passages)
+    passages = np.array([index[passage_key(pid)] for pid in passage_ids], dtype=np.intp)
     return _WALKS.setdefault(kg, GraphWalk(keys, index, build_walk(len(keys), edges),
-                                           passages=passages,
-                                           passage_ids=sorted(kg.passages)))
+                                           passages=passages, passage_ids=passage_ids))
 
 
 def passage_table(walk: GraphWalk, damping: float) -> PassageTable:

@@ -1,4 +1,5 @@
-"""Text utilities: tokenization, entity canonicalization, sentence segmentation.
+"""Text utilities: tokenization, entity canonicalization, sentence segmentation,
+and the package's two JSON encoders.
 
 Segmentation is rule-based (terminal punctuation with abbreviation guards);
 bullet-list items and table rows each count as one sentence. Specification
@@ -8,7 +9,15 @@ heuristics.
 
 from __future__ import annotations
 
+import json
 import re
+
+# The package's JSON encoders, each made once (json.dumps with settings builds
+# one per call): ORDERED_JSON writes records in field order (corpus files,
+# fixture lines); SORTED_JSON sorts keys, for bytes that must not depend on
+# key order (request digests, prompt payloads, offline replies, graph.jsonl).
+ORDERED_JSON = json.JSONEncoder(ensure_ascii=False)
+SORTED_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 ARTICLES = {"a", "an", "the"}
 

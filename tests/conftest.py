@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speckg import evaluation, kg as kgmod, reasoning
+from speckg import evaluation, kg as kgmod, prompts, reasoning
 from speckg.config import RunConfig
 from speckg.gateway import Gateway
 from speckg.ingest import ingest_document
@@ -22,10 +22,24 @@ QA_DATASET = FIXTURES / "qa_dataset.jsonl"
 
 
 def make_offline_gateway(**kwargs) -> Gateway:
-    defaults = dict(provider=OfflineModel(), mode="live",
-                    chat_model="offline-chat", embedding_model="offline-embed")
-    defaults.update(kwargs)
-    return Gateway(**defaults)
+    return Gateway(**{"provider": OfflineModel(), "mode": "live", **kwargs})
+
+
+def one_request_per_task() -> dict:
+    """One request of each task, by tag, from fixed inputs."""
+    context = [{"passage_id": "spec#p0001", "section": "Registers/CTRL",
+                "text": "The CTRL register holds the mode."}]
+    return {
+        "ir-extract": prompts.extract_ir([(["Registers", "CTRL"],
+                                           ["The CTRL register holds the mode.",
+                                            "Écrit à 0x1."])]),
+        "summarize": prompts.summarize("What does CTRL hold?", context, [1]),
+        "reason": prompts.reason("What does CTRL hold?", ["first thought"], context),
+        "synthesize": prompts.synthesize("What does CTRL hold?", [], context, True),
+        "atom-decompose": prompts.atom_decompose("The CTRL register holds the mode."),
+        "atom-match": prompts.atom_match(["CTRL holds the mode."],
+                                         ["The CTRL register holds the mode.", "x"]),
+    }
 
 
 def make_config(**gateway_overrides) -> RunConfig:

@@ -223,6 +223,51 @@ class TestMissingInputs:
         assert not (tmp_path / "report.json").exists() and not (tmp_path / "run").exists()
 
 
+class TestUnreadableInputs:
+    """An input file that is not UTF-8 text, or a directory given as the spec,
+    ends in one error line, not a traceback: a runtime error for a dataset or
+    fixture file, a config error for the spec."""
+
+    NOT_UTF8 = b"\xff\xfe not text\n"
+
+    @staticmethod
+    def error_lines(capsys, prefix):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return [line for line in err.splitlines() if line.startswith(prefix)]
+
+    def test_dataset_not_utf8(self, built_store, tmp_path, capsys):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_bytes(self.NOT_UTF8)
+        code = main(["eval", "--kg", str(built_store["store"]), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        [line] = self.error_lines(capsys, "error: ")
+        assert line.startswith(f"error: dataset {dataset} is not UTF-8 text")
+
+    def test_fixture_file_not_utf8(self, built_store, tmp_path, capsys):
+        fixtures = tmp_path / "replies.jsonl"
+        fixtures.write_bytes(built_store["fixtures"].read_bytes().split(b"\n")[0] + b"\n"
+                             + self.NOT_UTF8)
+        code = main(["query", "--kg", str(built_store["store"]), "--question", "q?",
+                     "--mode", "replay", "--fixtures", str(fixtures)])
+        assert code == 1
+        [line] = self.error_lines(capsys, "error: ")
+        assert line == f"error: {fixtures}:2: fixture record is not UTF-8 text"
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_spec(self, tmp_path, capsys, kind):
+        spec = tmp_path / "spec.md"
+        if kind == "directory":
+            spec.mkdir()
+        else:
+            spec.write_bytes(self.NOT_UTF8)
+        code = main(["build-kg", "--spec", str(spec), "--out", str(tmp_path / "kg")])
+        assert code == 2
+        [line] = self.error_lines(capsys, "config error: ")
+        assert str(spec) in line and not (tmp_path / "kg").exists()
+
+
 class TestItemErrors:
     def test_judge_fixture_miss_fails_the_item(self, built_store, tmp_path):
         # without the atom-match replies no atom can be judged: each item ends

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from speckg import prompts
+from speckg import ingest, kg as kgmod, prompts, retrieval
 from speckg.config import DEFAULTS, RunConfig, build_gateway, load_config
 from speckg.errors import ConfigError
+from speckg.gateway import Gateway
 from speckg.offline import OfflineModel
 
 
@@ -27,6 +28,26 @@ class TestDefaults:
         assert cfg.eval.n_judge == 20
         assert cfg.eval.recall_k == 20
         assert cfg.jobs == 1
+
+    def test_default_config_and_bare_gateway_agree(self):
+        # the model names enter every request digest, so they are pinned too
+        wired = build_gateway(RunConfig())
+        bare = Gateway(provider=OfflineModel())
+        for name in ("chat_model", "embedding_model", "max_attempts", "backoff_base"):
+            assert getattr(wired, name) == getattr(bare, name)
+        assert (bare.chat_model, bare.embedding_model) == ("offline-chat", "offline-embed")
+        assert (bare.max_attempts, bare.backoff_base) == (3, 1.0)
+        assert RunConfig().ingest.max_passage_tokens == ingest.DEFAULT_MAX_PASSAGE_TOKENS == 512
+
+    def test_store_built_by_bare_gateway_queries_under_default_config(self):
+        # a graph embeds under its gateway's model, and seeding refuses a
+        # query embedded by another
+        bare = Gateway(provider=OfflineModel())
+        corpus = ingest.ingest_document(bare, "# CTRL\n\nThe CTRL register holds the mode.\n",
+                                        "d")
+        graph = kgmod.build_from_corpus(corpus, bare)
+        seeds = retrieval.seed("What does CTRL hold?", graph, 2, build_gateway(RunConfig()))
+        assert len(seeds) == 2
 
     def test_checksum_stable_and_sensitive(self):
         a, b = RunConfig(), RunConfig()
@@ -247,6 +268,38 @@ class TestValidation:
             load_config(conf)
         with pytest.raises(ConfigError, match=f"unknown config override '{key}'"):
             load_config(None, overrides={key: True})
+
+
+class TestModelNames:
+    """A model name in the config is a non-empty string, wherever it is set."""
+
+    @pytest.mark.parametrize("section,bad", [
+        ({"task_models": {"reason": 5, "summarize": None}}, "provider.task_models.reason"),
+        ({"task_models": {"summarize": None}}, "provider.task_models.summarize"),
+        ({"task_models": {"atom-match": " "}}, "provider.task_models.atom-match"),
+        ({"model": ""}, "provider.model"),
+        ({"embedding_model": " "}, "provider.embedding_model"),
+    ], ids=["number", "null", "blank", "empty-chat", "blank-embed"])
+    def test_bad_model_name_in_file_rejected(self, tmp_path, section, bad):
+        conf = tmp_path / "conf.yaml"
+        conf.write_text(yaml.safe_dump({"provider": section}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(bad)} must be a non-empty model name"):
+            load_config(conf)
+
+    @pytest.mark.parametrize("key,value,bad", [
+        ("provider.task_models", {"reason": ["m"]}, "provider.task_models.reason"),
+        ("provider.model", "", "provider.model"),
+        ("provider.embedding_model", "", "provider.embedding_model"),
+    ], ids=["list-route", "empty-chat", "empty-embed"])
+    def test_bad_model_name_override_rejected(self, key, value, bad):
+        with pytest.raises(ConfigError, match=f"^{re.escape(bad)} must be a non-empty model name"):
+            load_config(None, overrides={key: value})
+
+    def test_direct_edit_rejected_at_validate(self):
+        cfg = RunConfig()
+        cfg.provider.task_models = {"synthesize": None}
+        with pytest.raises(ConfigError, match="provider.task_models.synthesize"):
+            cfg.validate()
 
 
 class TestTaskRouting:

@@ -506,3 +506,30 @@ class TestRepetitions:
             run_benchmark(dataset[:1], graph, make_offline_gateway(), paper_cfg())
         assert ("replies fixed by request: 1 run x 1 judge per item (config: 5 x 20)"
                 in caplog.messages)
+
+
+def test_report_json_is_pinned():
+    # report.json is this dict; its keys and the nesting of the items are
+    # part of the byte-identical replay report
+    scored = evaluation.ItemResult(
+        qid="q1", question_type="signal-dependency", hop_count=2, answer="A.",
+        rounds_used=1, flags=[], precision=1.0, recall=0.5, f1=2 / 3, system_recall=None,
+        samples=1, dropped=0)
+    failed = evaluation.ItemResult(
+        qid="q2", question_type="signal-dependency", hop_count=1, answer="", rounds_used=0,
+        flags=[], precision=0.0, recall=0.0, f1=0.0, system_recall=None, samples=0,
+        dropped=0, error="FixtureMiss")
+    report = evaluation.EvalReport(
+        items=[scored, failed],
+        per_category={"signal-dependency": {"mean_f1": 2 / 3, "std_f1": 0.0, "n": 1}},
+        overall_f1=2 / 3, mean_system_recall=None, recall_k=20, n_runs=5, n_judge=20)
+    item = ('{{"qid": "{}", "question_type": "signal-dependency", "hop_count": {}, '
+            '"answer": "{}", "rounds_used": {}, "flags": [], "precision": {}, "recall": {}, '
+            '"f1": {}, "system_recall": null, "samples": {}, "dropped": 0, "error": {}}}')
+    assert json.dumps(report.to_dict()) == (
+        '{"items": ['
+        + item.format("q1", 2, "A.", 1, 1.0, 0.5, 0.6666666666666666, 1, "null") + ", "
+        + item.format("q2", 1, "", 0, 0.0, 0.0, 0.0, 0, '"FixtureMiss"')
+        + '], "per_category": {"signal-dependency": {"mean_f1": 0.6666666666666666, '
+        '"std_f1": 0.0, "n": 1}}, "overall_f1": 0.6666666666666666, '
+        '"mean_system_recall": null, "recall_k": 20, "n_runs": 5, "n_judge": 20}')

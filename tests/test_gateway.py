@@ -11,13 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speckg import gateway as gateway_module
-from speckg import offline as offline_module
-from speckg import prompts
+from speckg import prompts, text
 from speckg.errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
 from speckg.gateway import ChatRequest, FixtureStore, Gateway, chat_digest, embed_digest
 from speckg.offline import EMBED_DIM, OfflineModel
 
-from conftest import make_offline_gateway
+from conftest import make_offline_gateway, one_request_per_task
 
 
 def req(**kwargs):
@@ -246,6 +245,26 @@ def test_digest_format_frozen():
         "fcd55321e6a3831be30063bbf9fe3dd65e66e1dac3f51a56e6386ffe9f5722d8")
 
 
+# Each task's request digest at fixed inputs. A change to a task's system
+# prompt, instruction, temperature or schema changes its digest, and every
+# fixture file recorded before would miss on that task.
+TASK_DIGESTS = {
+    "ir-extract": "509acb1d59561062e7df24a7506b4bcfec51dbe5c475d92dc6c26ac390cff12d",
+    "summarize": "ca7df4aed4d5be6e3181373f973aae6f0b382657c42018f6ff1057570cf38fae",
+    "reason": "c98aaaa981ab197d866fbe9d5d99f98f2db7e68fb23a5ebb1d4cdb483fd407da",
+    "synthesize": "b27612d1adfcfe708481d4024a7d29f31571ae853aaa19f40948bd8f4ecaabb0",
+    "atom-decompose": "de483c66f735687502f5b1c96028cd57b6590ac3d790abd161dbf407181c2391",
+    "atom-match": "b486e5ced36d29c4dd5c5f4a8ac79729b02e12f1b67a3eb877216544f1ffbbfb",
+}
+
+
+def test_task_digests_frozen():
+    requests = one_request_per_task()
+    assert sorted(requests) == sorted(prompts.TASK_TAGS)
+    assert {tag: r.task_tag for tag, r in requests.items()} == {tag: tag for tag in requests}
+    assert {tag: chat_digest(r, "golden-model") for tag, r in requests.items()} == TASK_DIGESTS
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
@@ -258,11 +277,13 @@ JSON_VALUES = st.recursive(
           "nested": {"b": [1e-310, -0.0, float("inf")], "a": None}})
 @settings(max_examples=200, deadline=None)
 def test_shared_encoders_write_what_json_dumps_writes(payload):
-    # digests, prompt payloads and offline replies each keep one encoder
+    # digests, prompt payloads, offline replies and graph.jsonl share the
+    # key-sorted encoder; corpus files and fixture lines the ordered one
     expected = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     assert gateway_module._digest(payload) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
     assert prompts._render("Do it.", payload) == f"Do it.\n\nInput:\n```json\n{expected}\n```"
-    assert offline_module._REPLY_ENCODER.encode(payload) == expected
+    assert text.SORTED_JSON.encode(payload) == expected
+    assert text.ORDERED_JSON.encode(payload) == json.dumps(payload, ensure_ascii=False)
 
 
 def test_record_mode_serializes_concurrent_writes(tmp_path):
@@ -355,7 +376,7 @@ MALFORMED_F8.update({
 
 def write_vector_records(path, replies, texts=("a", "b")):
     path.write_text("".join(
-        json.dumps({"digest": embed_digest(text, "default-embed"), "task_tag": "embed",
+        json.dumps({"digest": embed_digest(text, Gateway.embedding_model), "task_tag": "embed",
                     "reply": reply}) + "\n"
         for text, reply in zip(texts, replies)))
 
@@ -609,7 +630,7 @@ class TestRetriesAndSchemaGate:
     def test_schema_gate_blocks_invalid_fixture(self, tmp_path):
         # Hand-edited fixture violating the schema must not cross the boundary.
         request = req(task_tag="atom-match", response_schema_id="match-list")
-        digest = chat_digest(request, "default-chat")
+        digest = chat_digest(request, Gateway.chat_model)
         store_path = tmp_path / "replies.jsonl"
         store_path.write_text(json.dumps({
             "digest": digest, "task_tag": "atom-match",

@@ -18,10 +18,12 @@ import pytest
 
 from speckg import evaluation, offline, prompts
 from speckg.config import RunConfig
-from speckg.gateway import Gateway
+from speckg.gateway import ChatRequest, Gateway
 from speckg.offline import (EMBED_DIM, STOPWORDS, OfflineModel, _answer_text, _content,
                             _Resolver, parse_sentence)
 from speckg.text import split_sentences, tokenize
+
+from conftest import one_request_per_task
 
 RESET = "When the reset input is asserted, the TX FSM returns to the IDLE state."
 START = "When a start bit is detected in the IDLE state, the TX FSM enters the SYNC state."
@@ -473,3 +475,19 @@ def test_threads_sharing_one_model_get_the_oracle_replies(graph, dataset):
     assert len(results) == 6 * (len(requests) + 1)
     for j, reply in results:
         assert reply == (vectors if j < 0 else expected[j])
+
+
+
+def test_serves_exactly_the_prompt_tasks():
+    # every task of the prompt table gets a reply its schema accepts, checked
+    # by the gateway; a tag outside the table, such as the removed
+    # classify-sentence task, has no rule
+    requests = one_request_per_task()
+    assert sorted(requests) == sorted(prompts.TASK_TAGS)
+    gateway = Gateway(provider=OfflineModel())
+    for request in requests.values():
+        gateway.chat(request)
+    payload = requests["atom-decompose"].user_prompt
+    for tag in ("classify-sentence", "atom_decompose"):
+        with pytest.raises(ValueError, match=f"no rule for task_tag {tag!r}"):
+            OfflineModel().chat(ChatRequest(tag, "sys", payload), "offline-chat")

@@ -11,6 +11,7 @@ from speckg.prompts import extract_payload
 from speckg.reasoning import (FLAG_BUDGET, FLAG_DEGRADED, FLAG_INCOMPLETE,
                               FLAG_STALL, ContextItem, ReasoningContext,
                               acquire, reason_step, run, synthesize)
+from speckg.retrieval import RetrievalRound
 from speckg.text import canonical_entity
 
 from conftest import synthesized_answer
@@ -328,3 +329,24 @@ def test_query_embedded_at_another_dimension_flags_the_run(graph, run_cfg):
     record = run(CHAIN_QUESTION, graph, gw, run_cfg)
     assert "error:InvalidInput" in record.flags
     assert record.answer == ""
+
+
+def test_answer_record_json_is_pinned():
+    # the CLI prints this dict; its keys, their order and the nesting of the
+    # retrieval rounds are part of query's output
+    record = reasoning.AnswerRecord(
+        question="What does CTRL hold?", answer="CTRL holds the mode.",
+        provenance=["d#p0001"],
+        retrieval_log=[RetrievalRound(
+            sub_query="CTRL contents", target_anchor=SemanticAnchor("declarative", "ctrl"),
+            ranked=[("d#p0001", 0.5), ("d#p0002", 0.25)], accepted=["d#p0001", "d#p0002"],
+            filtered=["d#p0001"], removed=["d#p0002"], mig_trace=[0.125], warning="w")],
+        rounds_used=1, flags=["incomplete_evidence"], thoughts=["look up CTRL"])
+    assert json.dumps(record.to_dict()) == (
+        '{"question": "What does CTRL hold?", "answer": "CTRL holds the mode.", '
+        '"provenance": ["d#p0001"], "retrieval_log": [{"sub_query": "CTRL contents", '
+        '"target_anchor": {"anchor_type": "declarative", "entity": "ctrl"}, '
+        '"ranked": [["d#p0001", 0.5], ["d#p0002", 0.25]], "accepted": ["d#p0001", '
+        '"d#p0002"], "filtered": ["d#p0001"], "removed": ["d#p0002"], "mig_trace": [0.125], '
+        '"bypassed": false, "warning": "w"}], "rounds_used": 1, '
+        '"flags": ["incomplete_evidence"], "thoughts": ["look up CTRL"]}')
