@@ -10,9 +10,10 @@ filtering), and score answers with an atomic-fact fidelity metric.
 __version__ = "0.1.0"
 
 from .config import RunConfig, build_gateway, load_config
-from .gateway import ChatRequest, FixtureStore, Gateway
+from .gateway import FixtureStore, Gateway
 from .ingest import Corpus, Passage, SemanticAnchor, SemanticIR, ingest_document
 from .kg import SpecGraph, Triple, build_from_corpus, load, save
+from .prompts import ChatRequest
 from .reasoning import AnswerRecord, run
 
 __all__ = [

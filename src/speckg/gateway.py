@@ -17,7 +17,7 @@ import logging
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -25,30 +25,12 @@ import numpy as np
 
 from . import schemas
 from .errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
+from .prompts import ChatRequest
 from .text import ORDERED_JSON, SORTED_JSON
 
 logger = logging.getLogger(__name__)
 
 MODES = ("live", "record", "replay")
-
-
-@dataclass(frozen=True)
-class ChatRequest:
-    """One chat-completion request, addressed by pipeline step."""
-
-    task_tag: str
-    system_prompt: str
-    user_prompt: str
-    temperature: float = 0.7
-    response_schema_id: str = schemas.FREEFORM
-
-    def __post_init__(self):
-        if not self.task_tag:
-            raise InvalidInput("task_tag must be non-empty")
-        if not (0.0 <= self.temperature <= 2.0):
-            raise InvalidInput(f"temperature {self.temperature} outside [0, 2]")
-        if self.response_schema_id != schemas.FREEFORM and self.response_schema_id not in schemas.SCHEMAS:
-            raise InvalidInput(f"unknown response schema id {self.response_schema_id!r}")
 
 
 class Provider(Protocol):
@@ -236,16 +218,8 @@ class Gateway:
         if error is None:
             return reply
         # One repair round-trip: echo the broken reply and the validation error.
-        repair = ChatRequest(
-            task_tag=req.task_tag,
-            system_prompt=req.system_prompt,
-            user_prompt=(
-                f"{req.user_prompt}\n\nYour previous reply was invalid:\n{raw}\n"
-                f"Validation error: {error}\nReply again with valid JSON only."
-            ),
-            temperature=req.temperature,
-            response_schema_id=req.response_schema_id,
-        )
+        repair = replace(req, note=f"\n\nYour previous reply was invalid:\n{raw}\n"
+                                   f"Validation error: {error}\nReply again with valid JSON only.")
         raw2 = self._with_retries(lambda: self.provider.chat(repair, model), req.task_tag)
         reply, error = self._parse_structured(req.response_schema_id, raw2)
         if error is not None:
@@ -350,7 +324,7 @@ class Gateway:
         for attempt in range(self.max_attempts):
             try:
                 return call()
-            except Exception as exc:  # provider transport failures only
+            except Exception as exc:
                 last = exc
                 if attempt + 1 < self.max_attempts:
                     delay = self.backoff_base * (2 ** attempt)

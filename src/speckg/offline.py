@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gateway import ChatRequest
-from .prompts import TASK_TAGS, extract_payload
+from .prompts import ChatRequest
 from .text import SORTED_JSON, canonical_entity, split_sentences, strip_articles, tokenize
 
 EMBED_DIM = 256
@@ -641,14 +640,9 @@ class OfflineModel:
         self._sentences: dict[str, tuple[tuple[str, frozenset[str]], ...]] = {}
         self._parses: dict[str, tuple[ClauseParse, ...]] = {}
 
-    # each task's rule: the handler below named after its tag, as _atom_match
-    _RULES = {tag: "_" + tag.replace("-", "_") for tag in TASK_TAGS}
-
     def chat(self, request: ChatRequest, model: str) -> str:
-        rule = self._RULES.get(request.task_tag)
-        if rule is None:
-            raise ValueError(f"offline model has no rule for task_tag {request.task_tag!r}")
-        reply = getattr(self, rule)(extract_payload(request.user_prompt))
+        # each task's handler is the method below named after its tag, as _atom_match
+        reply = getattr(self, "_" + request.task_tag.replace("-", "_"))(request.payload)
         if isinstance(reply, str):
             return reply
         return SORTED_JSON.encode(reply)

@@ -2,24 +2,25 @@
 
 ``TASKS`` states each task once: its system prompt, the instruction that
 opens its user prompt, its temperature and the schema its reply must meet.
-Generative tasks run at temperature 0.7, evaluation tasks at 0.2. The request
-builders below only shape their task's payload; the task tags, the config's
-routing check and the offline provider's dispatch all read the table.
+Generative tasks run at temperature 0.7, evaluation tasks at 0.2. A
+:class:`ChatRequest` is a task tag and its payload; the request builders below
+only shape their task's payload. The task tags, the config's routing check,
+the wire prompts, the request digest and the offline provider's dispatch all
+read the table.
 
-Each user prompt ends with the task input rendered as a fenced JSON block.
-Structured inputs keep hosted models honest and give the offline provider a
-parseable payload; :func:`extract_payload` recovers it on the provider side.
+Each user prompt ends with the task input rendered as a fenced JSON block,
+which keeps hosted models honest; the offline provider reads the payload
+itself.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import re
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .gateway import ChatRequest
+from .errors import InvalidInput
 from .text import SORTED_JSON
 
 GENERATIVE_TEMPERATURE = 0.7
@@ -97,24 +98,44 @@ TASKS = {
 TASK_TAGS = tuple(TASKS)
 
 
-def extract_payload(user_prompt: str) -> dict:
-    """Recover the fenced JSON input block from a rendered user prompt."""
-    blocks = re.findall(r"```json\n(.*?)\n```", user_prompt, flags=re.DOTALL)
-    if not blocks:
-        raise ValueError("prompt carries no JSON payload block")
-    return json.loads(blocks[-1])
-
-
 def _render(instruction: str, payload: dict) -> str:
     return f"{instruction}\n\nInput:\n```json\n{SORTED_JSON.encode(payload)}\n```"
 
 
-def _request(tag: str, payload: dict) -> ChatRequest:
-    """Task ``tag``'s request for ``payload``, as the table states the task."""
-    task = TASKS[tag]
-    return ChatRequest(task_tag=tag, system_prompt=task.system,
-                       user_prompt=_render(task.instruction, payload),
-                       temperature=task.temperature, response_schema_id=task.schema_id)
+@dataclass(frozen=True)
+class ChatRequest:
+    """One chat-completion request: a task of ``TASKS`` and its payload.
+
+    The payload holds JSON types only, so a provider that reads it gets what
+    the rendered prompt states. The user prompt is rendered once, here:
+    the task's instruction, the payload, then ``note``, which a repair
+    request uses to echo the invalid reply. The system prompt, temperature
+    and reply schema are the task's."""
+
+    task_tag: str
+    payload: dict
+    note: str = ""
+    user_prompt: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        task = TASKS.get(self.task_tag)
+        if task is None:
+            raise InvalidInput(f"unknown task_tag {self.task_tag!r}; the tasks are "
+                               f"{', '.join(TASKS)}")
+        object.__setattr__(self, "user_prompt",
+                           _render(task.instruction, self.payload) + self.note)
+
+    @property
+    def system_prompt(self) -> str:
+        return TASKS[self.task_tag].system
+
+    @property
+    def temperature(self) -> float:
+        return TASKS[self.task_tag].temperature
+
+    @property
+    def response_schema_id(self) -> str:
+        return TASKS[self.task_tag].schema_id
 
 
 def extract_ir(passages: list[tuple[Sequence[str], list[str]]]) -> ChatRequest:
@@ -123,8 +144,8 @@ def extract_ir(passages: list[tuple[Sequence[str], list[str]]]) -> ChatRequest:
     the whole request; the reply holds one ``semantic-ir`` entry per
     sentence, in order."""
     numbers = itertools.count(1)
-    return _request("ir-extract", {"passages": [
-        {"section": section,
+    return ChatRequest("ir-extract", {"passages": [
+        {"section": list(section),
          "sentences": [{"number": next(numbers), "text": s} for s in sentences]}
         for section, sentences in passages]})
 
@@ -133,27 +154,28 @@ def summarize(query: str, passages: list[dict], cuts: list[int]) -> ChatRequest:
     """One request for the summaries of several prefixes of ``passages``; the
     reply holds one ``summary-list`` entry per cut n, the summary of the first
     n passages, in order."""
-    return _request("summarize", {"query": query, "passages": passages, "cuts": cuts})
+    return ChatRequest("summarize", {"query": query, "passages": passages, "cuts": cuts})
 
 
 def reason(question: str, thoughts: list[str], context: list[dict]) -> ChatRequest:
-    return _request("reason", {"question": question, "thoughts": thoughts, "context": context})
+    return ChatRequest("reason", {"question": question, "thoughts": list(thoughts),
+                                  "context": context})
 
 
 def synthesize(question: str, thoughts: list[str], context: list[dict],
                incomplete: bool) -> ChatRequest:
-    return _request("synthesize", {"question": question, "thoughts": thoughts,
-                                   "context": context, "incomplete_evidence": incomplete})
+    return ChatRequest("synthesize", {"question": question, "thoughts": list(thoughts),
+                                      "context": context, "incomplete_evidence": incomplete})
 
 
 def atom_decompose(answer: str) -> ChatRequest:
-    return _request("atom-decompose", {"answer": answer})
+    return ChatRequest("atom-decompose", {"answer": answer})
 
 
 def atom_match(candidates: list[str], references: list[str]) -> ChatRequest:
     """One request judging every candidate claim against the references; the
     reply holds one ``match-list`` entry per candidate, in order: the index
     of its matching reference, or null."""
-    return _request("atom-match", {
+    return ChatRequest("atom-match", {
         "candidates": [{"index": i, "text": t} for i, t in enumerate(candidates)],
         "references": [{"index": i, "text": t} for i, t in enumerate(references)]})

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 from .errors import ConfigError
-from .gateway import ChatRequest
+from .prompts import ChatRequest
 from .offline import OfflineModel
 
 OFFLINE_SCHEME = "offline:"

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speckg import gateway as gateway_module
-from speckg import prompts, text
+from speckg import prompts, schemas, text
 from speckg.errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
 from speckg.gateway import ChatRequest, FixtureStore, Gateway, chat_digest, embed_digest
 from speckg.offline import EMBED_DIM, OfflineModel
@@ -19,45 +19,80 @@ from speckg.offline import EMBED_DIM, OfflineModel
 from conftest import make_offline_gateway, one_request_per_task
 
 
-def req(**kwargs):
-    defaults = dict(task_tag="summarize", system_prompt="sys", user_prompt="hello",
-                    temperature=0.7, response_schema_id="freeform")
-    defaults.update(kwargs)
-    return ChatRequest(**defaults)
+def synthesis():
+    """A request whose reply is freeform text."""
+    return prompts.synthesize("q", [], [], False)
+
+
+def judging():
+    """A request whose reply must meet the ``match-list`` schema."""
+    return prompts.atom_match(["a"], ["b"])
 
 
 class TestChatRequest:
-    def test_temperature_bounds(self):
-        with pytest.raises(InvalidInput):
-            req(temperature=-0.1)
-        with pytest.raises(InvalidInput):
-            req(temperature=2.5)
+    def test_unknown_task_tag_rejected_naming_the_tasks(self):
+        with pytest.raises(InvalidInput, match="atom-match"):
+            ChatRequest("summarise", {})
 
     def test_empty_task_tag_rejected(self):
         with pytest.raises(InvalidInput):
-            req(task_tag="")
+            ChatRequest("", {})
 
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(InvalidInput):
-            req(response_schema_id="nope")
+    # the task table is static, so its temperatures and schema ids are
+    # checked here rather than on every request
+    def test_temperature_bounds(self):
+        assert all(0.0 <= task.temperature <= 2.0 for task in prompts.TASKS.values())
+
+    def test_every_schema_id_known(self):
+        assert all(task.schema_id == schemas.FREEFORM or task.schema_id in schemas.SCHEMAS
+                   for task in prompts.TASKS.values())
+
+    def test_the_task_states_all_but_the_payload(self):
+        request = judging()
+        task = prompts.TASKS["atom-match"]
+        assert (request.system_prompt, request.temperature, request.response_schema_id) == (
+            task.system, task.temperature, task.schema_id)
+        assert request.user_prompt == prompts._render(task.instruction, request.payload)
+        assert ChatRequest("atom-match", request.payload, note="\nmore").user_prompt == (
+            request.user_prompt + "\nmore")
+
+    def test_payload_is_what_the_prompt_sends(self):
+        # the offline model reads the payload a hosted model reads in the prompt
+        for request in one_request_per_task().values():
+            assert json.loads(text.SORTED_JSON.encode(request.payload)) == request.payload
+
+    def test_thoughts_appended_later_leave_the_request_alone(self):
+        thoughts = ["first thought"]
+        request = prompts.reason("q", thoughts, [])
+        prompt = request.user_prompt
+        thoughts.append("second thought")
+        assert request.payload["thoughts"] == ["first thought"]
+        assert request.user_prompt == prompt
 
 
 class TestDigest:
     def test_identical_requests_identical_digests(self):
-        assert chat_digest(req(), "m") == chat_digest(req(), "m")
+        assert chat_digest(synthesis(), "m") == chat_digest(synthesis(), "m")
 
-    def test_temperature_changes_digest(self):
-        assert chat_digest(req(temperature=0.7), "m") != chat_digest(req(temperature=0.2), "m")
+    def test_temperature_changes_digest(self, monkeypatch):
+        before = chat_digest(synthesis(), "m")
+        monkeypatch.setitem(prompts.TASKS, "synthesize",
+                            prompts.TASKS["synthesize"]._replace(temperature=0.2))
+        assert chat_digest(synthesis(), "m") != before
 
     def test_task_tag_changes_digest(self):
-        assert chat_digest(req(task_tag="summarize"), "m") != chat_digest(req(task_tag="reason"), "m")
+        payload = {"question": "q"}
+        assert (chat_digest(ChatRequest("summarize", payload), "m")
+                != chat_digest(ChatRequest("reason", payload), "m"))
 
     def test_model_changes_digest(self):
-        assert chat_digest(req(), "a") != chat_digest(req(), "b")
+        assert chat_digest(synthesis(), "a") != chat_digest(synthesis(), "b")
 
     def test_trailing_whitespace_trimmed_only(self):
-        assert chat_digest(req(user_prompt="hello  \n"), "m") == chat_digest(req(user_prompt="hello"), "m")
-        assert chat_digest(req(user_prompt="  hello"), "m") != chat_digest(req(user_prompt="hello"), "m")
+        def digest(note):
+            return chat_digest(ChatRequest("synthesize", {}, note=note), "m")
+        assert digest("\nhello  \n") == digest("\nhello")
+        assert digest("\n  hello") != digest("\nhello")
 
 
 class TestRecordReplay:
@@ -78,7 +113,7 @@ class TestRecordReplay:
         store = FixtureStore(tmp_path / "empty.jsonl")
         replay = Gateway(provider=None, mode="replay", fixtures=store)
         with pytest.raises(FixtureMiss):
-            replay.chat(req())
+            replay.chat(synthesis())
         with pytest.raises(FixtureMiss):
             replay.embed(["never recorded"])
 
@@ -235,16 +270,6 @@ class TestRepliesFixed:
         assert not Gateway(provider=self.Sampler(), mode="live").replies_fixed
 
 
-def test_digest_format_frozen():
-    # a fixed digest pins the hashing layout: accidental format drift would
-    # silently invalidate every recorded fixture store in the wild
-    fixed = ChatRequest(task_tag="summarize", system_prompt="sys",
-                        user_prompt="hello", temperature=0.7,
-                        response_schema_id="freeform")
-    assert chat_digest(fixed, "m") == (
-        "fcd55321e6a3831be30063bbf9fe3dd65e66e1dac3f51a56e6386ffe9f5722d8")
-
-
 # Each task's request digest at fixed inputs. A change to a task's system
 # prompt, instruction, temperature or schema changes its digest, and every
 # fixture file recorded before would miss on that task.
@@ -308,17 +333,22 @@ def test_record_mode_serializes_concurrent_writes(tmp_path):
 
 
 def test_task_models_route_by_tag():
-    class EchoModel:
+    class ModelLog(OfflineModel):
+        def __init__(self):
+            super().__init__()
+            self.models = []
+
         def chat(self, request, model):
-            return model
+            self.models.append(model)
+            return super().chat(request, model)
 
-        def embed(self, texts, model):
-            return [[1.0] for _ in texts]
-
-    gw = Gateway(provider=EchoModel(), mode="live", chat_model="general",
+    provider = ModelLog()
+    gw = Gateway(provider=provider, mode="live", chat_model="general",
                  task_models={"reason": "deep-reasoner"})
-    assert gw.chat(req(task_tag="summarize")) == "general"
-    assert gw.chat(req(task_tag="reason")) == "deep-reasoner"
+    requests = one_request_per_task()
+    gw.chat(requests["summarize"])
+    gw.chat(requests["reason"])
+    assert provider.models == ["general", "deep-reasoner"]
 
 
 def test_live_mode_hashes_no_request(monkeypatch):
@@ -585,7 +615,7 @@ class TestRetriesAndSchemaGate:
         provider = FailingProvider(failures=2)
         delays = []
         gw = Gateway(provider=provider, mode="live", sleep=delays.append)
-        assert gw.chat(req()) == "ok"
+        assert gw.chat(synthesis()) == "ok"
         assert provider.calls == 3
         assert delays == [1.0, 2.0]  # exponential backoff from 1s
 
@@ -593,7 +623,7 @@ class TestRetriesAndSchemaGate:
         provider = FailingProvider(failures=10)
         gw = Gateway(provider=provider, mode="live", sleep=lambda s: None)
         with pytest.raises(RetryExhausted):
-            gw.chat(req())
+            gw.chat(synthesis())
         assert provider.calls == 3
 
     def test_invalid_structured_reply_repaired_once_then_fails(self):
@@ -608,8 +638,7 @@ class TestRetriesAndSchemaGate:
         provider = BadProvider()
         gw = Gateway(provider=provider, mode="live", sleep=lambda s: None)
         with pytest.raises(MalformedReply):
-            gw.chat(req(task_tag="atom-match", response_schema_id="match-list",
-                        temperature=0.2))
+            gw.chat(judging())
         assert provider.calls == 2  # original + one repair round-trip
 
     def test_repair_roundtrip_recovers(self):
@@ -624,12 +653,12 @@ class TestRetriesAndSchemaGate:
                 return json.dumps({"matches": [None]})
 
         gw = Gateway(provider=FlakyJson(), mode="live", sleep=lambda s: None)
-        reply = gw.chat(req(task_tag="atom-match", response_schema_id="match-list"))
+        reply = gw.chat(judging())
         assert reply == {"matches": [None]}
 
     def test_schema_gate_blocks_invalid_fixture(self, tmp_path):
         # Hand-edited fixture violating the schema must not cross the boundary.
-        request = req(task_tag="atom-match", response_schema_id="match-list")
+        request = judging()
         digest = chat_digest(request, Gateway.chat_model)
         store_path = tmp_path / "replies.jsonl"
         store_path.write_text(json.dumps({
@@ -640,3 +669,31 @@ class TestRetriesAndSchemaGate:
         gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
         with pytest.raises(MalformedReply):
             gw.chat(request)
+
+    def test_unknown_task_tag_costs_no_retry(self):
+        # refused as the request is built, before any provider call or backoff
+        slept = []
+        gw = Gateway(provider=OfflineModel(), sleep=slept.append)
+        with pytest.raises(InvalidInput):
+            gw.chat(ChatRequest("summarise", {}))
+        assert slept == []
+
+    def test_repair_reads_the_request_payload_not_the_echoed_reply(self):
+        # the repair prompt quotes the invalid fenced reply; the model still
+        # answers the request's own payload
+        class FencedFirst(OfflineModel):
+            def __init__(self):
+                super().__init__()
+                self.calls = 0
+
+            def chat(self, request, model):
+                self.calls += 1
+                if self.calls == 1:
+                    return '```json\n{"oops": 1}\n```'
+                return super().chat(request, model)
+
+        request = one_request_per_task()["summarize"]
+        provider, slept = FencedFirst(), []
+        gw = Gateway(provider=provider, sleep=slept.append)
+        assert gw.chat(request) == json.loads(OfflineModel().chat(request, "offline-chat"))
+        assert (provider.calls, slept) == (2, [])

@@ -10,7 +10,6 @@ from speckg.ingest import (DEFAULT_MAX_PASSAGE_TOKENS, Passage, SemanticIR, chun
                            classify_sentence, distill_anchor, extract_ir,
                            extraction_batches, ingest_document)
 from speckg.offline import OfflineModel
-from speckg.prompts import extract_payload
 
 from conftest import SPEC_DOC, load_manual_module, make_offline_gateway
 
@@ -109,7 +108,7 @@ def parse(gw, sentence: str) -> SemanticIR:
 def asked_passages(request) -> list[list[str]]:
     """The sentences of each passage of an ir-extract request, in order."""
     return [[item["text"] for item in passage["sentences"]]
-            for passage in extract_payload(request.user_prompt)["passages"]]
+            for passage in request.payload["passages"]]
 
 
 class RecordingModel(OfflineModel):
@@ -128,8 +127,7 @@ class RecordingModel(OfflineModel):
         assert request.task_tag == "ir-extract"
         passages = asked_passages(request)
         self.asked.append(passages)
-        self.sections.append([passage["section"] for passage in
-                              extract_payload(request.user_prompt)["passages"]])
+        self.sections.append([passage["section"] for passage in request.payload["passages"]])
         if self.faulty not in passages:
             return reply
         return json.dumps({"sentences": self.fault(json.loads(reply)["sentences"])})
@@ -281,7 +279,7 @@ class TestOneRequestPerRun:
 
     def test_sentences_are_numbered_across_the_request(self):
         request = prompts.extract_ir([(("A",), ["One.", "Two."]), (("A", "B"), ["Three."])])
-        assert extract_payload(request.user_prompt) == {"passages": [
+        assert request.payload == {"passages": [
             {"section": ["A"], "sentences": [{"number": 1, "text": "One."},
                                              {"number": 2, "text": "Two."}]},
             {"section": ["A", "B"], "sentences": [{"number": 3, "text": "Three."}]}]}

@@ -18,7 +18,8 @@ import pytest
 
 from speckg import evaluation, offline, prompts
 from speckg.config import RunConfig
-from speckg.gateway import ChatRequest, Gateway
+from speckg.errors import InvalidInput
+from speckg.gateway import Gateway
 from speckg.offline import (EMBED_DIM, STOPWORDS, OfflineModel, _answer_text, _content,
                             _Resolver, parse_sentence)
 from speckg.text import split_sentences, tokenize
@@ -481,13 +482,13 @@ def test_threads_sharing_one_model_get_the_oracle_replies(graph, dataset):
 def test_serves_exactly_the_prompt_tasks():
     # every task of the prompt table gets a reply its schema accepts, checked
     # by the gateway; a tag outside the table, such as the removed
-    # classify-sentence task, has no rule
+    # classify-sentence task, cannot be asked
     requests = one_request_per_task()
     assert sorted(requests) == sorted(prompts.TASK_TAGS)
     gateway = Gateway(provider=OfflineModel())
     for request in requests.values():
         gateway.chat(request)
-    payload = requests["atom-decompose"].user_prompt
+    payload = requests["atom-decompose"].payload
     for tag in ("classify-sentence", "atom_decompose"):
-        with pytest.raises(ValueError, match=f"no rule for task_tag {tag!r}"):
-            OfflineModel().chat(ChatRequest(tag, "sys", payload), "offline-chat")
+        with pytest.raises(InvalidInput, match=f"unknown task_tag {tag!r}"):
+            prompts.ChatRequest(tag, payload)

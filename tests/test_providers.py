@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from speckg import providers
+from speckg import prompts, providers
 from speckg.errors import ConfigError
-from speckg.gateway import ChatRequest
 from speckg.offline import OfflineModel
 from speckg.providers import HttpProvider, make_provider
 
@@ -64,17 +63,18 @@ class TestHttpProvider:
                 {"choices": [{"message": {"content": "the reply"}}]})
 
         monkeypatch.setattr("requests.post", fake_post)
-        request = ChatRequest(task_tag="summarize", system_prompt="sys",
-                              user_prompt="user", temperature=0.7)
+        request = prompts.atom_decompose("The CTRL register holds the mode.")
         reply = provider.chat(request, "model-x")
         assert reply == "the reply"
         assert captured["url"] == "https://api.example.com/v1/chat/completions"
         assert captured["headers"]["Authorization"] == "Bearer test-key"
         assert captured["body"]["model"] == "model-x"
-        assert captured["body"]["temperature"] == 0.7
+        task = prompts.TASKS["atom-decompose"]
+        assert captured["body"]["temperature"] == task.temperature == 0.2
         assert captured["body"]["messages"] == [
-            {"role": "system", "content": "sys"},
-            {"role": "user", "content": "user"},
+            {"role": "system", "content": task.system},
+            {"role": "user", "content": prompts._render(
+                task.instruction, {"answer": "The CTRL register holds the mode."})},
         ]
 
     def test_embed_orders_by_index(self, provider, monkeypatch):
@@ -93,7 +93,7 @@ class TestHttpProvider:
     def test_http_error_propagates_for_gateway_retry(self, provider, monkeypatch):
         monkeypatch.setattr("requests.post",
                             lambda *a, **k: FakeResponse({}, status=500))
-        request = ChatRequest(task_tag="summarize", system_prompt="s", user_prompt="u")
+        request = prompts.atom_decompose("u")
         with pytest.raises(RuntimeError):
             provider.chat(request, "m")
 

@@ -7,7 +7,6 @@ from speckg import reasoning
 from speckg.gateway import FixtureStore, Gateway
 from speckg.ingest import SemanticAnchor
 from speckg.offline import OfflineModel
-from speckg.prompts import extract_payload
 from speckg.reasoning import (FLAG_BUDGET, FLAG_DEGRADED, FLAG_INCOMPLETE,
                               FLAG_STALL, ContextItem, ReasoningContext,
                               acquire, reason_step, run, synthesize)
@@ -176,7 +175,7 @@ class CountingModel(OfflineModel):
 
     def synthesize_flags(self) -> list[bool]:
         """``incomplete_evidence`` of each synthesize request, in order."""
-        return [extract_payload(r.user_prompt)["incomplete_evidence"]
+        return [r.payload["incomplete_evidence"]
                 for r in self.requests if r.task_tag == "synthesize"]
 
 
