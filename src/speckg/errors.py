@@ -15,12 +15,23 @@ class ConfigError(SpecKGError):
 
 # --- gateway ---------------------------------------------------------------
 
+class TransientError(SpecKGError):
+    """A provider call failed in a way a retry can change: a connection error,
+    a timeout, HTTP 429 or a 5xx status. The gateway retries only this."""
+
+
+class ProviderRefused(SpecKGError):
+    """The provider answered a request with an error status no retry can
+    change, such as a bad key, an unknown model or a request too long."""
+
+
 class RetryExhausted(SpecKGError):
     """Provider transport kept failing after the bounded retry budget."""
 
 
 class MalformedReply(SpecKGError):
-    """Structured reply failed schema validation even after one repair round."""
+    """Structured reply failed schema validation even after one repair round,
+    or a provider's response body lacks the fields its wire shape needs."""
 
 
 class FixtureMiss(SpecKGError):

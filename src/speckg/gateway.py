@@ -24,7 +24,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from . import schemas
-from .errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
+from .errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted, TransientError
 from .prompts import ChatRequest
 from .text import ORDERED_JSON, SORTED_JSON
 
@@ -38,6 +38,8 @@ class Provider(Protocol):
 
     A provider whose reply is fixed by the request sets a class attribute
     ``deterministic = True``; one that declares nothing counts as sampling.
+    It raises ``TransientError`` for a failure a retry can change; the
+    gateway retries nothing else.
     """
 
     def chat(self, request: ChatRequest, model: str) -> str: ...
@@ -158,10 +160,11 @@ class Gateway:
     """Mode-aware front door for all model calls.
 
     ``task_models`` routes a task_tag to a specific chat model; unrouted tags
-    use ``chat_model``. Retries are bounded (``max_attempts`` calls, backing
-    off from ``backoff_base`` seconds, doubling) and one repair round-trip is
-    attempted when a structured reply fails validation. The field defaults are
-    the run config's defaults too.
+    use ``chat_model``. A provider call that raises ``TransientError`` is
+    retried, bounded (``max_attempts`` calls, backing off from
+    ``backoff_base`` seconds, doubling); any other error propagates at once.
+    One repair round-trip is attempted when a structured reply fails
+    validation. The field defaults are the run config's defaults too.
     """
 
     provider: Provider | None
@@ -320,18 +323,21 @@ class Gateway:
     # -- retry plumbing -------------------------------------------------------
 
     def _with_retries(self, call, label: str):
+        """``call()``, called again after a backoff while it raises
+        ``TransientError``; no retry can change any other error."""
         last = None
         for attempt in range(self.max_attempts):
             try:
                 return call()
-            except Exception as exc:
+            except TransientError as exc:
                 last = exc
                 if attempt + 1 < self.max_attempts:
                     delay = self.backoff_base * (2 ** attempt)
                     logger.warning("%s attempt %d failed (%s); retrying in %.1fs",
                                    label, attempt + 1, exc, delay)
                     self.sleep(delay)
-        raise RetryExhausted(f"{label} failed after {self.max_attempts} attempts: {last}")
+        raise RetryExhausted(
+            f"{label} failed after {self.max_attempts} attempts: {last}") from last
 
 
 class _Base64Vector(dict):

@@ -732,8 +732,8 @@ class OfflineModel:
         query_tokens = _content(query)
         ends = [0]  # ends[n]: the number of lines from the first n passages
         lines: list[str] = []
-        for passage in payload["passages"]:
-            lines.extend(sentence for sentence, tokens in self._sentences_of(passage["text"])
+        for text in payload["passages"]:
+            lines.extend(sentence for sentence, tokens in self._sentences_of(text)
                          if not tokens.isdisjoint(query_tokens))
             ends.append(len(lines))
         summaries = []

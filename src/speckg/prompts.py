@@ -150,11 +150,12 @@ def extract_ir(passages: list[tuple[Sequence[str], list[str]]]) -> ChatRequest:
         for section, sentences in passages]})
 
 
-def summarize(query: str, passages: list[dict], cuts: list[int]) -> ChatRequest:
-    """One request for the summaries of several prefixes of ``passages``; the
-    reply holds one ``summary-list`` entry per cut n, the summary of the first
-    n passages, in order."""
-    return ChatRequest("summarize", {"query": query, "passages": passages, "cuts": cuts})
+def summarize(query: str, texts: list[str], cuts: list[int]) -> ChatRequest:
+    """One request for the summaries of several prefixes of the passage
+    ``texts``; the reply holds one ``summary-list`` entry per cut n, the
+    summary of the first n passages, in order. The reply names a prefix by
+    its length, so the passages go as their texts alone."""
+    return ChatRequest("summarize", {"query": query, "passages": texts, "cuts": cuts})
 
 
 def reason(question: str, thoughts: list[str], context: list[dict]) -> ChatRequest:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedReply, ProviderRefused, TransientError
 from .prompts import ChatRequest
 from .offline import OfflineModel
 
@@ -17,6 +17,10 @@ class HttpProvider:
     Endpoint, model names, and the API-key environment variable come from
     config; nothing here is vendor-specific beyond the de-facto wire shape.
     A hosted model samples, so the same request may get another reply.
+
+    A call that a retry can change, a connection error, a timeout, HTTP 429
+    or a 5xx status, raises ``TransientError``. Any other error status raises
+    ``ProviderRefused``, and a body of the wrong shape ``MalformedReply``.
     """
 
     deterministic = False
@@ -40,10 +44,20 @@ class HttpProvider:
         # takes about 60 ms of every CLI start.
         import requests
 
-        resp = requests.post(f"{self.endpoint}/{path}", json=body,
-                             headers=self._headers(), timeout=self.timeout)
-        resp.raise_for_status()
-        return resp.json()
+        try:
+            resp = requests.post(f"{self.endpoint}/{path}", json=body,
+                                 headers=self._headers(), timeout=self.timeout)
+        except (requests.ConnectionError, requests.Timeout) as exc:
+            raise TransientError(f"{path}: {exc}") from exc
+        status = resp.status_code
+        if status == 429 or status >= 500:
+            raise TransientError(f"{path}: HTTP {status}")
+        if status >= 400:
+            raise ProviderRefused(f"{path}: HTTP {status}: {resp.text[:200]}")
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise MalformedReply(f"{path}: response body is not JSON: {exc}") from exc
 
     def chat(self, request: ChatRequest, model: str) -> str:
         body = {
@@ -54,11 +68,23 @@ class HttpProvider:
                 {"role": "user", "content": request.user_prompt},
             ],
         }
-        return self._post("chat/completions", body)["choices"][0]["message"]["content"]
+        reply = self._post("chat/completions", body)
+        try:
+            content = reply["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise MalformedReply(f"chat response lacks choices[0].message.content: "
+                                 f"{exc!r}") from exc
+        if not isinstance(content, str):
+            raise MalformedReply("chat response content is not a string")
+        return content
 
     def embed(self, texts: list[str], model: str) -> list[list[float]]:
-        data = self._post("embeddings", {"model": model, "input": texts})["data"]
-        return [d["embedding"] for d in sorted(data, key=lambda d: d["index"])]
+        reply = self._post("embeddings", {"model": model, "input": texts})
+        try:
+            return [d["embedding"] for d in sorted(reply["data"], key=lambda d: d["index"])]
+        except (KeyError, TypeError) as exc:
+            raise MalformedReply(f"embedding response lacks data[].index and "
+                                 f"data[].embedding: {exc!r}") from exc
 
 
 def make_provider(endpoint: str, api_key_env: str = "SPECKG_API_KEY"):

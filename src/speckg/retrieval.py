@@ -5,12 +5,14 @@ The expansion loop grows the accepted passage set from a ranked candidate
 list until the marginal gain of new evidence (cosine distance between the
 summary of the accepted context and the summary of that context plus the
 increment) drops to the threshold, the budget is reached, or candidates run
-out. Each round makes one summarize request, over the accepted context plus
-the increment, for the summary of each prefix it names by a cut, and embeds
-the summaries in one call. The first round cuts twice, after the base and
-after the increment; an accepted round's summary is the next round's base, so
-later rounds cut once, after the increment. A round whose expanded summary is
-the base summary's text has gain 0.0 and embeds nothing.
+out. One summarize request serves ``CHECKS_PER_REQUEST`` gain checks: it
+sends the passage texts up to its last cut and asks for the summary of each
+prefix it names by a cut. The first request cuts after the base and after
+each of the next two increments; a later one is made only when the next
+check's cut has no summary yet, and cuts after each of the next two
+increments. A summary is embedded only when a check reads it, and a check
+whose expanded summary is the base summary's text has gain 0.0 and embeds
+nothing.
 """
 
 from __future__ import annotations
@@ -397,6 +399,19 @@ Summarizer = Callable[[str, list[str], list[int]], list[str]]
 # texts -> one unit embedding per text, as the rows of a matrix
 Embedder = Callable[[list[str]], np.ndarray]
 
+# The gain checks one summarize request serves. Measured with the offline
+# provider over every question of the seed-0 manual, against one check per
+# request whose passages also carried their ids:
+#   - 102 blocks: 814 -> 585 requests, 499,156 -> 358,335 summarize tokens;
+#   - 408 blocks: 2,039 -> 1,678 requests, 1,073,752 -> 897,717 tokens.
+# Dropping the ids alone gives 834,823 tokens at 408 blocks, so there the
+# second check costs 7.5% more tokens for 17.7% fewer requests. Three checks
+# per request raise the fixture spec's prompt tokens per question by 5.8%
+# (2,366.4 -> 2,504.0) and the 408-block summarize tokens by 8.3% over one
+# check with ids: two is the only depth measured to lower both requests and
+# tokens on every corpus.
+CHECKS_PER_REQUEST = 2
+
 
 def marginal_gain(base_vec: np.ndarray, new_vec: np.ndarray) -> float:
     """Cosine distance between two unit summary embeddings, clamped to [0, 2]."""
@@ -409,20 +424,22 @@ def adaptive_expand(round_: RetrievalRound, tau: float, k0: int, delta_k: int,
     """Iterative context expansion over ``round_.ranked``; fills in the round's
     ``accepted``, ``mig_trace`` and ``warning`` and returns it.
 
-    Starts from the top-k0 candidates; each round takes the next delta_k and
-    accepts them only while the gain of the summary of the accepted context
-    plus them over the accepted context's summary stays above tau. A round
-    makes one ``summarize`` call over the accepted context plus the increment
-    and one ``embed`` call for its summaries. The first round's cuts are
-    ``[k, k + Δ]``, giving the k0 base's summary and the expanded one; later
-    rounds cut once, at ``k + Δ``, and reuse the summary of the round before,
-    which is the accepted context's, with its embedding. A round whose
-    expanded summary is the base summary's text has gain exactly 0.0 and
-    makes no ``embed`` call. Hard stops: the accepted set reaching
-    k_max, or candidates running out. A failed summarize or embed call, or a
-    reply with another number of summaries than cuts, aborts the round and
-    returns the set accepted so far with a warning. A ``FixtureMiss`` is not
-    a failed call but a stale replay file, and propagates.
+    Starts from the top-k0 candidates; each gain check takes the next delta_k
+    and accepts them only while the gain of the summary of the accepted
+    context plus them over the accepted context's summary stays above tau.
+    One ``summarize`` request serves ``CHECKS_PER_REQUEST`` checks: the
+    first's cuts are ``[k, k + Δ, k + 2Δ]``, giving the k0 base's summary and
+    the next two checks' expanded ones; a later request is made only when the
+    next check's cut ``end`` has no summary yet, and cuts at ``[end, end + Δ]``.
+    Cuts stop at ``min(k_max, len(ranked))``, and the summaries are kept by
+    cut for this round only. A check embeds only the summaries it reads that
+    have no embedding yet, in one ``embed`` call; one whose expanded summary
+    is the base summary's text has gain exactly 0.0 and makes no ``embed``
+    call. Hard stops: the accepted set reaching k_max, or candidates running
+    out. A failed summarize or embed call, or a reply with another number of
+    summaries than cuts, ends expansion with the set accepted so far and a
+    warning. A ``FixtureMiss`` is not a failed call but a stale replay file,
+    and propagates.
     """
     if k0 < 1 or delta_k < 1:
         raise InvalidInput("k0 and delta_k must be >= 1")
@@ -430,20 +447,26 @@ def adaptive_expand(round_: RetrievalRound, tau: float, k0: int, delta_k: int,
     limit = min(k_max, len(ids))
     round_.accepted = ids[:min(k0, limit)]
     round_.mig_trace = []
+    summaries: dict[int, str] = {}  # by cut
     # The accepted context's summary, and its embedding once one was needed.
     base_text = base_vec = None
 
     while len(round_.accepted) < limit:
         start = len(round_.accepted)
         end = min(start + delta_k, limit)
-        cuts = [end] if base_text is not None else [start, end]
         try:
-            summaries = summarize(round_.sub_query, ids[:end], cuts)
-            if len(summaries) != len(cuts):
-                raise MalformedReply(f"{len(summaries)} summaries for {len(cuts)} cuts")
+            if end not in summaries:
+                # the base's cut too on the first request; later ones start at end
+                first = 1 if summaries else 0
+                cuts = list(dict.fromkeys(min(start + i * delta_k, limit)
+                                          for i in range(first, CHECKS_PER_REQUEST + 1)))
+                replies = summarize(round_.sub_query, ids[:cuts[-1]], cuts)
+                if len(replies) != len(cuts):
+                    raise MalformedReply(f"{len(replies)} summaries for {len(cuts)} cuts")
+                summaries.update(zip(cuts, replies))
             if base_text is None:
-                base_text = summaries[0]
-            expanded_text = summaries[-1]
+                base_text = summaries[start]
+            expanded_text = summaries[end]
             if expanded_text == base_text:
                 gain, expanded_vec = 0.0, base_vec
             else:
@@ -506,9 +529,8 @@ def retrieve(query: str, target: SemanticAnchor, kg: SpecGraph, gateway: Gateway
                             ranked=rank_passages(kg, scores, cfg.retrieval.k_max))
 
     def summarize(q: str, passage_ids: list[str], cuts: list[int]) -> list[str]:
-        payload = [{"passage_id": pid, "text": kg.passages[pid].text}
-                   for pid in passage_ids]
-        return gateway.chat(prompts.summarize(q, payload, cuts))["summaries"]
+        texts = [kg.passages[pid].text for pid in passage_ids]
+        return gateway.chat(prompts.summarize(q, texts, cuts))["summaries"]
 
     adaptive_expand(round_, cfg.retrieval.tau, cfg.retrieval.k0,
                     cfg.retrieval.delta_k, cfg.retrieval.k_max, summarize, gateway.embed)

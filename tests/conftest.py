@@ -33,7 +33,8 @@ def one_request_per_task() -> dict:
         "ir-extract": prompts.extract_ir([(["Registers", "CTRL"],
                                            ["The CTRL register holds the mode.",
                                             "Écrit à 0x1."])]),
-        "summarize": prompts.summarize("What does CTRL hold?", context, [1]),
+        "summarize": prompts.summarize("What does CTRL hold?",
+                                       ["The CTRL register holds the mode."], [1]),
         "reason": prompts.reason("What does CTRL hold?", ["first thought"], context),
         "synthesize": prompts.synthesize("What does CTRL hold?", [], context, True),
         "atom-decompose": prompts.atom_decompose("The CTRL register holds the mode."),

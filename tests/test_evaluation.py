@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speckg import evaluation, prompts, reasoning
-from speckg.errors import FixtureMiss, InvalidInput
+from speckg.errors import FixtureMiss, InvalidInput, TransientError
 from speckg.evaluation import (QAItem, aggregate_two_sigma, atomic_score,
                                decompose, load_dataset, match, run_benchmark,
                                score, system_recall_at_k)
@@ -81,10 +81,10 @@ class TestMatch:
 
         class Dead:
             def chat(self, request, model):
-                raise ConnectionError("down")
+                raise TransientError("down")
 
             def embed(self, texts, model):
-                raise ConnectionError("down")
+                raise TransientError("down")
 
         gw = Gateway(provider=Dead(), mode="live", sleep=lambda s: None, max_attempts=1)
         with caplog.at_level(logging.WARNING, logger="speckg.evaluation"):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from speckg import gateway as gateway_module
 from speckg import prompts, schemas, text
-from speckg.errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
+from speckg.errors import (FixtureMiss, InvalidInput, MalformedReply, ProviderRefused,
+                           RetryExhausted, TransientError)
 from speckg.gateway import ChatRequest, FixtureStore, Gateway, chat_digest, embed_digest
 from speckg.offline import EMBED_DIM, OfflineModel
 
@@ -101,7 +102,7 @@ class TestRecordReplay:
         rec = Gateway(provider=OfflineModel(), mode="record",
                       fixtures=FixtureStore(store_path),
                       chat_model="offline-chat", embedding_model="offline-embed")
-        request = prompts.summarize("what is x", [{"passage_id": "p", "text": "x is 4."}], [1])
+        request = prompts.summarize("what is x", ["x is 4."], [1])
         live_reply = rec.chat(request)
 
         replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path),
@@ -122,7 +123,7 @@ class TestRecordReplay:
         rec = Gateway(provider=OfflineModel(), mode="record",
                       fixtures=FixtureStore(store_path),
                       chat_model="offline-chat", embedding_model="offline-embed")
-        rec.chat(prompts.summarize("q", [{"passage_id": "p", "text": "body text."}], [1]))
+        rec.chat(prompts.summarize("q", ["body text."], [1]))
         rec.embed(["one text"])
         records = [json.loads(line) for line in store_path.read_text().splitlines()]
         assert len(records) == 2
@@ -135,7 +136,7 @@ class TestRecordReplay:
             rec = Gateway(provider=OfflineModel(), mode="record",
                           fixtures=FixtureStore(tmp_path / name),
                           chat_model="offline-chat", embedding_model="offline-embed")
-            rec.chat(prompts.summarize("q", [{"passage_id": "p", "text": "body text."}], [1]))
+            rec.chat(prompts.summarize("q", ["body text."], [1]))
             rec.chat(prompts.atom_match(["x is 1"], ["x is 1"]))
             rec.embed(["one text", "two text"])
         first = (tmp_path / "first.jsonl").read_bytes()
@@ -151,7 +152,7 @@ class TestRecordReplay:
         assert prompts.summarize("q", [], []).temperature == 0.7
         assert prompts.atom_match(["a"], ["b"]).temperature == 0.2
         summary = make_offline_gateway().chat(
-            prompts.summarize("q", [{"passage_id": "p", "text": "q body."}], [1]))
+            prompts.summarize("q", ["q body."], [1]))
         assert [type(text) for text in summary["summaries"]] == [str]
         verdict = make_offline_gateway().chat(prompts.atom_match(["x is 1"], ["x is 1"]))
         assert verdict == {"matches": [0]}
@@ -275,7 +276,7 @@ class TestRepliesFixed:
 # fixture file recorded before would miss on that task.
 TASK_DIGESTS = {
     "ir-extract": "509acb1d59561062e7df24a7506b4bcfec51dbe5c475d92dc6c26ac390cff12d",
-    "summarize": "ca7df4aed4d5be6e3181373f973aae6f0b382657c42018f6ff1057570cf38fae",
+    "summarize": "70a8d74ca1a59516d05a4a40e34e89bc4e270db0f0f9f80634cde5b734e1e17f",
     "reason": "c98aaaa981ab197d866fbe9d5d99f98f2db7e68fb23a5ebb1d4cdb483fd407da",
     "synthesize": "b27612d1adfcfe708481d4024a7d29f31571ae853aaa19f40948bd8f4ecaabb0",
     "atom-decompose": "de483c66f735687502f5b1c96028cd57b6590ac3d790abd161dbf407181c2391",
@@ -359,7 +360,7 @@ def test_live_mode_hashes_no_request(monkeypatch):
     monkeypatch.setattr(gateway_module, "chat_digest", refuse)
     monkeypatch.setattr(gateway_module, "embed_digest", refuse)
     gw = make_offline_gateway()
-    summary = gw.chat(prompts.summarize("q", [{"passage_id": "p", "text": "q x."}], [1]))
+    summary = gw.chat(prompts.summarize("q", ["q x."], [1]))
     assert [type(text) for text in summary["summaries"]] == [str]
     assert gw.chat(prompts.atom_match(["x is 1"], ["x is 1"])) == {"matches": [0]}
     assert gw.embed(["alpha", "beta"]).shape == (2, EMBED_DIM)
@@ -595,19 +596,26 @@ class TestEmbed:
 
 
 class FailingProvider:
-    def __init__(self, failures, reply="ok"):
+    """Raises ``error`` on its first ``failures`` calls, chat or embed, then
+    replies; it counts its calls."""
+
+    def __init__(self, failures, reply="ok", error=TransientError("transport down")):
         self.failures = failures
         self.calls = 0
         self.reply = reply
+        self.error = error
 
-    def chat(self, request, model):
+    def _call(self, reply):
         self.calls += 1
         if self.calls <= self.failures:
-            raise ConnectionError("transport down")
-        return self.reply
+            raise self.error
+        return reply
+
+    def chat(self, request, model):
+        return self._call(self.reply)
 
     def embed(self, texts, model):
-        raise ConnectionError("transport down")
+        return self._call([[1.0, 0.0] for _ in texts])
 
 
 class TestRetriesAndSchemaGate:
@@ -625,6 +633,27 @@ class TestRetriesAndSchemaGate:
         with pytest.raises(RetryExhausted):
             gw.chat(synthesis())
         assert provider.calls == 3
+
+    def test_embed_retries_a_transient_error(self):
+        provider, slept = FailingProvider(failures=1), []
+        gw = Gateway(provider=provider, mode="live", sleep=slept.append)
+        assert gw.embed(["a", "b"]).shape == (2, 2)
+        assert (provider.calls, slept) == (2, [1.0])
+
+    @pytest.mark.parametrize("error", [
+        ProviderRefused("chat/completions: HTTP 401"),
+        MalformedReply("chat response lacks choices[0].message.content"),
+        KeyError("passages"),
+        ValueError("a program fault"),
+    ], ids=lambda error: type(error).__name__)
+    @pytest.mark.parametrize("call", ["chat", "embed"])
+    def test_only_a_transient_error_is_retried(self, error, call):
+        # anything else propagates at once, as the error it is
+        provider, slept = FailingProvider(failures=10, error=error), []
+        gw = Gateway(provider=provider, mode="live", sleep=slept.append)
+        with pytest.raises(type(error)):
+            gw.chat(synthesis()) if call == "chat" else gw.embed(["a"])
+        assert (provider.calls, slept) == (1, [])
 
     def test_invalid_structured_reply_repaired_once_then_fails(self):
         class BadProvider:

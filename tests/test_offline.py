@@ -232,7 +232,7 @@ SUMMARY_PASSAGES = [CONTROL, DIVISOR, f"{READY} {EMPTY}", PLACE, WRITE]
 
 
 def summaries(query, cuts, passages=SUMMARY_PASSAGES):
-    request = prompts.summarize(query, context(passages), cuts)
+    request = prompts.summarize(query, passages, cuts)
     return json.loads(OfflineModel().chat(request, "offline-chat"))["summaries"]
 
 
@@ -320,8 +320,7 @@ class OracleModel(OfflineModel):
         query_tokens = _content(query)
         ends = [0]
         lines = []
-        for passage in payload["passages"]:
-            text = passage["text"]
+        for text in payload["passages"]:
             for start, end in split_sentences(text):
                 sentence = text[start:end]
                 if _content(sentence) & query_tokens:
@@ -398,7 +397,7 @@ def test_memoized_model_matches_the_oracle_on_every_request(graph, dataset):
         report = evaluation.run_benchmark(dataset, graph, gw, cfg)
         assert report.overall_f1 == 1.0
         for item in dataset:
-            gw.chat(prompts.summarize(item.question, passages, [1, 5, len(passages)]))
+            gw.chat(prompts.summarize(item.question, texts, [1, 5, len(texts)]))
             gw.chat(prompts.reason(item.question, [], passages))
             gw.chat(prompts.synthesize(item.question, [], passages, True))
         gw.chat(prompts.reason(TRANSITION_Q, [], context([RESET_TWICE, RESET_TWICE])))
@@ -424,10 +423,11 @@ def test_passages_sent_again_are_not_split_again(monkeypatch):
     split = counting(monkeypatch, "split_sentences")
     parse = counting(monkeypatch, "parse_sentence")
     passages = context(SUMMARY_PASSAGES)
-    first = model.chat(prompts.summarize(ATTR_Q, passages, [2, 5]), "offline-chat")
+    first = model.chat(prompts.summarize(ATTR_Q, SUMMARY_PASSAGES, [2, 5]), "offline-chat")
     assert len(split) == len(SUMMARY_PASSAGES)
-    assert model.chat(prompts.summarize(CHAIN_Q, passages[:3], [3]), "offline-chat")
-    assert model.chat(prompts.summarize(ATTR_Q, passages, [2, 5]), "offline-chat") == first
+    assert model.chat(prompts.summarize(CHAIN_Q, SUMMARY_PASSAGES[:3], [3]), "offline-chat")
+    assert model.chat(prompts.summarize(ATTR_Q, SUMMARY_PASSAGES, [2, 5]),
+                      "offline-chat") == first
     assert len(split) == len(SUMMARY_PASSAGES)
     # reason and synthesize keep their own memo of each passage's parses
     model.chat(prompts.reason(CHAIN_Q, [], passages), "offline-chat")
@@ -444,7 +444,7 @@ def test_threads_sharing_one_model_get_the_oracle_replies(graph, dataset):
     texts = [graph.passages[p].text for p in sorted(graph.passages)]
     passages = context(texts)
     requests = [r for item in dataset for r in (
-        prompts.summarize(item.question, passages, [3, len(passages)]),
+        prompts.summarize(item.question, texts, [3, len(texts)]),
         prompts.reason(item.question, [], passages),
         prompts.synthesize(item.question, [], passages, False))]
     oracle = OracleModel()

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from speckg import prompts, providers
-from speckg.errors import ConfigError
+from speckg.errors import ConfigError, MalformedReply, ProviderRefused, TransientError
+from speckg.gateway import Gateway
 from speckg.offline import OfflineModel
 from speckg.providers import HttpProvider, make_provider
 
@@ -17,14 +19,37 @@ from conftest import SPEC_DOC
 class FakeResponse:
     def __init__(self, payload, status=200):
         self.payload = payload
-        self.status = status
-
-    def raise_for_status(self):
-        if self.status >= 400:
-            raise RuntimeError(f"http {self.status}")
+        self.status_code = status
+        self.text = payload if isinstance(payload, str) else json.dumps(payload)
 
     def json(self):
+        if isinstance(self.payload, str):
+            raise ValueError("Expecting value: line 1 column 1 (char 0)")
         return self.payload
+
+
+class StubRequests(types.ModuleType):
+    """A stand-in for the ``requests`` module, since no network is reachable:
+    each ``post`` takes the next of ``outcomes``, raising it if it is an
+    exception and answering it otherwise, and is recorded in ``posts``."""
+
+    class ConnectionError(OSError):
+        pass
+
+    class Timeout(OSError):
+        pass
+
+    def __init__(self, outcomes):
+        super().__init__("requests")
+        self.outcomes = list(outcomes)
+        self.posts = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts.append({"url": url, "body": json, "headers": headers})
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 class TestMakeProvider:
@@ -48,24 +73,27 @@ def test_declared_determinism():
     assert HttpProvider.deterministic is False
 
 
+CHAT_OK = FakeResponse({"choices": [{"message": {"content": "the reply"}}]})
+
+
 class TestHttpProvider:
     @pytest.fixture()
     def provider(self, monkeypatch):
         monkeypatch.setenv("SPECKG_API_KEY", "test-key")
         return HttpProvider("https://api.example.com/v1/")
 
+    @staticmethod
+    def stub(monkeypatch, *outcomes):
+        stub = StubRequests(outcomes)
+        monkeypatch.setitem(sys.modules, "requests", stub)
+        return stub
+
     def test_chat_request_shape_and_reply(self, provider, monkeypatch):
-        captured = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            captured.update(url=url, body=json, headers=headers)
-            return FakeResponse(
-                {"choices": [{"message": {"content": "the reply"}}]})
-
-        monkeypatch.setattr("requests.post", fake_post)
+        stub = self.stub(monkeypatch, CHAT_OK)
         request = prompts.atom_decompose("The CTRL register holds the mode.")
         reply = provider.chat(request, "model-x")
         assert reply == "the reply"
+        [captured] = stub.posts
         assert captured["url"] == "https://api.example.com/v1/chat/completions"
         assert captured["headers"]["Authorization"] == "Bearer test-key"
         assert captured["body"]["model"] == "model-x"
@@ -78,24 +106,70 @@ class TestHttpProvider:
         ]
 
     def test_embed_orders_by_index(self, provider, monkeypatch):
-        def fake_post(url, json=None, headers=None, timeout=None):
-            assert url.endswith("/embeddings")
-            assert json["input"] == ["a", "b"]
-            return FakeResponse({"data": [
-                {"index": 1, "embedding": [0.0, 1.0]},
-                {"index": 0, "embedding": [1.0, 0.0]},
-            ]})
-
-        monkeypatch.setattr("requests.post", fake_post)
+        stub = self.stub(monkeypatch, FakeResponse({"data": [
+            {"index": 1, "embedding": [0.0, 1.0]},
+            {"index": 0, "embedding": [1.0, 0.0]},
+        ]}))
         vectors = provider.embed(["a", "b"], "embed-x")
         assert vectors == [[1.0, 0.0], [0.0, 1.0]]
+        [captured] = stub.posts
+        assert captured["url"].endswith("/embeddings")
+        assert captured["body"]["input"] == ["a", "b"]
 
     def test_http_error_propagates_for_gateway_retry(self, provider, monkeypatch):
-        monkeypatch.setattr("requests.post",
-                            lambda *a, **k: FakeResponse({}, status=500))
+        self.stub(monkeypatch, FakeResponse({}, status=500))
         request = prompts.atom_decompose("u")
-        with pytest.raises(RuntimeError):
+        with pytest.raises(TransientError):
             provider.chat(request, "m")
+
+    @pytest.mark.parametrize("outcome", [
+        StubRequests.ConnectionError("connection refused"),
+        StubRequests.Timeout("read timed out"),
+        FakeResponse({}, status=429),
+        FakeResponse({}, status=503),
+    ], ids=["connection", "timeout", "429", "503"])
+    def test_what_a_retry_can_change_is_transient(self, provider, monkeypatch, outcome):
+        self.stub(monkeypatch, outcome)
+        with pytest.raises(TransientError):
+            provider.embed(["a"], "m")
+
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_another_error_status_is_refused(self, provider, monkeypatch, status):
+        self.stub(monkeypatch, FakeResponse({"error": "no such model"}, status=status))
+        with pytest.raises(ProviderRefused, match=f"HTTP {status}.*no such model"):
+            provider.chat(prompts.atom_decompose("u"), "m")
+
+    @pytest.mark.parametrize("call, body", [
+        ("chat", {"choices": []}),
+        ("chat", {"choices": [{"message": {}}]}),
+        ("chat", {"choices": [{"message": {"content": None}}]}),
+        ("chat", ["not", "an", "object"]),
+        ("chat", "<html>not json</html>"),
+        ("embed", {"data": [{"index": 0}]}),
+        ("embed", {"vectors": []}),
+        ("embed", {"data": None}),
+    ])
+    def test_a_body_of_the_wrong_shape_is_malformed(self, provider, monkeypatch, call, body):
+        self.stub(monkeypatch, FakeResponse(body))
+        with pytest.raises(MalformedReply):
+            if call == "chat":
+                provider.chat(prompts.atom_decompose("u"), "m")
+            else:
+                provider.embed(["a"], "m")
+
+    def test_gateway_retries_transient_failures_only(self, provider, monkeypatch):
+        stub = self.stub(monkeypatch, StubRequests.ConnectionError("refused"),
+                         FakeResponse({}, status=502), CHAT_OK)
+        slept = []
+        gw = Gateway(provider=provider, sleep=slept.append)
+        assert gw.chat(prompts.synthesize("q", [], [], False)) == "the reply"
+        assert (len(stub.posts), slept) == (3, [1.0, 2.0])
+
+        stub = self.stub(monkeypatch, FakeResponse({"error": "bad key"}, status=401), CHAT_OK)
+        slept.clear()
+        with pytest.raises(ProviderRefused):
+            gw.chat(prompts.synthesize("q", [], [], False))
+        assert (len(stub.posts), slept) == (1, [])
 
 
 def loaded_after(code: str, package: str) -> list[str]:

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from speckg import reasoning
+from speckg.errors import TransientError
 from speckg.gateway import FixtureStore, Gateway
 from speckg.ingest import SemanticAnchor
 from speckg.offline import OfflineModel
@@ -304,10 +305,10 @@ def test_stale_fixture_fails_the_replay(graph, tmp_path, run_cfg, caplog):
 def test_synthesize_failure_carries_context(graph, run_cfg):
     class Dead:
         def chat(self, request, model):
-            raise ConnectionError("down")
+            raise TransientError("down")
 
         def embed(self, texts, model):
-            raise ConnectionError("down")
+            raise TransientError("down")
 
     gw = Gateway(provider=Dead(), mode="live", sleep=lambda s: None, max_attempts=1)
     ctx = ctx_with("Q?", [("p", "text.")])

@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from speckg import kg as kgmod
 from speckg import prompts, reasoning, retrieval
-from speckg.errors import EmptyGraph, FixtureMiss, InvalidInput
+from speckg.errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply
 from speckg.ingest import Passage, SemanticAnchor, ingest_document
 from speckg.kg import Edge, EmbeddingIndex, SpecGraph
 from speckg.offline import OfflineModel
+from speckg.prompts import ChatRequest
 from speckg.retrieval import (RetrievalRound, adaptive_expand, csa_filter,
                               marginal_gain, pagerank_scores, ppr, rank_passages,
                               seed)
+from speckg.text import estimate_tokens
 
 from conftest import SPEC_DOC, load_manual_module, make_offline_gateway
 
@@ -954,8 +956,9 @@ class TestAdaptiveExpand:
                             summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
 
     def test_fixture_miss_after_an_unchanged_summary_round_propagates(self):
-        # a negative tau accepts round 1's unchanged summary unembedded; the
-        # next round still cuts once, and its miss is not caught
+        # a negative tau accepts the first request's two unchanged summaries
+        # unembedded; the third check's request cuts twice, and its miss is
+        # not caught
         rnd = self.make_round()
         calls = []
 
@@ -968,7 +971,7 @@ class TestAdaptiveExpand:
         with pytest.raises(FixtureMiss):
             adaptive_expand(rnd, tau=-1.0, k0=5, delta_k=5, k_max=50,
                             summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
-        assert calls == [[5, 10], [15]]
+        assert calls == [[5, 10, 15], [20, 25]]
 
     @staticmethod
     def counting_doubles(fail_on_call=None):
@@ -1001,35 +1004,46 @@ class TestAdaptiveExpand:
                         summarize=summarize, embed=embed)
         assert len(rnd.mig_trace) == 3
         assert len(rnd.accepted) == 20
-        # one request per round; the first also cuts after the k0 base
-        assert calls == {"summarize": 3, "embed": 3, "embedded": 4,
-                         "requests": [(10, [5, 10]), (15, [15]), (20, [20])]}
+        # one request per two checks; the first also cuts after the k0 base,
+        # and the last check's cut 25 lies past k_max. One embed call per check.
+        assert calls == {"summarize": 2, "embed": 3, "embedded": 4,
+                         "requests": [(15, [5, 10, 15]), (20, [20])]}
 
     def test_failure_after_first_round_keeps_accepted_set(self):
         rnd = self.make_round()
-        # call 1 is round 1's, for the base and the increment; call 2 is round 2's
+        # call 1 serves checks 1 and 2, with the base; call 2 is check 3's
         summarize, embed, _ = self.counting_doubles(fail_on_call=2)
         adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=embed)
-        assert rnd.accepted == [f"p{i:02d}" for i in range(10)]
-        assert rnd.mig_trace == [1.0]
+        assert rnd.accepted == [f"p{i:02d}" for i in range(15)]
+        assert rnd.mig_trace == [1.0, 1.0]
         assert rnd.warning is not None
 
 
 class CountingGateway:
-    """Delegates to a real gateway and records every embedded text."""
+    """Delegates to a real gateway and records every embedded text and every
+    chat request."""
 
     def __init__(self, inner):
         self.inner = inner
         self.embedding_model = inner.embedding_model
         self.embedded = []
+        self.requests = []
 
     def embed(self, texts):
         self.embedded.extend(texts)
         return self.inner.embed(texts)
 
     def chat(self, request):
+        self.requests.append(request)
         return self.inner.chat(request)
+
+    def summarize_cost(self) -> tuple[int, int]:
+        """The summarize requests sent, and their summed prompt tokens: the
+        system prompt's plus the user prompt's, as the benchmark counts."""
+        sent = [r for r in self.requests if r.task_tag == "summarize"]
+        return len(sent), sum(estimate_tokens(r.system_prompt) + estimate_tokens(r.user_prompt)
+                              for r in sent)
 
 
 def test_retrieve_embeds_sub_query_once(graph, offline_gateway, run_cfg):
@@ -1040,8 +1054,10 @@ def test_retrieve_embeds_sub_query_once(graph, offline_gateway, run_cfg):
     assert gateway.embedded.count(query) == 1
 
 
-# Two expansion rounds on the fixture spec: the first accepts the increment
-# (10 passages), the second stops on the threshold.
+# Two gain checks on the fixture spec: the first accepts the increment (10
+# passages), the second stops on the threshold. At tau 0.01 the second accepts
+# too (15 passages), and the third, the first check of a second summarize
+# request, stops.
 TWO_ROUND_QUERY = "What happens when the host writes to the TX_DATA register?"
 
 
@@ -1071,15 +1087,16 @@ class FaultySummaries(OfflineModel):
 class TestMalformedSummaries:
     """A summarize reply with the wrong number of summaries, or still invalid
     after the gateway's repair, aborts the round with a warning and keeps the
-    set accepted so far."""
+    set accepted before that request."""
 
     @pytest.mark.parametrize("fault", sorted(FaultySummaries.FAULTS))
-    @pytest.mark.parametrize("from_request, accepted, rounds", [(1, 5, 0), (2, 10, 1)])
+    @pytest.mark.parametrize("from_request, accepted, rounds", [(1, 5, 0), (2, 15, 2)])
     def test_round_aborts_and_keeps_the_accepted_set(self, graph, offline_gateway, run_cfg,
                                                      fault, from_request, accepted, rounds):
+        run_cfg.retrieval.tau = 0.01
         target = SemanticAnchor("procedural", "TX_DATA")
         good = retrieval.retrieve(TWO_ROUND_QUERY, target, graph, offline_gateway, run_cfg)
-        assert len(good.accepted) == 10 and len(good.mig_trace) == 2
+        assert len(good.accepted) == 15 and len(good.mig_trace) == 3
         model = FaultySummaries(fault, from_request)
         result = retrieval.retrieve(TWO_ROUND_QUERY, target, graph,
                                     make_offline_gateway(provider=model), run_cfg)
@@ -1090,19 +1107,36 @@ class TestMalformedSummaries:
         assert model.requests == from_request + (fault == "invalid")
 
 
+@pytest.fixture(scope="module")
+def manual_30(offline_gateway):
+    """The graph and the questions of the 30-block seed-0 manual of
+    ``perfbench/manual.py``."""
+    manual = load_manual_module().generate(0, 30)
+    graph = kgmod.build_from_corpus(
+        ingest_document(offline_gateway, manual.text, "regmanual"), offline_gateway)
+    return graph, [q.question for q in manual.questions]
+
+
+def corpus_questions(source, graph, dataset, manual_30):
+    """The graph and the questions of ``source``: the fixture spec and its QA
+    items, or the 30-block manual."""
+    if source == "fixture-spec":
+        return graph, [item.question for item in dataset]
+    return manual_30
+
+
 class TestPerCutOracle:
     """One single-cut summarize request per cut, each summary embedded alone,
-    is the oracle: a round's one request must accept the same passages with
-    the same gains."""
+    is the oracle: a request serving two gain checks must accept the same
+    passages with the same gains."""
 
     @staticmethod
     def per_cut(gateway, graph):
         def summarize(query, ids, cuts):
             summaries = []
             for n in cuts:
-                payload = [{"passage_id": pid, "text": graph.passages[pid].text}
-                           for pid in ids[:n]]
-                [summary] = gateway.chat(prompts.summarize(query, payload, [n]))["summaries"]
+                texts = [graph.passages[pid].text for pid in ids[:n]]
+                [summary] = gateway.chat(prompts.summarize(query, texts, [n]))["summaries"]
                 summaries.append(summary)
             return summaries
 
@@ -1113,14 +1147,8 @@ class TestPerCutOracle:
 
     @pytest.mark.parametrize("source", ["fixture-spec", "manual-30"])
     def test_every_retrieval_matches_one_request_per_cut(self, source, graph, dataset,
-                                                         offline_gateway, run_cfg):
-        if source == "fixture-spec":
-            questions = [item.question for item in dataset]
-        else:
-            manual = load_manual_module().generate(0, 30)
-            graph = kgmod.build_from_corpus(
-                ingest_document(offline_gateway, manual.text, "regmanual"), offline_gateway)
-            questions = [q.question for q in manual.questions]
+                                                         manual_30, offline_gateway, run_cfg):
+        graph, questions = corpus_questions(source, graph, dataset, manual_30)
         summarize, embed = self.per_cut(offline_gateway, graph)
         cfg = run_cfg.retrieval
         rounds = [r for question in questions
@@ -1134,6 +1162,114 @@ class TestPerCutOracle:
             assert (oracle.accepted, oracle.mig_trace) == (r.accepted, r.mig_trace)
         # later rounds, after an accepted first one, are among those checked
         assert any(len(r.mig_trace) > 1 for r in rounds)
+
+
+def one_check_per_request_expand(round_, tau, k0, delta_k, k_max, summarize, embed):
+    """``adaptive_expand`` with one summarize request per gain check, the
+    first also cutting after the k0 base: the brute-force loop that
+    ``CHECKS_PER_REQUEST`` replaced, kept as the oracle of its decisions and
+    its cost."""
+    ids = [pid for pid, _ in round_.ranked]
+    limit = min(k_max, len(ids))
+    round_.accepted = ids[:min(k0, limit)]
+    round_.mig_trace = []
+    base_text = base_vec = None
+    while len(round_.accepted) < limit:
+        start = len(round_.accepted)
+        end = min(start + delta_k, limit)
+        cuts = [end] if base_text is not None else [start, end]
+        try:
+            summaries = summarize(round_.sub_query, ids[:end], cuts)
+            if len(summaries) != len(cuts):
+                raise MalformedReply(f"{len(summaries)} summaries for {len(cuts)} cuts")
+            if base_text is None:
+                base_text = summaries[0]
+            expanded_text = summaries[-1]
+            if expanded_text == base_text:
+                gain, expanded_vec = 0.0, base_vec
+            else:
+                vecs = embed([base_text, expanded_text] if base_vec is None
+                             else [expanded_text])
+                if base_vec is None:
+                    base_vec = vecs[0]
+                expanded_vec = vecs[-1]
+                gain = marginal_gain(base_vec, expanded_vec)
+        except FixtureMiss:
+            raise
+        except Exception as exc:
+            round_.warning = f"summarization failed: {exc}"
+            return round_
+        round_.mig_trace.append(gain)
+        if gain > tau:
+            round_.accepted = ids[:end]
+            base_text, base_vec = expanded_text, expanded_vec
+        else:
+            break
+    return round_
+
+
+class IdentifiedPassages(OfflineModel):
+    """The offline model, reading a summarize payload whose passages carry
+    their ids as well, ``{"passage_id", "text"}``, as before the request sent
+    passage texts alone."""
+
+    def _summarize(self, payload):
+        return super()._summarize(
+            {**payload, "passages": [p["text"] for p in payload["passages"]]})
+
+
+class TestOneCheckPerRequestOracle:
+    """Every question through both loops: the one-check-per-request oracle,
+    sending passage ids with their texts, and ``adaptive_expand``. Answers,
+    flags and every round match; each round makes one request per two
+    checks; and the requests, and their prompt tokens, are no more than the
+    oracle's, which a deeper lookahead would break."""
+
+    @staticmethod
+    def answers(monkeypatch, expand, gateway, graph, questions, cfg):
+        monkeypatch.setattr(retrieval, "adaptive_expand", expand)
+        return [reasoning.run(q, graph, gateway, cfg).to_dict() for q in questions]
+
+    @pytest.mark.parametrize("source", ["fixture-spec", "manual-30"])
+    def test_every_question_matches_the_oracle(self, monkeypatch, source, graph, dataset,
+                                               manual_30, run_cfg):
+        graph, questions = corpus_questions(source, graph, dataset, manual_30)
+        oracle_gw = CountingGateway(make_offline_gateway(provider=IdentifiedPassages()))
+
+        def summarize_with_ids(query, ids, cuts):
+            passages = [{"passage_id": pid, "text": graph.passages[pid].text} for pid in ids]
+            request = ChatRequest("summarize",
+                                  {"query": query, "passages": passages, "cuts": cuts})
+            return oracle_gw.chat(request)["summaries"]
+
+        def oracle(round_, tau, k0, delta_k, k_max, _summarize, embed):
+            return one_check_per_request_expand(round_, tau, k0, delta_k, k_max,
+                                                summarize_with_ids, embed)
+
+        expected = self.answers(monkeypatch, oracle, oracle_gw, graph, questions, run_cfg)
+
+        gw = CountingGateway(make_offline_gateway())
+        requests_per_round = []
+
+        def counted(round_, tau, k0, delta_k, k_max, summarize, embed):
+            sent = []
+
+            def counting_summarize(query, ids, cuts):
+                sent.append(cuts)
+                return summarize(query, ids, cuts)
+
+            adaptive_expand(round_, tau, k0, delta_k, k_max, counting_summarize, embed)
+            requests_per_round.append((len(sent), len(round_.mig_trace)))
+            return round_
+
+        assert self.answers(monkeypatch, counted, gw, graph, questions, run_cfg) == expected
+        assert all(sent == math.ceil(checks / 2) for sent, checks in requests_per_round)
+        # some request serves two checks, so the lookahead is exercised
+        assert any(checks >= 2 for _, checks in requests_per_round)
+        assert gw.embedded == oracle_gw.embedded
+        requests, tokens = gw.summarize_cost()
+        oracle_requests, oracle_tokens = oracle_gw.summarize_cost()
+        assert requests <= oracle_requests and tokens <= oracle_tokens
 
 
 class TestMarginalGain:

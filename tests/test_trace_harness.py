@@ -19,8 +19,8 @@ def test_trace_harness_instruments_speckg():
     # passages within the passage token budget: one here, for the one
     # passage. ingest.sentences counts the sentences asked alone through
     # classify_sentence, the fallback for a lone passage's unusable reply:
-    # none here. A retrieval makes one summarize request per expansion round, so
-    # summarize_per_round reads 1.
+    # none here. A retrieval makes one summarize request per two gain checks,
+    # so over this retrieval's two checks summarize_per_round reads 0.5.
     code = f"""
 import spans
 from speckg import ingest, kg, retrieval
@@ -52,8 +52,8 @@ retrieval.retrieve("What happens when the host writes to the TX_DATA register?",
                    ingest.SemanticAnchor("procedural", "TX_DATA"), graph, gw, RunConfig())
 tracer.end_op()
 assert tracer.counts["retrieval.expand_rounds"] == 2, tracer.counts
-assert tracer.counts["chat.summarize"] == 2, tracer.counts
-assert tracer.layer_metrics(1)["retrieval.summarize_per_round"][0] == 1.0
+assert tracer.counts["chat.summarize"] == 1, tracer.counts
+assert tracer.layer_metrics(1)["retrieval.summarize_per_round"][0] == 0.5
 """
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
