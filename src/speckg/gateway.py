@@ -86,8 +86,6 @@ class FixtureStore:
     ``{"kind": "text", "text": str}``,
     ``{"kind": "json", "value": object}``, or
     ``{"kind": "vector", "f8": <base64 of the vector's little-endian float64 bytes>}``.
-    Vectors recorded as ``{"kind": "vector", "values": [float, ...]}`` still
-    replay; only the ``f8`` form is written.
     """
 
     def __init__(self, path: str | Path):
@@ -123,9 +121,8 @@ class FixtureStore:
         return self.entries.get(digest)
 
     def get_vector(self, digest: str):
-        """The vector recorded under ``digest``, or None: an ``f8`` record as a
-        read-only float64 array, decoded on its first read only; an older
-        ``values`` record as its list of floats."""
+        """The vector recorded under ``digest`` as a read-only float64 array,
+        decoded on its first read only; None if nothing is recorded."""
         record = self.get(digest)
         if record is None:
             return None
@@ -243,7 +240,7 @@ class Gateway:
         except json.JSONDecodeError as exc:
             return None, f"not JSON: {exc}"
         error = schemas.validate_reply(schema_id, value)
-        return (value, None) if error is None else (None, error.message)
+        return (value, None) if error is None else (None, error)
 
     @staticmethod
     def _encode_chat(reply) -> dict:
@@ -252,18 +249,18 @@ class Gateway:
         return {"kind": "json", "value": reply}
 
     def _decode_chat(self, req: ChatRequest, record: dict):
-        if record["kind"] == "text":
-            if req.response_schema_id != schemas.FREEFORM:
-                raise MalformedReply(
-                    f"fixture for {req.task_tag!r} holds text, expected structured reply"
-                )
-            return record["text"]
-        value = record["value"]
+        # A freeform reply was recorded as text, a structured one as json.
+        kind, field = (("text", "text") if req.response_schema_id == schemas.FREEFORM
+                       else ("json", "value"))
+        if record.get("kind") != kind or field not in record:
+            raise MalformedReply(f"fixture for {req.task_tag!r} holds no {kind} reply record")
+        value = record[field]
+        if kind == "text":
+            return value
         error = schemas.validate_reply(req.response_schema_id, value)
         if error is not None:
             # The schema gate holds even for hand-edited fixture files.
-            raise MalformedReply(f"recorded reply for {req.task_tag!r} violates schema: "
-                                 f"{error.message}")
+            raise MalformedReply(f"recorded reply for {req.task_tag!r} violates schema: {error}")
         return value
 
     # -- embeddings -----------------------------------------------------------
@@ -366,14 +363,11 @@ def _fixture_line(digest: str, task_tag: str, reply: dict) -> str:
     return f"{line[:-3]}{reply['f8']}{line[-3:]}\n"
 
 
-def _decoded_vector(record: dict):
-    """The vector of a fixture record: an ``f8`` record as a float64 array, an
-    older ``values`` record as its list of floats."""
-    if "f8" not in record:
-        return record["values"]
-    payload = record["f8"]
+def _decoded_vector(record: dict) -> np.ndarray:
+    """The vector of a fixture record's ``f8`` as a float64 array."""
+    payload = record.get("f8")
     if not isinstance(payload, str):
-        raise MalformedReply("embedding fixture is not a base64 string")
+        raise MalformedReply("embedding fixture holds no base64 f8 string")
     try:
         blob = base64.b64decode(payload, validate=True)
     except ValueError as exc:  # binascii.Error, or a character beyond ASCII

@@ -58,10 +58,9 @@ class ReasoningContext:
         return any(item.passage_id == passage_id for item in self.context_items)
 
     def payload(self) -> list[dict]:
-        return [
-            {"passage_id": item.passage_id, "section": item.section, "text": item.text}
-            for item in self.context_items
-        ]
+        """The context as ``reason`` and ``synthesize`` send it: no reply names
+        a passage, so no passage id; provenance reads ``context_items``."""
+        return [{"section": item.section, "text": item.text} for item in self.context_items]
 
 
 @dataclass

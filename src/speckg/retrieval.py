@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prompts
-from .errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply
+from .errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply, SpecKGError
 from .gateway import Gateway
 from .ingest import SemanticAnchor
 from .kg import SpecGraph, passage_key
@@ -436,10 +436,11 @@ def adaptive_expand(round_: RetrievalRound, tau: float, k0: int, delta_k: int,
     have no embedding yet, in one ``embed`` call; one whose expanded summary
     is the base summary's text has gain exactly 0.0 and makes no ``embed``
     call. Hard stops: the accepted set reaching k_max, or candidates running
-    out. A failed summarize or embed call, or a reply with another number of
-    summaries than cuts, ends expansion with the set accepted so far and a
-    warning. A ``FixtureMiss`` is not a failed call but a stale replay file,
-    and propagates.
+    out. A summarize or embed call that fails with a package error, or a reply
+    with another number of summaries than cuts, ends expansion with the set
+    accepted so far and a warning. A ``FixtureMiss`` is not a failed call but
+    a stale replay file, and propagates, as does any other exception: it is a
+    fault of the program, not of the model.
     """
     if k0 < 1 or delta_k < 1:
         raise InvalidInput("k0 and delta_k must be >= 1")
@@ -478,7 +479,7 @@ def adaptive_expand(round_: RetrievalRound, tau: float, k0: int, delta_k: int,
                 gain = marginal_gain(base_vec, expanded_vec)
         except FixtureMiss:
             raise
-        except Exception as exc:
+        except SpecKGError as exc:
             round_.warning = f"summarization failed: {exc}"
             logger.warning("expansion aborted for %r: %s", round_.sub_query, exc)
             return round_

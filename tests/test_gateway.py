@@ -45,7 +45,7 @@ class TestChatRequest:
         assert all(0.0 <= task.temperature <= 2.0 for task in prompts.TASKS.values())
 
     def test_every_schema_id_known(self):
-        assert all(task.schema_id == schemas.FREEFORM or task.schema_id in schemas.SCHEMAS
+        assert all(task.schema_id == schemas.FREEFORM or task.schema_id in schemas.CHECKS
                    for task in prompts.TASKS.values())
 
     def test_the_task_states_all_but_the_payload(self):
@@ -173,7 +173,7 @@ class TestFixtureWrites:
         monkeypatch.setattr(gateway_module, "open", counting_open, raising=False)
         store = FixtureStore(tmp_path / "replies.jsonl")
         for i in range(500):
-            store.put(f"d{i}", "embed", {"kind": "vector", "values": [float(i)]})
+            store.put(f"d{i}", "summarize", {"kind": "text", "text": f"reply {i}"})
         assert opened == [tmp_path / "replies.jsonl"]
         assert len((tmp_path / "replies.jsonl").read_text().splitlines()) == 500
 
@@ -211,10 +211,9 @@ class TestFixtureWrites:
         replies += [
             {"kind": "text", "text": "café \"x\" \\ \n  "},
             {"kind": "json", "value": {"entité": ["µs", "a\"b", 1.5, None]}},
-            {"kind": "vector", "values": [0.25, -1.0]},  # an older vector record
             {"kind": "vector", "f8": 'not "base64"\n'},  # a plain dict takes the encoder
         ]
-        digests = self.AWKWARD + [f"plain{i}" for i in range(4)]
+        digests = self.AWKWARD + [f"plain{i}" for i in range(3)]
         path = tmp_path / "replies.jsonl"
         store = FixtureStore(path)
         expected = ""
@@ -491,20 +490,19 @@ class TestEmbed:
             replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
             assert replay.embed(texts).tobytes() == recorded.tobytes()
 
-    def test_values_records_still_replay(self, tmp_path):
+    def test_values_records_are_malformed(self, tmp_path):
         # a file recorded before vectors were stored as bytes holds decimal
-        # floats; "four" is recorded as bytes, with the vector of "one"
-        vectors = np.random.default_rng(2).normal(size=(3, 8)).tolist()
-        texts = ["one", "two", "three"]
+        # floats, which no longer replay; "two" is recorded as bytes and does
+        vectors = np.random.default_rng(2).normal(size=(2, 8)).tolist()
         store_path = tmp_path / "replies.jsonl"
-        write_vector_records(store_path, [{"kind": "vector", "values": v} for v in vectors]
-                             + [{"kind": "vector", "f8": f8(vectors[0])}], texts + ["four"])
+        write_vector_records(store_path, [{"kind": "vector", "values": vectors[0]},
+                                          {"kind": "vector", "f8": f8(vectors[1])}],
+                             ["one", "two"])
         replay = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
-        live = Gateway(provider=VectorProvider(vectors), mode="live")
-        assert replay.embed(texts).tobytes() == live.embed(texts).tobytes()
-        # one call may mix the two forms
-        assert (replay.embed(["four", "two"]).tobytes()
-                == replay.embed(["one", "two"]).tobytes())
+        with pytest.raises(MalformedReply, match="no base64 f8 string"):
+            replay.embed(["one"])
+        live = Gateway(provider=VectorProvider(vectors[1:]), mode="live")
+        assert replay.embed(["two"]).tobytes() == live.embed(["two"]).tobytes()
 
     def test_replay_decodes_each_record_once(self, tmp_path, monkeypatch):
         vectors = np.random.default_rng(5).normal(size=(2, 8))
@@ -574,18 +572,9 @@ class TestEmbed:
             rec.embed(["a", "b"])
         assert not store_path.exists()
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_VECTORS))
-    def test_malformed_fixture_vectors_rejected(self, tmp_path, case):
-        # the same checks hold for vectors from a hand-edited fixture file
-        store_path = tmp_path / "replies.jsonl"
-        write_vector_records(store_path, [{"kind": "vector", "values": values}
-                                          for values in MALFORMED_VECTORS[case]])
-        gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
-        with pytest.raises(MalformedReply):
-            gw.embed(["a", "b"])
-
     @pytest.mark.parametrize("case", sorted(MALFORMED_F8))
     def test_malformed_f8_records_rejected(self, tmp_path, case):
+        # the checks on provider vectors hold for a hand-edited fixture file:
         # the malformed vectors as float64 bytes, and bytes that are no vector
         store_path = tmp_path / "replies.jsonl"
         write_vector_records(store_path, [{"kind": "vector", "f8": payload}
@@ -696,8 +685,49 @@ class TestRetriesAndSchemaGate:
             "timestamp": "2026-01-01T00:00:00+00:00",
         }) + "\n")
         gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
-        with pytest.raises(MalformedReply):
+        with pytest.raises(MalformedReply, match=re.escape(
+                "violates schema: reply.matches[0] is neither an integer nor null")):
             gw.chat(request)
+
+    @pytest.mark.parametrize("request_, reply, kind", [
+        (judging(), {"kind": "json"}, "json"),
+        (judging(), {"kind": "text", "text": "a"}, "json"),
+        (judging(), {"value": {"matches": []}}, "json"),
+        (synthesis(), {"kind": "json", "value": {"answer": 1}}, "text"),
+        (synthesis(), {"kind": "text"}, "text"),
+        (synthesis(), {"kind": "vector", "f8": ""}, "text"),
+    ])
+    def test_fixture_record_of_another_shape_is_malformed(self, tmp_path, request_, reply, kind):
+        # a hand-edited record is input from outside the program: a freeform
+        # request replays only a text record, a structured one only a json
+        # record, and anything else is a malformed reply, not a KeyError or
+        # an object in place of the text
+        store_path = tmp_path / "replies.jsonl"
+        store_path.write_text(json.dumps({
+            "digest": chat_digest(request_, Gateway.chat_model), "task_tag": request_.task_tag,
+            "reply": reply}) + "\n")
+        gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path))
+        with pytest.raises(MalformedReply, match=f"holds no {kind} reply record"):
+            gw.chat(request_)
+
+    def test_repair_note_and_error_carry_the_check_message(self):
+        class WrongShape:
+            def __init__(self):
+                self.requests = []
+
+            def chat(self, request, model):
+                self.requests.append(request)
+                return json.dumps({"matches": [-1]})
+
+        provider = WrongShape()
+        gw = Gateway(provider=provider, mode="live", sleep=lambda s: None)
+        with pytest.raises(MalformedReply, match=re.escape(
+                "reply invalid after repair: reply.matches[0] is negative")):
+            gw.chat(judging())
+        assert [r.note for r in provider.requests] == [
+            "", '\n\nYour previous reply was invalid:\n{"matches": [-1]}\n'
+                "Validation error: reply.matches[0] is negative\n"
+                "Reply again with valid JSON only."]
 
     def test_unknown_task_tag_costs_no_retry(self):
         # refused as the request is built, before any provider call or backoff

@@ -200,8 +200,7 @@ CASES = {
 
 
 def context(passages):
-    return [{"passage_id": f"doc#p{i:04d}", "section": "S", "text": text}
-            for i, text in enumerate(passages)]
+    return [{"section": "S", "text": text} for text in passages]
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -13,7 +13,7 @@ from speckg.gateway import Gateway
 from speckg.offline import OfflineModel
 from speckg.providers import HttpProvider, make_provider
 
-from conftest import SPEC_DOC
+from conftest import QA_DATASET, SPEC_DOC
 
 
 class FakeResponse:
@@ -192,15 +192,24 @@ def test_cli_imports_no_requests():
     assert loaded_after("import speckg.cli", "requests") == []
 
 
-def test_jsonschema_is_loaded_only_to_word_a_rejection(tmp_path):
-    # the compiled predicates decide; jsonschema is imported by the first
-    # rejected reply, to word its error
-    assert loaded_after("import speckg.cli", "jsonschema") == []
-    build = (f"from speckg import cli; assert cli.main(['build-kg', '--mode', 'record', "
-             f"'--fixtures', {str(tmp_path / 'f.jsonl')!r}, '--spec', {str(SPEC_DOC)!r}, "
-             f"'--out', {str(tmp_path / 'store')!r}]) == 0")
-    assert loaded_after(build, "jsonschema") == []
-    assert (tmp_path / "store" / "graph.jsonl").exists()
-    reject = ("from speckg import schemas; "
-              "assert schemas.validate_reply('atom-list', {'atoms': [1]}) is not None")
-    assert "jsonschema" in loaded_after(reject, "jsonschema")
+def test_runtime_never_imports_jsonschema(tmp_path):
+    # jsonschema is a test dependency only: in a fresh interpreter where any
+    # import of it fails, a record build, a record-then-replay bench and a
+    # rejected reply all run
+    kg, replies = str(tmp_path / "kg"), str(tmp_path / "replies.jsonl")
+    bench = ["bench", "--kg", kg, "--dataset", str(QA_DATASET), "--fixtures", replies]
+    code = (
+        "import sys; sys.modules['jsonschema'] = None\n"
+        "from speckg import cli, schemas\n"
+        f"assert cli.main(['build-kg', '--mode', 'record', '--fixtures', {replies!r}, "
+        f"'--spec', {str(SPEC_DOC)!r}, '--out', {kg!r}]) == 0\n"
+        f"assert cli.main({bench!r} + ['--mode', 'record', "
+        f"'--run-dir', {str(tmp_path / 'record')!r}]) == 0\n"
+        f"assert cli.main({bench!r} + ['--mode', 'replay', "
+        f"'--run-dir', {str(tmp_path / 'replay')!r}]) == 0\n"
+        "assert schemas.validate_reply('atom-list', {'atoms': [1]}) == "
+        "'reply.atoms[0] is not a string'"
+    )
+    assert loaded_after(code, "jsonschema") == ["jsonschema"]  # the None entry
+    reports = [(tmp_path / run / "report.json").read_bytes() for run in ("record", "replay")]
+    assert reports[0] == reports[1]

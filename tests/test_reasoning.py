@@ -199,6 +199,18 @@ def unparsable_reason(request, raw):
     return "definitely { not json" if request.task_tag == "reason" else raw
 
 
+def test_context_goes_as_section_and_text_alone(graph, run_cfg):
+    # no reply names a passage, so no request carries a passage id; the
+    # provenance comes from the context items
+    run_cfg.reasoning.max_rounds = 1
+    model, gw = counting_gateway()
+    record = run(CHAIN_QUESTION, graph, gw, run_cfg)
+    sent = [r for r in model.requests if r.task_tag in ("reason", "synthesize")]
+    assert {r.task_tag for r in sent} == {"reason", "synthesize"}
+    assert all(set(item) == {"section", "text"} for r in sent for item in r.payload["context"])
+    assert record.provenance and all("#p" in pid for pid in record.provenance)
+
+
 class TestSynthesizeCalls:
     """A sufficient verdict answers the question itself; every other exit
     makes exactly one synthesize call."""

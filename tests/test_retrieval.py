@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from speckg import kg as kgmod
 from speckg import prompts, reasoning, retrieval
-from speckg.errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply
+from speckg.errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
 from speckg.ingest import Passage, SemanticAnchor, ingest_document
 from speckg.kg import Edge, EmbeddingIndex, SpecGraph
 from speckg.offline import OfflineModel
@@ -938,12 +938,25 @@ class TestAdaptiveExpand:
         rnd = self.make_round()
 
         def summarize(q, ids, cuts):
-            raise RuntimeError("model down")
+            raise RetryExhausted("summarize failed after 3 attempts: model down")
 
         adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
                         summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
         assert len(rnd.accepted) == 5
         assert rnd.warning is not None
+
+    def test_program_fault_propagates(self):
+        # a fault in the program is no model failure: it is not turned into
+        # a warning and a shorter accepted set
+        rnd = self.make_round()
+
+        def summarize(q, ids, cuts):
+            raise TypeError("unhashable type: 'dict'")
+
+        with pytest.raises(TypeError):
+            adaptive_expand(rnd, tau=0.05, k0=5, delta_k=5, k_max=50,
+                            summarize=summarize, embed=lambda texts: np.ones((len(texts), 1)))
+        assert rnd.warning is None
 
     def test_fixture_miss_propagates(self):
         rnd = self.make_round()
@@ -984,7 +997,7 @@ class TestAdaptiveExpand:
             calls["summarize"] += 1
             calls["requests"].append((len(ids), cuts))
             if calls["summarize"] == fail_on_call:
-                raise RuntimeError("model down")
+                raise RetryExhausted("summarize failed after 3 attempts: model down")
             return [f"summary of {n}" for n in cuts]
 
         def embed(texts):
