@@ -572,6 +572,20 @@ class TestEmbed:
             rec.embed(["a", "b"])
         assert not store_path.exists()
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VECTORS))
+    def test_malformed_fixture_vectors_rejected(self, tmp_path, case):
+        # a record-mode call whose texts are all fixture hits checks the
+        # recorded vectors as replay does, and writes nothing
+        store_path = tmp_path / "replies.jsonl"
+        write_vector_records(store_path, [{"kind": "vector", "f8": f8(values)}
+                                          for values in MALFORMED_VECTORS[case]])
+        before = store_path.read_bytes()
+        never = FailingProvider(1, error=AssertionError("provider called for fixture hits"))
+        gw = Gateway(provider=never, mode="record", fixtures=FixtureStore(store_path))
+        with pytest.raises(MalformedReply):
+            gw.embed(["a", "b"])
+        assert store_path.read_bytes() == before
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_F8))
     def test_malformed_f8_records_rejected(self, tmp_path, case):
         # the checks on provider vectors hold for a hand-edited fixture file:
