@@ -18,6 +18,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import schemas
 from .errors import FixtureMiss, InvalidInput, MalformedReply, RetryExhausted, TransientError
-from .prompts import ChatRequest
+from .prompts import TASKS, ChatRequest, Task
 from .text import ORDERED_JSON, SORTED_JSON
 
 logger = logging.getLogger(__name__)
@@ -49,29 +50,50 @@ class Provider(Protocol):
 
 
 def chat_digest(req: ChatRequest, model: str) -> str:
-    """Stable content hash over all request fields plus the resolved model.
+    """Stable content hash over all request fields plus the resolved model:
+    the sha256 of the request's header (:func:`_chat_header`) followed by
+    the UTF-8 bytes of its user prompt.
 
     Prompts are hashed verbatim apart from a trailing-whitespace trim;
-    anything more aggressive would alias distinct prompts.
+    anything more aggressive would alias distinct prompts. The header's JSON
+    escapes every newline, so its closing newline ends it, and no two
+    distinct requests hash the same bytes.
     """
-    payload = {
-        "kind": "chat",
-        "task_tag": req.task_tag,
-        "system_prompt": req.system_prompt.rstrip(),
-        "user_prompt": req.user_prompt.rstrip(),
-        "temperature": req.temperature,
-        "response_schema_id": req.response_schema_id,
-        "model": model,
-    }
-    return _digest(payload)
+    header, _ = _chat_header(req.task_tag, model)
+    return hashlib.sha256(header + req.user_prompt.rstrip().encode("utf-8")).hexdigest()
+
+
+# Each header with its task hash, by (task tag, TASKS entry, model): keyed on
+# the entry's value, so an edited entry gets a new header.
+_HEADERS: dict[tuple[str, Task, str], tuple[bytes, str]] = {}
+
+
+def _chat_header(task_tag: str, model: str) -> tuple[bytes, str]:
+    """The bytes every chat digest of ``task_tag`` under ``model`` starts
+    with, a key-sorted JSON line of all the request's fields but its user
+    prompt, and their ``task_hash``: the first 12 hex digits of their
+    sha256, which a chat fixture record carries."""
+    task = TASKS[task_tag]
+    key = (task_tag, task, model)
+    cached = _HEADERS.get(key)
+    if cached is None:
+        header = SORTED_JSON.encode({
+            "kind": "chat",
+            "task_tag": task_tag,
+            "system_prompt": task.system.rstrip(),
+            "temperature": task.temperature,
+            "response_schema_id": task.schema_id,
+            "model": model,
+        }).encode("utf-8") + b"\n"
+        cached = _HEADERS[key] = (header, hashlib.sha256(header).hexdigest()[:12])
+    return cached
 
 
 def embed_digest(text: str, model: str) -> str:
-    return _digest({"kind": "embed", "text": text.rstrip(), "model": model})
-
-
-def _digest(payload: dict) -> str:
-    blob = SORTED_JSON.encode(payload)
+    """The sha256 of the key-sorted JSON of kind ``embed``, the model and the
+    trimmed text, written out as ``SORTED_JSON`` writes it."""
+    blob = (f'{{"kind": "embed", "model": {encode_basestring(model)}, '
+            f'"text": {encode_basestring(text.rstrip())}}}')
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -80,17 +102,21 @@ class FixtureStore:
 
     Record layout (one JSON object per line)::
 
-        {"digest": <sha256 hex>, "task_tag": <str>, "reply": <reply record>}
+        {"digest": <sha256 hex>, "task_tag": <str>, "task_hash": <12 hex>, "reply": <reply record>}
 
     where the reply record is one of
     ``{"kind": "text", "text": str}``,
     ``{"kind": "json", "value": object}``, or
     ``{"kind": "vector", "f8": <base64 of the vector's little-endian float64 bytes>}``.
+    A chat record's ``task_hash`` is that of its digest's header
+    (:func:`_chat_header`); an embed record has none.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.entries: dict[str, dict] = {}
+        # each task tag's task_hash values, None for a record without one
+        self.task_hashes: dict[str, set[str | None]] = {}
         self._vectors: dict[str, object] = {}  # vector records decoded so far
         self._lock = threading.Lock()
         self._out = None  # append handle, opened on the first put
@@ -115,7 +141,13 @@ class FixtureStore:
                         or not isinstance(record.get("reply"), dict)):
                     raise InvalidInput(f"{self.path}:{lineno}: a fixture record must be an "
                                        f"object with a string digest and an object reply")
+                task_hash = record.get("task_hash")
+                if task_hash is not None and not isinstance(task_hash, str):
+                    raise InvalidInput(f"{self.path}:{lineno}: a fixture record's task_hash "
+                                       f"must be a string")
                 self.entries[record["digest"]] = record["reply"]
+                if isinstance(record.get("task_tag"), str):
+                    self.task_hashes.setdefault(record["task_tag"], set()).add(task_hash)
 
     def get(self, digest: str) -> dict | None:
         return self.entries.get(digest)
@@ -131,7 +163,8 @@ class FixtureStore:
             vec = self._vectors[digest] = _decoded_vector(record)
         return vec
 
-    def put(self, digest: str, task_tag: str, reply: dict) -> None:
+    def put(self, digest: str, task_tag: str, reply: dict,
+            task_hash: str | None = None) -> None:
         """Persist one reply; record mode serializes writes, replays stay stable.
 
         One append handle serves every write and is flushed after each
@@ -141,12 +174,20 @@ class FixtureStore:
             if digest in self.entries:
                 return
             self.entries[digest] = reply
+            self.task_hashes.setdefault(task_tag, set()).add(task_hash)
             if self._out is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._out = open(self.path, "a", encoding="utf-8")
                 weakref.finalize(self, self._out.close)
-            self._out.write(_fixture_line(digest, task_tag, reply))
+            self._out.write(_fixture_line(digest, task_tag, reply, task_hash))
             self._out.flush()
+
+    def recorded_under_another(self, task_tag: str, task_hash: str) -> bool:
+        """True when the file holds records of ``task_tag`` and none of them
+        carries ``task_hash``: they were recorded for another version of the
+        task or another model, or before chat records carried a task hash."""
+        hashes = self.task_hashes.get(task_tag)
+        return bool(hashes) and task_hash not in hashes
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -202,12 +243,17 @@ class Gateway:
         record = self.fixtures.get(digest)
         if record is not None:
             return self._decode_chat(req, record)
+        _, task_hash = _chat_header(req.task_tag, model)
         if self.mode == "replay":
-            raise FixtureMiss(
-                f"no fixture for task_tag={req.task_tag!r} digest={digest[:12]}..."
-            )
+            message = f"no fixture for task_tag={req.task_tag!r} digest={digest[:12]}..."
+            if self.fixtures.recorded_under_another(req.task_tag, task_hash):
+                message += (f"; every {req.task_tag!r} record in {self.fixtures.path} was "
+                            f"recorded for another version of the task or model, or before "
+                            f"chat records carried a task_hash (none carries {task_hash}): "
+                            f"record the file again")
+            raise FixtureMiss(message)
         reply = self._chat_live(req, model)
-        self.fixtures.put(digest, req.task_tag, self._encode_chat(reply))
+        self.fixtures.put(digest, req.task_tag, self._encode_chat(reply), task_hash)
         return reply
 
     def _chat_live(self, req: ChatRequest, model: str):
@@ -274,48 +320,42 @@ class Gateway:
             if not t.strip():
                 raise InvalidInput("embed() input texts must be non-empty after trim")
 
-        rows: list = [None] * len(texts)
         if self.mode == "live":
-            pending = list(range(len(texts)))
+            rows = self._provider_vectors(texts)
         else:
             # Only the fixture store reads the digests.
             digests = [embed_digest(text, self.embedding_model) for text in texts]
-            pending = []
+            rows, pending = [], []
             for i, digest in enumerate(digests):
                 vec = self.fixtures.get_vector(digest)
-                if vec is not None:
-                    rows[i] = vec
-                elif self.mode == "replay":
-                    raise FixtureMiss(f"no embedding fixture for digest {digest[:12]}...")
-                else:
+                if vec is None:
+                    if self.mode == "replay":
+                        raise FixtureMiss(f"no embedding fixture for digest {digest[:12]}...")
                     pending.append(i)
+                rows.append(vec)
+            if len(pending) == len(texts):
+                rows = self._provider_vectors(texts)
+            elif pending:
+                vectors = self._provider_vectors([texts[i] for i in pending])
+                for i, vec in zip(pending, vectors):
+                    rows[i] = vec
 
-        if pending:
-            batch = [texts[i] for i in pending]
-            vectors = self._with_retries(
-                lambda: self.provider.embed(batch, self.embedding_model), "embed"
-            )
-            if len(vectors) != len(batch):
-                raise MalformedReply(
-                    f"provider returned {len(vectors)} vectors for {len(batch)} texts"
-                )
-            for i, vec in zip(pending, vectors):
-                rows[i] = vec
-
-        raw = _checked_matrix(rows)
-        # One norm per row: a norm along the matrix's axis sums in another
-        # order and would change the last bits. A norm that overflows would
-        # turn the row into zeros; it is refused, as a zero row is.
-        with np.errstate(over="ignore"):
-            norms = np.array([np.linalg.norm(row) for row in raw])
-        if not norms.all():
-            raise MalformedReply("provider returned a zero embedding vector")
-        if not np.isfinite(norms).all():
-            raise MalformedReply("an embedding vector's norm overflows float64")
+        raw, norms = _checked_matrix(rows)
         if self.mode == "record":
             for i in pending:
                 self.fixtures.put(digests[i], "embed", _vector_record(raw[i]))
         return raw / norms[:, None]
+
+    def _provider_vectors(self, batch: list[str]):
+        """The provider's vectors for ``batch``, one per text, as it sent them."""
+        vectors = self._with_retries(
+            lambda: self.provider.embed(batch, self.embedding_model), "embed"
+        )
+        if len(vectors) != len(batch):
+            raise MalformedReply(
+                f"provider returned {len(vectors)} vectors for {len(batch)} texts"
+            )
+        return vectors
 
     # -- retry plumbing -------------------------------------------------------
 
@@ -349,17 +389,21 @@ def _vector_record(vec: np.ndarray) -> dict:
     return _Base64Vector(kind="vector", f8=base64.b64encode(blob).decode("ascii"))
 
 
-def _fixture_line(digest: str, task_tag: str, reply: dict) -> str:
+def _fixture_line(digest: str, task_tag: str, reply: dict, task_hash: str | None) -> str:
     """One fixture record as a JSON line, as ``json.dumps(record,
-    ensure_ascii=False)`` writes it. A vector's base64 is put between the
-    quotes of an empty ``f8`` rather than scanned by the encoder."""
+    ensure_ascii=False)`` writes it; ``task_hash`` goes before the reply,
+    unless it is None. A vector's base64 is put between the quotes of an
+    empty ``f8`` rather than scanned by the encoder."""
+    record = {"digest": digest, "task_tag": task_tag}
+    if task_hash is not None:
+        record["task_hash"] = task_hash
     if type(reply) is not _Base64Vector:
-        return ORDERED_JSON.encode(
-            {"digest": digest, "task_tag": task_tag, "reply": reply}) + "\n"
+        record["reply"] = reply
+        return ORDERED_JSON.encode(record) + "\n"
     # "f8" is the reply's last key, so the line ends with its empty string's
     # closing quote and the two closing braces
-    line = ORDERED_JSON.encode(
-        {"digest": digest, "task_tag": task_tag, "reply": {**reply, "f8": ""}})
+    record["reply"] = {**reply, "f8": ""}
+    line = ORDERED_JSON.encode(record)
     return f"{line[:-3]}{reply['f8']}{line[-3:]}\n"
 
 
@@ -379,16 +423,28 @@ def _decoded_vector(record: dict) -> np.ndarray:
     return np.frombuffer(blob, "<f8")
 
 
-def _checked_matrix(rows: list) -> np.ndarray:
+def _checked_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
     """Stack embedding vectors, from a provider or a fixture file, into a
-    float64 matrix; vectors of unequal length or with non-finite values are a
-    malformed reply."""
+    float64 matrix, with each row's norm; vectors of unequal length, with
+    non-finite values, of norm zero or whose norm overflows are a malformed
+    reply."""
     try:
         raw = np.array(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise MalformedReply(f"embedding vectors do not form a matrix: {exc}") from exc
     if raw.ndim != 2:
         raise MalformedReply("embedding vectors must be rows of equal length")
-    if not np.isfinite(raw).all():
+    # One norm per row, sqrt(row . row) with the dot np.linalg.norm runs: a
+    # norm along the matrix's axis sums in another order and would change the
+    # last bits. A row's norm is finite unless the row holds a non-finite
+    # value or its norm overflows, which would turn the unit row into zeros.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt([row.dot(row) for row in raw])
+    finite = np.isfinite(norms).all()
+    if not finite and not np.isfinite(raw).all():
         raise MalformedReply("embedding contains non-finite values")
-    return raw
+    if not norms.all():
+        raise MalformedReply("provider returned a zero embedding vector")
+    if not finite:
+        raise MalformedReply("an embedding vector's norm overflows float64")
+    return raw, norms

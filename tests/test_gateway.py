@@ -95,6 +95,58 @@ class TestDigest:
         assert digest("\nhello  \n") == digest("\nhello")
         assert digest("\n  hello") != digest("\nhello")
 
+    @given(st.sampled_from(prompts.TASK_TAGS), st.text(), st.text(min_size=1))
+    @example("reason", '\n{"model": "m"}\n', "m")
+    @settings(max_examples=200, deadline=None)
+    def test_header_line_then_prompt_bytes(self, tag, note, model):
+        # the header is json.dumps of every field but the user prompt, which
+        # escapes each newline, so the first raw newline ends it
+        request = ChatRequest(tag, {"question": note}, note=note)
+        task = prompts.TASKS[tag]
+        header = json.dumps({"kind": "chat", "task_tag": tag,
+                             "system_prompt": task.system.rstrip(),
+                             "temperature": task.temperature,
+                             "response_schema_id": task.schema_id, "model": model},
+                            sort_keys=True, ensure_ascii=False)
+        assert "\n" not in header
+        blob = f"{header}\n{request.user_prompt.rstrip()}".encode("utf-8")
+        assert chat_digest(request, model) == hashlib.sha256(blob).hexdigest()
+        assert gateway_module._chat_header(tag, model) == (
+            f"{header}\n".encode("utf-8"),
+            hashlib.sha256(f"{header}\n".encode("utf-8")).hexdigest()[:12])
+
+    @pytest.mark.parametrize("edit", [
+        {"system": prompts.TASKS["atom-match"].system + " Be strict."},
+        {"schema_id": "atom-list"},
+    ], ids=["system-prompt", "schema-id"])
+    def test_edited_task_entry_changes_digest_after_caching(self, monkeypatch, edit):
+        # the header is cached per entry value, so an edited entry is a new key
+        before = chat_digest(judging(), "m")
+        assert chat_digest(judging(), "m") == before  # the header is cached now
+        entry = prompts.TASKS["atom-match"]
+        monkeypatch.setitem(prompts.TASKS, "atom-match", entry._replace(**edit))
+        assert chat_digest(judging(), "m") != before
+        monkeypatch.setitem(prompts.TASKS, "atom-match", entry)
+        assert chat_digest(judging(), "m") == before
+
+    def test_one_request_two_models_two_digests_both_cached(self):
+        first = [chat_digest(judging(), model) for model in ("a", "b")]
+        assert first[0] != first[1]
+        assert [chat_digest(judging(), model) for model in ("a", "b")] == first
+
+    @given(st.text(), st.text())
+    @example("Ünïcødé \"quoted\" \\ \n\u2028 中文  \n", "offline-embed")
+    @settings(max_examples=200, deadline=None)
+    def test_embed_digest_hashes_what_json_dumps_writes(self, text_, model):
+        expected = json.dumps({"kind": "embed", "text": text_.rstrip(), "model": model},
+                              sort_keys=True, ensure_ascii=False)
+        assert embed_digest(text_, model) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+
+    def test_embed_digest_frozen(self):
+        # embed records keep their digests, so recorded vectors still replay
+        assert embed_digest("The CTRL register holds the mode.", "offline-embed") == (
+            "bd74e9f996763a62d2516df8200df58338bcab4eb60fb93db1d1e1f46e901768")
+
 
 class TestRecordReplay:
     def test_replay_returns_recorded_reply_byte_identical(self, tmp_path):
@@ -158,6 +210,122 @@ class TestRecordReplay:
         assert verdict == {"matches": [0]}
 
 
+class CountingModel(OfflineModel):
+    """The offline model, counting the requests and texts it is sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.chats, self.texts = [], []
+
+    def chat(self, request, model):
+        self.chats.append(request.task_tag)
+        return super().chat(request, model)
+
+    def embed(self, texts, model):
+        self.texts += texts
+        return super().embed(texts, model)
+
+
+def old_chat_digest(req, model):
+    """A chat digest as written before digests hashed a header line and the
+    prompt bytes: the sha256 of one key-sorted JSON object of every field."""
+    return hashlib.sha256(json.dumps({
+        "kind": "chat", "task_tag": req.task_tag, "system_prompt": req.system_prompt.rstrip(),
+        "user_prompt": req.user_prompt.rstrip(), "temperature": req.temperature,
+        "response_schema_id": req.response_schema_id, "model": model,
+    }, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+def record(path, provider=None):
+    return Gateway(provider=provider or OfflineModel(), mode="record",
+                   fixtures=FixtureStore(path))
+
+
+def replay(path):
+    return Gateway(provider=None, mode="replay", fixtures=FixtureStore(path))
+
+
+class TestTaskHash:
+    STALE = "was recorded for another version of the task or model"
+
+    def test_chat_records_carry_their_headers_task_hash(self, tmp_path):
+        path = tmp_path / "replies.jsonl"
+        gw = record(path)
+        gw.chat(judging())
+        gw.chat(synthesis())
+        gw.embed(["one text"])
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [list(r) for r in records] == [["digest", "task_tag", "task_hash", "reply"]] * 2 + [
+            ["digest", "task_tag", "reply"]]
+        assert [r["task_hash"] for r in records[:2]] == [
+            gateway_module._chat_header(tag, Gateway.chat_model)[1]
+            for tag in ("atom-match", "synthesize")]
+        assert FixtureStore(path).task_hashes == {
+            "atom-match": {records[0]["task_hash"]}, "synthesize": {records[1]["task_hash"]},
+            "embed": {None}}
+
+    def test_old_format_chat_lines_miss_naming_the_tag(self, tmp_path):
+        # a chat record written before records carried a task_hash, under the
+        # old digest of the same request; the embed record still replays
+        assert old_chat_digest(one_request_per_task()["atom-match"], "golden-model") == (
+            "b486e5ced36d29c4dd5c5f4a8ac79729b02e12f1b67a3eb877216544f1ffbbfb")  # as pinned then
+        path = tmp_path / "replies.jsonl"
+        vector = np.array([3.0, 4.0])
+        path.write_text("".join(json.dumps(record) + "\n" for record in [
+            {"digest": old_chat_digest(judging(), Gateway.chat_model),
+             "task_tag": "atom-match", "reply": {"kind": "json", "value": {"matches": [None]}}},
+            {"digest": embed_digest("one text", Gateway.embedding_model), "task_tag": "embed",
+             "reply": {"kind": "vector", "f8": f8(vector)}},
+        ]))
+        gw = replay(path)
+        with pytest.raises(FixtureMiss, match=re.escape(
+                f"every 'atom-match' record in {path} {self.STALE}")) as miss:
+            gw.chat(judging())
+        assert str(miss.value).endswith(": record the file again")
+        assert gw.embed(["one text"]).tolist() == [[0.6, 0.8]]
+        # a tag with no record in the file misses as before
+        with pytest.raises(FixtureMiss) as miss:
+            gw.chat(synthesis())
+        assert "record the file again" not in str(miss.value)
+
+    def test_file_recorded_before_a_system_prompt_edit(self, tmp_path, monkeypatch):
+        path = tmp_path / "replies.jsonl"
+        gw = record(path)
+        replies = {request.task_tag: gw.chat(request) for request in (judging(), synthesis())}
+        entry = prompts.TASKS["atom-match"]
+        monkeypatch.setitem(prompts.TASKS, "atom-match",
+                            entry._replace(system=entry.system + " Be strict."))
+        gw = replay(path)
+        with pytest.raises(FixtureMiss, match=re.escape(f"every 'atom-match' record in {path}")):
+            gw.chat(judging())
+        assert gw.chat(synthesis()) == replies["synthesize"]
+
+    def test_a_record_of_the_current_entry_keeps_other_misses_plain(self, tmp_path):
+        path = tmp_path / "replies.jsonl"
+        record(path).chat(judging())
+        with pytest.raises(FixtureMiss) as miss:
+            replay(path).chat(prompts.atom_match(["other"], ["claims"]))
+        assert "record the file again" not in str(miss.value)
+
+    def test_recording_over_an_old_file_asks_only_the_chat_requests(self, tmp_path):
+        path = tmp_path / "replies.jsonl"
+        gw = record(path)
+        reply = gw.chat(judging())
+        matrix = gw.embed(["one text", "two text"])
+        # the same file as written before chat records carried a task_hash
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for line in lines:
+            if line.pop("task_hash", None):
+                line["digest"] = old_chat_digest(judging(), Gateway.chat_model)
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        provider = CountingModel()
+        gw = record(path, provider)
+        assert gw.chat(judging()) == reply
+        assert gw.embed(["one text", "two text"]).tobytes() == matrix.tobytes()
+        assert (provider.chats, provider.texts) == (["atom-match"], [])
+        assert replay(path).chat(judging()) == reply
+
+
 class TestFixtureWrites:
     def test_puts_open_the_file_once(self, tmp_path, monkeypatch):
         import builtins
@@ -190,9 +358,10 @@ class TestFixtureWrites:
 
     @pytest.mark.parametrize("line", [
         '{"digest": "x"}', "[1]", '{"digest": 1, "reply": {"kind": "text", "text": "a"}}',
-        '{"digest": "x", "reply": "a"}', "not json"],
+        '{"digest": "x", "reply": "a"}', "not json",
+        '{"digest": "x", "task_tag": "summarize", "task_hash": 7, "reply": {"kind": "text"}}'],
         ids=["no-reply", "not-an-object", "digest-not-a-string", "reply-not-an-object",
-             "not-json"])
+             "not-json", "task-hash-not-a-string"])
     def test_bad_record_names_its_line(self, tmp_path, line):
         path = tmp_path / "replies.jsonl"
         good = {"digest": "d0", "task_tag": "summarize", "reply": {"kind": "text", "text": "a"}}
@@ -274,12 +443,12 @@ class TestRepliesFixed:
 # prompt, instruction, temperature or schema changes its digest, and every
 # fixture file recorded before would miss on that task.
 TASK_DIGESTS = {
-    "ir-extract": "509acb1d59561062e7df24a7506b4bcfec51dbe5c475d92dc6c26ac390cff12d",
-    "summarize": "70a8d74ca1a59516d05a4a40e34e89bc4e270db0f0f9f80634cde5b734e1e17f",
-    "reason": "c98aaaa981ab197d866fbe9d5d99f98f2db7e68fb23a5ebb1d4cdb483fd407da",
-    "synthesize": "b27612d1adfcfe708481d4024a7d29f31571ae853aaa19f40948bd8f4ecaabb0",
-    "atom-decompose": "de483c66f735687502f5b1c96028cd57b6590ac3d790abd161dbf407181c2391",
-    "atom-match": "b486e5ced36d29c4dd5c5f4a8ac79729b02e12f1b67a3eb877216544f1ffbbfb",
+    "ir-extract": "357192a5b3d454ad9c63486ccb21f67c945e07001c0d3f1b1c0d24538f166746",
+    "summarize": "dd696675e9d6297171a1436cfc5e0a4db449f135db06cbdc1bebc351a85b8ec2",
+    "reason": "6c8580ea5002407555a2357cdbb58486eda547d1f0cf6f7ba081997e285a4705",
+    "synthesize": "f3222862989355ceb54d63dd2af6c42c6bfa30943ef67f965bfa521d3af3147a",
+    "atom-decompose": "bbfc6d875cef54113ce5588db0a7105783c8677b65ddff17467d85cf8b219f7b",
+    "atom-match": "4b0080d40f677596dc88972f9251c7080a2fc6ca5403c16c0405bfb84a04f654",
 }
 
 
@@ -302,10 +471,9 @@ JSON_VALUES = st.recursive(
           "nested": {"b": [1e-310, -0.0, float("inf")], "a": None}})
 @settings(max_examples=200, deadline=None)
 def test_shared_encoders_write_what_json_dumps_writes(payload):
-    # digests, prompt payloads, offline replies and graph.jsonl share the
-    # key-sorted encoder; corpus files and fixture lines the ordered one
+    # chat digest headers, prompt payloads, offline replies and graph.jsonl
+    # share the key-sorted encoder; corpus files and fixture lines the ordered one
     expected = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    assert gateway_module._digest(payload) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
     assert prompts._render("Do it.", payload) == f"Do it.\n\nInput:\n```json\n{expected}\n```"
     assert text.SORTED_JSON.encode(payload) == expected
     assert text.ORDERED_JSON.encode(payload) == json.dumps(payload, ensure_ascii=False)
@@ -431,7 +599,39 @@ FLOAT_ROWS = st.integers(1, 6).flatmap(lambda dim: st.lists(
     min_size=1, max_size=5))
 
 
+def stacked_row_by_row(vectors) -> np.ndarray:
+    """The unit rows the gateway returns, formed as it once did: the vectors
+    stacked one by one, each divided by its np.linalg.norm."""
+    raw = np.array([row for row in vectors], dtype=np.float64)
+    norms = np.array([np.linalg.norm(row) for row in raw])
+    return raw / norms[:, None]
+
+
+# rows of mantissas in [-1, 1] at magnitudes from 1e-150 to 1e150, with a
+# nonzero norm: their squares neither underflow to zero nor overflow
+SCALED_ROWS = st.integers(1, 8).flatmap(lambda dim: st.lists(
+    st.lists(st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1, 1), st.integers(-150, 150)),
+             min_size=dim, max_size=dim).filter(nonzero_norm),
+    min_size=1, max_size=6))
+
+
 class TestEmbed:
+    @given(SCALED_ROWS, st.booleans())
+    @example([[1e150, -1e-150, 0.5], [-0.0, 1e-150, 1e-150]], True)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_as_stacked_and_normed_one_by_one(self, vectors, as_matrix):
+        # live, record and replay return the oracle's bytes, whether the
+        # provider sends one float64 matrix or a list of rows
+        reply = np.array(vectors) if as_matrix else vectors
+        expected = stacked_row_by_row(vectors).tobytes()
+        texts = [f"text {i}" for i in range(len(vectors))]
+        assert Gateway(provider=VectorProvider(reply), mode="live").embed(texts).tobytes() == \
+            expected
+        with tempfile.TemporaryDirectory() as tmp:
+            store_path = Path(tmp) / "replies.jsonl"
+            assert record(store_path, VectorProvider(reply)).embed(texts).tobytes() == expected
+            assert replay(store_path).embed(texts).tobytes() == expected
+
     def test_same_text_same_vector(self, tmp_path):
         gw = make_offline_gateway()
         assert gw.embed(["x"]).tobytes() == gw.embed(["x"]).tobytes()
