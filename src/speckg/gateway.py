@@ -18,7 +18,6 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -70,9 +69,10 @@ _HEADERS: dict[tuple[str, Task, str], tuple[bytes, str]] = {}
 
 def _chat_header(task_tag: str, model: str) -> tuple[bytes, str]:
     """The bytes every chat digest of ``task_tag`` under ``model`` starts
-    with, a key-sorted JSON line of all the request's fields but its user
-    prompt, and their ``task_hash``: the first 12 hex digits of their
-    sha256, which a chat fixture record carries."""
+    with, a key-sorted JSON line of the tag, the model and the task's
+    ``TASKS`` entry (system prompt, instruction, temperature, schema id),
+    and their ``task_hash``: the first 12 hex digits of their sha256, which
+    a chat fixture record carries."""
     task = TASKS[task_tag]
     key = (task_tag, task, model)
     cached = _HEADERS.get(key)
@@ -81,6 +81,7 @@ def _chat_header(task_tag: str, model: str) -> tuple[bytes, str]:
             "kind": "chat",
             "task_tag": task_tag,
             "system_prompt": task.system.rstrip(),
+            "instruction": task.instruction,
             "temperature": task.temperature,
             "response_schema_id": task.schema_id,
             "model": model,
@@ -91,9 +92,8 @@ def _chat_header(task_tag: str, model: str) -> tuple[bytes, str]:
 
 def embed_digest(text: str, model: str) -> str:
     """The sha256 of the key-sorted JSON of kind ``embed``, the model and the
-    trimmed text, written out as ``SORTED_JSON`` writes it."""
-    blob = (f'{{"kind": "embed", "model": {encode_basestring(model)}, '
-            f'"text": {encode_basestring(text.rstrip())}}}')
+    trimmed text."""
+    blob = SORTED_JSON.encode({"kind": "embed", "text": text.rstrip(), "model": model})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -333,9 +333,7 @@ class Gateway:
                         raise FixtureMiss(f"no embedding fixture for digest {digest[:12]}...")
                     pending.append(i)
                 rows.append(vec)
-            if len(pending) == len(texts):
-                rows = self._provider_vectors(texts)
-            elif pending:
+            if pending:
                 vectors = self._provider_vectors([texts[i] for i in pending])
                 for i, vec in zip(pending, vectors):
                     rows[i] = vec

@@ -105,6 +105,7 @@ class TestDigest:
         task = prompts.TASKS[tag]
         header = json.dumps({"kind": "chat", "task_tag": tag,
                              "system_prompt": task.system.rstrip(),
+                             "instruction": task.instruction,
                              "temperature": task.temperature,
                              "response_schema_id": task.schema_id, "model": model},
                             sort_keys=True, ensure_ascii=False)
@@ -117,8 +118,9 @@ class TestDigest:
 
     @pytest.mark.parametrize("edit", [
         {"system": prompts.TASKS["atom-match"].system + " Be strict."},
+        {"instruction": prompts.TASKS["atom-match"].instruction + " Be strict."},
         {"schema_id": "atom-list"},
-    ], ids=["system-prompt", "schema-id"])
+    ], ids=["system-prompt", "instruction", "schema-id"])
     def test_edited_task_entry_changes_digest_after_caching(self, monkeypatch, edit):
         # the header is cached per entry value, so an edited entry is a new key
         before = chat_digest(judging(), "m")
@@ -288,13 +290,14 @@ class TestTaskHash:
             gw.chat(synthesis())
         assert "record the file again" not in str(miss.value)
 
-    def test_file_recorded_before_a_system_prompt_edit(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("field_", ["system", "instruction"])
+    def test_file_recorded_before_a_task_edit(self, tmp_path, monkeypatch, field_):
         path = tmp_path / "replies.jsonl"
         gw = record(path)
         replies = {request.task_tag: gw.chat(request) for request in (judging(), synthesis())}
         entry = prompts.TASKS["atom-match"]
         monkeypatch.setitem(prompts.TASKS, "atom-match",
-                            entry._replace(system=entry.system + " Be strict."))
+                            entry._replace(**{field_: getattr(entry, field_) + " Be strict."}))
         gw = replay(path)
         with pytest.raises(FixtureMiss, match=re.escape(f"every 'atom-match' record in {path}")):
             gw.chat(judging())
@@ -443,12 +446,12 @@ class TestRepliesFixed:
 # prompt, instruction, temperature or schema changes its digest, and every
 # fixture file recorded before would miss on that task.
 TASK_DIGESTS = {
-    "ir-extract": "357192a5b3d454ad9c63486ccb21f67c945e07001c0d3f1b1c0d24538f166746",
-    "summarize": "dd696675e9d6297171a1436cfc5e0a4db449f135db06cbdc1bebc351a85b8ec2",
-    "reason": "6c8580ea5002407555a2357cdbb58486eda547d1f0cf6f7ba081997e285a4705",
-    "synthesize": "f3222862989355ceb54d63dd2af6c42c6bfa30943ef67f965bfa521d3af3147a",
-    "atom-decompose": "bbfc6d875cef54113ce5588db0a7105783c8677b65ddff17467d85cf8b219f7b",
-    "atom-match": "4b0080d40f677596dc88972f9251c7080a2fc6ca5403c16c0405bfb84a04f654",
+    "ir-extract": "c534ce757fd81e9e46c1fa9fe5515b10cf6e06dcb80e4740051fee626f3caae4",
+    "summarize": "3f3b8b350c3d085385627a2951d439c802cb2fddd4482338ded7cb3e42b82048",
+    "reason": "b96db9f2ae25fa0c7e85420e6098855acf621421655c8fa32c855eeb5fb6146d",
+    "synthesize": "8677a4c23d339945b34c841b5c9af19162003ea7130d5d39aab5d202b34208c4",
+    "atom-decompose": "be79c95fd146f7aeac5b038b86b52f9b23cc0a861a0e2b4d1bc8960ceb75c027",
+    "atom-match": "56110bce15ce9914e6096813a6853cd744db46458773e58bb275672ae5881a89",
 }
 
 
