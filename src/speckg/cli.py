@@ -148,11 +148,9 @@ def _scoring_inputs(cfg: RunConfig, args):
 
 
 def _exit_code(report: evaluation.EvalReport) -> int:
-    """1 when any item failed, by an error or an ``error:`` flag, as ``query``
-    exits; the whole report is written first either way."""
-    failed = any(item.error is not None or any(f.startswith("error:") for f in item.flags)
-                 for item in report.items)
-    return 1 if failed else 0
+    """1 when any item failed, as ``query`` exits; the whole report is
+    written first either way."""
+    return 1 if any(item.error is not None for item in report.items) else 0
 
 
 def cmd_eval(args) -> int:

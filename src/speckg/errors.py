@@ -73,8 +73,4 @@ class EmptyGraph(SpecKGError):
 
 
 class SynthesisFailed(SpecKGError):
-    """Final answer generation failed; carries the context for inspection."""
-
-    def __init__(self, message, context=None):
-        self.context = context
-        super().__init__(message)
+    """Final answer generation failed."""

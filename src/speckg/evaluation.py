@@ -318,8 +318,9 @@ def repetitions(gateway: Gateway, cfg) -> tuple[int, int]:
 def evaluate_item(gateway: Gateway, kg: SpecGraph, item: QAItem, cfg) -> ItemResult:
     """Answer one question n_runs times, judge each answer n_judge times;
     once each when replies are fixed (see :func:`repetitions`). A run that
-    ends flagged ``error:`` fails the item with that flag as its error, as a
-    failed judge call does with its own: neither answer is scored."""
+    ends flagged ``error:`` fails the item with that flag as its error, and an
+    error raised from a run or a judge call, such as a replay miss, with its
+    message: no answer of a failed item is scored."""
     n_runs, n_judge = repetitions(gateway, cfg)
     record: reasoning.AnswerRecord | None = None
     error: str | None = None

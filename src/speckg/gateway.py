@@ -189,9 +189,6 @@ class FixtureStore:
         hashes = self.task_hashes.get(task_tag)
         return bool(hashes) and task_hash not in hashes
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass
 class Gateway:

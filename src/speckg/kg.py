@@ -6,8 +6,9 @@ Sentence parses become four categories of triples:
 * auxiliary: conditional/temporal clauses qualifying a backbone action
 * linking: backbone-to-auxiliary dependency (endpoints are reified
   statement nodes so the link is addressable)
-* normalization: alias edges mapping entity surface variants onto their
-  canonical forms
+* normalization: entity surface variants mapped onto their canonical forms;
+  the graph is assembled with every variant already on its canonical node,
+  so no edge or node names a variant
 
 The assembled graph holds entity, passage, and statement nodes plus a flat
 typed edge list and an exact-scan embedding index. Node keys are prefixed
@@ -106,7 +107,7 @@ def make_triple(category: str, subject: str, predicate: str, obj: str,
 
 @dataclass(frozen=True)
 class Edge:
-    kind: str  # mention | subject | object | link | alias
+    kind: str  # mention | subject | object | link
     src: str
     dst: str
 
@@ -386,81 +387,13 @@ class SpecGraph:
         return key
 
 
-def build_graph(corpus: Corpus, triples: list[Triple]) -> SpecGraph:
-    """Assemble nodes and edges; raises CorpusInconsistent on dangling refs."""
-    sentence_ids = {ir.sentence_id for ir in corpus.irs}
-    passages = {passage.passage_id: passage for passage in corpus.passages}
-
-    by_id: dict[str, Triple] = {}
-    for t in triples:
-        if t.source not in sentence_ids:
-            raise CorpusInconsistent(f"triple {t.triple_id} references unknown sentence {t.source!r}")
-        by_id[t.triple_id] = t
-
-    entities: set[str] = set()
-    edges: set[Edge] = set()
-    for t in by_id.values():
-        if t.is_statement:
-            entities.add(t.subject)
-            edges.add(Edge("subject", entity_key(t.subject), statement_key(t.triple_id)))
-            if t.object_is_entity:
-                entities.add(t.object)
-                edges.add(Edge("object", statement_key(t.triple_id), entity_key(t.object)))
-        elif t.category == NORMALIZATION:
-            entities.add(t.subject)
-            entities.add(t.object)
-            edges.add(Edge("alias", entity_key(t.subject), entity_key(t.object)))
-
-    for t in by_id.values():
-        if t.category != LINKING:
-            continue
-        tb = by_id.get(t.subject)
-        ta = by_id.get(t.object)
-        if tb is None or ta is None:
-            raise CorpusInconsistent(f"linking triple {t.triple_id} has a missing endpoint")
-        if tb.category != BACKBONE or ta.category != AUXILIARY:
-            raise CorpusInconsistent(
-                f"linking triple {t.triple_id} must join backbone to auxiliary"
-            )
-        if tb.source != ta.source:
-            raise CorpusInconsistent(
-                f"linking triple {t.triple_id} joins statements from different sentences"
-            )
-        edges.add(Edge("link", statement_key(t.subject), statement_key(t.object)))
-
-    # Mention edges: every entity referenced by a passage's parses touches it.
-    ir_by_sentence = {ir.sentence_id: ir for ir in corpus.irs}
-    for t in by_id.values():
-        if not t.is_statement:
-            continue
-        ir = ir_by_sentence.get(t.source)
-        if ir is None:
-            continue
-        pid = ir.passage_id
-        if pid not in passages:
-            raise CorpusInconsistent(f"IR {ir.sentence_id} references unknown passage {pid!r}")
-        edges.add(Edge("mention", entity_key(t.subject), passage_key(pid)))
-        if t.object_is_entity:
-            edges.add(Edge("mention", entity_key(t.object), passage_key(pid)))
-
-    return SpecGraph(passages=passages, entities=entities, triples=by_id,
-                     edges=sorted(edges, key=_edge_order))
-
-
-def apply_normalization(kg: SpecGraph) -> SpecGraph:
-    """A new graph with alias-connected entities merged onto their canonical
-    nodes; ``kg`` itself is returned when it has no alias edge.
-
-    All incident edges are rehomed (never dropped, only deduplicated after
-    rewriting); variant nodes disappear; the resolution map survives on the
-    graph for anchor compatibility checks.
-    """
-    alias: dict[str, str] = {}
-    for edge in kg.edges:
-        if edge.kind == "alias":
-            alias[edge.src[2:]] = edge.dst[2:]
-    if not alias:
-        return kg
+def apply_normalization(triples: Iterable[Triple]) -> dict[str, str]:
+    """The variant → canonical map of the normalization triples among
+    ``triples``: each variant resolved along its chain of aliases to the
+    chain's end. A variant with two targets keeps the last in sorted order.
+    Raises NormalizationCycle when a chain comes back to a name it passed."""
+    alias = dict(sorted((t.subject, t.object) for t in triples
+                        if t.category == NORMALIZATION))
 
     def resolve(node: str) -> str:
         path = [node]
@@ -473,21 +406,66 @@ def apply_normalization(kg: SpecGraph) -> SpecGraph:
             path.append(nxt)
         return path[-1]
 
-    resolution = {variant: resolve(variant) for variant in alias}
+    return {variant: resolve(variant) for variant in alias}
 
-    def rewrite(key: str) -> str:
-        if key.startswith("e:") and key[2:] in resolution:
-            return entity_key(resolution[key[2:]])
-        return key
 
-    new_edges: set[Edge] = set()
-    for edge in kg.edges:
-        if edge.kind == "alias":
-            continue
-        new_edges.add(Edge(edge.kind, rewrite(edge.src), rewrite(edge.dst)))
-    return replace(kg, edges=sorted(new_edges, key=_edge_order),
-                   entities={resolution.get(e, e) for e in kg.entities},
-                   alias_map={**kg.alias_map, **resolution})
+def _link_problem(tb: Triple | None, ta: Triple | None) -> str | None:
+    """What is wrong with a linking triple whose endpoints are ``tb`` and
+    ``ta``, or None: it must join a backbone to an auxiliary of its sentence."""
+    if tb is None or ta is None:
+        return "has a missing endpoint"
+    if tb.category != BACKBONE or ta.category != AUXILIARY:
+        return "must join backbone to auxiliary"
+    if tb.source != ta.source:
+        return "joins statements from different sentences"
+    return None
+
+
+def build_graph(corpus: Corpus, triples: list[Triple]) -> SpecGraph:
+    """Assemble nodes and edges in one pass over ``triples``, each entity
+    endpoint on its canonical node (see :func:`apply_normalization`), so an
+    alias variant has no node. Raises CorpusInconsistent on a dangling
+    reference and NormalizationCycle on an alias cycle."""
+    passage_of = {ir.sentence_id: ir.passage_id for ir in corpus.irs}
+    passages = {passage.passage_id: passage for passage in corpus.passages}
+
+    by_id: dict[str, Triple] = {}
+    for t in triples:
+        if t.source not in passage_of:
+            raise CorpusInconsistent(f"triple {t.triple_id} references unknown sentence {t.source!r}")
+        by_id[t.triple_id] = t
+    alias_map = apply_normalization(by_id.values())
+
+    entities: set[str] = set()
+    edges: set[Edge] = set()
+    for t in by_id.values():
+        if t.is_statement:
+            # every entity a passage's parses name is mentioned by the passage
+            pid = passage_of[t.source]
+            if pid not in passages:
+                raise CorpusInconsistent(f"IR {t.source} references unknown passage {pid!r}")
+            statement = statement_key(t.triple_id)
+            subject = alias_map.get(t.subject, t.subject)
+            entities.add(subject)
+            edges.add(Edge("subject", entity_key(subject), statement))
+            edges.add(Edge("mention", entity_key(subject), passage_key(pid)))
+            if t.object_is_entity:
+                obj = alias_map.get(t.object, t.object)
+                entities.add(obj)
+                edges.add(Edge("object", statement, entity_key(obj)))
+                edges.add(Edge("mention", entity_key(obj), passage_key(pid)))
+        elif t.category == NORMALIZATION:
+            # the variant's canonical node is that of a normalization
+            # triple's object, so objects alone name every such node
+            entities.add(alias_map.get(t.object, t.object))
+        elif t.category == LINKING:
+            problem = _link_problem(by_id.get(t.subject), by_id.get(t.object))
+            if problem is not None:
+                raise CorpusInconsistent(f"linking triple {t.triple_id} {problem}")
+            edges.add(Edge("link", statement_key(t.subject), statement_key(t.object)))
+
+    return SpecGraph(passages=passages, entities=entities, triples=by_id,
+                     edges=sorted(edges, key=_edge_order), alias_map=alias_map)
 
 
 def compute_embeddings(kg: SpecGraph, gateway: Gateway) -> SpecGraph:
@@ -512,19 +490,14 @@ def check_integrity(kg: SpecGraph) -> None:
                 raise CorpusInconsistent(f"dangling edge endpoint {key!r} ({edge.kind})")
     for t in kg.triples.values():
         if t.category == LINKING:
-            tb = kg.statements.get(t.subject)
-            ta = kg.statements.get(t.object)
-            if tb is None or ta is None or tb.category != BACKBONE or ta.category != AUXILIARY:
-                raise CorpusInconsistent(f"linking triple {t.triple_id} endpoints invalid")
-            if tb.source != ta.source:
-                raise CorpusInconsistent(f"linking triple {t.triple_id} spans sentences")
+            problem = _link_problem(kg.triples.get(t.subject), kg.triples.get(t.object))
+            if problem is not None:
+                raise CorpusInconsistent(f"linking triple {t.triple_id} {problem}")
 
 
 def build_from_corpus(corpus: Corpus, gateway: Gateway) -> SpecGraph:
-    """Standard pipeline: extract, assemble, normalize, embed, verify."""
-    triples = extract_corpus_triples(corpus)
-    kg = build_graph(corpus, triples)
-    kg = apply_normalization(kg)
+    """Standard pipeline: extract, assemble with aliases resolved, embed, verify."""
+    kg = build_graph(corpus, extract_corpus_triples(corpus))
     kg = compute_embeddings(kg, gateway)
     check_integrity(kg)
     return kg

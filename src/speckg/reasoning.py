@@ -17,7 +17,7 @@ import logging
 from dataclasses import asdict, dataclass, field
 
 from . import prompts, retrieval
-from .errors import MalformedReply, SpecKGError, SynthesisFailed
+from .errors import FixtureMiss, MalformedReply, SpecKGError, SynthesisFailed
 from .gateway import Gateway
 from .ingest import SemanticAnchor
 from .kg import SpecGraph
@@ -126,15 +126,22 @@ def acquire(gateway: Gateway, kg: SpecGraph, ctx: ReasoningContext,
 
 
 def synthesize(gateway: Gateway, ctx: ReasoningContext, incomplete: bool) -> str:
+    """The answer written over the final context. A failed call raises
+    SynthesisFailed; a replay miss propagates as the FixtureMiss it is."""
     request = prompts.synthesize(ctx.question, ctx.thoughts, ctx.payload(), incomplete)
     try:
         return gateway.chat(request)
+    except FixtureMiss:
+        raise
     except SpecKGError as exc:
-        raise SynthesisFailed(str(exc), context=ctx) from exc
+        raise SynthesisFailed(str(exc)) from exc
 
 
 def run(question: str, kg: SpecGraph, gateway: Gateway, cfg) -> AnswerRecord:
-    """Full reasoning loop for one question."""
+    """Full reasoning loop for one question. A failure ends the run with the
+    flag ``error:<class>`` and no answer, except a replay miss: the fixture
+    file lacks a reply the run needs, and the FixtureMiss propagates with its
+    message, which names the task and may say to record the file again."""
     ctx = ReasoningContext(question=question)
     flags: list[str] = []
     barren_streak = 0
@@ -167,6 +174,8 @@ def run(question: str, kg: SpecGraph, gateway: Gateway, cfg) -> AnswerRecord:
                     break
         if not answer:
             answer = synthesize(gateway, ctx, incomplete=FLAG_INCOMPLETE in flags)
+    except FixtureMiss:
+        raise
     except SpecKGError as exc:
         logger.error("reasoning run failed: %s", exc)
         flags.append(f"error:{type(exc).__name__}")

@@ -231,7 +231,6 @@ class PassageTable:
     spans: list[slice]  # per node: the columns of its component's passages
     rows: list[np.ndarray]  # per node: its scores on those passages
     dangling: np.ndarray  # per node: whether it is isolated
-    nbytes: int  # the size of the scores
 
     def scores(self, nodes: Sequence[int], weights: Sequence[float]) -> np.ndarray:
         """The passage scores, in id order, of the personalization that gives
@@ -297,8 +296,7 @@ def build_passage_table(walk: Walk, passages: slice | np.ndarray,
         block *= weight[columns[span]] / weight[nodes][:, None]
         for node, row in zip(nodes.tolist(), block):
             spans_of[node], rows_of[node] = span, row
-    return PassageTable(damping, order, spans_of, rows_of, walk.out_weight == 0.0,
-                        sum(block.nbytes for block in blocks))
+    return PassageTable(damping, order, spans_of, rows_of, walk.out_weight == 0.0)
 
 
 @dataclass(frozen=True)

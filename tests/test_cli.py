@@ -158,8 +158,10 @@ class TestEvalAndBench:
         assert "reason" in tags and "synthesize" not in tags
 
 
-def replay_without(built_store, tmp_path, task_tag):
-    """A fixture file of a whole recorded bench, less every ``task_tag`` reply."""
+def replay_without(built_store, tmp_path, task_tag, restamped=False):
+    """A fixture file of a whole recorded bench, less every ``task_tag`` reply;
+    with ``restamped``, those replies stay but as recorded for another version
+    of the task, under other digests and another task hash."""
     fixtures = tmp_path / "replies.jsonl"
     fixtures.write_bytes(built_store["fixtures"].read_bytes())
     assert main(["bench", "--kg", str(built_store["store"]), "--dataset", str(QA_DATASET),
@@ -168,6 +170,9 @@ def replay_without(built_store, tmp_path, task_tag):
     lines = fixtures.read_text(encoding="utf-8").splitlines()
     kept = [line for line in lines if json.loads(line)["task_tag"] != task_tag]
     assert len(kept) < len(lines)
+    if restamped:
+        kept += [json.dumps({**record, "digest": "old" + record["digest"], "task_hash": "old"})
+                 for record in map(json.loads, lines) if record["task_tag"] == task_tag]
     stale = tmp_path / f"no-{task_tag}.jsonl"
     stale.write_text("\n".join(kept) + "\n", encoding="utf-8")
     return ["--kg", str(built_store["store"]), "--dataset", str(QA_DATASET),
@@ -284,7 +289,7 @@ class TestItemErrors:
 
     @pytest.mark.parametrize("command", ["bench", "eval"])
     def test_item_errors_exit_1_after_the_whole_report(self, built_store, tmp_path, command):
-        args = replay_without(built_store, tmp_path, "summarize")
+        args = replay_without(built_store, tmp_path, "summarize", restamped=True)
         if command == "bench":
             out = tmp_path / "replay" / "report.json"
             code = main(["bench", *args, "--run-dir", str(out.parent)])
@@ -294,10 +299,12 @@ class TestItemErrors:
         assert code == 1
         report = json.loads(out.read_text())
         assert_whole_report(report)
-        # a failed run is an item error, left out of every mean, not an F1 of 0
+        # a failed run is an item error, left out of every mean, not an F1 of
+        # 0; a replay miss is the error with its message, which says what to do
         for item in report["items"]:
-            assert "error:FixtureMiss" in item["flags"]
-            assert item["error"] == "error:FixtureMiss" and item["samples"] == 0
+            assert item["error"].startswith("no fixture for task_tag='summarize'")
+            assert item["error"].endswith("record the file again")
+            assert item["samples"] == 0
         assert report["per_category"] == {} and report["mean_system_recall"] is None
         # with nothing scored there is no overall F1: null, printed "-" like
         # the per-category cells and Recall, not an AVG of 0.000
@@ -305,6 +312,19 @@ class TestItemErrors:
         header, _, row = out.with_suffix(".txt").read_text().splitlines()
         assert "AVG | Recall@" in header
         assert [cell.strip() for cell in row.split(" | ")][1:] == ["-"] * 7
+
+    def test_query_replay_miss_is_one_error_line(self, built_store, tmp_path, capsys):
+        args = replay_without(built_store, tmp_path, "summarize")
+        fixtures = args[args.index("--fixtures") + 1]
+        question = json.loads(QA_DATASET.read_text().splitlines()[0])["question"]
+        capsys.readouterr()
+        code = main(["query", "--kg", str(built_store["store"]), "--question", question,
+                     "--mode", "replay", "--fixtures", fixtures])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no fixture for task_tag='summarize'")
+        assert err.count("\n") == 1
 
 
 class TestReplayVerify:

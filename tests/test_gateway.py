@@ -357,7 +357,7 @@ class TestFixtureWrites:
             first.put(f"d{i}", "summarize", {"kind": "text", "text": f"reply {i}"})
             second = FixtureStore(path)
             assert second.entries == first.entries
-        assert len(second) == 3
+        assert len(second.entries) == 3
 
     @pytest.mark.parametrize("line", [
         '{"digest": "x"}', "[1]", '{"digest": 1, "reply": {"kind": "text", "text": "a"}}',

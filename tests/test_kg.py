@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tempfile
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from speckg.cli import main
 from speckg.errors import (CorpusInconsistent, CorruptStore, IncompatibleFormat,
                            NormalizationCycle)
 from speckg.ingest import Corpus, Passage, SemanticAnchor, SemanticIR, ingest_document
+from speckg.kg import Edge
 
 from conftest import load_manual_module, make_offline_gateway, mention_components
 
@@ -316,54 +318,210 @@ def corpus_with_aliases():
     return Corpus(doc_id="t", passages=passages, irs=irs)
 
 
+def without_normalization(triples):
+    """The triples less their normalization triples: what the graph is built
+    from "before" normalization."""
+    return [t for t in triples if t.category != kgmod.NORMALIZATION]
+
+
 class TestNormalization:
     def test_alias_merge_rehomes_mentions(self):
         corpus = corpus_with_aliases()
-        graph = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus))
-        before_mentions = {(e.src, e.dst) for e in graph.edges if e.kind == "mention"}
-        merged = kgmod.apply_normalization(graph)
+        triples = kgmod.extract_corpus_triples(corpus)
+        before = kgmod.build_graph(corpus, without_normalization(triples))
+        before_mentions = {(e.src, e.dst) for e in before.edges if e.kind == "mention"}
+        merged = kgmod.build_graph(corpus, triples)
         kgmod.check_integrity(merged)
         # canonical node inherits every passage mention of every variant
         resolved = {(f"e:{merged.resolve_entity(src[2:])}", dst)
                     for src, dst in before_mentions}
         after = {(e.src, e.dst) for e in merged.edges if e.kind == "mention"}
         assert resolved <= after and resolved != before_mentions
-        # the input graph is left as it was
-        assert {(e.src, e.dst) for e in graph.edges if e.kind == "mention"} == before_mentions
+        # no variant keeps a node
+        assert merged.alias_map and not set(merged.alias_map) & merged.entities
 
     def test_component_count_drops_three_to_one(self):
         corpus = corpus_with_aliases()
-        graph = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus))
+        triples = kgmod.extract_corpus_triples(corpus)
         # brute-force component count before/after over the mention subgraph
-        assert mention_components(graph) == 3
-        assert mention_components(kgmod.apply_normalization(graph)) == 1
-        assert mention_components(graph) == 3
+        assert mention_components(kgmod.build_graph(corpus, without_normalization(triples))) == 3
+        assert mention_components(kgmod.build_graph(corpus, triples)) == 1
 
     def test_no_alias_triples_graph_unchanged(self):
         corpus = small_corpus()
-        graph = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus))
-        normalized = kgmod.apply_normalization(graph)
+        triples = kgmod.extract_corpus_triples(corpus)
+        assert kgmod.apply_normalization(triples) == {}
+        graph = kgmod.build_graph(corpus, without_normalization(triples))
+        normalized = kgmod.build_graph(corpus, triples)
         assert (normalized.entities, normalized.edges, normalized.alias_map) == \
                (graph.entities, graph.edges, {})
 
     def test_component_count_never_increases(self, corpus, offline_gateway):
         triples = kgmod.extract_corpus_triples(corpus)
-        graph = kgmod.build_graph(corpus, triples)
-        merged = kgmod.apply_normalization(graph)
+        graph = kgmod.build_graph(corpus, without_normalization(triples))
+        merged = kgmod.build_graph(corpus, triples)
         assert merged.alias_map  # the fixture spec has aliases to merge
         assert mention_components(merged) <= mention_components(graph)
 
     def test_alias_cycle_detected(self):
         corpus = small_corpus()
-        graph = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus))
         src = corpus.irs[0].sentence_id
         cycle = [
             kgmod.make_triple("normalization", "a b", "canonical_form", "b c", src, True),
             kgmod.make_triple("normalization", "b c", "canonical_form", "a b", src, True),
         ]
-        graph2 = kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus) + cycle)
-        with pytest.raises(NormalizationCycle):
-            kgmod.apply_normalization(graph2)
+        with pytest.raises(NormalizationCycle) as err:
+            kgmod.build_graph(corpus, kgmod.extract_corpus_triples(corpus) + cycle)
+        assert err.value.cycle == ["a b", "b c", "a b"]
+
+
+def two_pass_graph(corpus, triples) -> kgmod.SpecGraph:
+    """The oracle of build_graph's one pass: the graph assembled with one
+    alias edge per normalization triple, then every edge rewritten onto the
+    end of its endpoints' alias chains, deduplicated and sorted, with a
+    variant of two targets taking the last in sorted order."""
+    passage_of = {ir.sentence_id: ir.passage_id for ir in corpus.irs}
+    by_id = {t.triple_id: t for t in triples}
+    entities, edges = set(), set()
+    for t in by_id.values():
+        if t.is_statement:
+            statement = kgmod.statement_key(t.triple_id)
+            named = [t.subject] + ([t.object] if t.object_is_entity else [])
+            entities.update(named)
+            edges.add(Edge("subject", kgmod.entity_key(t.subject), statement))
+            if t.object_is_entity:
+                edges.add(Edge("object", statement, kgmod.entity_key(t.object)))
+            edges.update(Edge("mention", kgmod.entity_key(e),
+                              kgmod.passage_key(passage_of[t.source])) for e in named)
+        elif t.category == kgmod.NORMALIZATION:
+            entities.update((t.subject, t.object))
+            edges.add(Edge("alias", kgmod.entity_key(t.subject), kgmod.entity_key(t.object)))
+        elif t.category == kgmod.LINKING:
+            edges.add(Edge("link", kgmod.statement_key(t.subject),
+                           kgmod.statement_key(t.object)))
+
+    def order(edge):
+        return edge.kind, edge.src, edge.dst
+
+    alias = {e.src[2:]: e.dst[2:] for e in sorted(edges, key=order) if e.kind == "alias"}
+
+    def resolve(name):
+        path = [name]
+        while path[-1] in alias:
+            path.append(alias[path[-1]])
+            if path[-1] in path[:-1]:
+                raise NormalizationCycle(path)
+        return path[-1]
+
+    resolution = {variant: resolve(variant) for variant in alias}
+
+    def rewrite(key):
+        if key.startswith("e:"):
+            return kgmod.entity_key(resolution.get(key[2:], key[2:]))
+        return key
+
+    rewritten = {Edge(e.kind, rewrite(e.src), rewrite(e.dst)) for e in edges if e.kind != "alias"}
+    return kgmod.SpecGraph(passages={p.passage_id: p for p in corpus.passages},
+                           entities={resolution.get(e, e) for e in entities},
+                           triples=by_id, edges=sorted(rewritten, key=order),
+                           alias_map=resolution)
+
+
+def store_bytes(graph, gateway) -> dict[str, bytes]:
+    """The files ``kgmod.save`` writes for ``graph`` once embedded."""
+    with tempfile.TemporaryDirectory() as out:
+        kgmod.save(kgmod.compute_embeddings(graph, gateway), out)
+        return {name: (Path(out) / name).read_bytes()
+                for name in ("graph.jsonl", "embeddings.bin", "manifest.json")}
+
+
+def assert_one_pass_matches_two_pass(corpus, triples, gateway):
+    try:
+        expected = store_bytes(two_pass_graph(corpus, triples), gateway)
+    except NormalizationCycle as exc:
+        with pytest.raises(NormalizationCycle) as err:
+            kgmod.build_graph(corpus, triples)
+        assert err.value.cycle == exc.cycle
+        return
+    assert store_bytes(kgmod.build_graph(corpus, triples), gateway) == expected
+
+
+# Names whose alias map chains: "ctl reg" abbreviates "ctl register", a
+# fragment of "ctl register file" alone when "ctl register block" is absent.
+_CHAIN_NAMES = ["ctl reg", "ctl register", "ctl register file", "ctl register block",
+                "fsm", "fsm state", "tx fifo", "tx fifo lvl", "tx fifo level",
+                "baud rate", "baud rate reg", "baud rate register", "0x10"]
+
+
+@st.composite
+def aliased_corpora(draw):
+    """A corpus of declarative and procedural sentences naming
+    ``_CHAIN_NAMES`` over three passages, with its triples and sometimes extra
+    normalization triples: second targets, chains or cycles."""
+    passages = [passage(f"p{i}") for i in range(3)]
+    irs = []
+    chain = draw(st.sampled_from([[], _CHAIN_NAMES[:3]]))  # the first subjects
+    for i in range(max(len(chain), draw(st.integers(1, 8)))):
+        pid = f"p{draw(st.integers(0, 2))}"
+        subject = chain[i] if i < len(chain) else draw(st.sampled_from(_CHAIN_NAMES))
+        obj = draw(st.sampled_from(_CHAIN_NAMES))
+        if draw(st.booleans()):
+            irs.append(SemanticIR(sentence_id=f"{pid}:s{i}", kind="declarative",
+                                  passage_id=pid, span=(0, 4), central_entity=subject,
+                                  attributes=[{"name": "has", "value": obj}]))
+        else:
+            irs.append(SemanticIR(sentence_id=f"{pid}:s{i}", kind="procedural",
+                                  passage_id=pid, span=(0, 4),
+                                  trigger=draw(st.sampled_from(["", "reset asserted"])),
+                                  action={"subject": subject, "verb": "drives",
+                                          "object": obj}))
+    corpus = Corpus(doc_id="t", passages=passages, irs=irs)
+    extra = [kgmod.make_triple("normalization", variant, "canonical_form", target,
+                               irs[0].sentence_id, True)
+             for variant, target in draw(st.lists(st.tuples(
+                 st.sampled_from(_CHAIN_NAMES[:-1]), st.sampled_from(_CHAIN_NAMES[:-1])),
+                 max_size=2))]
+    return corpus, kgmod.extract_corpus_triples(corpus) + extra
+
+
+class TestOnePassOracle:
+    """build_graph's one pass writes the stores the two-pass assembly wrote."""
+
+    def test_fixture_spec(self, corpus, offline_gateway):
+        triples = kgmod.extract_corpus_triples(corpus)
+        assert any(t.category == kgmod.NORMALIZATION for t in triples)
+        assert_one_pass_matches_two_pass(corpus, triples, offline_gateway)
+
+    def test_seed_0_manual_of_102_blocks(self, offline_gateway):
+        manual = ingest_document(offline_gateway,
+                                 load_manual_module().generate(0, 102).text, "regmanual")
+        triples = kgmod.extract_corpus_triples(manual)
+        assert any(t.category == kgmod.NORMALIZATION for t in triples)
+        assert_one_pass_matches_two_pass(manual, triples, offline_gateway)
+
+    def test_alias_chain_resolves_to_its_end(self, offline_gateway):
+        corpus = corpus_with_aliases()
+        triples = kgmod.extract_corpus_triples(corpus)
+        assert kgmod.build_graph(corpus, triples).alias_map == {
+            "ctrl reg": "ctrl register block", "ctrl register": "ctrl register block"}
+        assert_one_pass_matches_two_pass(corpus, triples, offline_gateway)
+
+    def test_two_targets_last_in_sorted_order_wins(self, offline_gateway):
+        corpus = corpus_with_aliases()
+        src = corpus.irs[0].sentence_id
+        triples = kgmod.extract_corpus_triples(corpus) + [
+            kgmod.make_triple("normalization", "ctrl reg", "canonical_form", target, src, True)
+            for target in ("z unit", "a unit")]
+        graph = kgmod.build_graph(corpus, triples)
+        assert graph.alias_map["ctrl reg"] == "z unit"
+        assert {"a unit", "z unit", "ctrl register block"} <= graph.entities
+        assert_one_pass_matches_two_pass(corpus, triples, offline_gateway)
+
+    @given(aliased_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_corpora(self, drawn):
+        corpus, triples = drawn
+        assert_one_pass_matches_two_pass(corpus, triples, make_offline_gateway())
 
 
 class TestLinkingClosure:

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from speckg import reasoning
-from speckg.errors import TransientError
+from speckg.errors import FixtureMiss, TransientError
 from speckg.gateway import FixtureStore, Gateway
 from speckg.ingest import SemanticAnchor
 from speckg.offline import OfflineModel
@@ -293,7 +293,7 @@ class TestReplayDeterminism:
 
 def test_stale_fixture_fails_the_replay(graph, tmp_path, run_cfg, caplog):
     # a fixture file without the summarize replies: expansion must not fall
-    # back to the top k0 passages, the run ends flagged
+    # back to the top k0 passages, and the run ends with the miss itself
     recorded = tmp_path / "replies.jsonl"
     run(CHAIN_QUESTION, graph, Gateway(provider=OfflineModel(), mode="record",
                                        fixtures=FixtureStore(recorded),
@@ -307,14 +307,13 @@ def test_stale_fixture_fails_the_replay(graph, tmp_path, run_cfg, caplog):
 
     replay_gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(store_path),
                         chat_model="offline-chat", embedding_model="offline-embed")
-    with caplog.at_level("WARNING"):
-        record = run(CHAIN_QUESTION, graph, replay_gw, run_cfg)
-    assert "error:FixtureMiss" in record.flags
-    assert record.answer == ""
+    with caplog.at_level("WARNING"), \
+            pytest.raises(FixtureMiss, match="no fixture for task_tag='summarize'"):
+        run(CHAIN_QUESTION, graph, replay_gw, run_cfg)
     assert not any("expansion aborted" in message for message in caplog.messages)
 
 
-def test_synthesize_failure_carries_context(graph, run_cfg):
+def test_synthesize_failure_raises_synthesis_failed(graph, run_cfg):
     class Dead:
         def chat(self, request, model):
             raise TransientError("down")
@@ -324,9 +323,14 @@ def test_synthesize_failure_carries_context(graph, run_cfg):
 
     gw = Gateway(provider=Dead(), mode="live", sleep=lambda s: None, max_attempts=1)
     ctx = ctx_with("Q?", [("p", "text.")])
-    with pytest.raises(reasoning.SynthesisFailed) as err:
+    with pytest.raises(reasoning.SynthesisFailed, match="down"):
         synthesize(gw, ctx, incomplete=False)
-    assert err.value.context is ctx
+
+
+def test_synthesize_replay_miss_propagates(tmp_path):
+    gw = Gateway(provider=None, mode="replay", fixtures=FixtureStore(tmp_path / "none.jsonl"))
+    with pytest.raises(FixtureMiss, match="no fixture for task_tag='synthesize'"):
+        synthesize(gw, ctx_with("Q?", [("p", "text.")]), incomplete=False)
 
 
 def test_query_embedded_at_another_dimension_flags_the_run(graph, run_cfg):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from speckg import kg as kgmod
 from speckg import prompts, reasoning, retrieval
 from speckg.errors import EmptyGraph, FixtureMiss, InvalidInput, MalformedReply, RetryExhausted
-from speckg.ingest import Passage, SemanticAnchor, ingest_document
+from speckg.ingest import Corpus, Passage, SemanticAnchor, SemanticIR, ingest_document
 from speckg.kg import Edge, EmbeddingIndex, SpecGraph
 from speckg.offline import OfflineModel
 from speckg.prompts import ChatRequest
@@ -506,7 +506,7 @@ class TestPassageTable:
             label = walk.component
             sizes = np.bincount(label, minlength=n)
             per = np.bincount(label[passages], minlength=n)
-            assert table.nbytes == 8 * int(np.sum(sizes * per))
+            assert sum(row.nbytes for row in table.rows) == 8 * int(np.sum(sizes * per))
 
 
 def dict_rank_passages(ids, scores):
@@ -721,21 +721,26 @@ class TestCachedWalk:
         assert sorted(retrieval.graph_walk(fresh).tables) == [0.5, 0.85]
 
     def test_changed_graph_gets_a_new_walk(self, monkeypatch):
-        # apply_normalization returns a new graph: it gets its own walk and
-        # table, and the graph it came from keeps its own
+        # the graph with its aliases merged is another graph than the one
+        # built without its normalization triples: it gets its own walk and
+        # table, and the other keeps its own
         tables = self.count_calls(monkeypatch, "build_passage_table")
-        graph = SpecGraph(passages=stub_passages("p1", "p2", "p3"),
-                          entities={"ctrl reg", "ctrl register", "fsm"},
-                          edges=[Edge("alias", "e:ctrl reg", "e:ctrl register"),
-                                 Edge("mention", "e:ctrl reg", "p:p1"),
-                                 Edge("mention", "e:ctrl register", "p:p2"),
-                                 Edge("mention", "e:fsm", "p:p3")])
+        corpus = Corpus(doc_id="t", passages=list(stub_passages("p1", "p2", "p3").values()),
+                        irs=[SemanticIR(sentence_id=f"{pid}:s0", kind="declarative",
+                                        passage_id=pid, span=(0, 2), central_entity=name,
+                                        attributes=[{"name": "defaults to", "value": "0x1"}])
+                             for pid, name in [("p1", "ctrl reg"), ("p2", "ctrl register"),
+                                               ("p3", "fsm")]])
+        triples = kgmod.extract_corpus_triples(corpus)
+        graph = kgmod.build_graph(corpus, [t for t in triples
+                                           if t.category != kgmod.NORMALIZATION])
         params = ({"p:p1": 1.0}, 0.85)
         before = assert_matches_whole_walk(graph, *params)
         walk = retrieval.graph_walk(graph)
         assert len(tables) == 1
 
-        merged = kgmod.apply_normalization(graph)
+        merged = kgmod.build_graph(corpus, triples)
+        assert dict(merged.alias_map) == {"ctrl reg": "ctrl register"}
         after_merge = assert_matches_whole_walk(merged, *params)
         assert np.abs(after_merge - before).sum() > 1e-3
         assert retrieval.graph_walk(merged) is not walk
