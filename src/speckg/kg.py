@@ -4,16 +4,19 @@ Sentence parses become four categories of triples:
 
 * backbone: the central action or definition of an entity
 * auxiliary: conditional/temporal clauses qualifying a backbone action
-* linking: backbone-to-auxiliary dependency (endpoints are reified
-  statement nodes so the link is addressable)
+* linking: backbone-to-auxiliary dependency between two triples of one
+  sentence, each named by its triple id
 * normalization: entity surface variants mapped onto their canonical forms;
   the graph is assembled with every variant already on its canonical node,
   so no edge or node names a variant
 
-The assembled graph holds entity, passage, and statement nodes plus a flat
-typed edge list and an exact-scan embedding index. Node keys are prefixed
-("e:", "p:", "s:") so the three key spaces cannot collide. A graph is built
-whole and never changes: each builder returns a new one.
+The assembled graph holds entity and passage nodes plus a flat typed edge
+list and an exact-scan embedding index. A passage mentions every entity its
+sentences' statements name, and a statement whose object is an entity
+relates its subject to that object. Every triple stays addressable by id in
+``SpecGraph.triples``. Node keys are prefixed ("e:", "p:") so the two key
+spaces cannot collide. A graph is built whole and never changes: each builder
+returns a new one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .gateway import Gateway
 from .ingest import Corpus, Passage, SemanticIR
 from .text import SORTED_JSON, canonical_entity
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 BACKBONE = "backbone"
 AUXILIARY = "auxiliary"
@@ -56,10 +59,6 @@ def passage_key(passage_id: str) -> str:
     return f"p:{passage_id}"
 
 
-def statement_key(triple_id: str) -> str:
-    return f"s:{triple_id}"
-
-
 def is_literal(value: str) -> bool:
     return not value or _LITERAL_RE.match(value.strip().lower()) is not None
 
@@ -76,8 +75,7 @@ class Triple:
 
     @property
     def is_statement(self) -> bool:
-        """Whether the triple is a statement node of the graph: a backbone or
-        auxiliary triple."""
+        """Whether the triple is a statement: a backbone or auxiliary triple."""
         return self.category in (BACKBONE, AUXILIARY)
 
     def to_dict(self) -> dict:
@@ -107,7 +105,7 @@ def make_triple(category: str, subject: str, predicate: str, obj: str,
 
 @dataclass(frozen=True)
 class Edge:
-    kind: str  # mention | subject | object | link
+    kind: str  # mention (entity to passage) | relation (subject to object entity)
     src: str
     dst: str
 
@@ -348,7 +346,7 @@ class SpecGraph:
 
     @cached_property
     def statements(self) -> Mapping[str, Triple]:
-        """The statement nodes: the triples that are statements, by id."""
+        """The triples that are statements, by id."""
         return MappingProxyType({tid: t for tid, t in self.triples.items()
                                  if t.is_statement})
 
@@ -366,16 +364,11 @@ class SpecGraph:
             return name in self.entities
         if space == "p":
             return name in self.passages
-        if space == "s":
-            return name in self.statements
         return False
 
     def all_node_keys(self) -> list[str]:
-        return (
-            [entity_key(e) for e in sorted(self.entities)]
-            + [passage_key(p) for p in sorted(self.passages)]
-            + [statement_key(s) for s in sorted(self.statements)]
-        )
+        return ([entity_key(e) for e in sorted(self.entities)]
+                + [passage_key(p) for p in sorted(self.passages)])
 
     def resolve_entity(self, surface: str) -> str:
         """Canonical entity after alias resolution through the normalization map."""
@@ -422,10 +415,12 @@ def _link_problem(tb: Triple | None, ta: Triple | None) -> str | None:
 
 
 def build_graph(corpus: Corpus, triples: list[Triple]) -> SpecGraph:
-    """Assemble nodes and edges in one pass over ``triples``, each entity
-    endpoint on its canonical node (see :func:`apply_normalization`), so an
-    alias variant has no node. Raises CorpusInconsistent on a dangling
-    reference and NormalizationCycle on an alias cycle."""
+    """Assemble nodes and their mention and relation edges in one pass over
+    ``triples``, each entity endpoint on its canonical node (see
+    :func:`apply_normalization`), so an alias variant has no node. Raises
+    CorpusInconsistent on a dangling reference or a linking triple that does
+    not join a backbone to an auxiliary of its sentence, and
+    NormalizationCycle on an alias cycle."""
     passage_of = {ir.sentence_id: ir.passage_id for ir in corpus.irs}
     passages = {passage.passage_id: passage for passage in corpus.passages}
 
@@ -444,25 +439,23 @@ def build_graph(corpus: Corpus, triples: list[Triple]) -> SpecGraph:
             pid = passage_of[t.source]
             if pid not in passages:
                 raise CorpusInconsistent(f"IR {t.source} references unknown passage {pid!r}")
-            statement = statement_key(t.triple_id)
             subject = alias_map.get(t.subject, t.subject)
             entities.add(subject)
-            edges.add(Edge("subject", entity_key(subject), statement))
             edges.add(Edge("mention", entity_key(subject), passage_key(pid)))
             if t.object_is_entity:
                 obj = alias_map.get(t.object, t.object)
                 entities.add(obj)
-                edges.add(Edge("object", statement, entity_key(obj)))
                 edges.add(Edge("mention", entity_key(obj), passage_key(pid)))
+                edges.add(Edge("relation", entity_key(subject), entity_key(obj)))
         elif t.category == NORMALIZATION:
             # the variant's canonical node is that of a normalization
             # triple's object, so objects alone name every such node
             entities.add(alias_map.get(t.object, t.object))
         elif t.category == LINKING:
+            # no edge: the sentence's passage already mentions both subjects
             problem = _link_problem(by_id.get(t.subject), by_id.get(t.object))
             if problem is not None:
                 raise CorpusInconsistent(f"linking triple {t.triple_id} {problem}")
-            edges.add(Edge("link", statement_key(t.subject), statement_key(t.object)))
 
     return SpecGraph(passages=passages, entities=entities, triples=by_id,
                      edges=sorted(edges, key=_edge_order), alias_map=alias_map)
@@ -645,10 +638,10 @@ def load_store(store_dir: str | Path) -> tuple[SpecGraph, dict[str, str]]:
     if not isinstance(manifest, dict):
         raise CorruptStore("manifest.json is not a JSON object")
     version = manifest.get("format_version")
-    if not isinstance(version, int) or version > FORMAT_VERSION:
+    if not isinstance(version, int) or version != FORMAT_VERSION:
         raise IncompatibleFormat(
-            f"store format {version} newer than supported {FORMAT_VERSION}"
-        )
+            f"store format {version!r} is not the supported {FORMAT_VERSION}: "
+            f"rebuild the store with build-kg")
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict) or set(checksums) != {"graph.jsonl", "embeddings.bin"}:
         raise CorruptStore("manifest must checksum exactly graph.jsonl and embeddings.bin")

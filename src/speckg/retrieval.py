@@ -80,7 +80,7 @@ def seed(query: str, kg: SpecGraph, n_seeds: int, gateway: Gateway) -> dict[str,
     return {key: float(w / total) for (key, _), w in zip(top, shifted)}
 
 
-# The walk runs the fewest steps k with dᵏ <= WALK_ERROR: see walk_scores.
+# The walk runs the fewest steps k with dᵏ <= WALK_ERROR: see walk_steps.
 WALK_ERROR = 1e-7
 # The largest damping accepted, at 1,604 steps: the count grows like 16 / (1 - d).
 MAX_DAMPING = 0.99
@@ -90,7 +90,13 @@ TABLE_CHUNK = 32
 
 
 def walk_steps(damping: float) -> int:
-    """The steps every walk runs at ``damping``: the fewest k with dᵏ <= WALK_ERROR."""
+    """The steps every walk runs at ``damping``: the fewest k with dᵏ <= WALK_ERROR.
+
+    Each step of the power iteration contracts the L1 distance to the fixed
+    point by ``damping``, and a walk started at its restart distribution
+    starts within 2 of it, so k steps (100 at d = 0.85) leave an L1 error of
+    at most ``2·dᵏ ≤ 2·WALK_ERROR``.
+    """
     if not 0.0 < damping <= MAX_DAMPING:
         raise InvalidInput(f"damping must lie in (0, {MAX_DAMPING}]")
     return math.ceil(math.log(WALK_ERROR) / math.log(damping))
@@ -108,11 +114,6 @@ class Walk:
     prob: np.ndarray  # transition probability of each edge
     out_weight: np.ndarray  # each node's summed out-edge weight; 0 where it dangles
     component: np.ndarray  # each node's weakly connected component: its least node
-
-    @property
-    def dangling(self) -> np.ndarray:
-        """The indices of the nodes without out-weight."""
-        return np.flatnonzero(self.out_weight == 0.0)
 
     @cached_property
     def in_edges(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -182,38 +183,6 @@ def build_walk(n_nodes: int, edges: Sequence[tuple[int, int, float]]) -> Walk:
                 weak_components(n_nodes, src, dst))
 
 
-def walk_scores(walk: Walk, personalization: np.ndarray, damping: float) -> np.ndarray:
-    """``pagerank_scores``' power iteration on a built walk, from ``x = p``.
-
-    Each step contracts the L1 distance to the fixed point by ``damping``, and
-    ``x = p`` starts within 2 of it, so ``k = walk_steps(damping)`` steps (100
-    at d = 0.85) leave an L1 error of at most ``2·dᵏ ≤ 2·WALK_ERROR``.
-    """
-    steps = walk_steps(damping)
-    p = np.asarray(personalization, dtype=np.float64)
-    if p.shape != (walk.n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
-        raise InvalidInput("personalization must be a nonnegative distribution")
-    dangling = walk.dangling
-    x = p
-    for _ in range(steps):
-        x = (1.0 - damping) * p + damping * (walk.step(x) + x[dangling].sum() * p)
-    return x
-
-
-def pagerank_scores(n_nodes: int, edges: Sequence[tuple[int, int, float]],
-                    personalization: np.ndarray, damping: float = 0.85) -> np.ndarray:
-    """Random walk with restart on a weighted directed graph.
-
-    Fixed point of ``x = (1-d)·p + d·(Wᵀx + (dangling mass)·p)`` where W is
-    the row-stochastic transition matrix; dangling nodes hand their mass back
-    to the personalization vector, so scores always sum to 1. The iteration
-    runs a fixed number of steps set by ``damping`` (see ``walk_scores``).
-    """
-    if n_nodes <= 0:
-        raise EmptyGraph("pagerank needs at least one node")
-    return walk_scores(build_walk(n_nodes, edges), personalization, damping)
-
-
 @dataclass(frozen=True)
 class PassageTable:
     """Every node's personalized PageRank score on every passage of its
@@ -251,11 +220,12 @@ def build_passage_table(walk: Walk, passages: slice | np.ndarray,
     """The passage table of ``walk``, whose nodes at ``passages``, a slice or
     an array of positions, are the passages in id order.
 
-    One walk per passage j, ``walk_scores``' steps without the dangling
-    hand-back, gives π_j, its scores on every node of its component. Every edge
-    goes both ways, so w_s·π_s(j) = w_j·π_j(s), w the weighted degree, and
-    node s's score on passage j is π_s(j) = w_j / w_s · π_j(s). The walks run
-    ``TABLE_CHUNK`` passages at a time, over their components alone.
+    One walk per passage j, ``walk_steps(damping)`` steps of
+    ``x = (1-d)·e_j + d·Wᵀx`` from ``x = e_j``, gives π_j, its scores on
+    every node of its component. Every edge goes both ways, so
+    w_s·π_s(j) = w_j·π_j(s), w the weighted degree, and node s's score on
+    passage j is π_s(j) = w_j / w_s · π_j(s). The walks run ``TABLE_CHUNK``
+    passages at a time, over their components alone.
     """
     steps = walk_steps(damping)
     component = walk.component

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speckg import evaluation, kg as kgmod, prompts, reasoning
+from speckg import evaluation, kg as kgmod, prompts, reasoning, retrieval
 from speckg.config import RunConfig
+from speckg.errors import EmptyGraph, InvalidInput
 from speckg.gateway import Gateway
 from speckg.ingest import ingest_document
 from speckg.offline import OfflineModel
@@ -84,6 +85,42 @@ def mention_components(graph) -> int:
     src = np.array([i for i, _ in mentions], dtype=np.intp)
     dst = np.array([j for _, j in mentions], dtype=np.intp)
     return len(np.unique(weak_components(len(keys), src, dst)))
+
+
+def dangling(walk) -> np.ndarray:
+    """The indices of the walk's nodes without out-weight."""
+    return np.flatnonzero(walk.out_weight == 0.0)
+
+
+def walk_scores(walk, personalization, damping: float) -> np.ndarray:
+    """The oracle of ``retrieval.ppr``'s passage table: the power iteration of
+    ``pagerank_scores`` on a built walk, from ``x = p``, for
+    ``retrieval.walk_steps(damping)`` steps. ``Walk.step`` is looked up on
+    its class at each step, so a test may count or stop the steps."""
+    steps = retrieval.walk_steps(damping)
+    p = np.asarray(personalization, dtype=np.float64)
+    if p.shape != (walk.n_nodes,) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
+        raise InvalidInput("personalization must be a nonnegative distribution")
+    hand_back = dangling(walk)
+    x = p
+    for _ in range(steps):
+        x = (1.0 - damping) * p + damping * (walk.step(x) + x[hand_back].sum() * p)
+    return x
+
+
+def pagerank_scores(n_nodes: int, edges, personalization,
+                    damping: float = 0.85) -> np.ndarray:
+    """Random walk with restart on a weighted directed graph, walked over the
+    whole graph.
+
+    Fixed point of ``x = (1-d)·p + d·(Wᵀx + (dangling mass)·p)`` where W is
+    the row-stochastic transition matrix; dangling nodes hand their mass back
+    to the personalization vector, so scores always sum to 1. The iteration
+    runs a fixed number of steps set by ``damping`` (see ``walk_scores``).
+    """
+    if n_nodes <= 0:
+        raise EmptyGraph("pagerank needs at least one node")
+    return walk_scores(retrieval.build_walk(n_nodes, edges), personalization, damping)
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,9 @@ from speckg.config import build_gateway
 from speckg.evaluation import aggregate_two_sigma, score
 from speckg.ingest import Passage, SemanticAnchor, ingest_document
 from speckg.kg import SpecGraph
-from speckg.retrieval import RetrievalRound, adaptive_expand, csa_filter, pagerank_scores
+from speckg.retrieval import RetrievalRound, adaptive_expand, csa_filter
 
-from conftest import QA_DATASET, SPEC_DOC, make_config, mention_components
+from conftest import QA_DATASET, SPEC_DOC, make_config, mention_components, pagerank_scores
 
 
 class _Verdict:
@@ -244,12 +244,12 @@ def test_criterion_6_graph_integrity(replay_artifacts):
         for edge in graph.edges:
             assert graph.node_exists(edge.src) and graph.node_exists(edge.dst)
 
-        # every linking edge joins a same-sentence backbone/auxiliary pair
-        for edge in graph.edges:
-            if edge.kind != "link":
-                continue
-            tb = graph.statements[edge.src[2:]]
-            ta = graph.statements[edge.dst[2:]]
+        # every linking triple joins a same-sentence backbone/auxiliary pair
+        links = [t for t in graph.triples.values() if t.category == kgmod.LINKING]
+        assert links
+        for t in links:
+            tb = graph.statements[t.subject]
+            ta = graph.statements[t.object]
             assert tb.category == "backbone" and ta.category == "auxiliary"
             assert tb.source == ta.source
 

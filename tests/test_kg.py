@@ -275,7 +275,11 @@ class TestBuildGraph:
         assert len(graph.passages) == 1
         assert len(graph.entities) >= 2  # fsm, idle, reset
         assert len(graph.statements) == 2  # backbone + auxiliary
-        assert sum(e.kind == "link" for e in graph.edges) == 1
+        assert sum(t.category == "linking" for t in graph.triples.values()) == 1
+        # the backbone relates fsm to idle; the linking triple adds no edge
+        assert sorted((e.kind, e.src, e.dst) for e in graph.edges) == [
+            ("mention", "e:fsm", "p:p0"), ("mention", "e:idle", "p:p0"),
+            ("mention", "e:reset", "p:p0"), ("relation", "e:fsm", "e:idle")]
         kgmod.check_integrity(graph)
 
     def test_empty_triples_gives_passages_only(self):
@@ -385,20 +389,16 @@ def two_pass_graph(corpus, triples) -> kgmod.SpecGraph:
     entities, edges = set(), set()
     for t in by_id.values():
         if t.is_statement:
-            statement = kgmod.statement_key(t.triple_id)
             named = [t.subject] + ([t.object] if t.object_is_entity else [])
             entities.update(named)
-            edges.add(Edge("subject", kgmod.entity_key(t.subject), statement))
             if t.object_is_entity:
-                edges.add(Edge("object", statement, kgmod.entity_key(t.object)))
+                edges.add(Edge("relation", kgmod.entity_key(t.subject),
+                               kgmod.entity_key(t.object)))
             edges.update(Edge("mention", kgmod.entity_key(e),
                               kgmod.passage_key(passage_of[t.source])) for e in named)
         elif t.category == kgmod.NORMALIZATION:
             entities.update((t.subject, t.object))
             edges.add(Edge("alias", kgmod.entity_key(t.subject), kgmod.entity_key(t.object)))
-        elif t.category == kgmod.LINKING:
-            edges.add(Edge("link", kgmod.statement_key(t.subject),
-                           kgmod.statement_key(t.object)))
 
     def order(edge):
         return edge.kind, edge.src, edge.dst
@@ -526,11 +526,12 @@ class TestOnePassOracle:
 
 class TestLinkingClosure:
     def test_every_link_edge_joins_same_sentence_tb_ta(self, graph):
-        for edge in graph.edges:
-            if edge.kind != "link":
-                continue
-            tb = graph.statements[edge.src[2:]]
-            ta = graph.statements[edge.dst[2:]]
+        # the linking triples: the graph writes no edge for them
+        links = [t for t in graph.triples.values() if t.category == "linking"]
+        assert links
+        for t in links:
+            tb = graph.statements[t.subject]
+            ta = graph.statements[t.object]
             assert tb.category == "backbone"
             assert ta.category == "auxiliary"
             assert tb.source == ta.source
@@ -576,14 +577,27 @@ class TestPersistence:
         with pytest.raises(CorruptStore):
             kgmod.load(tmp_path / "store")
 
-    def test_newer_format_version_rejected(self, graph, tmp_path):
-        kgmod.save(graph, tmp_path / "store")
-        manifest_path = tmp_path / "store" / "manifest.json"
+    @staticmethod
+    def store_of_version(graph, out, version):
+        kgmod.save(graph, out)
+        manifest_path = out / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = kgmod.FORMAT_VERSION + 1
+        manifest["format_version"] = version
         manifest_path.write_text(json.dumps(manifest))
+        return out
+
+    def test_newer_format_version_rejected(self, graph, tmp_path):
+        store = self.store_of_version(graph, tmp_path / "store", kgmod.FORMAT_VERSION + 1)
         with pytest.raises(IncompatibleFormat):
-            kgmod.load(tmp_path / "store")
+            kgmod.load(store)
+
+    def test_older_format_version_rejected_by_name(self, graph, tmp_path):
+        # a version-1 store holds statement nodes, which no graph has now
+        assert kgmod.FORMAT_VERSION == 2
+        store = self.store_of_version(graph, tmp_path / "store", 1)
+        with pytest.raises(IncompatibleFormat,
+                           match=r"store format 1 .*rebuild the store with build-kg"):
+            kgmod.load(store)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(CorruptStore):

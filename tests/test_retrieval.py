@@ -21,11 +21,11 @@ from speckg.kg import Edge, EmbeddingIndex, SpecGraph
 from speckg.offline import OfflineModel
 from speckg.prompts import ChatRequest
 from speckg.retrieval import (RetrievalRound, adaptive_expand, csa_filter,
-                              marginal_gain, pagerank_scores, ppr, rank_passages,
-                              seed)
+                              marginal_gain, ppr, rank_passages, seed)
 from speckg.text import estimate_tokens
 
-from conftest import SPEC_DOC, load_manual_module, make_offline_gateway
+from conftest import (SPEC_DOC, dangling, load_manual_module, make_offline_gateway,
+                      pagerank_scores, walk_scores)
 
 
 def dense_pagerank(n, edges, p, damping, iters=3000, tol=1e-13):
@@ -81,9 +81,9 @@ def mixes_dangling(walk, nodes, weights):
     """Whether the personalization puts weight both on dangling nodes and on
     others: there the dangling hand-back makes the truncated walk differ from
     the table's closed form in its last digits (within the truncation bound)."""
-    dangling = np.isin(np.asarray(list(nodes), dtype=np.intp), walk.dangling)
+    hand_back = np.isin(np.asarray(list(nodes), dtype=np.intp), dangling(walk))
     weights = np.asarray(list(weights))
-    return 0.0 < weights[dangling].sum() < weights.sum()
+    return 0.0 < weights[hand_back].sum() < weights.sum()
 
 
 class FakeEmbedGateway:
@@ -285,7 +285,7 @@ class TestPagerankCore:
                 assert ours.tobytes() == theirs.tobytes()
             else:
                 np.testing.assert_allclose(ours, theirs, rtol=1e-14, atol=0)
-            assert walk.dangling.tolist() == np.flatnonzero(out_weight == 0).tolist()
+            assert dangling(walk).tolist() == np.flatnonzero(out_weight == 0).tolist()
 
     def test_invalid_personalization_rejected(self):
         with pytest.raises(InvalidInput):
@@ -321,10 +321,10 @@ class TestPagerankCore:
         walk = retrieval.build_walk(2, [])
         p = np.array([0.5, 0.5])
         with pytest.raises(Started):
-            retrieval.walk_scores(walk, p, 0.99)
+            walk_scores(walk, p, 0.99)
         for damping in (0.995, 1 - 1e-12):
             with pytest.raises(InvalidInput, match="damping"):
-                retrieval.walk_scores(walk, p, damping)
+                walk_scores(walk, p, damping)
 
     def test_params_validation(self):
         # damping outside (0, 0.99] and seed weights that are no distribution

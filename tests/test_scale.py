@@ -31,7 +31,11 @@ def sixty():
 
 def test_sixty_section_manual_builds_and_answers(sixty):
     gw, graph = sixty
-    assert len(graph.all_node_keys()) > 400
+    # a title passage and one per section; the walk's nodes are the entities
+    # and the passages alone
+    assert len(graph.passages) == 61
+    assert len(graph.entities) == 300
+    assert len(graph.all_node_keys()) == len(graph.entities) + len(graph.passages)
 
     cfg = make_config()
     record = reasoning.run("What is the default value of the REG_037 register?",
